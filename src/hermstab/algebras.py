@@ -17,6 +17,7 @@ use to reroute.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .fields import FieldElement, FieldTower, MismatchError
 from .quadratic import QuadraticForm, SingularFormError, diagonalize_gram
@@ -231,6 +232,16 @@ def _quat_nrd(s, a, b, x):
 # ---------------------------------------------------------------------------
 
 
+def _frozen(doc):
+    """A hashable copy of a JSON document; ``dict`` tags objects so that an
+    object never equals a list of pairs."""
+    if isinstance(doc, dict):
+        return (dict, tuple(sorted((k, _frozen(v)) for k, v in doc.items())))
+    if isinstance(doc, list):
+        return tuple(_frozen(v) for v in doc)
+    return doc
+
+
 class Algebra:
     """Common interface of the catalogue; concrete kinds subclass this."""
 
@@ -320,17 +331,18 @@ class Algebra:
     def value_from_json(self, doc):
         raise NotImplementedError
 
+    @cached_property
+    def _key(self):
+        """The identity of the algebra: ``to_json()`` made hashable, once."""
+        return _frozen(self.to_json())
+
     def __eq__(self, other):
-        return (
-            isinstance(other, Algebra)
-            and self.kind == other.kind
-            and self.to_json() == other.to_json()
+        return self is other or (
+            isinstance(other, Algebra) and self._key == other._key
         )
 
     def __hash__(self):
-        import json
-
-        return hash(json.dumps(self.to_json(), sort_keys=True))
+        return hash(self._key)
 
     def __repr__(self):
         return f"<{self.describe()}>"
@@ -1072,8 +1084,11 @@ def algebra_from_json(doc: dict) -> Algebra:
         if set(doc) != {"kind", "n", "inner", "g"}:
             raise MismatchError("matrix takes keys 'n', 'inner', 'g'")
         inner = algebra_from_json(doc["inner"])
+        n = doc["n"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise MismatchError("matrix size 'n' must be an integer")
         g = [inner.elem(inner.value_from_json(v)) for v in doc["g"]]
-        return MatrixAlgebra(int(doc["n"]), inner, g)
+        return MatrixAlgebra(n, inner, g)
     raise MismatchError(f"unknown algebra kind {kind!r}")
 
 

@@ -15,17 +15,18 @@ import math
 import sys
 
 from .algebras import HermitianForm, algebra_from_json
-from .fields import FieldTower, MismatchError, Ordering, TowerError
+from .fields import FieldTower, InvariantViolation, MismatchError, Ordering, TowerError
 from .quadratic import QuadraticForm, knebusch_check, scharlau_transfer
 from .signatures import (
     ReferenceForm,
+    SearchExhausted,
     local_type,
     nil_set,
     reference_search,
     total_signature,
 )
 from .splitting import BudgetExhausted, PreconditionNil, find_certificate
-from .stability import InvariantViolation, stability_report, Probes
+from .stability import stability_report, Probes
 
 __all__ = ["main"]
 
@@ -428,8 +429,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.budget < 0:
+            raise ValidationFailure("--budget must be non-negative")
         return args.func(args)
-    except BudgetExhausted as exc:
+    except (BudgetExhausted, SearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (

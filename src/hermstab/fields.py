@@ -19,6 +19,7 @@ __all__ = [
     "FieldElement",
     "Ordering",
     "MismatchError",
+    "InvariantViolation",
     "TowerError",
     "orderings",
     "sign_at",
@@ -33,6 +34,10 @@ class TowerError(ValueError):
 
 class MismatchError(ValueError):
     """Raised when an element and an ordering belong to different fields."""
+
+
+class InvariantViolation(RuntimeError):
+    """A certified-exact computation contradicted its own theory."""
 
 
 # ---------------------------------------------------------------------------

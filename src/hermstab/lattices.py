@@ -1,9 +1,10 @@
-"""Exact integer-lattice utilities: Hermite and Smith normal forms with
-transformation tracking, membership tests, and cokernel invariants.
+"""Exact integer-lattice utilities: the Hermite normal form with
+transformation tracking, membership tests, and cokernel invariants from
+the Smith normal form.
 
-Everything runs on arbitrary-precision Python integers; transformation
-matrices are kept so that lattice members can be rewritten as explicit
-combinations of the original generators.
+Everything runs on arbitrary-precision Python integers; the Hermite
+transformation is kept so that lattice members can be rewritten as
+explicit combinations of the original generators.
 """
 
 from __future__ import annotations
@@ -102,36 +103,28 @@ def lattice_coefficients(basis, transform, v):
 
 
 def smith_normal_form(matrix):
-    """Diagonalize an integer matrix by unimodular operations.
+    """Diagonalize an integer matrix by unimodular row and column operations.
 
-    Returns (diag, U, V) with U * A * V = D, D the list of diagonal
-    entries satisfying d1 | d2 | ... (zeros last).
+    Returns the diagonal entries d1 | d2 | ... (zeros last) of its Smith
+    normal form; the transforming matrices are not built.
     """
     A = [list(r) for r in matrix]
     n = len(A)
     m = len(A[0]) if n else 0
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    V = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
     def row_op(i, j, q):  # row_i -= q row_j
         A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def col_op(i, j, q):  # col_i -= q col_j
         for r in range(n):
             A[r][i] -= q * A[r][j]
-        for r in range(m):
-            V[r][i] -= q * V[r][j]
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
 
     def col_swap(i, j):
         for r in range(n):
             A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(m):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
 
     t = 0
     while t < min(n, m):
@@ -166,7 +159,6 @@ def smith_normal_form(matrix):
                         dirty = True
         if A[t][t] < 0:
             A[t] = [-a for a in A[t]]
-            U[t] = [-a for a in U[t]]
         t += 1
     # enforce divisibility d_i | d_{i+1}
     changed = True
@@ -194,13 +186,10 @@ def smith_normal_form(matrix):
                             dirty = True
                 if A[i][i] < 0:
                     A[i] = [-a for a in A[i]]
-                    U[i] = [-a for a in U[i]]
                 if A[i + 1][i + 1] < 0:
                     A[i + 1] = [-a for a in A[i + 1]]
-                    U[i + 1] = [-a for a in U[i + 1]]
                 changed = True
-    diag = [A[i][i] for i in range(min(n, m))]
-    return diag, U, V
+    return [A[i][i] for i in range(min(n, m))]
 
 
 def cokernel_invariants(rows, ambient_dim: int):
@@ -212,7 +201,7 @@ def cokernel_invariants(rows, ambient_dim: int):
     rows = [list(r) for r in rows]
     if not rows:
         return [], ambient_dim
-    diag, _, _ = smith_normal_form(rows)
+    diag = smith_normal_form(rows)
     nonzero = [d for d in diag if d != 0]
     free = ambient_dim - len(nonzero)
     torsion = [d for d in nonzero if d != 1]

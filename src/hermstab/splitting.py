@@ -11,6 +11,8 @@ and commutative cases carry their own degenerate certificate shapes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from .algebras import (
     Algebra,
     AlgebraElement,
@@ -19,7 +21,13 @@ from .algebras import (
     UnitaryQuadraticAlgebra,
     morita_flatten,
 )
-from .fields import FieldElement, FieldTower, MismatchError, Ordering
+from .fields import (
+    FieldElement,
+    FieldTower,
+    InvariantViolation,
+    MismatchError,
+    Ordering,
+)
 
 __all__ = [
     "SplittingCertificate",
@@ -48,8 +56,22 @@ class PreconditionNil(ValueError):
     """The requested ordering is nil: signatures vanish, nothing to split."""
 
 
+def _centre_of(algebra: Algebra, extension: FieldTower, flavor: str) -> Algebra:
+    """The split model's scalar domain as a catalogue algebra."""
+    if flavor in ("unitary-quaternion-split", "unitary-deg1"):
+        return UnitaryQuadraticAlgebra(extension, algebra.alpha.lift_to(extension))
+    return FieldAlgebra(extension)
+
+
+@dataclass(frozen=True, eq=False)
 class SplittingCertificate:
-    """Explicit data realizing the split of (A, sigma) at an ordering."""
+    """Explicit data realizing the split of (A, sigma) at an ordering.
+
+    Certificates are immutable: every field is given to the constructor,
+    ``matrices`` and ``g_datum`` are stored as tuples, and assigning to an
+    attribute raises.  So ``verify_certificate`` checks each certificate
+    object once and memoises the result on it; a changed certificate is
+    a new object and is checked afresh."""
 
     FLAVORS = (
         "orthogonal-split",
@@ -59,32 +81,29 @@ class SplittingCertificate:
         "split-trivial",
     )
 
-    def __init__(
-        self,
-        algebra: Algebra,
-        ordering: Ordering,
-        flavor: str,
-        extension: FieldTower,
-        chosen: Ordering,
-        witness: AlgebraElement | None = None,
-        m: FieldElement | None = None,
-        matrices=None,
-        g_datum=None,
-        definite_pair=None,
-    ):
-        if flavor not in self.FLAVORS:
-            raise MismatchError(f"unknown certificate flavor {flavor!r}")
-        self.algebra = algebra
-        self.ordering = ordering
-        self.flavor = flavor
-        self.extension = extension
-        self.chosen = chosen
-        self.witness = witness
-        self.m = m
-        self.matrices = matrices
-        self.g_datum = g_datum
-        # symplectic flavor: (d, c, u, v) with u^2 = -d, v^2 = -c
-        self.definite_pair = definite_pair
+    algebra: Algebra
+    ordering: Ordering
+    flavor: str
+    extension: FieldTower
+    chosen: Ordering
+    witness: AlgebraElement | None = None
+    m: FieldElement | None = None
+    matrices: tuple | None = None
+    g_datum: tuple | None = None
+    # symplectic flavor: (d, c, u, v) with u^2 = -d, v^2 = -c
+    definite_pair: tuple | None = None
+    # set once by verify_certificate
+    _verified: bool | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.flavor not in self.FLAVORS:
+            raise MismatchError(f"unknown certificate flavor {self.flavor!r}")
+        if self.matrices is not None:
+            object.__setattr__(self, "matrices", tuple(map(_mat2, self.matrices)))
+        if self.g_datum is not None:
+            object.__setattr__(self, "g_datum", _mat2(self.g_datum))
+        if self.definite_pair is not None:
+            object.__setattr__(self, "definite_pair", tuple(self.definite_pair))
 
     def __repr__(self):
         return (
@@ -94,11 +113,7 @@ class SplittingCertificate:
 
     def centre_algebra(self) -> Algebra:
         """The split model's scalar domain as a catalogue algebra."""
-        L = self.extension
-        if self.flavor in ("unitary-quaternion-split", "unitary-deg1"):
-            alpha = self.algebra.alpha.lift_to(L)
-            return UnitaryQuadraticAlgebra(L, alpha)
-        return FieldAlgebra(L)
+        return _centre_of(self.algebra, self.extension, self.flavor)
 
     def to_json(self) -> dict:
         out = {
@@ -112,17 +127,15 @@ class SplittingCertificate:
             out["witness"] = self.witness.to_json()
         if self.m is not None:
             out["m"] = self.m.to_json()
+        C = self.centre_algebra()
+
+        def rows_json(rows):
+            return [[C.value_to_json(e.value) for e in row] for row in rows]
+
         if self.matrices is not None:
-            C = self.centre_algebra()
-            out["matrices"] = [
-                [[C.value_to_json(e.value) for e in row] for row in M]
-                for M in self.matrices
-            ]
+            out["matrices"] = [rows_json(M) for M in self.matrices]
         if self.g_datum is not None:
-            C = self.centre_algebra()
-            out["g_datum"] = [
-                [C.value_to_json(e.value) for e in row] for row in self.g_datum
-            ]
+            out["g_datum"] = rows_json(self.g_datum)
         if self.definite_pair is not None:
             d, c, u, v = self.definite_pair
             out["definite"] = {
@@ -144,38 +157,41 @@ class SplittingCertificate:
         if extra:
             raise MismatchError(f"unknown certificate keys {sorted(extra)}")
         algebra = algebra_from_json(doc["algebra"])
-        ordering = Ordering.from_json(algebra.field, doc["ordering"])
+        F = algebra.field
+        ordering = Ordering.from_json(F, doc["ordering"])
         extension = FieldTower.from_json(doc["extension"])
         chosen = Ordering.from_json(extension, doc["chosen"])
-        cert = SplittingCertificate(
-            algebra, ordering, doc["flavor"], extension, chosen
-        )
-        if "witness" in doc:
-            cert.witness = algebra.elem(algebra.value_from_json(doc["witness"]))
-        if "m" in doc:
-            cert.m = algebra.field.element_from_json(doc["m"])
-        C = cert.centre_algebra()
-        if "matrices" in doc:
-            cert.matrices = [
-                tuple(
-                    tuple(C.elem(C.value_from_json(e)) for e in row) for row in M
-                )
-                for M in doc["matrices"]
-            ]
-        if "g_datum" in doc:
-            cert.g_datum = tuple(
-                tuple(C.elem(C.value_from_json(e)) for e in row)
-                for row in doc["g_datum"]
-            )
+        C = _centre_of(algebra, extension, doc["flavor"])
+
+        def element(v):
+            return algebra.elem(algebra.value_from_json(v))
+
+        def centre_rows(rows):
+            return [[C.elem(C.value_from_json(e)) for e in row] for row in rows]
+
+        definite = None
         if "definite" in doc:
             d = doc["definite"]
-            cert.definite_pair = (
-                algebra.field.element_from_json(d["d"]),
-                algebra.field.element_from_json(d["c"]),
-                algebra.elem(algebra.value_from_json(d["u"])),
-                algebra.elem(algebra.value_from_json(d["v"])),
+            definite = (
+                F.element_from_json(d["d"]),
+                F.element_from_json(d["c"]),
+                element(d["u"]),
+                element(d["v"]),
             )
-        return cert
+        return SplittingCertificate(
+            algebra,
+            ordering,
+            doc["flavor"],
+            extension,
+            chosen,
+            witness=element(doc["witness"]) if "witness" in doc else None,
+            m=F.element_from_json(doc["m"]) if "m" in doc else None,
+            matrices=(
+                tuple(map(centre_rows, doc["matrices"])) if "matrices" in doc else None
+            ),
+            g_datum=centre_rows(doc["g_datum"]) if "g_datum" in doc else None,
+            definite_pair=definite,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +277,9 @@ def _quat_centre_basis(A):
     return [(o, z, z, z), (z, o, z, z), (z, z, o, z), (z, z, z, o)]
 
 
-def _centre_coords(cert_centre: Algebra, value):
+def _centre_coords(centre: Algebra, value):
     """Quaternion value -> list of its 4 coordinates as centre elements."""
-    return [cert_centre.elem(c) for c in value]
-
-
-def _is_unitary_kind(A: Algebra) -> bool:
-    return A.kind == "unitary_quaternion"
+    return [centre.elem(c) for c in value]
 
 
 def _build_split_data(A_L: Algebra, centre: Algebra, witness_value, sqm: FieldElement):
@@ -295,46 +307,37 @@ def _build_split_data(A_L: Algebra, centre: Algebra, witness_value, sqm: FieldEl
         raise MismatchError("ideal is not 2-dimensional over the centre")
     matrices = []
     for b in basis:
-        cols = []
-        for vs in (span.v1, span.v2):
-            prod = A_L.mul(b, _from_centre_coords(A_L, centre, vs))
-            c1, c2 = span.solve(_centre_coords(centre, prod))
-            cols.append((c1, c2))
-        matrices.append(
-            (
-                (cols[0][0], cols[1][0]),
-                (cols[0][1], cols[1][1]),
-            )
-        )
+        cols = [
+            span.solve(_centre_coords(centre, A_L.mul(b, tuple(c.value for c in vs))))
+            for vs in (span.v1, span.v2)
+        ]
+        matrices.append(tuple(zip(*cols)))  # columns to rows
     return matrices
 
 
-def _from_centre_coords(A_L: Algebra, centre: Algebra, coords):
-    return tuple(c.value for c in coords)
-
-
-def _phi(cert: SplittingCertificate, value):
-    """Image of a quaternion value in the 2 x 2 split model."""
-    C = cert.centre_algebra()
+def _phi(C: Algebra, matrices, value):
+    """Image of a quaternion value in the 2 x 2 split model over C."""
     coords = _centre_coords(C, value)
     zero = C.elem(C.zero())
     out = [[zero, zero], [zero, zero]]
-    for c, M in zip(coords, cert.matrices):
+    for c, M in zip(coords, matrices):
         for i in range(2):
             for j in range(2):
                 out[i][j] = out[i][j] + c * M[i][j]
     return tuple(tuple(row) for row in out)
 
 
-def _conj_transpose(cert: SplittingCertificate, M):
-    C = cert.centre_algebra()
-    unitary = cert.flavor == "unitary-quaternion-split"
+def _conj_transpose(unitary: bool, M):
     def tw(e):
         return e.involution() if unitary else e
     return (
         (tw(M[0][0]), tw(M[1][0])),
         (tw(M[0][1]), tw(M[1][1])),
     )
+
+
+def _mat2(M):
+    return tuple(tuple(row) for row in M)
 
 
 def _mat2_mul(a, b):
@@ -350,16 +353,16 @@ def _mat2_eq(a, b):
     return all((a[i][j] - b[i][j]).is_zero() for i in range(2) for j in range(2))
 
 
-def _solve_involution_datum(cert: SplittingCertificate, A_L: Algebra):
+def _solve_involution_datum(C: Algebra, matrices, flavor: str, A_L: Algebra):
     """G with Phi(sigma(beta)) = G^-1 * conj-transpose(Phi(beta)) * G."""
-    C = cert.centre_algebra()
+    unitary = flavor == "unitary-quaternion-split"
     zero, one = C.elem(C.zero()), C.elem(C.one())
     basis = _quat_centre_basis(A_L)
     rows = []
     # unknowns: G00, G01, G10, G11; equations G*Phi(sigma b) - ct(Phi b)*G = 0
     for b in basis:
-        S = _phi(cert, A_L.involution(b))
-        T = _conj_transpose(cert, _phi(cert, b))
+        S = _phi(C, matrices, A_L.involution(b))
+        T = _conj_transpose(unitary, _phi(C, matrices, b))
         for i in range(2):
             for j in range(2):
                 row = [zero, zero, zero, zero]
@@ -375,10 +378,10 @@ def _solve_involution_datum(cert: SplittingCertificate, A_L: Algebra):
         raise MismatchError("no involution datum exists")
     g = sols[0]
     G = ((g[0], g[1]), (g[2], g[3]))
-    ct = _conj_transpose(cert, G)
+    ct = _conj_transpose(unitary, G)
     if _mat2_eq(ct, G):
         return G
-    if cert.flavor != "unitary-quaternion-split":
+    if not unitary:
         raise MismatchError("involution datum came out skew for an orthogonal type")
     # ct(G) = lambda * G with lambda of norm 1; rescale hermitian via
     # c/conj(c) = lambda, taking c = 1 + lambda (or sqrt(alpha) if lambda = -1)
@@ -390,7 +393,7 @@ def _solve_involution_datum(cert: SplittingCertificate, A_L: Algebra):
         minus_one = C.elem(C.scalar_mul(C.field.rational(-1), C.one()))
         c = C.elem(C._s.root()) if lam == minus_one else one + lam
         H = tuple(tuple(c * e for e in row) for row in G)
-        if _mat2_eq(_conj_transpose(cert, H), H):
+        if _mat2_eq(_conj_transpose(unitary, H), H):
             return H
     raise MismatchError("involution datum cannot be normalized")
 
@@ -444,17 +447,13 @@ def find_certificate(
         raise PreconditionNil(
             f"{A.describe()} has vanishing signatures at {P.name()}"
         )
-    key = None
-    if skip == 0:
-        import json as _json
-
-        key = (_json.dumps(A.to_json(), sort_keys=True), P.path, budget)
-        if key in _cert_cache:
-            return _cert_cache[key]
+    key = (A, P.path, budget)
+    if skip == 0 and key in _cert_cache:
+        return _cert_cache[key]
     cert = _find_certificate_impl(A, P, budget, skip)
     if not verify_certificate(cert):
-        raise MismatchError("internal error: emitted certificate fails verification")
-    if key is not None:
+        raise InvariantViolation("emitted certificate fails verification")
+    if skip == 0:
         _cert_cache[key] = cert
     return cert
 
@@ -536,7 +535,9 @@ def _emit_split_certificate(A, P, xyz, m, sqm, unitary):
         sq_elem = L.generator()
     A_L = A.lift_to(L)
     flavor = "unitary-quaternion-split" if unitary else "orthogonal-split"
-    cert = SplittingCertificate(
+    centre = _centre_of(A, L, flavor)
+    matrices = _build_split_data(A_L, centre, A.lift_value(w_value, A_L), sq_elem)
+    return SplittingCertificate(
         A,
         P,
         flavor,
@@ -544,15 +545,9 @@ def _emit_split_certificate(A, P, xyz, m, sqm, unitary):
         Q,
         witness=witness,
         m=m,
+        matrices=matrices,
+        g_datum=_solve_involution_datum(centre, matrices, flavor, A_L),
     )
-    centre = cert.centre_algebra()
-    w_L = A.lift_value(w_value, A_L)
-    cert.matrices = [
-        tuple(tuple(cols) for cols in M)
-        for M in _build_split_data(A_L, centre, w_L, sq_elem)
-    ]
-    cert.g_datum = _solve_involution_datum(cert, A_L)
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +556,18 @@ def _emit_split_certificate(A, P, xyz, m, sqm, unitary):
 
 
 def verify_certificate(cert: SplittingCertificate) -> bool:
-    """Re-check every certificate invariant by exact arithmetic."""
-    try:
-        return _verify_impl(cert)
-    except (MismatchError, ValueError, ZeroDivisionError, ArithmeticError):
-        return False
+    """Check every certificate invariant by exact arithmetic.
+
+    Memoised per certificate object: the check runs on the first call and
+    its result is stored on the certificate, which is immutable, so later
+    calls return it without recomputation."""
+    if cert._verified is None:
+        try:
+            ok = _verify_impl(cert)
+        except (MismatchError, ValueError, ZeroDivisionError, ArithmeticError):
+            ok = False
+        object.__setattr__(cert, "_verified", ok)
+    return cert._verified
 
 
 def _verify_impl(cert: SplittingCertificate) -> bool:
@@ -640,7 +642,7 @@ def _verify_impl(cert: SplittingCertificate) -> bool:
     ident = ((one, zero), (zero, one))
     a_c = C.elem(C.scalar_mul(A.a.lift_to(L), C.one()))
     b_c = C.elem(C.scalar_mul(A.b.lift_to(L), C.one()))
-    M1, Mi, Mj, Mk = [tuple(tuple(r) for r in M) for M in cert.matrices]
+    M1, Mi, Mj, Mk = cert.matrices
     if not _mat2_eq(M1, ident):
         return False
     if not _mat2_eq(_mat2_mul(Mi, Mi), _scale2(a_c, ident)):
@@ -654,22 +656,19 @@ def _verify_impl(cert: SplittingCertificate) -> bool:
     if not _mat2_eq(ij, Mk):
         return False
     # full 4-dimensional image: the four matrices are independent over C
-    rows = []
-    for M in (M1, Mi, Mj, Mk):
-        rows.append([M[0][0], M[0][1], M[1][0], M[1][1]])
-    cols = [[rows[i][j] for i in range(4)] for j in range(4)]
+    cols = [[M[i][j] for M in cert.matrices] for i in range(2) for j in range(2)]
     if _nullspace(cols, zero, one):
         return False
     # G reproduces the involution on the basis
     G = cert.g_datum
     if _det2(G).is_zero():
         return False
-    ct = _conj_transpose(cert, G)
-    if not _mat2_eq(ct, G):
+    unitary = cert.flavor == "unitary-quaternion-split"
+    if not _mat2_eq(_conj_transpose(unitary, G), G):
         return False
     for bval in _quat_centre_basis(A_L):
-        lhs = _mat2_mul(G, _phi(cert, A_L.involution(bval)))
-        rhs = _mat2_mul(_conj_transpose(cert, _phi(cert, bval)), G)
+        lhs = _mat2_mul(G, _phi(C, cert.matrices, A_L.involution(bval)))
+        rhs = _mat2_mul(_conj_transpose(unitary, _phi(C, cert.matrices, bval)), G)
         if not _mat2_eq(lhs, rhs):
             return False
     return True
@@ -703,13 +702,7 @@ def transport_form(cert: SplittingCertificate, h: HermitianForm):
             "definite symplectic certificates do not transport; use the "
             "diagonal route"
         )
-    if cert.flavor == "split-trivial":
-        target = FieldAlgebra(cert.extension)
-        gram = [
-            [target.elem(v) for v in row] for row in h.gram
-        ]
-        return HermitianForm(target, gram, 1), None
-    if cert.flavor == "unitary-deg1":
+    if cert.flavor in ("split-trivial", "unitary-deg1"):
         target = cert.centre_algebra()
         gram = [[target.elem(v) for v in row] for row in h.gram]
         return HermitianForm(target, gram, 1), None
@@ -726,9 +719,8 @@ def transport_form(cert: SplittingCertificate, h: HermitianForm):
     for r in range(k):
         for s in range(k):
             val = A.lift_value(h.gram[r][s], A_L)
-            block = _mat2_mul(G, _phi(cert, val))
+            block = _mat2_mul(G, _phi(C, cert.matrices, val))
             for i in range(2):
                 for j in range(2):
                     big[2 * r + i][2 * s + j] = block[i][j]
-    target = C
-    return HermitianForm(target, big, 1), G
+    return HermitianForm(C, big, 1), G

@@ -20,7 +20,7 @@ from .algebras import (
     HermitianForm,
     MatrixAlgebra,
 )
-from .fields import FieldElement, FieldTower, MismatchError, Ordering
+from .fields import FieldElement, FieldTower, InvariantViolation, MismatchError
 from .lattices import (
     cokernel_invariants,
     hnf_with_transform,
@@ -31,6 +31,7 @@ from .quadratic import QuadraticForm, SignatureVector, is_witt_trivial_q, pfiste
 from .signatures import (
     ReferenceForm,
     SearchExhausted,
+    _ordering_indicator,
     _reference_candidates,
     h_signature,
     local_type,
@@ -54,10 +55,6 @@ __all__ = [
 ]
 
 _EXPONENT_CAP = 40
-
-
-class InvariantViolation(RuntimeError):
-    """A certified-exact computation contradicted its own theory."""
 
 
 class NilAwareSpace:
@@ -494,7 +491,7 @@ def h0_search(A: Algebra, ref: ReferenceForm, budget: int = 50):
             raise SearchExhausted(
                 f"no candidate with 2-power signature at {P.name()}"
             )
-        indicator = _one_ordering_indicator(field, P)
+        indicator = _ordering_indicator(field, P)
         pieces.append(piece.module_scale(indicator))
         exponents.append(local_exp + len(field.generators()))
     k0 = max(exponents)
@@ -509,13 +506,6 @@ def h0_search(A: Algebra, ref: ReferenceForm, budget: int = 50):
     if any(v != (1 << k0) for v in vec):
         raise SearchExhausted("piecewise constant-signature assembly failed")
     return total, k0
-
-
-def _one_ordering_indicator(field: FieldTower, P: Ordering) -> QuadraticForm:
-    slots = []
-    for g in field.generators():
-        slots.append(g if g.sign_at(P) > 0 else -g)
-    return pfister(field, slots)
 
 
 def relative_stability(

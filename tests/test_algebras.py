@@ -392,6 +392,7 @@ def test_algebra_json_round_trips():
     ]
     for A in algebras:
         assert algebra_from_json(A.to_json()) == A
+        assert hash(algebra_from_json(A.to_json())) == hash(A)
         h = random_hermitian_diagonal(rng, A, rank=2)
         assert HermitianForm.from_json(h.to_json()) == h
 

@@ -150,6 +150,51 @@ def test_budget_exhausted_exit_code():
     assert code == 3
 
 
+def test_negative_budget_is_validation_error():
+    code, _, err = run_cli(
+        "--budget", "-1", "split-cert", "--algebra", ORTH_X, "--ordering", "0"
+    )
+    assert code == 2
+    assert "--budget" in err
+
+
+def test_matrix_size_must_be_an_integer():
+    def matrix(n):
+        return '{"kind":"matrix","n":%s,"inner":%s,"g":[["1","0","0","0"]]}' % (n, HAM)
+
+    code, _, _ = run_cli("nil", "--algebra", matrix("1"))
+    assert code == 0
+    for bad in ("1.7", "true"):
+        code, _, err = run_cli("nil", "--algebra", matrix(bad))
+        assert code == 2, bad
+        assert "'n'" in err
+
+
+def test_search_exhausted_exit_code(monkeypatch):
+    import hermstab.cli as cli
+    from hermstab.signatures import SearchExhausted
+
+    def exhausted(*args):
+        raise SearchExhausted("no reference found")
+
+    monkeypatch.setattr(cli, "reference_search", exhausted)
+    form = '{"diag":[["1","0","0","0"]]}'
+    code, _, err = run_cli("signature", "--algebra", HAM, "--form", form)
+    assert code == 3
+    assert "no reference found" in err
+
+
+def test_failed_emitted_certificate_exit_code(monkeypatch):
+    import hermstab.splitting as splitting
+
+    monkeypatch.setattr(splitting, "_verify_impl", lambda cert: False)
+    splitting.clear_certificate_cache()
+    code, _, err = run_cli("split-cert", "--algebra", ORTH_X, "--ordering", "0")
+    assert code == 4
+    assert "internal invariant violation" in err
+    assert "Traceback" not in err
+
+
 def test_transfer_check_command():
     form = '{"field":' + F2_FIELD + ',"diag":[{"u":"0","v":"1"}]}'
     code, out, _ = run_cli("transfer-check", "--form", form)

@@ -98,6 +98,44 @@ def test_tampered_certificates_fail():
     assert not verify_certificate(perturbed)
 
 
+def test_certificates_are_immutable():
+    cert = find_certificate(ORTH, LX.orderings()[0])
+    for name in ("witness", "m", "matrices", "g_datum", "flavor", "_verified"):
+        with pytest.raises(AttributeError):
+            setattr(cert, name, None)
+    back = SplittingCertificate.from_json(cert.to_json())
+    for c in (cert, back):
+        assert isinstance(c.matrices, tuple)
+        assert all(isinstance(M, tuple) and isinstance(M[0], tuple) for M in c.matrices)
+        assert isinstance(c.g_datum, tuple) and isinstance(c.g_datum[0], tuple)
+
+
+def test_verification_runs_once_per_certificate(monkeypatch):
+    import hermstab.splitting as splitting
+
+    checked = []
+    real = splitting._verify_impl
+
+    def counting(cert):
+        checked.append(cert)
+        return real(cert)
+
+    monkeypatch.setattr(splitting, "_verify_impl", counting)
+    splitting.clear_certificate_cache()
+    Pp = LX.orderings()[0]
+    cert = find_certificate(ORTH, Pp)
+    assert find_certificate(ORTH, Pp) is cert
+    assert find_certificate(MatrixAlgebra(2, ORTH), Pp) is cert
+    h = HermitianForm.diagonal(ORTH, [ORTH.basis()[0]])
+    for _ in range(3):
+        transport_form(cert, h)
+        assert verify_certificate(cert)
+    copy = SplittingCertificate.from_json(cert.to_json())
+    assert verify_certificate(copy) and verify_certificate(copy)
+    assert len(checked) == 2
+    assert checked[0] is cert and checked[1] is copy
+
+
 def _random_quaternion_instances(rng, count, orthogonal):
     """Quaternion algebras with small parameters over the shape pool."""
     out = []
