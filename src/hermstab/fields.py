@@ -28,6 +28,12 @@ __all__ = [
 ]
 
 
+# Laurent exponents read from JSON lie in [-MAX_LAURENT_EXPONENT,
+# MAX_LAURENT_EXPONENT]: polynomials are stored densely, so an unbounded
+# exponent would allocate memory in proportion to a number in the input.
+MAX_LAURENT_EXPONENT = 1024
+
+
 class TowerError(ValueError):
     """Raised when a tower description is malformed."""
 
@@ -642,7 +648,9 @@ class FieldTower:
         }
 
     def _value_from_json(self, level, doc):
-        if isinstance(doc, (int, str)):
+        if isinstance(doc, str) or (
+            isinstance(doc, int) and not isinstance(doc, bool)
+        ):
             # rationals are accepted at any level and embedded
             try:
                 return self._from_rat(level, Fraction(doc))
@@ -661,15 +669,27 @@ class FieldTower:
             raise TowerError("Laurent level element takes keys 'num', 'den'")
 
         def build(pairs):
+            if not isinstance(pairs, list):
+                raise TowerError("Laurent 'num' and 'den' are lists of terms")
+            for term in pairs:
+                if not isinstance(term, list) or len(term) != 2:
+                    raise TowerError(f"Laurent term must be [exp, coeff], got {term!r}")
+                e = term[0]
+                if not isinstance(e, int) or isinstance(e, bool):
+                    raise TowerError(f"Laurent exponent must be an integer, got {e!r}")
+                if abs(e) > MAX_LAURENT_EXPONENT:
+                    raise TowerError(
+                        f"Laurent exponent {e} exceeds the bound {MAX_LAURENT_EXPONENT}"
+                    )
             if not pairs:
                 return 0, ()
-            exps = [int(e) for e, _ in pairs]
+            exps = [e for e, _ in pairs]
             base = min(exps)
             coeffs = [self._from_rat(level - 1, Fraction(0))] * (max(exps) - base + 1)
             for e, c in pairs:
-                coeffs[int(e) - base] = self._add(
+                coeffs[e - base] = self._add(
                     level - 1,
-                    coeffs[int(e) - base],
+                    coeffs[e - base],
                     self._value_from_json(level - 1, c),
                 )
             return base, tuple(coeffs)

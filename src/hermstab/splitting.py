@@ -59,6 +59,8 @@ class PreconditionNil(ValueError):
 def _centre_of(algebra: Algebra, extension: FieldTower, flavor: str) -> Algebra:
     """The split model's scalar domain as a catalogue algebra."""
     if flavor in ("unitary-quaternion-split", "unitary-deg1"):
+        if algebra.kind not in ("unitary_quadratic", "unitary_quaternion"):
+            raise MismatchError(f"flavor {flavor!r} needs a unitary centre")
         return UnitaryQuadraticAlgebra(extension, algebra.alpha.lift_to(extension))
     return FieldAlgebra(extension)
 

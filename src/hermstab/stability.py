@@ -27,7 +27,13 @@ from .lattices import (
     lattice_coefficients,
     lattice_member,
 )
-from .quadratic import QuadraticForm, SignatureVector, is_witt_trivial_q, pfister
+from .quadratic import (
+    QuadraticForm,
+    SignatureVector,
+    SingularFormError,
+    is_witt_trivial_q,
+    pfister,
+)
 from .signatures import (
     ReferenceForm,
     SearchExhausted,
@@ -110,26 +116,35 @@ class Probes:
                     sym.append(HermitianForm.diagonal(A, [s]))
         else:
             sym = _reference_candidates(A)
-        fps = [field.rational(-1)] + field.generators()
-        return Probes(sym, fps)
+        return Probes(sym, _field_probes(field))
 
 
-def _quadratic_probe_forms(field: FieldTower, field_elements):
-    """<1> and all sign-adjusted Pfister forms over probe subsets."""
-    out = [(pfister(field, []), {"pfister": []})]
-    n = len(field_elements)
+def _field_probes(field: FieldTower):
+    return [field.rational(-1)] + field.generators()
+
+
+def _probe_signatures(field: FieldTower, field_elements, orderings):
+    """(signature vector over ``orderings``, slots) for <1> and for every
+    Pfister form <1, +-a1> x ... x <1, +-ar> over nonempty subsets of the
+    probe elements: masks in order, then sign flips.  Such a form has
+    signature prod(1 + sgn_P(ai)) at P (Lam, Introduction to Quadratic
+    Forms over Fields), so no form is built."""
+    elements = [field.coerce(a) for a in field_elements]
+    if any(a.is_zero() for a in elements):
+        raise SingularFormError("Pfister slots must be nonzero")
+    signs = [[a.sign_at(P) for P in orderings] for a in elements]
+    out = [((1,) * len(orderings), [])]
+    n = len(elements)
     for mask in range(1, 1 << n):
-        chosen = [field_elements[i] for i in range(n) if mask >> i & 1]
-        for signs in range(1 << len(chosen)):
-            slots = [
-                c if signs >> i & 1 == 0 else -c for i, c in enumerate(chosen)
-            ]
-            out.append(
-                (
-                    pfister(field, slots),
-                    {"pfister": [str(s) for s in slots]},
-                )
-            )
+        chosen = [i for i in range(n) if mask >> i & 1]
+        for flips in range(1 << len(chosen)):
+            vector = [1] * len(orderings)
+            slots = []
+            for j, i in enumerate(chosen):
+                s = -1 if flips >> j & 1 else 1
+                slots.append(elements[i] if s == 1 else -elements[i])
+                vector = [v * (1 + s * t) for v, t in zip(vector, signs[i])]
+            out.append((tuple(vector), slots))
     return out
 
 
@@ -189,7 +204,7 @@ class ImageLattice:
     def recheck_generator(self, index: int, ref: ReferenceForm, budget: int = 50):
         """Recompute one generator from its recorded provenance form."""
         vector, prov = self.generators[index]
-        form = prov["base"].module_scale(prov["multiplier"])
+        form = prov["base"].module_scale(pfister(self.space.field, prov["multiplier"]))
         algebra = form.algebra
         use_ref = prov.get("reference", ref)
         vec = total_signature(algebra, form, use_ref, budget)
@@ -230,7 +245,7 @@ def image_lattice(
     generators = []
     if space.dim == 0:
         return ImageLattice(space, [], _field_patterns_complete(field))
-    qforms = _quadratic_probe_forms(field, probes.field_elements)
+    qsigs = _probe_signatures(field, probes.field_elements, space.coords)
     base_vectors = []
     for cand in probes.sym_forms:
         vec = total_signature(A, cand, ref, budget)
@@ -241,25 +256,11 @@ def image_lattice(
         for cand in Probes.default(inner).sym_forms:
             vec = total_signature(inner, cand, inner_ref, budget)
             base_vectors.append((space.restrict(vec), cand))
-    qsigs = []
-    for q, qprov in qforms:
-        qsigs.append(
-            (
-                tuple(q.signature(P) for P in space.coords),
-                q,
-                qprov,
-            )
-        )
     for vs, cand in base_vectors:
         cand_ref = _ref_for(cand, ref, budget)
-        for qs, q, qprov in qsigs:
+        for qs, slots in qsigs:
             vector = tuple(a * b for a, b in zip(qs, vs))
-            prov = {
-                "multiplier": q,
-                "multiplier_slots": qprov,
-                "base": cand,
-                "reference": cand_ref,
-            }
+            prov = {"multiplier": slots, "base": cand, "reference": cand_ref}
             generators.append((vector, prov))
     exact = (
         _field_patterns_complete(field)
@@ -319,14 +320,11 @@ def quadratic_image_lattice(field: FieldTower, field_elements=None):
     """im(sign) over all coordinates, generated by the probe forms.
 
     Returns (generators, basis, transform, exact): generators are
-    (vector, QuadraticForm) pairs over the full coordinate list."""
+    (vector, slots) pairs over the full coordinate list, where the slots
+    name the Pfister form pfister(field, slots)."""
     if field_elements is None:
-        field_elements = [field.rational(-1)] + field.generators()
-    orderings = field.orderings()
-    gens = []
-    for q, _ in _quadratic_probe_forms(field, field_elements):
-        vec = tuple(q.signature(P) for P in orderings)
-        gens.append((vec, q))
+        field_elements = _field_probes(field)
+    gens = _probe_signatures(field, field_elements, field.orderings())
     basis, transform = hnf_with_transform([v for v, _ in gens])
     return gens, basis, transform, _field_patterns_complete(field)
 
@@ -523,18 +521,14 @@ def relative_stability(
         lattice = image_lattice(A, ref, budget=budget)
     space = lattice.space
     field = A.field
-    gens, _, _, _ = quadratic_image_lattice(field)
-    rows = [list(v) for v, _ in gens]
-    nil_cols = list(space.nil_indices)
-    kernel_rows = _left_kernel(rows, nil_cols)
+    gens = _probe_signatures(field, _field_probes(field), field.orderings())
+    kernel_rows = _left_kernel([v for v, _ in gens], space.nil_indices)
     q0_vectors = []
-    q0_combos = []
     for u in kernel_rows:
         vec = [0] * len(field.orderings())
         for c, (gv, _) in zip(u, gens):
             vec = [a + c * b for a, b in zip(vec, gv)]
         q0_vectors.append(tuple(vec))
-        q0_combos.append(u)
     q0_basis, q0_transform = hnf_with_transform(q0_vectors)
     n0 = 0
     for v in lattice.basis:
@@ -561,13 +555,14 @@ def relative_stability(
             )
         # coefficients over the kernel rows -> over the original probe forms
         on_probes = [0] * len(gens)
-        for c, combo in zip(coeffs, q0_combos):
+        for c, combo in zip(coeffs, kernel_rows):
             for j, u in enumerate(combo):
                 on_probes[j] += c * u
         entries = []
-        for c, (_, q) in zip(on_probes, gens):
+        for c, (_, slots) in zip(on_probes, gens):
             if c == 0:
                 continue
+            q = pfister(field, slots)
             block = q if c > 0 else -q
             for _ in range(abs(c)):
                 entries.extend(block.entries)
@@ -667,12 +662,9 @@ def invariance_suite(A: Algebra, ref: ReferenceForm | None = None, budget: int =
     inj_ok = True
     if space.dim and report.n0 != math.inf:
         field = A.field
-        qprobes = _quadratic_probe_forms(field, Probes.default(A).field_elements)
-        for q, _ in qprobes:
-            qsig = [q.signature(P) for P in field.orderings()]
-            restricted = [
-                v for i, v in enumerate(qsig) if i not in space.nil_indices
-            ]
+        qsigs = _probe_signatures(field, _field_probes(field), space.coords)
+        for restricted, slots in qsigs:
+            q = pfister(field, slots)
             hv = space.restrict(
                 total_signature(A, report.h0.module_scale(q), ref, budget)
             )

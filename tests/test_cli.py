@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from hermstab.cli import main
 
 Q_FIELD = '{"tower":[{"kind":"base"}]}'
@@ -270,3 +272,41 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "orderings: 1" in proc.stdout
+
+
+def _orth_x_with(a_doc):
+    return ORTH_X.replace('{"num":[[1,"1"]],"den":[[0,"1"]]}', a_doc)
+
+
+@pytest.mark.parametrize(
+    "a_doc",
+    [
+        '{"num":[[1.7,"1"]],"den":[[0,"1"]]}',
+        '{"num":[[null,"1"]],"den":[[0,"1"]]}',
+        '{"num":[[true,"1"]],"den":[[0,"1"]]}',
+        '{"num":[["1","1"]],"den":[[0,"1"]]}',
+        '{"num":[[0,true]],"den":[[0,"1"]]}',
+        '{"num":[[1,"1",2]],"den":[[0,"1"]]}',
+        '{"num":[1],"den":[[0,"1"]]}',
+        '{"num":{"1":"1"},"den":[[0,"1"]]}',
+        '{"num":[[100000000,"1"]],"den":[[0,"1"]]}',
+        '{"num":[[1,"1"]],"den":[[-100000000,"1"]]}',
+    ],
+)
+def test_malformed_laurent_terms_exit_2(a_doc):
+    code, out, err = run_cli("--json", "nil", "--algebra", _orth_x_with(a_doc))
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_probes_file(tmp_path):
+    p = tmp_path / "probes.json"
+    p.write_text('{"field": ["0"]}', encoding="utf-8")
+    code, _, err = run_cli("stability", "--algebra", ORTH_X, "--probes", str(p))
+    assert code == 2
+    assert "Pfister slots must be nonzero" in err
+    p.write_text('{"field": ["3"]}', encoding="utf-8")
+    code, out, _ = run_cli("stability", "--algebra", ORTH_X, "--probes", str(p))
+    assert code == 0
+    assert "stability group: Z/2Z" in out

@@ -322,3 +322,13 @@ def test_certificate_json_round_trip():
         back = SplittingCertificate.from_json(doc)
         assert verify_certificate(back)
         assert back.to_json() == doc
+
+
+@pytest.mark.parametrize("flavor", ["unitary-deg1", "unitary-quaternion-split"])
+def test_unitary_flavor_on_non_unitary_algebra_rejected(flavor):
+    from hermstab.fields import MismatchError
+
+    cert = find_certificate(QuaternionAlgebra(Q, -1, -1), P0)
+    doc = dict(cert.to_json(), flavor=flavor)
+    with pytest.raises(MismatchError, match="unitary centre"):
+        SplittingCertificate.from_json(doc)

@@ -11,10 +11,12 @@ from hermstab.algebras import (
     UnitaryQuadraticAlgebra,
 )
 from hermstab.fields import FieldTower
+from hermstab.quadratic import SingularFormError, pfister
 from hermstab.signatures import reference_search, total_signature
 from hermstab.stability import (
     NilAwareSpace,
     Probes,
+    _probe_signatures,
     h0_search,
     image_lattice,
     invariance_suite,
@@ -149,6 +151,49 @@ def test_probe_enlargement_monotone():
     assert bigger.st <= base.st
     for row in base.lattice.basis:
         assert bigger.lattice.member(row)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [Q, F2, LX, F2.adjoin_laurent()],
+    ids=["Q", "Q(s2)", "Q((x))", "Q(s2)((x))"],
+)
+def test_probe_signatures_match_pfister_forms(field):
+    """The sign rule agrees with the signatures of the Pfister forms it
+    names, for every probe and every ordering, in the enumeration order
+    <1>, then subsets by mask, then sign flips."""
+    elements = [field.rational(-1)] + field.generators() + [field.rational(3)]
+    if field.depth > 1:
+        elements.append(1 + field.generator())
+    orderings = field.orderings()
+    probes = _probe_signatures(field, elements, orderings)
+    expected_slots = [[]]
+    for mask in range(1, 1 << len(elements)):
+        chosen = [a for i, a in enumerate(elements) if mask >> i & 1]
+        for flips in range(1 << len(chosen)):
+            expected_slots.append(
+                [-a if flips >> j & 1 else a for j, a in enumerate(chosen)]
+            )
+    assert [slots for _, slots in probes] == expected_slots
+    for vector, slots in probes:
+        q = pfister(field, slots)
+        assert vector == tuple(q.signature(P) for P in orderings), slots
+
+
+def test_probe_signatures_reject_zero_slots():
+    with pytest.raises(SingularFormError, match="Pfister slots must be nonzero"):
+        _probe_signatures(LX, [LX.rational(-1), LX.zero()], LX.orderings())
+
+
+def test_depth_three_conjugation_report():
+    """(-1, x) with conjugation over Q(sqrt 2)((x))((y)): 8 orderings."""
+    field = F2.adjoin_laurent().adjoin_laurent()
+    A = QuaternionAlgebra(field, -1, field.generator(2))
+    rep = stability_report(A)
+    assert len(field.orderings()) == 8
+    assert rep.group_description() == "Z/2Z x Z/2Z x Z/4Z"
+    assert rep.st == 2
+    assert rep.exact
 
 
 def test_lattice_generators_recheck():
