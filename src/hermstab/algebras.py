@@ -336,6 +336,25 @@ class Algebra:
         """The identity of the algebra: ``to_json()`` made hashable, once."""
         return _frozen(self.to_json())
 
+    @cached_property
+    def reference_candidates(self) -> tuple[HermitianForm, ...]:
+        """Rank-one forms on invertible symmetric elements: the identity,
+        the symmetric basis, and pairwise sums and differences, each with
+        its negative, without repeats.  Computed once per instance."""
+        basis = sym_basis(self)
+        raw = [self.elem(self.one())]
+        raw.extend(basis)
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                raw.append(basis[i] + basis[j])
+                raw.append(basis[i] - basis[j])
+        seen = []
+        for s in raw:
+            for cand in (s, -s):
+                if cand.is_invertible() and not any(cand == t for t in seen):
+                    seen.append(cand)
+        return tuple(HermitianForm.diagonal(self, [c]) for c in seen)
+
     def __eq__(self, other):
         return self is other or (
             isinstance(other, Algebra) and self._key == other._key

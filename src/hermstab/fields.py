@@ -12,6 +12,7 @@ squareness questions are decided exactly, without floating point.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 __all__ = [
@@ -32,6 +33,13 @@ __all__ = [
 # MAX_LAURENT_EXPONENT]: polynomials are stored densely, so an unbounded
 # exponent would allocate memory in proportion to a number in the input.
 MAX_LAURENT_EXPONENT = 1024
+
+# A rational leaf in JSON is a JSON integer or a string "p" or "p/q" of
+# ASCII decimal digits, with at most MAX_RATIONAL_DIGITS digits in p and
+# in q: Fraction alone would also take "1.5" or "1e20000", and the latter
+# builds an integer whose size is a number in the input.
+MAX_RATIONAL_DIGITS = 1000
+_RATIONAL_LEAF = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
 
 
 class TowerError(ValueError):
@@ -54,6 +62,18 @@ class InvariantViolation(RuntimeError):
 #                            with p, q dense coefficient tuples one level
 #                            down, p == () only for zero, p[0] != 0,
 #                            q[0] == 1 and gcd(p, q) == 1.
+# These invariants make the representation canonical (one tuple per
+# element; zero is (0, (), (1,))), so a result built without the general
+# strip-gcd-normalize of _make_laurent is the same tuple whenever it meets
+# them.  The Laurent shortcuts rely on them as follows:
+#   _inv  : q/p is coprime because p/q is; scaling both by 1/p[0] makes
+#           the new denominator start with 1 and keeps p[0] != 0 on top.
+#   _mul  : two denominators of length 1 are both (1,); the numerator
+#           product starts with p[0]*p'[0] != 0 and is coprime to 1.
+#   _add  : over a shared denominator q the sum is num/q, so q*q and the
+#           cross products are never formed; _make_laurent still reduces.
+#   _make_laurent : once x-powers are stripped, a single-term p or q is a
+#           nonzero constant, a unit, so the gcd is 1 and is not computed.
 # ---------------------------------------------------------------------------
 
 
@@ -65,6 +85,23 @@ def _frac_sqrt(f: Fraction):
     if rn * rn == pn and rd * rd == pd:
         return Fraction(rn, rd)
     return None
+
+
+def _rational_from_json(doc) -> Fraction:
+    text = doc if isinstance(doc, str) else str(doc)
+    m = _RATIONAL_LEAF.fullmatch(text)
+    if m is None:
+        raise TowerError(
+            f"rational must be 'p' or 'p/q' in decimal digits, got {text[:40]!r}"
+        )
+    if any(g is not None and len(g) > MAX_RATIONAL_DIGITS for g in m.groups()):
+        raise TowerError(
+            f"rational {text[:40]!r}... has more than {MAX_RATIONAL_DIGITS} digits"
+        )
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise TowerError(f"invalid rational {text[:40]!r}: {exc}") from exc
 
 
 class FieldTower:
@@ -227,6 +264,8 @@ class FieldTower:
         k = min(kx, ky)
         num_x = self._p_shift(level, px, kx - k)
         num_y = self._p_shift(level, py, ky - k)
+        if qx == qy:
+            return self._make_laurent(level, k, self._p_add(level, num_x, num_y), qx)
         num = self._p_add(
             level, self._p_mul(level, num_x, qy), self._p_mul(level, num_y, qx)
         )
@@ -263,6 +302,8 @@ class FieldTower:
         ky, py, qy = y
         if px == () or py == ():
             return self._from_rat(level, Fraction(0))
+        if len(qx) == 1 and len(qy) == 1:
+            return (kx + ky, self._p_mul(level, px, py), qx)
         return self._make_laurent(
             level, kx + ky, self._p_mul(level, px, py), self._p_mul(level, qx, qy)
         )
@@ -286,7 +327,8 @@ class FieldTower:
                 self._neg(level - 1, self._mul(level - 1, v, ninv)),
             )
         k, p, q = x
-        return self._make_laurent(level, -k, q, p)
+        c = self._inv(level - 1, p[0])
+        return (-k, self._p_scale(level, q, c), self._p_scale(level, p, c))
 
     def _div(self, level, x, y):
         return self._mul(level, x, self._inv(level, y))
@@ -381,10 +423,11 @@ class FieldTower:
         shift += i - j
         p = p[i:]
         q = q[j:]
-        g = self._p_gcd(level, p, q)
-        if len(g) > 1:
-            p, _ = self._p_divmod(level, p, g)
-            q, _ = self._p_divmod(level, q, g)
+        if len(p) > 1 and len(q) > 1:
+            g = self._p_gcd(level, p, q)
+            if len(g) > 1:
+                p, _ = self._p_divmod(level, p, g)
+                q, _ = self._p_divmod(level, q, g)
         c = self._inv(lower, q[0])
         p = self._p_scale(level, p, c)
         q = self._p_scale(level, q, c)
@@ -652,10 +695,7 @@ class FieldTower:
             isinstance(doc, int) and not isinstance(doc, bool)
         ):
             # rationals are accepted at any level and embedded
-            try:
-                return self._from_rat(level, Fraction(doc))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise TowerError(f"invalid rational {doc!r}: {exc}") from exc
+            return self._from_rat(level, _rational_from_json(doc))
         if level == 0:
             raise TowerError(f"rational must be a 'p/q' string, got {doc!r}")
         if self.steps[level][0] == "qext":

@@ -16,7 +16,6 @@ from .algebras import (
     SplitWitness,
     diagonalize_hermitian,
     morita_flatten,
-    sym_basis,
 )
 from .fields import FieldTower, MismatchError, Ordering
 from .quadratic import QuadraticForm, SignatureVector, pfister
@@ -215,7 +214,7 @@ def reference_search(A: Algebra, budget: int = 50) -> ReferenceForm:
     if not targets:
         empty = HermitianForm(A, [], 1)
         return ReferenceForm(A, empty, {})
-    candidates = _reference_candidates(A)
+    candidates = A.reference_candidates
     for cand in candidates:
         raws = [raw_signature(A, cand, P, budget) for P in targets]
         if all(r != 0 for r in raws):
@@ -242,29 +241,6 @@ def reference_search(A: Algebra, budget: int = 50) -> ReferenceForm:
     return ReferenceForm(
         A, pieces, {P.path: (1 if r > 0 else -1) for P, r in zip(targets, raws)}
     )
-
-
-def _reference_candidates(A: Algebra):
-    """Invertible symmetric one-by-one Gram entries: the identity, the
-    symmetric basis, and pairwise sums and differences."""
-    basis = sym_basis(A)
-    raw = [A.elem(A.one())]
-    raw.extend(basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            raw.append(basis[i] + basis[j])
-            raw.append(basis[i] - basis[j])
-    out = []
-    seen = []
-    for s in raw:
-        for cand in (s, -s):
-            if not cand.is_invertible():
-                continue
-            if any(cand == t for t in seen):
-                continue
-            seen.append(cand)
-            out.append(HermitianForm.diagonal(A, [cand]))
-    return out
 
 
 def _ordering_indicator(field: FieldTower, P: Ordering) -> QuadraticForm:

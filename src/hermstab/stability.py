@@ -38,7 +38,6 @@ from .signatures import (
     ReferenceForm,
     SearchExhausted,
     _ordering_indicator,
-    _reference_candidates,
     h_signature,
     local_type,
     nil_set,
@@ -115,7 +114,7 @@ class Probes:
                 if s.is_invertible():
                     sym.append(HermitianForm.diagonal(A, [s]))
         else:
-            sym = _reference_candidates(A)
+            sym = A.reference_candidates
         return Probes(sym, _field_probes(field))
 
 
@@ -459,7 +458,7 @@ def h0_search(A: Algebra, ref: ReferenceForm, budget: int = 50):
     field = A.field
     if space.dim == 0:
         return HermitianForm(A, [], 1), 0
-    candidates = [ref.form] + _reference_candidates(A)
+    candidates = [ref.form, *A.reference_candidates]
     best = None
     for cand in candidates:
         vec = space.restrict(total_signature(A, cand, ref, budget))

@@ -15,6 +15,22 @@ from hermstab.algebras import (
 )
 from hermstab.fields import FieldTower
 
+# Randomised tests skip a case only when a builder below gives up
+# (SamplingError) or, in tests that need a reference form, when
+# reference_search reports SearchExhausted; any other exception fails the
+# test.  At most this share of the attempted cases may be skipped.
+MAX_SKIP_RATE = 0.1
+
+
+class SamplingError(RuntimeError):
+    """A random builder gave up on drawing a valid object."""
+
+
+def assert_skip_rate(skipped: int, done: int):
+    assert skipped <= MAX_SKIP_RATE * (skipped + done), (
+        f"{skipped} of {skipped + done} random cases skipped"
+    )
+
 
 def random_rational(rng, height=9, nonzero=False) -> Fraction:
     while True:
@@ -102,7 +118,7 @@ def random_nonsquare(rng, field, positive_somewhere=False):
         ):
             continue
         return d
-    raise RuntimeError("could not sample a non-square")
+    raise SamplingError("could not sample a non-square")
 
 
 def random_quadratic_extension(rng, field):
@@ -144,7 +160,7 @@ def random_algebra(rng, field, kinds=None):
             u = A.elem(A.from_coords(coords))
             if u.is_invertible():
                 return QuaternionAlgebra(field, a, b, "orthogonal", coords)
-        raise RuntimeError("could not sample an orthogonal twisting element")
+        raise SamplingError("could not sample an orthogonal twisting element")
     if kind == "unitary_quaternion":
         a = random_element(rng, field, height=4, nonzero=True)
         b = random_element(rng, field, height=4, nonzero=True)
@@ -167,7 +183,7 @@ def random_sym_element(rng, A, invertible=True):
             continue
         if not invertible or e.is_invertible():
             return e
-    raise RuntimeError("could not sample a symmetric element")
+    raise SamplingError("could not sample a symmetric element")
 
 
 def random_hermitian_diagonal(rng, A, rank=None) -> HermitianForm:

@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's own decision procedures: signs
 are checked against outward-rounded interval arithmetic on a numeric
-embedding, and rational Hilbert symbols against a bounded Hensel-valid
-solution search on the associated ternary form.
+embedding, rational Hilbert symbols against a bounded Hensel-valid
+solution search on the associated ternary form, and tower arithmetic
+against a slow re-implementation that canonicalises every Laurent value
+by the full strip, gcd and normalize.
 """
 
 from __future__ import annotations
@@ -192,3 +194,190 @@ def hilbert_oracle(a, b, place) -> int:
     an = a.numerator * a.denominator
     bn = b.numerator * b.denominator
     return 1 if _ternary_isotropic_mod([an, bn, -1], p) else -1
+
+
+# ---------------------------------------------------------------------------
+# tower arithmetic, canonicalised the slow way
+# ---------------------------------------------------------------------------
+
+
+class SlowTower:
+    """Field arithmetic on the library's value tuples (Fraction; (u, v) for
+    u + v*sqrt(d); (shift, p, q) for x**shift * p/q), written apart from
+    the library.  Every Laurent result goes through ``canon``: strip the
+    x-powers, divide p and q by their monic gcd, scale so that q[0] == 1.
+    No operation takes a shortcut, so its output is the canonical form."""
+
+    def __init__(self, tower: FieldTower):
+        self.steps = tower.steps
+
+    def kind(self, level):
+        return self.steps[level][0]
+
+    def rat(self, level, f):
+        if level == 0:
+            return Fraction(f)
+        if self.kind(level) == "qext":
+            return (self.rat(level - 1, f), self.rat(level - 1, 0))
+        if f == 0:
+            return (0, (), (self.rat(level - 1, 1),))
+        return (0, (self.rat(level - 1, f),), (self.rat(level - 1, 1),))
+
+    def is_zero(self, level, x):
+        if level == 0:
+            return x == 0
+        if self.kind(level) == "qext":
+            return all(self.is_zero(level - 1, c) for c in x)
+        return x[1] == ()
+
+    def neg(self, level, x):
+        if level == 0:
+            return -x
+        if self.kind(level) == "qext":
+            return tuple(self.neg(level - 1, c) for c in x)
+        k, p, q = x
+        return (k, tuple(self.neg(level - 1, c) for c in p), q)
+
+    def add(self, level, x, y):
+        if level == 0:
+            return x + y
+        if self.kind(level) == "qext":
+            return (self.add(level - 1, x[0], y[0]), self.add(level - 1, x[1], y[1]))
+        if self.is_zero(level, x):
+            return y
+        if self.is_zero(level, y):
+            return x
+        (kx, px, qx), (ky, py, qy) = x, y
+        k = min(kx, ky)
+        zero = self.rat(level - 1, 0)
+        num = self.p_add(
+            level,
+            self.p_mul(level, (zero,) * (kx - k) + px, qy),
+            self.p_mul(level, (zero,) * (ky - k) + py, qx),
+        )
+        return self.canon(level, k, num, self.p_mul(level, qx, qy))
+
+    def mul(self, level, x, y):
+        if level == 0:
+            return x * y
+        if self.kind(level) == "qext":
+            d = self.steps[level][1]
+            (u1, v1), (u2, v2) = x, y
+            m = lambda a, b: self.mul(level - 1, a, b)  # noqa: E731
+            return (
+                self.add(level - 1, m(u1, u2), m(d, m(v1, v2))),
+                self.add(level - 1, m(u1, v2), m(v1, u2)),
+            )
+        if self.is_zero(level, x) or self.is_zero(level, y):
+            return self.rat(level, 0)
+        (kx, px, qx), (ky, py, qy) = x, y
+        return self.canon(
+            level, kx + ky, self.p_mul(level, px, py), self.p_mul(level, qx, qy)
+        )
+
+    def inv(self, level, x):
+        if level == 0:
+            return 1 / x
+        if self.kind(level) == "qext":
+            d = self.steps[level][1]
+            u, v = x
+            lower = level - 1
+            norm = self.add(
+                lower,
+                self.mul(lower, u, u),
+                self.neg(lower, self.mul(lower, d, self.mul(lower, v, v))),
+            )
+            n_inv = self.inv(lower, norm)
+            return (
+                self.mul(lower, u, n_inv),
+                self.neg(lower, self.mul(lower, v, n_inv)),
+            )
+        k, p, q = x
+        return self.canon(level, -k, q, p)
+
+    def div(self, level, x, y):
+        return self.mul(level, x, self.inv(level, y))
+
+    # dense polynomials with coefficients one level down
+
+    def trim(self, level, p):
+        out = list(p)
+        while out and self.is_zero(level - 1, out[-1]):
+            out.pop()
+        return tuple(out)
+
+    def p_add(self, level, p, q):
+        zero = self.rat(level - 1, 0)
+        n = max(len(p), len(q))
+        p, q = p + (zero,) * (n - len(p)), q + (zero,) * (n - len(q))
+        return self.trim(level, tuple(self.add(level - 1, a, b) for a, b in zip(p, q)))
+
+    def p_mul(self, level, p, q):
+        if not p or not q:
+            return ()
+        out = [self.rat(level - 1, 0)] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            if self.is_zero(level - 1, a):
+                continue
+            for j, b in enumerate(q):
+                out[i + j] = self.add(level - 1, out[i + j], self.mul(level - 1, a, b))
+        return self.trim(level, out)
+
+    def p_scale(self, level, p, c):
+        return self.trim(level, tuple(self.mul(level - 1, a, c) for a in p))
+
+    def p_divmod(self, level, p, q):
+        lower = level - 1
+        rem = list(p)
+        quo = [self.rat(lower, 0)] * max(0, len(p) - len(q) + 1)
+        lead_inv = self.inv(lower, q[-1])
+        for i in range(len(p) - len(q), -1, -1):
+            c = self.mul(lower, rem[i + len(q) - 1], lead_inv)
+            quo[i] = c
+            for j, b in enumerate(q):
+                cb = self.neg(lower, self.mul(lower, c, b))
+                rem[i + j] = self.add(lower, rem[i + j], cb)
+        return self.trim(level, quo), self.trim(level, rem)
+
+    def p_gcd(self, level, p, q):
+        """The monic gcd, by the Euclidean algorithm."""
+        a, b = p, q
+        while b:
+            a, b = b, self.p_divmod(level, a, b)[1]
+        return self.p_scale(level, a, self.inv(level - 1, a[-1]))
+
+    def canon(self, level, shift, p, q):
+        """The full canonicalisation: strip, gcd, normalize."""
+        p, q = self.trim(level, p), self.trim(level, q)
+        if not q:
+            raise ZeroDivisionError("Laurent denominator is zero")
+        if not p:
+            return self.rat(level, 0)
+        i = next(n for n, c in enumerate(p) if not self.is_zero(level - 1, c))
+        j = next(n for n, c in enumerate(q) if not self.is_zero(level - 1, c))
+        p, q = p[i:], q[j:]
+        g = self.p_gcd(level, p, q)
+        p, q = self.p_divmod(level, p, g)[0], self.p_divmod(level, q, g)[0]
+        c = self.inv(level - 1, q[0])
+        return (shift + i - j, self.p_scale(level, p, c), self.p_scale(level, q, c))
+
+    def is_canonical(self, level, x) -> bool:
+        """Every Laurent level of x has p[0] != 0 (or p == () for zero),
+        q[0] == 1, no trailing zeros and gcd(p, q) == 1."""
+        if level == 0:
+            return isinstance(x, Fraction)
+        if self.kind(level) == "qext":
+            return all(self.is_canonical(level - 1, c) for c in x)
+        k, p, q = x
+        one = self.rat(level - 1, 1)
+        if not all(self.is_canonical(level - 1, c) for c in p + q):
+            return False
+        if p == ():
+            return k == 0 and q == (one,)
+        return (
+            not self.is_zero(level - 1, p[0])
+            and q[0] == one
+            and self.trim(level, p) == p
+            and self.trim(level, q) == q
+            and len(self.p_gcd(level, p, q)) == 1
+        )

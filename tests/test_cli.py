@@ -300,6 +300,29 @@ def test_malformed_laurent_terms_exit_2(a_doc):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "leaf",
+    ["1.5", "1e5", "1e20000", "1" * 1001],
+    ids=["decimal", "exponent", "huge-exponent", "1001-digits"],
+)
+@pytest.mark.parametrize(
+    "a_doc",
+    [
+        '{"num":[[1,"LEAF"]],"den":[[0,"1"]]}',  # a level-0 coefficient
+        '"LEAF"',  # a rational embedded at the Laurent level
+    ],
+    ids=["level0", "level1"],
+)
+def test_rational_leaves_are_strict_exit_2(a_doc, leaf):
+    code, out, err = run_cli(
+        "--json", "nil", "--algebra", _orth_x_with(a_doc.replace("LEAF", leaf))
+    )
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err) < 300
+
+
 def test_probes_file(tmp_path):
     p = tmp_path / "probes.json"
     p.write_text('{"field": ["0"]}', encoding="utf-8")

@@ -12,12 +12,14 @@ from hermstab.fields import (
 )
 
 from corpus import random_element, random_tower, tower_shapes
-from oracles import interval_sign
+from oracles import SlowTower, interval_sign
 
 Q = FieldTower.rationals()
 F2 = Q.adjoin_sqrt(2)
 LX = Q.adjoin_laurent()
 F2X = F2.adjoin_laurent()
+LXY = LX.adjoin_laurent()
+F2XY = F2X.adjoin_laurent()
 
 
 def test_ordering_counts():
@@ -216,3 +218,63 @@ def test_level_mismatch_errors():
     P = Q.orderings()[0]
     with pytest.raises(MismatchError):
         F2.generator().sign_at(P)
+
+
+def _laurent_operands(rng, field):
+    """Pairs of factors whose product or sum cancels down to 1, pairs over
+    one shared nontrivial denominator, and random elements.  ``y`` is the
+    top variable and ``x`` the generator below it (3 over Q((x)))."""
+    y = field.generator()
+    x = field.generator(field.depth - 2) if field.depth > 2 else 3
+    d = 1 - y + x * y * y
+    out = [
+        (1 + y) / (1 - y),
+        (1 - y) / (1 + y),
+        (x + y) / (1 - x * y),
+        (1 - x * y) / (x + y),
+        1 / (1 - y),
+        -y / (1 - y),
+        (2 + x * y) / d,
+        (y - x) / d,
+        y**3 / d,
+        field.rational(-5, 7),
+    ]
+    out += [random_element(rng, field, height=3) for _ in range(2)]
+    return out
+
+
+@pytest.mark.parametrize("field", [LX, F2X, LXY, F2XY], ids=str)
+def test_laurent_fast_paths_match_full_canonicalisation(field):
+    """+, -, *, inverse and / give the value tuple of the slow oracle, which
+    always strips, divides by the gcd and normalizes, and every result
+    meets the canonical invariants p[0] != 0, q[0] == 1, gcd(p, q) == 1."""
+    rng = random.Random(19)
+    slow = SlowTower(field)
+    top = field.depth - 1
+    operands = _laurent_operands(rng, field)
+    assert (operands[0] * operands[1]).value == field.one().value
+    assert (operands[2] * operands[3]).value == field.one().value
+    assert (operands[4] + operands[5]).value == field.one().value
+    for a in operands:
+        assert slow.is_canonical(top, a.value)
+        if not a.is_zero():
+            inv = a.inverse().value
+            assert inv == slow.inv(top, a.value)
+            assert slow.is_canonical(top, inv)
+    # each operand with itself and its partner (operands come in pairs),
+    # then random pairs
+    n = len(operands)
+    pairs = [(i, i) for i in range(n)] + [(i, i ^ 1) for i in range(n)]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(4)]
+    for i, j in pairs:
+        a, b = operands[i], operands[j]
+        results = [
+            ((a + b).value, slow.add(top, a.value, b.value)),
+            ((a - b).value, slow.add(top, a.value, slow.neg(top, b.value))),
+            ((a * b).value, slow.mul(top, a.value, b.value)),
+        ]
+        if not b.is_zero():
+            results.append(((a / b).value, slow.div(top, a.value, b.value)))
+        for fast, reference in results:
+            assert fast == reference
+            assert slow.is_canonical(top, fast)

@@ -16,6 +16,7 @@ from hermstab.algebras import (
 from hermstab.fields import FieldTower, harrison_set
 from hermstab.signatures import (
     ReferenceForm,
+    SearchExhausted,
     going_up_check,
     h_signature,
     local_type,
@@ -26,6 +27,8 @@ from hermstab.signatures import (
 )
 
 from corpus import (
+    SamplingError,
+    assert_skip_rate,
     random_algebra,
     random_element,
     random_hermitian_diagonal,
@@ -63,14 +66,15 @@ def test_nil_equals_harrison_set_for_unitary_kinds():
     """For both unitary kinds, nil orderings are exactly where the centre
     discriminant is positive."""
     rng = random.Random(71)
-    done = 0
+    done = skipped = 0
     while done < 20:
         field = rng.choice(tower_shapes()[:6])
         if field.depth - 1 > 2:
             continue
         try:
             alpha = random_nonsquare(rng, field)
-        except RuntimeError:
+        except SamplingError:
+            skipped += 1
             continue
         if done % 2 == 0:
             A = UnitaryQuadraticAlgebra(field, alpha)
@@ -80,6 +84,7 @@ def test_nil_equals_harrison_set_for_unitary_kinds():
             A = UnitaryQuaternionAlgebra(field, a, b, alpha)
         assert nil_set(A) == frozenset(harrison_set(alpha, field))
         done += 1
+    assert_skip_rate(skipped, done)
 
 
 def test_local_types():
@@ -141,27 +146,29 @@ def test_total_signature_examples():
 
 def test_signature_vanishes_on_nil():
     rng = random.Random(72)
-    done = 0
+    done = skipped = 0
     while done < 30:
         field = random_tower(rng, max_depth=1)
         try:
             A = random_algebra(rng, field)
             ref = reference_search(A)
             h = random_hermitian_diagonal(rng, A, rank=2)
-        except Exception:
+        except (SamplingError, SearchExhausted):
+            skipped += 1
             continue
         vec = total_signature(A, h, ref)
         for P, v in zip(field.orderings(), vec.values):
             if P in nil_set(A):
                 assert v == 0
         done += 1
+    assert_skip_rate(skipped, done)
 
 
 def test_jacobson_identity():
     """dim(D) times the normalized signature equals the signature of the
     diagonal evaluation form, with reference <1>, for the division kinds."""
     rng = random.Random(73)
-    done = 0
+    done = skipped = 0
     while done < 200:
         field = random_tower(rng, max_depth=1)
         try:
@@ -170,7 +177,8 @@ def test_jacobson_identity():
                 field,
                 kinds=("field_id", "unitary_quadratic", "quaternion-conj"),
             )
-        except Exception:
+        except SamplingError:
+            skipped += 1
             continue
         one_form = HermitianForm.diagonal(A, [A.elem(A.one())])
         nil = nil_set(A)
@@ -184,11 +192,12 @@ def test_jacobson_identity():
                 continue
             assert ell * h_signature(A, h, ref, P) == rho.signature(P)
         done += 1
+    assert_skip_rate(skipped, done)
 
 
 def test_w_f_linearity():
     rng = random.Random(74)
-    done = 0
+    done = skipped = 0
     while done < 200:
         field = random_tower(rng, max_depth=1)
         try:
@@ -204,7 +213,8 @@ def test_w_f_linearity():
             )
             ref = reference_search(A)
             h = random_hermitian_diagonal(rng, A, rank=rng.randint(1, 2))
-        except Exception:
+        except (SamplingError, SearchExhausted):
+            skipped += 1
             continue
         q = random_quadratic_form(rng, field, dim=rng.randint(1, 2))
         qh = h.module_scale(q)
@@ -213,11 +223,12 @@ def test_w_f_linearity():
                 A, h, ref, P
             )
         done += 1
+    assert_skip_rate(skipped, done)
 
 
 def test_additivity():
     rng = random.Random(75)
-    done = 0
+    done = skipped = 0
     while done < 60:
         field = random_tower(rng, max_depth=1)
         try:
@@ -225,20 +236,22 @@ def test_additivity():
             ref = reference_search(A)
             h1 = random_hermitian_diagonal(rng, A, rank=1)
             h2 = random_hermitian_diagonal(rng, A, rank=2)
-        except Exception:
+        except (SamplingError, SearchExhausted):
+            skipped += 1
             continue
         v1 = total_signature(A, h1, ref)
         v2 = total_signature(A, h2, ref)
         v12 = total_signature(A, h1.direct_sum(h2), ref)
         assert v12.values == tuple(a + b for a, b in zip(v1.values, v2.values))
         done += 1
+    assert_skip_rate(skipped, done)
 
 
 def test_reference_change_law():
     """Two references differ by a sign function recovered from the
     signature of one reference against the other."""
     rng = random.Random(76)
-    done = 0
+    done = skipped = 0
     while done < 40:
         field = random_tower(rng, max_depth=1)
         try:
@@ -253,7 +266,8 @@ def test_reference_change_law():
                 ),
             )
             ref0 = reference_search(A)
-        except Exception:
+        except (SamplingError, SearchExhausted):
+            skipped += 1
             continue
         if not ref0.deltas:
             continue
@@ -286,13 +300,14 @@ def test_reference_change_law():
             assert s_ref != 0
             assert dd == (1 if s_ref > 0 else -1)
         done += 1
+    assert_skip_rate(skipped, done)
 
 
 def test_unit_form_signature_is_unit_on_real_division_kinds():
     """The rank-one unit form has signature +-1 wherever the algebra is
     locally real division (with reference <1> it is exactly +1)."""
     rng = random.Random(77)
-    done = 0
+    done = skipped = 0
     while done < 60:
         field = random_tower(rng, max_depth=1)
         try:
@@ -302,7 +317,8 @@ def test_unit_form_signature_is_unit_on_real_division_kinds():
                 kinds=("field_id", "unitary_quadratic", "quaternion-conj"),
             )
             ref = reference_search(A)
-        except Exception:
+        except (SamplingError, SearchExhausted):
+            skipped += 1
             continue
         one_form = HermitianForm.diagonal(A, [A.elem(A.one())])
         for P in field.orderings():
@@ -310,13 +326,14 @@ def test_unit_form_signature_is_unit_on_real_division_kinds():
                 continue
             assert h_signature(A, one_form, ref, P) in (-1, 1)
         done += 1
+    assert_skip_rate(skipped, done)
 
 
 def test_route_independence_diagonal_vs_trace():
     """Where the diagonal route applies, the trace form divided by the
     local scaling gives the same signature."""
     rng = random.Random(78)
-    done = 0
+    done = skipped = 0
     while done < 60:
         field = random_tower(rng, max_depth=1)
         try:
@@ -327,7 +344,8 @@ def test_route_independence_diagonal_vs_trace():
             )
             ref = reference_search(A)
             h = random_hermitian_diagonal(rng, A, rank=rng.randint(1, 2))
-        except Exception:
+        except (SamplingError, SearchExhausted):
+            skipped += 1
             continue
         tf = trace_form(h)
         for P in field.orderings():
@@ -338,6 +356,7 @@ def test_route_independence_diagonal_vs_trace():
                 tf.signature(P) // lt.lam
             )
         done += 1
+    assert_skip_rate(skipped, done)
 
 
 def test_going_up_examples():
@@ -355,7 +374,7 @@ def test_going_up_examples():
 
 def test_going_up_random():
     rng = random.Random(79)
-    done = 0
+    done = skipped = 0
     while done < 100:
         field = random_tower(rng, max_depth=1)
         try:
@@ -372,7 +391,8 @@ def test_going_up_random():
             ref = reference_search(A)
             h = random_hermitian_diagonal(rng, A, rank=rng.randint(1, 2))
             L = random_quadratic_extension(rng, field)
-        except Exception:
+        except (SamplingError, SearchExhausted):
+            skipped += 1
             continue
         ups = [Qo for Qo in L.orderings()]
         if not ups:
@@ -380,6 +400,7 @@ def test_going_up_random():
         Qo = rng.choice(ups)
         assert going_up_check(A, h, ref, L, Qo)
         done += 1
+    assert_skip_rate(skipped, done)
 
 
 def test_piecewise_reference_assembly():
@@ -389,9 +410,7 @@ def test_piecewise_reference_assembly():
     A = QuaternionAlgebra(F2, 1, F2.generator(), "orthogonal", [0, 1, 0, 0])
     targets = [P for P in F2.orderings() if P not in nil_set(A)]
     assert len(targets) == 2
-    from hermstab.signatures import _reference_candidates
-
-    for cand in _reference_candidates(A):
+    for cand in A.reference_candidates:
         assert any(raw_signature(A, cand, P) == 0 for P in targets)
     ref = reference_search(A)
     assert ref.form.rank == 4

@@ -196,6 +196,17 @@ def test_depth_three_conjugation_report():
     assert rep.exact
 
 
+def test_depth_two_orthogonal_report():
+    """(x, -1) with an orthogonal involution over Q((x))((y)): 4 orderings."""
+    field = LX.adjoin_laurent()
+    A = QuaternionAlgebra(field, field.generator(1), -1, "orthogonal", [0, 0, 1, 0])
+    rep = stability_report(A)
+    assert len(field.orderings()) == 4
+    assert rep.group_description() == "Z/2Z x Z/4Z"
+    assert rep.st == 2
+    assert rep.exact
+
+
 def test_lattice_generators_recheck():
     ref = reference_search(EX3)
     lat = image_lattice(EX3, ref)
