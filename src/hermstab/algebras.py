@@ -80,10 +80,10 @@ class _TowerScalars:
         self._lvl = tower.depth - 1
 
     def zero(self):
-        return self.tower._from_rat(self._lvl, Fraction(0))
+        return self.tower._zeros[self._lvl]
 
     def one(self):
-        return self.tower._from_rat(self._lvl, Fraction(1))
+        return self.tower._ones[self._lvl]
 
     def from_base(self, v):
         return v
@@ -109,12 +109,6 @@ class _TowerScalars:
     def conj(self, x):
         return x
 
-    def base_coords(self, x):
-        return [x]
-
-    def from_base_coords(self, coords):
-        return coords[0]
-
 
 class _QuadExtScalars:
     """Pairs (u, v) = u + v*sqrt(alpha) over the tower (kinds (iii), (v))."""
@@ -125,23 +119,23 @@ class _QuadExtScalars:
         self._lvl = tower.depth - 1
 
     def zero(self):
-        z = self.tower._from_rat(self._lvl, Fraction(0))
+        z = self.tower._zeros[self._lvl]
         return (z, z)
 
     def one(self):
         return (
-            self.tower._from_rat(self._lvl, Fraction(1)),
-            self.tower._from_rat(self._lvl, Fraction(0)),
+            self.tower._ones[self._lvl],
+            self.tower._zeros[self._lvl],
         )
 
     def root(self):
         return (
-            self.tower._from_rat(self._lvl, Fraction(0)),
-            self.tower._from_rat(self._lvl, Fraction(1)),
+            self.tower._zeros[self._lvl],
+            self.tower._ones[self._lvl],
         )
 
     def from_base(self, v):
-        return (v, self.tower._from_rat(self._lvl, Fraction(0)))
+        return (v, self.tower._zeros[self._lvl])
 
     def add(self, x, y):
         t, l = self.tower, self._lvl
@@ -186,12 +180,6 @@ class _QuadExtScalars:
 
     def trace(self, x):
         return self.tower._add(self._lvl, x[0], x[0])
-
-    def base_coords(self, x):
-        return [x[0], x[1]]
-
-    def from_base_coords(self, coords):
-        return (coords[0], coords[1])
 
 
 def _quat_mul(s, a, b, x, y):
@@ -338,22 +326,28 @@ class Algebra:
 
     @cached_property
     def reference_candidates(self) -> tuple[HermitianForm, ...]:
+        """All of ``iter_reference_candidates()``, computed once per instance."""
+        return tuple(self.iter_reference_candidates())
+
+    def iter_reference_candidates(self):
         """Rank-one forms on invertible symmetric elements: the identity,
         the symmetric basis, and pairwise sums and differences, each with
-        its negative, without repeats.  Computed once per instance."""
-        basis = sym_basis(self)
-        raw = [self.elem(self.one())]
-        raw.extend(basis)
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                raw.append(basis[i] + basis[j])
-                raw.append(basis[i] - basis[j])
+        its negative, without repeats.  Lazy: the symmetric basis is only
+        computed once the identity's two forms have been consumed."""
         seen = []
-        for s in raw:
+        for s in self._reference_elements():
             for cand in (s, -s):
                 if cand.is_invertible() and not any(cand == t for t in seen):
                     seen.append(cand)
-        return tuple(HermitianForm.diagonal(self, [c]) for c in seen)
+                    yield HermitianForm.diagonal(self, [cand])
+
+    def _reference_elements(self):
+        yield self.elem(self.one())
+        basis = sym_basis(self)
+        yield from basis
+        for i, b in enumerate(basis):
+            for c in basis[i + 1 :]:
+                yield from (b + c, b - c)
 
     def __eq__(self, other):
         return self is other or (
@@ -381,10 +375,10 @@ class FieldAlgebra(Algebra):
         self._lvl = field.depth - 1
 
     def one(self):
-        return self.field._from_rat(self._lvl, Fraction(1))
+        return self.field._ones[self._lvl]
 
     def zero(self):
-        return self.field._from_rat(self._lvl, Fraction(0))
+        return self.field._zeros[self._lvl]
 
     def add(self, x, y):
         return self.field._add(self._lvl, x, y)
@@ -448,11 +442,11 @@ class ExchangeAlgebra(Algebra):
         self._lvl = field.depth - 1
 
     def one(self):
-        o = self.field._from_rat(self._lvl, Fraction(1))
+        o = self.field._ones[self._lvl]
         return (o, o)
 
     def zero(self):
-        z = self.field._from_rat(self._lvl, Fraction(0))
+        z = self.field._zeros[self._lvl]
         return (z, z)
 
     def add(self, x, y):
@@ -886,7 +880,8 @@ class MatrixAlgebra(Algebra):
             v = gi.value if isinstance(gi, AlgebraElement) else gi
             if not inner.equal(inner.involution(v), v):
                 raise MismatchError("scaling entries must be fixed by the involution")
-            inner.inverse(v)  # raises if not invertible
+            if not inner.elem(v).is_invertible():
+                raise MismatchError("scaling entries must be invertible")
             gv.append(v)
         if len(gv) != n:
             raise MismatchError("scaling needs one entry per row")
@@ -1082,8 +1077,8 @@ def algebra_from_json(doc: dict) -> Algebra:
                 raise MismatchError("conjugation takes no extra keys")
             return QuaternionAlgebra(field, a, b, "conjugation")
         if inv["type"] == "orthogonal":
-            if set(inv) != {"type", "u"}:
-                raise MismatchError("orthogonal takes the key 'u'")
+            if set(inv) != {"type", "u"} or not isinstance(inv["u"], list):
+                raise MismatchError("orthogonal takes the key 'u', a list")
             u = [field.element_from_json(c) for c in inv["u"]]
             return QuaternionAlgebra(field, a, b, "orthogonal", u)
         raise MismatchError(f"unknown involution type {inv['type']!r}")
@@ -1106,6 +1101,8 @@ def algebra_from_json(doc: dict) -> Algebra:
         n = doc["n"]
         if not isinstance(n, int) or isinstance(n, bool):
             raise MismatchError("matrix size 'n' must be an integer")
+        if not isinstance(doc["g"], list):
+            raise MismatchError("matrix scaling 'g' must be a list")
         g = [inner.elem(inner.value_from_json(v)) for v in doc["g"]]
         return MatrixAlgebra(n, inner, g)
     raise MismatchError(f"unknown algebra kind {kind!r}")
@@ -1294,13 +1291,14 @@ class HermitianForm:
         for row in self.gram:
             if len(row) != k:
                 raise MismatchError("Gram matrix must be square")
+        # sigma(g[j][i]) == eps * g[i][j] for j >= i only: applying sigma,
+        # which fixes eps, gives the (j, i) condition, as eps**2 == 1.
         for i in range(k):
-            for j in range(k):
-                lhs = algebra.involution(self.gram[j][i])
-                rhs = algebra.scalar_mul(
-                    algebra.field.rational(epsilon), self.gram[i][j]
-                )
-                if not algebra.equal(lhs, rhs):
+            for j in range(i, k):
+                rhs = self.gram[i][j]
+                if epsilon == -1:
+                    rhs = algebra.neg(rhs)
+                if not algebra.equal(algebra.involution(self.gram[j][i]), rhs):
                     raise MismatchError("Gram matrix is not epsilon-hermitian")
 
     @staticmethod
@@ -1443,11 +1441,17 @@ class HermitianForm:
                 "hermitian form takes keys 'algebra', 'epsilon' and 'gram' or 'diag'"
             )
         algebra = algebra_from_json(doc["algebra"])
-        eps = int(doc["epsilon"])
+        eps, rows = doc["epsilon"], doc.get("diag", doc.get("gram"))
+        if type(eps) is not int:
+            raise MismatchError("'epsilon' must be the integer 1 or -1")
+        if not isinstance(rows, list) or "gram" in doc and not all(
+            isinstance(row, list) for row in rows
+        ):
+            raise MismatchError("'diag' must be a list and 'gram' a list of lists")
         if "diag" in doc:
-            entries = [algebra.value_from_json(v) for v in doc["diag"]]
+            entries = [algebra.value_from_json(v) for v in rows]
             return HermitianForm.diagonal(algebra, entries, eps)
-        gram = [[algebra.value_from_json(v) for v in row] for row in doc["gram"]]
+        gram = [[algebra.value_from_json(v) for v in row] for row in rows]
         return HermitianForm(algebra, gram, eps)
 
 

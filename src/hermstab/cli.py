@@ -10,6 +10,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -364,6 +365,7 @@ def cmd_examples(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hermstab",

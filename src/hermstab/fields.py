@@ -115,6 +115,14 @@ class FieldTower:
             if step[0] not in ("qext", "laurent"):
                 raise TowerError(f"unknown tower step {step[0]!r}")
         self._orderings = None
+        # the zero and one of every level, built once: values are immutable
+        z, o = Fraction(0), Fraction(1)
+        self._zeros, self._ones = [z], [o]
+        for step in self.steps[1:]:
+            qext = step[0] == "qext"
+            z, o = ((z, z), (o, z)) if qext else ((0, (), (o,)), (0, (o,), (o,)))
+            self._zeros.append(z)
+            self._ones.append(o)
         if not _validated:
             for level, step in enumerate(self.steps):
                 if step[0] == "qext":
@@ -181,10 +189,10 @@ class FieldTower:
     # -- scalars ------------------------------------------------------------
 
     def zero(self) -> FieldElement:
-        return FieldElement(self, self._from_rat(self.depth - 1, Fraction(0)))
+        return FieldElement(self, self._zeros[self.depth - 1])
 
     def one(self) -> FieldElement:
-        return FieldElement(self, self._from_rat(self.depth - 1, Fraction(1)))
+        return FieldElement(self, self._ones[self.depth - 1])
 
     def rational(self, p, q=1) -> FieldElement:
         return FieldElement(self, self._from_rat(self.depth - 1, Fraction(p, q)))
@@ -207,8 +215,8 @@ class FieldTower:
         if level <= 0 or level >= self.depth:
             raise ValueError("no generator at this level")
         step = self.steps[level]
-        lower_zero = self._from_rat(level - 1, Fraction(0))
-        lower_one = self._from_rat(level - 1, Fraction(1))
+        lower_zero = self._zeros[level - 1]
+        lower_one = self._ones[level - 1]
         if step[0] == "qext":
             val = (lower_zero, lower_one)
         else:
@@ -223,22 +231,24 @@ class FieldTower:
     # -- raw arithmetic, indexed by level ------------------------------------
 
     def _from_rat(self, level, f: Fraction):
+        if f == 0:
+            return self._zeros[level]
+        if f == 1:
+            return self._ones[level]
         if level == 0:
             return f
         below = self._from_rat(level - 1, f)
         if self.steps[level][0] == "qext":
-            return (below, self._from_rat(level - 1, Fraction(0)))
-        if f == 0:
-            return (0, (), (self._from_rat(level - 1, Fraction(1)),))
-        return (0, (below,), (self._from_rat(level - 1, Fraction(1)),))
+            return (below, self._zeros[level - 1])
+        return (0, (below,), (self._ones[level - 1],))
 
     def _embed(self, level, lower_value):
         """Wrap a level-1 value as a value at ``level``."""
         if self.steps[level][0] == "qext":
-            return (lower_value, self._from_rat(level - 1, Fraction(0)))
+            return (lower_value, self._zeros[level - 1])
         if self._is_zero(level - 1, lower_value):
-            return (0, (), (self._from_rat(level - 1, Fraction(1)),))
-        return (0, (lower_value,), (self._from_rat(level - 1, Fraction(1)),))
+            return self._zeros[level]
+        return (0, (lower_value,), (self._ones[level - 1],))
 
     def _is_zero(self, level, x) -> bool:
         if level == 0:
@@ -301,7 +311,7 @@ class FieldTower:
         kx, px, qx = x
         ky, py, qy = y
         if px == () or py == ():
-            return self._from_rat(level, Fraction(0))
+            return self._zeros[level]
         if len(qx) == 1 and len(qy) == 1:
             return (kx + ky, self._p_mul(level, px, py), qx)
         return self._make_laurent(
@@ -339,7 +349,7 @@ class FieldTower:
         lower = level - 1
         n = max(len(p), len(q))
         out = []
-        zero = self._from_rat(lower, Fraction(0))
+        zero = self._zeros[lower]
         for i in range(n):
             a = p[i] if i < len(p) else zero
             b = q[i] if i < len(q) else zero
@@ -352,7 +362,7 @@ class FieldTower:
         lower = level - 1
         if not p or not q:
             return ()
-        zero = self._from_rat(lower, Fraction(0))
+        zero = self._zeros[lower]
         out = [zero] * (len(p) + len(q) - 1)
         for i, a in enumerate(p):
             if self._is_zero(lower, a):
@@ -372,7 +382,7 @@ class FieldTower:
     def _p_shift(self, level, p, n):
         if not p or n == 0:
             return tuple(p)
-        zero = self._from_rat(level - 1, Fraction(0))
+        zero = self._zeros[level - 1]
         return (zero,) * n + tuple(p)
 
     def _p_divmod(self, level, p, q):
@@ -380,7 +390,7 @@ class FieldTower:
         if not q:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(p)
-        quo = [self._from_rat(lower, Fraction(0))] * max(0, len(p) - len(q) + 1)
+        quo = [self._zeros[lower]] * max(0, len(p) - len(q) + 1)
         lead_inv = self._inv(lower, q[-1])
         for i in range(len(p) - len(q), -1, -1):
             c = self._mul(lower, rem[i + len(q) - 1], lead_inv)
@@ -413,7 +423,7 @@ class FieldTower:
         if not q:
             raise ZeroDivisionError("Laurent denominator is zero")
         if not p:
-            return (0, (), (self._from_rat(lower, Fraction(1)),))
+            return self._zeros[level]
         i = 0
         while self._is_zero(lower, p[i]):
             i += 1
@@ -489,7 +499,7 @@ class FieldTower:
         if self.steps[level][0] == "qext":
             d = self.steps[level][1]
             u, v = x
-            zero = self._from_rat(level - 1, Fraction(0))
+            zero = self._zeros[level - 1]
             if self._is_zero(level - 1, v):
                 r = self._sqrt(level - 1, u)
                 if r is not None:
@@ -542,7 +552,7 @@ class FieldTower:
         half = len(p) // 2
         r = [r0]
         inv2r0 = self._inv(lower, self._add(lower, r0, r0))
-        zero = self._from_rat(lower, Fraction(0))
+        zero = self._zeros[lower]
         for i in range(1, half + 1):
             acc = p[i] if i < len(p) else zero
             for j in range(1, i):
@@ -642,7 +652,9 @@ class FieldTower:
 
     @staticmethod
     def from_json(doc: dict) -> FieldTower:
-        if not isinstance(doc, dict) or set(doc) != {"tower"}:
+        if not isinstance(doc, dict) or set(doc) != {"tower"} or not (
+            isinstance(doc["tower"], list) and doc["tower"]
+        ):
             raise TowerError("field document must be {'tower': [...]}")
         tower = FieldTower.rationals()
         for i, entry in enumerate(doc["tower"]):
@@ -725,7 +737,7 @@ class FieldTower:
                 return 0, ()
             exps = [e for e, _ in pairs]
             base = min(exps)
-            coeffs = [self._from_rat(level - 1, Fraction(0))] * (max(exps) - base + 1)
+            coeffs = [self._zeros[level - 1]] * (max(exps) - base + 1)
             for e, c in pairs:
                 coeffs[e - base] = self._add(
                     level - 1,
@@ -740,7 +752,7 @@ class FieldTower:
             raise TowerError("Laurent denominator must be nonzero")
         num = self._p_trim_level(level, num)
         if not num:
-            return self._from_rat(level, Fraction(0))
+            return self._zeros[level]
         return self._make_laurent(level, kn - kd, num, self._p_trim_level(level, den))
 
     def element_from_json(self, doc) -> FieldElement:
@@ -878,7 +890,7 @@ class FieldElement:
             else:
                 k, p, q = val
                 if p == ():
-                    val = self.tower._from_rat(level - 1, Fraction(0))
+                    val = self.tower._zeros[level - 1]
                 elif k == 0 and len(p) == 1 and len(q) == 1:
                     val = p[0]
                 else:

@@ -104,6 +104,8 @@ class QuadraticForm:
     def from_json(doc: dict) -> QuadraticForm:
         if not isinstance(doc, dict) or set(doc) != {"field", "diag"}:
             raise MismatchError("quadratic form document takes keys 'field', 'diag'")
+        if not isinstance(doc["diag"], list):
+            raise MismatchError("'diag' must be a list")
         field = FieldTower.from_json(doc["field"])
         return QuadraticForm(
             field, [field.element_from_json(e) for e in doc["diag"]]

@@ -205,17 +205,18 @@ class ReferenceForm:
 
 
 def reference_search(A: Algebra, budget: int = 50) -> ReferenceForm:
-    """Search diagonal candidates, falling back to a sum of pieces cut out
-    by one-ordering Pfister multipliers, until the raw signature is
-    nonzero at every non-nil ordering."""
+    """The first reference candidate, in the order of
+    ``Algebra.iter_reference_candidates``, whose raw signature is nonzero
+    at every non-nil ordering (built lazily, so later candidates cost
+    nothing); failing that, a sum of pieces cut out by one-ordering
+    Pfister multipliers."""
     field = A.field
     nil = nil_set(A)
     targets = [P for P in field.orderings() if P not in nil]
     if not targets:
         empty = HermitianForm(A, [], 1)
         return ReferenceForm(A, empty, {})
-    candidates = A.reference_candidates
-    for cand in candidates:
+    for cand in A.iter_reference_candidates():
         raws = [raw_signature(A, cand, P, budget) for P in targets]
         if all(r != 0 for r in raws):
             return ReferenceForm(
@@ -224,7 +225,7 @@ def reference_search(A: Algebra, budget: int = 50) -> ReferenceForm:
     pieces = None
     for P in targets:
         piece = None
-        for cand in candidates:
+        for cand in A.reference_candidates:
             if raw_signature(A, cand, P, budget) != 0:
                 piece = cand
                 break

@@ -126,6 +126,15 @@ def random_quadratic_extension(rng, field):
     return field.adjoin_sqrt(d)
 
 
+def orthogonal_quaternion(field, a, b, coords) -> QuaternionAlgebra:
+    """(a, b) with the orthogonal involution Int(u) o conjugation, u given
+    by ``coords``; SamplingError when that u is not invertible."""
+    C = QuaternionAlgebra(field, a, b, "conjugation")
+    if not C.elem(C.from_coords(coords)).is_invertible():
+        raise SamplingError("the drawn twisting element is not invertible")
+    return QuaternionAlgebra(field, a, b, "orthogonal", coords)
+
+
 def random_algebra(rng, field, kinds=None):
     if kinds is None:
         kinds = (

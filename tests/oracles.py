@@ -381,3 +381,36 @@ class SlowTower:
             and self.trim(level, q) == q
             and len(self.p_gcd(level, p, q)) == 1
         )
+
+
+def eager_reference_candidates(A):
+    """Every rank-one reference candidate, built eagerly in the documented
+    order: <1>, the symmetric basis, then the pairwise sums and
+    differences of basis elements, each followed by its negative, keeping
+    the invertible ones and dropping repeats."""
+    from hermstab.algebras import HermitianForm, sym_basis
+
+    basis = sym_basis(A)
+    raw = [A.elem(A.one()), *basis]
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            raw += [basis[i] + basis[j], basis[i] - basis[j]]
+    kept = []
+    for s in raw:
+        for cand in (s, -s):
+            if cand.is_invertible() and all(cand != t for t in kept):
+                kept.append(cand)
+    return [HermitianForm.diagonal(A, [c]) for c in kept]
+
+
+def eager_reference_scan(A, candidates, budget=50):
+    """(form, deltas) of the first candidate whose raw signature is nonzero
+    at every non-nil ordering, or None when there is none."""
+    from hermstab.signatures import nil_set, raw_signature
+
+    targets = [P for P in A.field.orderings() if P not in nil_set(A)]
+    for cand in candidates:
+        raws = [raw_signature(A, cand, P, budget) for P in targets]
+        if all(raws):
+            return cand, {P.path: (1 if r > 0 else -1) for P, r in zip(targets, raws)}
+    return None

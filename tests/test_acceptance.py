@@ -28,6 +28,7 @@ from hermstab.quadratic import (
 )
 from hermstab.signatures import (
     ReferenceForm,
+    SearchExhausted,
     going_up_check,
     h_signature,
     local_type,
@@ -39,6 +40,9 @@ from hermstab.splitting import find_certificate, verify_certificate
 from hermstab.stability import invariance_suite, quadratic_image_lattice
 
 from corpus import (
+    SamplingError,
+    assert_skip_rate,
+    orthogonal_quaternion,
     random_element,
     random_hermitian_diagonal,
     random_nonsquare,
@@ -92,12 +96,13 @@ def test_criterion_2_nil_equals_harrison(capsys):
     shapes = [s for s in tower_shapes() if s.depth - 1 <= 3]
     deep = F2.adjoin_laurent()
     shapes.append(deep.adjoin_sqrt(deep.generator()))  # depth 3
-    done = 0
+    done = skipped = 0
     while done < 20:
         field = shapes[done % len(shapes)]
         try:
             alpha = random_nonsquare(rng, field)
-        except RuntimeError:
+        except SamplingError:
+            skipped += 1
             continue
         if done % 2 == 0:
             A = UnitaryQuadraticAlgebra(field, alpha)
@@ -107,13 +112,14 @@ def test_criterion_2_nil_equals_harrison(capsys):
             A = UnitaryQuaternionAlgebra(field, a, b, alpha)
         assert nil_set(A) == frozenset(harrison_set(alpha, field)), A.describe()
         done += 1
+    assert_skip_rate(skipped, done)
     with capsys.disabled():
         _report(2, "nil set equals the positivity set of alpha on 20 instances")
 
 
 def test_criterion_3_diagonal_evaluation_identity(capsys):
     rng = random.Random(103)
-    done = 0
+    done = skipped = 0
     while done < 200:
         field = random_tower(rng, max_depth=1)
         kind = rng.choice(("field_id", "unitary_quadratic", "quaternion-conj"))
@@ -127,7 +133,8 @@ def test_criterion_3_diagonal_evaluation_identity(capsys):
                 b = random_element(rng, field, height=6, nonzero=True, simple=True)
                 A = QuaternionAlgebra(field, a, b, "conjugation")
             h = random_hermitian_diagonal(rng, A, rank=rng.randint(1, 3))
-        except Exception:
+        except SamplingError:
+            skipped += 1
             continue
         nil = nil_set(A)
         one = HermitianForm.diagonal(A, [A.elem(A.one())])
@@ -141,6 +148,7 @@ def test_criterion_3_diagonal_evaluation_identity(capsys):
                 continue
             assert ell * h_signature(A, h, ref, P) == rho.signature(P)
         done += 1
+    assert_skip_rate(skipped, done)
     with capsys.disabled():
         _report(3, "dim(D) * normalized signature = evaluation-form signature, "
                    "200 forms over three kinds")
@@ -149,7 +157,7 @@ def test_criterion_3_diagonal_evaluation_identity(capsys):
 def test_criterion_4_transfer_formulas(capsys):
     rng = random.Random(104)
     shapes = tower_shapes()
-    done = 0
+    done = skipped = 0
     while done < 200:
         # alternate the fixed shape pool (all supported step combinations)
         # with randomly grown towers
@@ -158,12 +166,14 @@ def test_criterion_4_transfer_formulas(capsys):
         )
         try:
             L = random_quadratic_extension(rng, base)
-        except RuntimeError:
+        except SamplingError:
+            skipped += 1
             continue
         phi = random_quadratic_form(rng, L, dim=rng.randint(1, 3))
         assert knebusch_check(L, phi)
         done += 1
-    up_done = 0
+    assert_skip_rate(skipped, done)
+    up_done = skipped = 0
     while up_done < 100:
         field = random_tower(rng, max_depth=1)
         try:
@@ -187,11 +197,13 @@ def test_criterion_4_transfer_formulas(capsys):
             ref = reference_search(A)
             h = random_hermitian_diagonal(rng, A, rank=rng.randint(1, 2))
             L = random_quadratic_extension(rng, field)
-        except Exception:
+        except (SamplingError, SearchExhausted):
+            skipped += 1
             continue
         Qo = rng.choice(L.orderings())
         assert going_up_check(A, h, ref, L, Qo)
         up_done += 1
+    assert_skip_rate(skipped, up_done)
     with capsys.disabled():
         _report(4, "trace-transfer identity on 200 pairs; going-up equality "
                    "on 100 instances")
@@ -200,7 +212,7 @@ def test_criterion_4_transfer_formulas(capsys):
 def test_criterion_5_splitting_certificates(capsys):
     rng = random.Random(105)
     shapes = tower_shapes()
-    done = 0
+    done = skipped = 0
     while done < 30:
         field = shapes[done % len(shapes)]
         orthogonal = done % 2 == 0
@@ -215,10 +227,11 @@ def test_criterion_5_splitting_certificates(capsys):
                 ]
                 if all(c.is_zero() for c in coords[1:]):
                     continue
-                A = QuaternionAlgebra(field, a, b, "orthogonal", coords)
+                A = orthogonal_quaternion(field, a, b, coords)
             else:
                 A = QuaternionAlgebra(field, a, b, "conjugation")
-        except Exception:
+        except SamplingError:
+            skipped += 1
             continue
         for P in A.field.orderings():
             if P in nil_set(A):
@@ -231,6 +244,7 @@ def test_criterion_5_splitting_certificates(capsys):
                 d, c, _, _ = cert.definite_pair
                 assert d.sign_at(P) == 1 and c.sign_at(P) == 1
         done += 1
+    assert_skip_rate(skipped, done)
     with capsys.disabled():
         _report(5, "verified certificates at every non-nil ordering of 30 "
                    "height-10 instances within budget 50")
@@ -322,7 +336,7 @@ def _oracle_involution_datum(A, model):
 def test_criterion_6_route_independence(capsys):
     # (i) diagonal-sum vs trace-form wherever both apply
     rng = random.Random(106)
-    done = 0
+    done = skipped = 0
     while done < 60:
         field = random_tower(rng, max_depth=1)
         try:
@@ -339,7 +353,8 @@ def test_criterion_6_route_independence(capsys):
                 )
             ref = reference_search(A)
             h = random_hermitian_diagonal(rng, A, rank=rng.randint(1, 2))
-        except Exception:
+        except (SamplingError, SearchExhausted):
+            skipped += 1
             continue
         tf = trace_form(h)
         for P in field.orderings():
@@ -350,9 +365,10 @@ def test_criterion_6_route_independence(capsys):
                 tf.signature(P) // lt.lam
             )
         done += 1
+    assert_skip_rate(skipped, done)
     # (ii) split-certificate route vs an independent matrix model on
     # globally split instances (a = c^2 over Q)
-    done = 0
+    done = skipped = 0
     while done < 100:
         c = Fraction(rng.randint(1, 9), rng.randint(1, 5))
         b = Fraction(rng.randint(-9, 9))
@@ -364,8 +380,9 @@ def test_criterion_6_route_independence(capsys):
         if all(v.is_zero() for v in coords[1:]):
             continue
         try:
-            A = QuaternionAlgebra(Q, a, Q.rational(b), "orthogonal", coords)
-        except Exception:
+            A = orthogonal_quaternion(Q, a, Q.rational(b), coords)
+        except SamplingError:
+            skipped += 1
             continue
         if P0 in nil_set(A):
             continue
@@ -391,6 +408,7 @@ def test_criterion_6_route_independence(capsys):
         oracle_sig = diagonalize_gram(Q, big).signature(P0)
         assert abs(lib) == abs(oracle_sig), (A.describe(), lib, oracle_sig)
         done += 1
+    assert_skip_rate(skipped, done)
     with capsys.disabled():
         _report(6, "diagonal and trace routes agree on 60 instances; the "
                    "split route matches an independent matrix model on 100 "
@@ -399,7 +417,7 @@ def test_criterion_6_route_independence(capsys):
 
 def test_criterion_7_module_laws(capsys):
     rng = random.Random(107)
-    lin_done = 0
+    lin_done = skipped = 0
     while lin_done < 60:
         field = random_tower(rng, max_depth=1)
         try:
@@ -426,7 +444,8 @@ def test_criterion_7_module_laws(capsys):
                 A = FieldAlgebra(field)
             ref = reference_search(A)
             h = random_hermitian_diagonal(rng, A, rank=rng.randint(1, 2))
-        except Exception:
+        except (SamplingError, SearchExhausted):
+            skipped += 1
             continue
         q = random_quadratic_form(rng, field, dim=rng.randint(1, 2))
         nil = nil_set(A)
@@ -467,6 +486,7 @@ def test_criterion_7_module_laws(capsys):
                 if P not in nil:
                     assert h_signature(A, one_form, ref, P) in (-1, 1)
         lin_done += 1
+    assert_skip_rate(skipped, lin_done)
     with capsys.disabled():
         _report(7, "module linearity, nil vanishing, reference change and "
                    "unit-form values exact on 60 instances")

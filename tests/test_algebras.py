@@ -26,6 +26,8 @@ from hermstab.fields import FieldTower, MismatchError
 from hermstab.quadratic import QuadraticForm
 
 from corpus import (
+    SamplingError,
+    assert_skip_rate,
     random_algebra,
     random_element,
     random_hermitian_diagonal,
@@ -74,6 +76,7 @@ def test_involution_is_anti_automorphism():
         "quaternion-orth",
         "unitary_quaternion",
     )
+    skipped = 0
     for kind in kinds:
         per_kind = 0
         algebras = []
@@ -81,7 +84,8 @@ def test_involution_is_anti_automorphism():
             field = random_tower(rng, max_depth=1)
             try:
                 algebras.append(random_algebra(rng, field, kinds=(kind,)))
-            except (RuntimeError, MismatchError):
+            except SamplingError:
+                skipped += 1
                 continue
         while per_kind < 500:
             A = algebras[per_kind % len(algebras)]
@@ -93,6 +97,7 @@ def test_involution_is_anti_automorphism():
             c = A.field.rational(3, 2)
             assert A.from_field(c).involution() == A.from_field(c)
             per_kind += 1
+    assert_skip_rate(skipped, 8 * len(kinds))
 
 
 def test_matrix_involution_properties():
@@ -123,11 +128,13 @@ def test_sym_basis_counts():
 
 def test_sym_basis_is_symmetric_and_spans():
     rng = random.Random(43)
+    skipped = 0
     for _ in range(25):
         field = random_tower(rng, max_depth=1)
         try:
             A = random_algebra(rng, field)
-        except (RuntimeError, MismatchError):
+        except SamplingError:
+            skipped += 1
             continue
         basis = sym_basis(A)
         for s in basis:
@@ -137,6 +144,7 @@ def test_sym_basis_is_symmetric_and_spans():
         # the symmetric part must be reachable from the basis: solve by
         # re-symmetrizing coordinates
         assert sym_part.involution() == sym_part
+    assert_skip_rate(skipped, 25 - skipped)
 
 
 def test_reduced_trace_and_norm():
@@ -156,18 +164,21 @@ def test_reduced_trace_and_norm():
 
 def test_reduced_norm_multiplicative_all_kinds():
     rng = random.Random(45)
+    skipped = 0
     for kind in ("field_id", "exchange", "unitary_quadratic", "unitary_quaternion"):
         done = 0
         while done < 30:
             field = random_tower(rng, max_depth=1)
             try:
                 A = random_algebra(rng, field, kinds=(kind,))
-            except (RuntimeError, MismatchError):
+            except SamplingError:
+                skipped += 1
                 continue
             z = _rand_full_elem(rng, A)
             w = _rand_full_elem(rng, A)
             assert reduced_norm(A, z * w) == reduced_norm(A, z) * reduced_norm(A, w)
             done += 1
+    assert_skip_rate(skipped, 4 * 30)
 
 
 def test_diagonalize_hermitian_examples():
@@ -200,14 +211,15 @@ def test_diagonalize_split_witness():
 
 def test_diagonalize_preserves_trace_signature():
     rng = random.Random(46)
-    done = 0
+    done = skipped = 0
     while done < 25:
         field = random_tower(rng, max_depth=1)
         try:
             A = random_algebra(
                 rng, field, kinds=("quaternion-conj", "quaternion-orth")
             )
-        except (RuntimeError, MismatchError):
+        except SamplingError:
+            skipped += 1
             continue
         h = random_hermitian_diagonal(rng, A, rank=2)
         s = random_sym_element(rng, A)
@@ -235,6 +247,7 @@ def test_diagonalize_preserves_trace_signature():
         t2 = trace_form(d).signature_vector()
         assert t1.values == t2.values
         done += 1
+    assert_skip_rate(skipped, done)
 
 
 def test_twist_examples():
@@ -254,12 +267,13 @@ def test_twist_examples():
 
 def test_twist_round_trip_random():
     rng = random.Random(47)
-    done = 0
+    done = skipped = 0
     while done < 30:
         field = random_tower(rng, max_depth=1)
         try:
             A = random_algebra(rng, field, kinds=("quaternion-conj", "quaternion-orth"))
-        except (RuntimeError, MismatchError):
+        except SamplingError:
+            skipped += 1
             continue
         h = random_hermitian_diagonal(rng, A, rank=2)
         if A.involution_type == "conjugation":
@@ -282,6 +296,7 @@ def test_twist_round_trip_random():
         assert back.algebra == A and back.epsilon == 1
         assert back == h
         done += 1
+    assert_skip_rate(skipped, done)
 
 
 def test_rho_form_examples():
@@ -298,14 +313,15 @@ def test_rho_form_examples():
 
 def test_rho_form_additive():
     rng = random.Random(48)
-    done = 0
+    done = skipped = 0
     while done < 30:
         field = random_tower(rng, max_depth=1)
         try:
             A = random_algebra(
                 rng, field, kinds=("field_id", "unitary_quadratic", "quaternion-conj")
             )
-        except (RuntimeError, MismatchError):
+        except SamplingError:
+            skipped += 1
             continue
         if A.kind == "quaternion" and A.involution_type != "conjugation":
             continue
@@ -315,6 +331,7 @@ def test_rho_form_additive():
         rhs = rho_form(h1) + rho_form(h2)
         assert lhs.entries == rhs.entries
         done += 1
+    assert_skip_rate(skipped, done)
 
 
 def test_trace_form_examples():
@@ -333,14 +350,15 @@ def test_trace_form_scaling_law():
     """For diagonal forms over conjugation-type kinds the trace-form
     signature is dim(D) times the sum of entry signs, off the nil set."""
     rng = random.Random(49)
-    done = 0
+    done = skipped = 0
     while done < 40:
         field = random_tower(rng, max_depth=1)
         try:
             A = random_algebra(
                 rng, field, kinds=("field_id", "unitary_quadratic", "quaternion-conj")
             )
-        except (RuntimeError, MismatchError):
+        except SamplingError:
+            skipped += 1
             continue
         from hermstab.signatures import nil_set
 
@@ -356,6 +374,7 @@ def test_trace_form_scaling_law():
             )
             assert tf.signature(P) == lam * total
         done += 1
+    assert_skip_rate(skipped, done)
 
 
 def test_morita_flatten_shapes():
@@ -377,6 +396,54 @@ def test_hermitian_gram_validation():
         HermitianForm(HAM, [[i]])  # i is skew, not symmetric
     with pytest.raises(MismatchError):
         HermitianForm(HAM, [[one, j], [j, one]])  # needs -j below
+
+
+def _symmetric_and_skew(z):
+    return z + z.involution(), z - z.involution()
+
+
+def test_hermitian_check_catches_every_single_entry_error():
+    """Only the entries on and above the diagonal are compared with the
+    involution of their mirror, yet a wrong entry on either side of the
+    diagonal is rejected, for epsilon = +1 and -1."""
+    rng = random.Random(51)
+    U = UnitaryQuadraticAlgebra(Q, -1)
+    for A in (HAM, ORTH, U, ExchangeAlgebra(Q), UnitaryQuaternionAlgebra(Q, -1, -1, -1)):
+        for eps in (1, -1):
+            z = [_rand_full_elem(rng, A) for _ in range(6)]
+            diag = [_symmetric_and_skew(w)[0 if eps == 1 else 1] for w in z[:3]]
+            gram = [[None] * 3 for _ in range(3)]
+            for i in range(3):
+                gram[i][i] = diag[i]
+                for j in range(i + 1, 3):
+                    gram[i][j] = z[3 + i + j - 1]
+                    gram[j][i] = gram[i][j].involution() * eps
+            HermitianForm(A, gram, eps)
+            sym_c, skew_c = _symmetric_and_skew(z[0] + A.elem(A.one()))
+            assert not sym_c.is_zero() and not skew_c.is_zero()
+            for i in range(3):
+                for j in range(3):
+                    # off the diagonal any nonzero change breaks the mirror;
+                    # on it, only a change of the wrong parity does
+                    c = skew_c if (i == j) == (eps == 1) else sym_c
+                    bad = [list(row) for row in gram]
+                    bad[i][j] = bad[i][j] + c
+                    with pytest.raises(MismatchError):
+                        HermitianForm(A, bad, eps)
+
+
+def test_skew_hermitian_entries():
+    one, i, j, k = HAM.basis()
+    HermitianForm(HAM, [[i, j], [j, k]], -1)
+    HermitianForm.diagonal(HAM, [i], epsilon=-1)
+    with pytest.raises(MismatchError):
+        HermitianForm.diagonal(HAM, [one], epsilon=-1)  # symmetric, nonzero
+    with pytest.raises(MismatchError):
+        HermitianForm(HAM, [[i, j], [-j, k]], -1)  # hermitian mirror
+    o, ia, ja, ka = ORTH.basis()
+    HermitianForm.diagonal(ORTH, [ja], epsilon=-1)  # j is skew for Int(j)conj
+    with pytest.raises(MismatchError):
+        HermitianForm.diagonal(ORTH, [ia], epsilon=-1)
 
 
 def test_algebra_json_round_trips():

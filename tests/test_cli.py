@@ -1,6 +1,8 @@
 import json
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -333,3 +335,130 @@ def test_probes_file(tmp_path):
     code, out, _ = run_cli("stability", "--algebra", ORTH_X, "--probes", str(p))
     assert code == 0
     assert "stability group: Z/2Z" in out
+
+
+_M2_HAM = '{"kind":"matrix","n":2,"inner":' + HAM + ',"g":G}'
+FQ = '{"kind":"field_id","field":' + Q_FIELD + "}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("orderings", "--field", '{"tower":1.5}'),
+        ("orderings", "--field", '{"tower":[]}'),
+        ("nil", "--algebra", ORTH_X.replace('["0","0","1","0"]', "null")),
+        ("nil", "--algebra", _M2_HAM.replace("G", "7")),
+        ("nil", "--algebra", _M2_HAM.replace("G", '[["1","0","0","0"],["0","0","0","0"]]')),
+        ("signature", "--algebra", HAM, "--form", '{"diag":true}'),
+        ("signature", "--algebra", FQ, "--form", '{"gram":["1"]}'),
+        ("signature", "--algebra", HAM, "--form", '{"epsilon":null,"diag":[]}'),
+        ("transfer-check", "--form", '{"field":' + F2_FIELD + ',"diag":-1}'),
+    ],
+    ids=["tower-float", "tower-empty", "u-null", "g-int", "g-zero", "diag-bool",
+         "gram-row-string", "epsilon-null", "quadratic-diag-int"],
+)
+def test_wrongly_typed_json_values_exit_2(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2, err
+    assert out == "" and err.startswith("error:")
+
+
+# Seed documents for the mutation test: one valid call per command that
+# answers in milliseconds; each mutation edits one JSON argument.
+_FUZZ_CALLS = [
+    ("orderings", "--field", F2_FIELD),
+    ("nil", "--algebra", HAM),
+    ("nil", "--algebra", ORTH_X),
+    ("split-cert", "--algebra", ORTH_X, "--ordering", "0"),
+    ("signature", "--algebra", HAM, "--form", '{"diag":[["1","0","0","0"]]}'),
+    (
+        "nil",
+        "--algebra",
+        '{"kind":"matrix","n":2,"inner":' + HAM + ',"g":[["1","0","0","0"],["2","0","0","0"]]}',
+    ),
+    ("transfer-check", "--form", '{"field":' + F2_FIELD + ',"diag":[{"u":"0","v":"1"}]}'),
+]
+
+_WRONG_VALUES = [None, True, 1.5, "x", "", [], {}, [[]], -1, 0, "1/0"]
+_HUGE_VALUES = [10**400, -(10**999), 1e308, "9" * 1000, "1/" + "7" * 900, 2**63]
+_ARGPARSE_ERRORS = [
+    [],
+    ["--budget", "abc", "nil", "--algebra", HAM],
+    ["--max-depth", "1.5", "nil", "--algebra", HAM],
+    ["nil"],
+    ["nil", "--algebra"],
+    ["nil", "--algebra", HAM, "--bogus"],
+    ["no-such-command"],
+    ["split-cert", "--algebra", ORTH_X],
+]
+
+
+def _json_paths(doc, path=()):
+    yield path
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _json_paths(v, path + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _json_paths(v, path + (i,))
+
+
+def _mutate_json(rng, text):
+    """One random edit of a JSON document: drop a key or item, swap in a
+    wrong type or a huge number, or cut the text short."""
+    if rng.random() < 0.15:
+        return text[: rng.randrange(len(text))]
+    doc = json.loads(text)
+    path = rng.choice(list(_json_paths(doc))[1:])
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    roll = rng.random()
+    if roll < 0.3:
+        del parent[path[-1]]
+    elif roll < 0.7:
+        parent[path[-1]] = rng.choice(_WRONG_VALUES)
+    else:
+        parent[path[-1]] = rng.choice(_HUGE_VALUES)
+    return json.dumps(doc)
+
+
+def _run_cli_code(argv):
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        return exc.code, "", ""
+
+
+def test_shared_parser_is_stateless_under_mutated_input():
+    rng = random.Random(20140623)
+    start = time.monotonic()
+    codes = {}
+    for _ in range(400):
+        if rng.random() < 0.1:
+            argv = list(rng.choice(_ARGPARSE_ERRORS))
+        else:
+            argv = list(rng.choice(_FUZZ_CALLS))
+            slot = rng.choice([i for i, a in enumerate(argv) if a[:1] == "{"])
+            argv[slot] = _mutate_json(rng, argv[slot])
+            if rng.random() < 0.3:
+                argv = ["--budget", str(rng.randint(0, 9))] + argv
+            if rng.random() < 0.3:
+                argv = ["--json"] + argv
+        code, _, err = _run_cli_code(argv)
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        codes[code] = codes.get(code, 0) + 1
+    assert time.monotonic() - start < 120
+    assert codes.get(2, 0) > 100 and codes.get(0, 0) > 10, codes
+
+    # No option of an earlier call may leak into a later one on the shared
+    # parser: each later call prints what a fresh process prints.
+    argv = ["split-cert", "--algebra", ORTH_X, "--ordering", "0"]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "hermstab", *argv], capture_output=True, text=True
+    )
+    assert fresh.returncode == 0
+    for earlier in (["--budget", "7", "--json"], ["--budget", "0"], ["--max-depth", "0"]):
+        run_cli(*earlier, *argv)
+        assert run_cli(*argv) == (fresh.returncode, fresh.stdout, fresh.stderr)

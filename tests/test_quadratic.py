@@ -19,6 +19,8 @@ from hermstab.quadratic import (
 )
 
 from corpus import (
+    SamplingError,
+    assert_skip_rate,
     random_element,
     random_quadratic_extension,
     random_quadratic_form,
@@ -174,16 +176,18 @@ def test_totally_negative_radicands_are_rejected():
 
 def test_knebusch_on_random_extensions():
     rng = random.Random(24)
-    checked = 0
+    checked = skipped = 0
     while checked < 200:
         base = random_tower(rng, max_depth=1)
         try:
             L = random_quadratic_extension(rng, base)
-        except RuntimeError:
+        except SamplingError:
+            skipped += 1
             continue
         phi = random_quadratic_form(rng, L, dim=rng.randint(1, 3))
         assert knebusch_check(L, phi)
         checked += 1
+    assert_skip_rate(skipped, checked)
 
 
 def test_hilbert_symbol_examples():

@@ -38,6 +38,7 @@ from corpus import (
     random_tower,
     tower_shapes,
 )
+from oracles import eager_reference_candidates, eager_reference_scan
 
 Q = FieldTower.rationals()
 F2 = Q.adjoin_sqrt(2)
@@ -417,6 +418,69 @@ def test_piecewise_reference_assembly():
     for P in targets:
         assert raw_signature(A, ref.form, P) != 0
         assert h_signature(A, ref.form, ref, P) > 0
+
+
+def _reference_oracle_algebras():
+    """Every kind over towers of depth <= 2, plus the M2 and M3 wrappers
+    that ``invariance_suite`` builds, with scaling (1, ..., 1, -2)."""
+    F2X = F2.adjoin_laurent()
+    LXY = LX.adjoin_laurent()
+    out = []
+    for field in (Q, F2, LX, F2X, LXY):
+        t = field.generator() if field.depth > 1 else field.rational(3)
+        out += [
+            FieldAlgebra(field),
+            ExchangeAlgebra(field),
+            UnitaryQuadraticAlgebra(field, -1),
+            UnitaryQuadraticAlgebra(field, -t),
+            QuaternionAlgebra(field, -1, -1),
+            QuaternionAlgebra(field, -1, t),
+            QuaternionAlgebra(field, t, -1, "orthogonal", [0, 0, 1, 0]),
+            QuaternionAlgebra(field, -1, -t, "orthogonal", [0, 1, 0, 0]),
+            UnitaryQuaternionAlgebra(field, -1, -1, -1),
+        ]
+    out.append(QuaternionAlgebra(F2, 1, F2.generator(), "orthogonal", [0, 1, 0, 0]))
+    for inner, sizes in ((HAM, (2, 3)), (ORTH_X, (2,)), (FieldAlgebra(F2X), (2, 3))):
+        for n in sizes:
+            g = [inner.elem(inner.one())] * (n - 1) + [inner.from_field(-2)]
+            out.append(MatrixAlgebra(n, inner, g))
+    return out
+
+
+def test_reference_search_matches_eager_scan():
+    """The lazy candidate walk picks the same form and deltas as a scan
+    over all candidates built eagerly by an independent enumeration."""
+    past_identity = piecewise = 0
+    for A in _reference_oracle_algebras():
+        candidates = eager_reference_candidates(A)
+        assert A.reference_candidates == tuple(candidates), A.describe()
+        ref = reference_search(A)
+        if nil_set(A) == frozenset(A.field.orderings()):
+            assert (ref.form.rank, ref.deltas) == (0, {})
+            continue
+        hit = eager_reference_scan(A, candidates)
+        if hit is None:
+            assert ref.form.rank > 1, A.describe()
+            piecewise += 1
+            continue
+        assert (ref.form, ref.deltas) == hit, A.describe()
+        past_identity += candidates.index(hit[0]) > 1
+    assert past_identity >= 3 and piecewise >= 1
+
+
+def test_reference_search_stops_at_the_identity(monkeypatch):
+    """When <1> is a reference, the symmetric basis is never computed."""
+    import hermstab.algebras as algebras
+
+    def no_basis(A):
+        raise AssertionError("sym_basis called")
+
+    monkeypatch.setattr(algebras, "sym_basis", no_basis)
+    A = QuaternionAlgebra(Q, -1, -1)
+    ref = reference_search(A)
+    assert ref.form == HermitianForm.diagonal(A, [A.elem(A.one())])
+    with pytest.raises(AssertionError, match="sym_basis called"):
+        A.reference_candidates
 
 
 def test_epsilon_minus_one_rejected():

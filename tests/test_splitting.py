@@ -23,7 +23,14 @@ from hermstab.splitting import (
     verify_certificate,
 )
 
-from corpus import random_element, random_hermitian_diagonal, tower_shapes
+from corpus import (
+    SamplingError,
+    assert_skip_rate,
+    orthogonal_quaternion,
+    random_element,
+    random_hermitian_diagonal,
+    tower_shapes,
+)
 
 Q = FieldTower.rationals()
 LX = Q.adjoin_laurent()
@@ -139,6 +146,7 @@ def test_verification_runs_once_per_certificate(monkeypatch):
 def _random_quaternion_instances(rng, count, orthogonal):
     """Quaternion algebras with small parameters over the shape pool."""
     out = []
+    skipped = 0
     shapes = tower_shapes()
     while len(out) < count:
         field = rng.choice(shapes)
@@ -151,14 +159,14 @@ def _random_quaternion_instances(rng, count, orthogonal):
                 ]
                 if all(c.is_zero() for c in coords[1:]):
                     continue
-                A = QuaternionAlgebra(field, a, b, "orthogonal", coords)
-                if not A.elem(A.from_coords(coords)).is_invertible():
-                    continue
+                A = orthogonal_quaternion(field, a, b, coords)
             else:
                 A = QuaternionAlgebra(field, a, b, "conjugation")
-        except Exception:
+        except SamplingError:
+            skipped += 1
             continue
         out.append(A)
+    assert_skip_rate(skipped, len(out))
     return out
 
 
@@ -193,12 +201,9 @@ def test_unitary_quaternion_certificates():
         a = random_element(rng, field, height=6, nonzero=True, simple=True)
         b = random_element(rng, field, height=6, nonzero=True, simple=True)
         alpha = random_element(rng, field, height=6, nonzero=True, simple=True)
-        try:
-            if alpha.is_square():
-                continue
-            A = UnitaryQuaternionAlgebra(field, a, b, alpha)
-        except Exception:
+        if alpha.is_square():
             continue
+        A = UnitaryQuaternionAlgebra(field, a, b, alpha)
         nil = nil_set(A)
         for P in field.orderings():
             if P in nil:
