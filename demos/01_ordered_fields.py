@@ -31,5 +31,8 @@ u = x * x * (1 + x)
 print(f"{u} is a square in the ambient series field: {u.is_square()}")
 
 print()
-print("positivity set of x:", [P.name() for P in harrison_set(x)])
-print("positivity set of -1:", [P.name() for P in harrison_set(L.rational(-1))])
+for name, a in (("x", x), ("-1", L.rational(-1))):
+    positive = harrison_set(a)
+    # a set has no order of its own: list it in the field's ordering order
+    names = [P.name() for P in L.orderings() if P in positive]
+    print(f"positivity set of {name}:", names)

@@ -333,12 +333,17 @@ class Algebra:
         """Rank-one forms on invertible symmetric elements: the identity,
         the symmetric basis, and pairwise sums and differences, each with
         its negative, without repeats.  Lazy: the symmetric basis is only
-        computed once the identity's two forms have been consumed."""
-        seen = []
+        computed once the identity's two forms have been consumed.
+
+        Repeats are found by value: every kind stores an element as a
+        tuple (nested for matrices) of coordinates in a fixed basis, and
+        each coordinate is a canonical tower value (see fields.py), so two
+        elements are equal exactly when their values are equal tuples."""
+        seen = set()
         for s in self._reference_elements():
             for cand in (s, -s):
-                if cand.is_invertible() and not any(cand == t for t in seen):
-                    seen.append(cand)
+                if cand.value not in seen and cand.is_invertible():
+                    seen.add(cand.value)
                     yield HermitianForm.diagonal(self, [cand])
 
     def _reference_elements(self):

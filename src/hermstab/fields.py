@@ -74,7 +74,64 @@ class InvariantViolation(RuntimeError):
 #           cross products are never formed; _make_laurent still reduces.
 #   _make_laurent : once x-powers are stripped, a single-term p or q is a
 #           nonzero constant, a unit, so the gcd is 1 and is not computed.
+# Every level-0 value is a Fraction in lowest terms: coprime numerator,
+# positive denominator (_from_rat and the JSON reader build them through
+# Fraction, and the kernel below keeps them so).  The level-0 branches of
+# _add, _neg, _mul, _inv, _is_zero and _sign run the kernel _q_* on
+# numerator and denominator, which splits gcds the classical way (Knuth,
+# TAOCP vol. 2, 4.5.1) and so produces a coprime pair by construction;
+# _q_make wraps that pair without normalising it again, and is the only
+# code that builds a Fraction from its internal slots.
 # ---------------------------------------------------------------------------
+
+
+def _q_make(n: int, d: int) -> Fraction:
+    """The Fraction n/d for coprime n and d > 0, built without re-reducing."""
+    f = object.__new__(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
+
+
+def _q_add(x: Fraction, y: Fraction) -> Fraction:
+    na, da = x.numerator, x.denominator
+    nb, db = y.numerator, y.denominator
+    g = math.gcd(da, db)
+    if g == 1:
+        return _q_make(na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return _q_make(t, s * db)
+    return _q_make(t // g2, s * (db // g2))
+
+
+def _q_mul(x: Fraction, y: Fraction) -> Fraction:
+    na, da = x.numerator, x.denominator
+    nb, db = y.numerator, y.denominator
+    g1 = math.gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = math.gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _q_make(na * nb, da * db)
+
+
+def _q_neg(x: Fraction) -> Fraction:
+    return _q_make(-x.numerator, x.denominator)
+
+
+def _q_inv(x: Fraction) -> Fraction:
+    n, d = x.numerator, x.denominator
+    if n > 0:
+        return _q_make(d, n)
+    if n < 0:
+        return _q_make(-d, -n)
+    raise ZeroDivisionError("inverse of zero field element")
 
 
 def _frac_sqrt(f: Fraction):
@@ -252,14 +309,14 @@ class FieldTower:
 
     def _is_zero(self, level, x) -> bool:
         if level == 0:
-            return x == 0
+            return x.numerator == 0
         if self.steps[level][0] == "qext":
             return self._is_zero(level - 1, x[0]) and self._is_zero(level - 1, x[1])
         return x[1] == ()
 
     def _add(self, level, x, y):
         if level == 0:
-            return x + y
+            return _q_add(x, y)
         if self.steps[level][0] == "qext":
             return (
                 self._add(level - 1, x[0], y[0]),
@@ -284,7 +341,7 @@ class FieldTower:
 
     def _neg(self, level, x):
         if level == 0:
-            return -x
+            return _q_neg(x)
         if self.steps[level][0] == "qext":
             return (self._neg(level - 1, x[0]), self._neg(level - 1, x[1]))
         k, p, q = x
@@ -295,7 +352,7 @@ class FieldTower:
 
     def _mul(self, level, x, y):
         if level == 0:
-            return x * y
+            return _q_mul(x, y)
         if self.steps[level][0] == "qext":
             d = self.steps[level][1]
             u1, v1 = x
@@ -319,10 +376,10 @@ class FieldTower:
         )
 
     def _inv(self, level, x):
+        if level == 0:
+            return _q_inv(x)
         if self._is_zero(level, x):
             raise ZeroDivisionError("inverse of zero field element")
-        if level == 0:
-            return 1 / x
         if self.steps[level][0] == "qext":
             d = self.steps[level][1]
             u, v = x
@@ -465,7 +522,8 @@ class FieldTower:
 
     def _sign(self, level, x, path) -> int:
         if level == 0:
-            return 0 if x == 0 else (1 if x > 0 else -1)
+            n = x.numerator
+            return (n > 0) - (n < 0)
         step = self.steps[level]
         if step[0] == "qext":
             s = path[level - 1]

@@ -11,6 +11,8 @@ and commutative cases carry their own degenerate certificate shapes.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .algebras import (
@@ -408,11 +410,19 @@ def _det2(G):
 # the search
 # ---------------------------------------------------------------------------
 
-_cert_cache: dict = {}
+# Certificates found with skip == 0, least recently used first.  The search
+# is deterministic, so an evicted entry is only found again, identically;
+# the bound keeps a long-lived process that answers distinct queries from
+# growing without limit.  The lock makes each lookup-and-reorder and each
+# insert-and-evict one step for threads sharing the cache.
+CERT_CACHE_SIZE = 1024
+_cert_cache: OrderedDict = OrderedDict()
+_cert_lock = threading.Lock()
 
 
 def clear_certificate_cache():
-    _cert_cache.clear()
+    with _cert_lock:
+        _cert_cache.clear()
 
 
 def _spiral(budget: int):
@@ -450,13 +460,20 @@ def find_certificate(
             f"{A.describe()} has vanishing signatures at {P.name()}"
         )
     key = (A, P.path, budget)
-    if skip == 0 and key in _cert_cache:
-        return _cert_cache[key]
+    if skip == 0:
+        with _cert_lock:
+            cert = _cert_cache.get(key)
+            if cert is not None:
+                _cert_cache.move_to_end(key)
+                return cert
     cert = _find_certificate_impl(A, P, budget, skip)
     if not verify_certificate(cert):
         raise InvariantViolation("emitted certificate fails verification")
     if skip == 0:
-        _cert_cache[key] = cert
+        with _cert_lock:
+            _cert_cache[key] = cert
+            if len(_cert_cache) > CERT_CACHE_SIZE:
+                _cert_cache.popitem(last=False)
     return cert
 
 

@@ -8,6 +8,10 @@ from hermstab.fields import (
     MismatchError,
     Ordering,
     TowerError,
+    _q_add,
+    _q_inv,
+    _q_mul,
+    _q_neg,
     harrison_set,
 )
 
@@ -278,3 +282,49 @@ def test_laurent_fast_paths_match_full_canonicalisation(field):
         for fast, reference in results:
             assert fast == reference
             assert slow.is_canonical(top, fast)
+
+
+def _kernel_operands(rng):
+    big = 10**40
+    out = [Fraction(n) for n in (0, 1, -1, 2, -3, 12, big)]
+    # denominators sharing factors with each other and with numerators
+    pairs = [(1, 2), (-1, 2), (3, 4), (5, 6), (-7, 12), (2, 3), (3, 2), (-9, 10),
+             (10, 9), (35, 6)]
+    out += [Fraction(p, q) for p, q in pairs]
+    # 40-digit numerators and denominators, coprime or sharing factors
+    out += [Fraction(rng.randrange(big // 10, big) * s, rng.randrange(big // 10, big))
+            for s in (1, -1, 1)]
+    out += [Fraction(6**51, big), Fraction(1 - big, 2**132)]
+    out += [Fraction(rng.randint(-60, 60), rng.randint(1, 60)) for _ in range(40)]
+    smooth = [1, 2, 3, 4, 6, 8, 9, 12, 18, 30, 2**20 * 3**12]
+    out += [Fraction(rng.choice(smooth) * rng.choice((1, -1)), rng.choice(smooth))
+            for _ in range(20)]
+    return out
+
+
+def test_rational_kernel_matches_fraction():
+    """Each kernel operation returns a Fraction with the numerator,
+    denominator and hash of Fraction's own operator."""
+
+    def same(got, want):
+        assert type(got) is Fraction
+        assert got == want
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert hash(got) == hash(want)
+
+    rng = random.Random(23)
+    ops = _kernel_operands(rng)
+    for x in ops:
+        same(_q_neg(x), -x)
+        if x:
+            same(_q_inv(x), 1 / x)
+        for y in ops:
+            same(_q_add(x, y), x + y)
+            same(_q_mul(x, y), x * y)
+    with pytest.raises(ZeroDivisionError):
+        _q_inv(Fraction(0))
+    with pytest.raises(ZeroDivisionError):
+        Q.zero().inverse()
+    # the tower's level-0 branches run the kernel
+    assert [Q._sign(0, x, ()) for x in ops[:4]] == [0, 1, -1, 1]
+    assert Q._is_zero(0, Fraction(0)) and not Q._is_zero(0, Fraction(-1, 2))

@@ -337,3 +337,68 @@ def test_unitary_flavor_on_non_unitary_algebra_rejected(flavor):
     doc = dict(cert.to_json(), flavor=flavor)
     with pytest.raises(MismatchError, match="unitary centre"):
         SplittingCertificate.from_json(doc)
+
+
+def test_certificate_cache_is_a_bounded_lru(monkeypatch):
+    """Distinct keys never grow the cache past its bound, the least recently
+    used entry goes first, and a hit returns the identical certificate."""
+    import hermstab.splitting as splitting
+
+    A = FieldAlgebra(Q)
+    splitting.clear_certificate_cache()
+    # the budget is part of the key, so each budget is a distinct entry
+    for budget in range(1, splitting.CERT_CACHE_SIZE + 60):
+        find_certificate(A, P0, budget)
+        assert len(splitting._cert_cache) <= splitting.CERT_CACHE_SIZE
+    assert len(splitting._cert_cache) == splitting.CERT_CACHE_SIZE
+
+    monkeypatch.setattr(splitting, "CERT_CACHE_SIZE", 3)
+    splitting.clear_certificate_cache()
+    first = [find_certificate(A, P0, budget) for budget in (1, 2, 3)]
+    assert find_certificate(A, P0, 1) is first[0]
+    find_certificate(A, P0, 4)  # evicts budget 2, the least recently used
+    assert len(splitting._cert_cache) == 3
+    assert find_certificate(A, P0, 1) is first[0]
+    assert find_certificate(A, P0, 3) is first[2]
+    again = find_certificate(A, P0, 2)
+    assert again is not first[1] and again.to_json() == first[1].to_json()
+    splitting.clear_certificate_cache()
+
+
+def test_certificate_cache_under_threads(monkeypatch):
+    """Threads sharing a small cache: every lookup returns a certificate of
+    the algebra at the ordering asked for, and no lookup or eviction trips
+    over another thread's."""
+    import sys
+    import threading
+
+    import hermstab.splitting as splitting
+
+    A = FieldAlgebra(Q)
+    monkeypatch.setattr(splitting, "CERT_CACHE_SIZE", 3)
+    splitting.clear_certificate_cache()
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(1000):
+                budget = 1 + (i + offset) % 7
+                cert = find_certificate(A, P0, budget)
+                assert cert.algebra == A and cert.ordering == P0
+        except Exception as exc:  # reported by the main thread below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(splitting._cert_cache) <= 3
+    splitting.clear_certificate_cache()
