@@ -17,7 +17,7 @@ use to reroute.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .fields import FieldElement, FieldTower, MismatchError
 from .quadratic import QuadraticForm, SingularFormError, diagonalize_gram
@@ -65,154 +65,6 @@ class SplitWitness:
 
     def __repr__(self):
         return f"SplitWitness({self.element})"
-
-
-# ---------------------------------------------------------------------------
-# scalar helpers for the two coefficient domains used by quaternion kinds
-# ---------------------------------------------------------------------------
-
-
-class _TowerScalars:
-    """Raw tower values as the scalar domain (kind (iv))."""
-
-    def __init__(self, tower: FieldTower):
-        self.tower = tower
-        self._lvl = tower.depth - 1
-
-    def zero(self):
-        return self.tower._zeros[self._lvl]
-
-    def one(self):
-        return self.tower._ones[self._lvl]
-
-    def from_base(self, v):
-        return v
-
-    def add(self, x, y):
-        return self.tower._add(self._lvl, x, y)
-
-    def sub(self, x, y):
-        return self.tower._sub(self._lvl, x, y)
-
-    def mul(self, x, y):
-        return self.tower._mul(self._lvl, x, y)
-
-    def neg(self, x):
-        return self.tower._neg(self._lvl, x)
-
-    def inv(self, x):
-        return self.tower._inv(self._lvl, x)
-
-    def is_zero(self, x):
-        return self.tower._is_zero(self._lvl, x)
-
-    def conj(self, x):
-        return x
-
-
-class _QuadExtScalars:
-    """Pairs (u, v) = u + v*sqrt(alpha) over the tower (kinds (iii), (v))."""
-
-    def __init__(self, tower: FieldTower, alpha):
-        self.tower = tower
-        self.alpha = alpha
-        self._lvl = tower.depth - 1
-
-    def zero(self):
-        z = self.tower._zeros[self._lvl]
-        return (z, z)
-
-    def one(self):
-        return (
-            self.tower._ones[self._lvl],
-            self.tower._zeros[self._lvl],
-        )
-
-    def root(self):
-        return (
-            self.tower._zeros[self._lvl],
-            self.tower._ones[self._lvl],
-        )
-
-    def from_base(self, v):
-        return (v, self.tower._zeros[self._lvl])
-
-    def add(self, x, y):
-        t, l = self.tower, self._lvl
-        return (t._add(l, x[0], y[0]), t._add(l, x[1], y[1]))
-
-    def sub(self, x, y):
-        t, l = self.tower, self._lvl
-        return (t._sub(l, x[0], y[0]), t._sub(l, x[1], y[1]))
-
-    def mul(self, x, y):
-        t, l = self.tower, self._lvl
-        uu = t._mul(l, x[0], y[0])
-        vv = t._mul(l, x[1], y[1])
-        uv = t._mul(l, x[0], y[1])
-        vu = t._mul(l, x[1], y[0])
-        return (t._add(l, uu, t._mul(l, self.alpha, vv)), t._add(l, uv, vu))
-
-    def neg(self, x):
-        t, l = self.tower, self._lvl
-        return (t._neg(l, x[0]), t._neg(l, x[1]))
-
-    def inv(self, x):
-        t, l = self.tower, self._lvl
-        n = t._sub(
-            l, t._mul(l, x[0], x[0]), t._mul(l, self.alpha, t._mul(l, x[1], x[1]))
-        )
-        ninv = t._inv(l, n)
-        return (t._mul(l, x[0], ninv), t._neg(l, t._mul(l, x[1], ninv)))
-
-    def is_zero(self, x):
-        t, l = self.tower, self._lvl
-        return t._is_zero(l, x[0]) and t._is_zero(l, x[1])
-
-    def conj(self, x):
-        return (x[0], self.tower._neg(self._lvl, x[1]))
-
-    def norm(self, x):
-        t, l = self.tower, self._lvl
-        return t._sub(
-            l, t._mul(l, x[0], x[0]), t._mul(l, self.alpha, t._mul(l, x[1], x[1]))
-        )
-
-    def trace(self, x):
-        return self.tower._add(self._lvl, x[0], x[0])
-
-
-def _quat_mul(s, a, b, x, y):
-    ab = s.mul(a, b)
-    z0 = s.add(
-        s.add(s.mul(x[0], y[0]), s.mul(a, s.mul(x[1], y[1]))),
-        s.sub(s.mul(b, s.mul(x[2], y[2])), s.mul(ab, s.mul(x[3], y[3]))),
-    )
-    z1 = s.add(
-        s.add(s.mul(x[0], y[1]), s.mul(x[1], y[0])),
-        s.mul(b, s.sub(s.mul(x[3], y[2]), s.mul(x[2], y[3]))),
-    )
-    z2 = s.add(
-        s.add(s.mul(x[0], y[2]), s.mul(x[2], y[0])),
-        s.mul(a, s.sub(s.mul(x[1], y[3]), s.mul(x[3], y[1]))),
-    )
-    z3 = s.add(
-        s.add(s.mul(x[0], y[3]), s.mul(x[3], y[0])),
-        s.sub(s.mul(x[1], y[2]), s.mul(x[2], y[1])),
-    )
-    return (z0, z1, z2, z3)
-
-
-def _quat_conj(s, x):
-    return (x[0], s.neg(x[1]), s.neg(x[2]), s.neg(x[3]))
-
-
-def _quat_nrd(s, a, b, x):
-    ab = s.mul(a, b)
-    return s.add(
-        s.sub(s.mul(x[0], x[0]), s.mul(a, s.mul(x[1], x[1]))),
-        s.sub(s.mul(ab, s.mul(x[3], x[3])), s.mul(b, s.mul(x[2], x[2]))),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +153,9 @@ class Algebra:
         return self.add(x, self.neg(y))
 
     def equal(self, x, y) -> bool:
-        return self.is_zero(self.sub(x, y))
+        """Values are canonical (see ``iter_reference_candidates``), so
+        equal elements have equal values."""
+        return x == y
 
     def lift_to(self, tower: FieldTower) -> Algebra:
         raise NotImplementedError
@@ -436,19 +290,14 @@ class FieldAlgebra(Algebra):
         return f"({self.field.describe()}, id)"
 
 
-class ExchangeAlgebra(Algebra):
-    """(F x F, exchange)."""
+class _PairAlgebra(Algebra):
+    """Values are pairs of base-field values, added and scaled coordinatewise."""
 
-    kind = "exchange"
+    dim = 2
 
     def __init__(self, field: FieldTower):
         self.field = field
-        self.dim = 2
         self._lvl = field.depth - 1
-
-    def one(self):
-        o = self.field._ones[self._lvl]
-        return (o, o)
 
     def zero(self):
         z = self.field._zeros[self._lvl]
@@ -461,6 +310,30 @@ class ExchangeAlgebra(Algebra):
     def neg(self, x):
         t, l = self.field, self._lvl
         return (t._neg(l, x[0]), t._neg(l, x[1]))
+
+    def is_zero(self, x):
+        t, l = self.field, self._lvl
+        return t._is_zero(l, x[0]) and t._is_zero(l, x[1])
+
+    def scalar_mul(self, c, x):
+        t, l = self.field, self._lvl
+        return (t._mul(l, c.value, x[0]), t._mul(l, c.value, x[1]))
+
+    def coords(self, x):
+        return [FieldElement(self.field, x[0]), FieldElement(self.field, x[1])]
+
+    def from_coords(self, coords):
+        return (coords[0].value, coords[1].value)
+
+
+class ExchangeAlgebra(_PairAlgebra):
+    """(F x F, exchange)."""
+
+    kind = "exchange"
+
+    def one(self):
+        o = self.field._ones[self._lvl]
+        return (o, o)
 
     def mul(self, x, y):
         t, l = self.field, self._lvl
@@ -476,20 +349,6 @@ class ExchangeAlgebra(Algebra):
         if t._is_zero(l, x[0]) or t._is_zero(l, x[1]):
             raise ZeroDivisorFound(self, x)
         return (t._inv(l, x[0]), t._inv(l, x[1]))
-
-    def is_zero(self, x):
-        t, l = self.field, self._lvl
-        return t._is_zero(l, x[0]) and t._is_zero(l, x[1])
-
-    def scalar_mul(self, c, x):
-        t, l = self.field, self._lvl
-        return (t._mul(l, c.value, x[0]), t._mul(l, c.value, x[1]))
-
-    def coords(self, x):
-        return [FieldElement(self.field, x[0]), FieldElement(self.field, x[1])]
-
-    def from_coords(self, coords):
-        return (coords[0].value, coords[1].value)
 
     def reduced_trace(self, x):
         return FieldElement(self.field, self.field._add(self._lvl, x[0], x[1]))
@@ -517,60 +376,51 @@ class ExchangeAlgebra(Algebra):
         return f"({self.field.describe()} x {self.field.describe()}, exchange)"
 
 
-class UnitaryQuadraticAlgebra(Algebra):
-    """(F(sqrt(alpha)), conjugation) for a non-square alpha."""
+class UnitaryQuadraticAlgebra(_PairAlgebra):
+    """(F(sqrt(alpha)), conjugation) for a non-square alpha; a value (u, v)
+    is u + v*sqrt(alpha)."""
 
     kind = "unitary_quadratic"
 
     def __init__(self, field: FieldTower, alpha):
-        self.field = field
+        super().__init__(field)
         alpha = field.coerce(alpha)
         if alpha.is_zero() or alpha.is_square():
             raise MismatchError("alpha must be a nonzero non-square")
         self.alpha = alpha
-        self.dim = 2
-        self._s = _QuadExtScalars(field, alpha.value)
 
     def one(self):
-        return self._s.one()
-
-    def zero(self):
-        return self._s.zero()
-
-    def add(self, x, y):
-        return self._s.add(x, y)
-
-    def neg(self, x):
-        return self._s.neg(x)
+        return (self.field._ones[self._lvl], self.field._zeros[self._lvl])
 
     def mul(self, x, y):
-        return self._s.mul(x, y)
+        t, l = self.field, self._lvl
+        uu = t._mul(l, x[0], y[0])
+        vv = t._mul(l, x[1], y[1])
+        uv = t._mul(l, x[0], y[1])
+        vu = t._mul(l, x[1], y[0])
+        return (t._add(l, uu, t._mul(l, self.alpha.value, vv)), t._add(l, uv, vu))
 
     def involution(self, x):
-        return self._s.conj(x)
+        return (x[0], self.field._neg(self._lvl, x[1]))
 
     def inverse(self, x):
         if self.is_zero(x):
             raise ZeroDivisionError("inverse of zero")
-        return self._s.inv(x)
+        t, l = self.field, self._lvl
+        ninv = t._inv(l, self._norm(x))
+        return (t._mul(l, x[0], ninv), t._neg(l, t._mul(l, x[1], ninv)))
 
-    def is_zero(self, x):
-        return self._s.is_zero(x)
-
-    def scalar_mul(self, c, x):
-        return self._s.mul(self._s.from_base(c.value), x)
-
-    def coords(self, x):
-        return [FieldElement(self.field, x[0]), FieldElement(self.field, x[1])]
-
-    def from_coords(self, coords):
-        return (coords[0].value, coords[1].value)
+    def _norm(self, x):
+        t, l = self.field, self._lvl
+        return t._sub(
+            l, t._mul(l, x[0], x[0]), t._mul(l, self.alpha.value, t._mul(l, x[1], x[1]))
+        )
 
     def reduced_trace(self, x):
-        return FieldElement(self.field, self._s.trace(x))
+        return FieldElement(self.field, self.field._add(self._lvl, x[0], x[0]))
 
     def reduced_norm(self, x):
-        return FieldElement(self.field, self._s.norm(x))
+        return FieldElement(self.field, self._norm(x))
 
     def lift_to(self, tower):
         return UnitaryQuadraticAlgebra(tower, self.alpha.lift_to(tower))
@@ -584,114 +434,182 @@ class UnitaryQuadraticAlgebra(Algebra):
 
     def value_to_json(self, value):
         j = self.field._value_to_json
-        lvl = self.field.depth - 1
-        return {"u": j(lvl, value[0]), "v": j(lvl, value[1])}
+        return {"u": j(self._lvl, value[0]), "v": j(self._lvl, value[1])}
 
     def value_from_json(self, doc):
         if not isinstance(doc, dict) or set(doc) != {"u", "v"}:
             raise MismatchError("quadratic-extension element takes keys 'u', 'v'")
         f = self.field._value_from_json
-        lvl = self.field.depth - 1
-        return (f(lvl, doc["u"]), f(lvl, doc["v"]))
+        return (f(self._lvl, doc["u"]), f(self._lvl, doc["v"]))
 
     def describe(self):
         return f"({self.field.describe()}(sqrt({self.alpha})), conj)"
 
 
-class QuaternionAlgebra(Algebra):
+class _QuaternionCore(Algebra):
+    """The quaternion algebra (a, b) with a, b in F over a coefficient
+    algebra ``centre``: (F, id) for ``quaternion`` and (F(sqrt(alpha)),
+    conj) for ``unitary_quaternion``.  A value is the 4-tuple of centre
+    values on the basis 1, i, j, k, where i^2 = a, j^2 = b, ij = -ji = k;
+    i and j commute with the centre.  The involution is quaternion
+    conjugation followed by the centre's involution on each coordinate,
+    then, for an orthogonal involution Int(u) o gamma, the matrix
+    ``_int_u`` of Int(u) on the basis."""
+
+    _int_u = None
+
+    def __init__(self, centre: Algebra, a, b):
+        self.centre = centre
+        self.field = field = centre.field
+        self.a = field.coerce(a)
+        self.b = field.coerce(b)
+        if self.a.is_zero() or self.b.is_zero():
+            raise MismatchError("quaternion parameters must be nonzero")
+        self.dim = 4 * centre.dim
+        pad = [field.zero()] * (centre.dim - 1)
+        self._a = centre.from_coords([self.a, *pad])
+        self._b = centre.from_coords([self.b, *pad])
+        self._ab = centre.mul(self._a, self._b)
+
+    def one(self):
+        z = self.centre.zero()
+        return (self.centre.one(), z, z, z)
+
+    def zero(self):
+        z = self.centre.zero()
+        return (z, z, z, z)
+
+    def add(self, x, y):
+        add = self.centre.add
+        return tuple(add(p, q) for p, q in zip(x, y))
+
+    def neg(self, x):
+        neg = self.centre.neg
+        return tuple(neg(p) for p in x)
+
+    def mul(self, x, y):
+        C = self.centre
+        add, sub, mul = C.add, C.sub, C.mul
+        a, b = self._a, self._b
+        x0, x1, x2, x3 = x
+        y0, y1, y2, y3 = y
+        return (
+            add(
+                add(mul(x0, y0), mul(a, mul(x1, y1))),
+                sub(mul(b, mul(x2, y2)), mul(self._ab, mul(x3, y3))),
+            ),
+            add(add(mul(x0, y1), mul(x1, y0)), mul(b, sub(mul(x3, y2), mul(x2, y3)))),
+            add(add(mul(x0, y2), mul(x2, y0)), mul(a, sub(mul(x1, y3), mul(x3, y1)))),
+            add(add(mul(x0, y3), mul(x3, y0)), sub(mul(x1, y2), mul(x2, y1))),
+        )
+
+    def _conj(self, x):
+        neg = self.centre.neg
+        return (x[0], neg(x[1]), neg(x[2]), neg(x[3]))
+
+    def _nrd(self, x):
+        """The reduced norm as a centre value."""
+        C = self.centre
+        sub, mul = C.sub, C.mul
+        x0, x1, x2, x3 = x
+        return C.add(
+            sub(mul(x0, x0), mul(self._a, mul(x1, x1))),
+            sub(mul(self._ab, mul(x3, x3)), mul(self._b, mul(x2, x2))),
+        )
+
+    def involution(self, x):
+        C = self.centre
+        g = tuple(C.involution(c) for c in self._conj(x))
+        if self._int_u is None:
+            return g
+        return tuple(
+            reduce(C.add, [C.mul(t, g[col]) for col, t in row]) for row in self._int_u
+        )
+
+    def inverse(self, x):
+        if self.is_zero(x):
+            raise ZeroDivisionError("inverse of zero")
+        C = self.centre
+        n = self._nrd(x)
+        if C.is_zero(n):
+            raise ZeroDivisorFound(self, x)
+        ninv = C.inverse(n)
+        return tuple(C.mul(c, ninv) for c in self._conj(x))
+
+    def is_zero(self, x):
+        is_zero = self.centre.is_zero
+        return all(is_zero(c) for c in x)
+
+    def scalar_mul(self, c, x):
+        scalar_mul = self.centre.scalar_mul
+        return tuple(scalar_mul(c, p) for p in x)
+
+    def coords(self, x):
+        return [e for c in x for e in self.centre.coords(c)]
+
+    def from_coords(self, coords):
+        d = self.centre.dim
+        return tuple(
+            self.centre.from_coords(coords[d * i : d * i + d]) for i in range(4)
+        )
+
+    def reduced_trace(self, x):
+        """Trd, composed with the centre's trace down to F."""
+        return self.centre.reduced_trace(self.centre.add(x[0], x[0]))
+
+    def reduced_norm(self, x):
+        """Nrd, composed with the centre's norm down to F."""
+        return self.centre.reduced_norm(self._nrd(x))
+
+    def value_to_json(self, value):
+        return [self.centre.value_to_json(c) for c in value]
+
+    def value_from_json(self, doc):
+        if not isinstance(doc, list) or len(doc) != 4:
+            raise MismatchError(
+                "quaternion element is a list of 4 centre coordinates"
+            )
+        return tuple(self.centre.value_from_json(c) for c in doc)
+
+
+class QuaternionAlgebra(_QuaternionCore):
     """((a, b)_F, gamma) or ((a, b)_F, Int(u) o gamma) for pure invertible u."""
 
     kind = "quaternion"
 
     def __init__(self, field: FieldTower, a, b, involution="conjugation", u=None):
-        self.field = field
-        self.a = field.coerce(a)
-        self.b = field.coerce(b)
-        if self.a.is_zero() or self.b.is_zero():
-            raise MismatchError("quaternion parameters must be nonzero")
+        super().__init__(FieldAlgebra(field), a, b)
         if involution not in ("conjugation", "orthogonal"):
             raise MismatchError("involution must be conjugation or orthogonal")
         self.involution_type = involution
-        self.dim = 4
-        self._s = _TowerScalars(field)
-        if involution == "orthogonal":
-            if u is None:
-                raise MismatchError("orthogonal involution needs a pure quaternion u")
-            uval = tuple(field.coerce(c).value for c in u)
-            if len(uval) != 4 or not self._s.is_zero(uval[0]):
-                raise MismatchError("u must be a pure quaternion (zero scalar part)")
-            n = _quat_nrd(self._s, self.a.value, self.b.value, uval)
-            if self._s.is_zero(n):
-                raise MismatchError("u must be invertible (nonzero reduced norm)")
-            self.u = uval
-            # u pure and invertible: u^-1 = -u / Nrd(u)
-            ninv = self._s.inv(n)
-            self._u_inv = tuple(
-                self._s.neg(self._s.mul(c, ninv)) for c in uval
-            )
-        else:
+        self.u = None
+        if involution == "conjugation":
             if u is not None:
                 raise MismatchError("conjugation takes no twisting element")
-            self.u = None
-            self._u_inv = None
-
-    def one(self):
-        s = self._s
-        return (s.one(), s.zero(), s.zero(), s.zero())
-
-    def zero(self):
-        z = self._s.zero()
-        return (z, z, z, z)
-
-    def add(self, x, y):
-        s = self._s
-        return tuple(s.add(p, q) for p, q in zip(x, y))
-
-    def neg(self, x):
-        s = self._s
-        return tuple(s.neg(p) for p in x)
-
-    def mul(self, x, y):
-        return _quat_mul(self._s, self.a.value, self.b.value, x, y)
-
-    def involution(self, x):
-        g = _quat_conj(self._s, x)
-        if self.involution_type == "conjugation":
-            return g
-        return self.mul(self.u, self.mul(g, self._u_inv))
-
-    def conjugation(self, x):
-        return _quat_conj(self._s, x)
-
-    def inverse(self, x):
-        if self.is_zero(x):
-            raise ZeroDivisionError("inverse of zero")
-        n = _quat_nrd(self._s, self.a.value, self.b.value, x)
-        if self._s.is_zero(n):
-            raise ZeroDivisorFound(self, x)
-        ninv = self._s.inv(n)
-        g = _quat_conj(self._s, x)
-        return tuple(self._s.mul(c, ninv) for c in g)
-
-    def is_zero(self, x):
-        return all(self._s.is_zero(c) for c in x)
-
-    def scalar_mul(self, c, x):
-        return tuple(self._s.mul(c.value, p) for p in x)
-
-    def coords(self, x):
-        return [FieldElement(self.field, c) for c in x]
-
-    def from_coords(self, coords):
-        return tuple(c.value for c in coords)
-
-    def reduced_trace(self, x):
-        return FieldElement(self.field, self._s.add(x[0], x[0]))
-
-    def reduced_norm(self, x):
-        return FieldElement(
-            self.field, _quat_nrd(self._s, self.a.value, self.b.value, x)
-        )
+            return
+        if u is None:
+            raise MismatchError("orthogonal involution needs a pure quaternion u")
+        C = self.centre
+        u = tuple(field.coerce(c).value for c in u)
+        if len(u) != 4 or not C.is_zero(u[0]):
+            raise MismatchError("u must be a pure quaternion (zero scalar part)")
+        # w_r = B(u, e_r) for the polar form B of v -> v^2 on pure
+        # quaternions, and u^2 = B(u, u) = -Nrd(u)
+        w = [C.mul(self._a, u[1]), C.mul(self._b, u[2]), C.neg(C.mul(self._ab, u[3]))]
+        usq = reduce(C.add, map(C.mul, w, u[1:]))
+        if C.is_zero(usq):
+            raise MismatchError("u must be invertible (nonzero reduced norm)")
+        self.u = u
+        # Int(u) fixes 1 and maps a pure v to (2 B(u, v) / u^2) u - v; keep
+        # the nonzero entries of its matrix on 1, i, j, k by row
+        inv = C.inverse(usq)
+        c = [C.mul(C.add(inv, inv), wr) for wr in w]
+        rows = [((0, C.one()),)]
+        for s in (1, 2, 3):
+            row = [C.mul(u[s], cr) for cr in c]
+            row[s - 1] = C.add(row[s - 1], C.neg(C.one()))
+            rows.append(tuple((r, t) for r, t in enumerate(row, 1) if not C.is_zero(t)))
+        self._int_u = tuple(rows)
 
     def lift_to(self, tower):
         u = None
@@ -708,9 +626,7 @@ class QuaternionAlgebra(Algebra):
     def to_json(self):
         inv: dict = {"type": self.involution_type}
         if self.u is not None:
-            inv["u"] = [
-                self.field._value_to_json(self.field.depth - 1, c) for c in self.u
-            ]
+            inv["u"] = self.value_to_json(self.u)
         return {
             "kind": "quaternion",
             "field": self.field.to_json(),
@@ -719,22 +635,12 @@ class QuaternionAlgebra(Algebra):
             "involution": inv,
         }
 
-    def value_to_json(self, value):
-        lvl = self.field.depth - 1
-        return [self.field._value_to_json(lvl, c) for c in value]
-
-    def value_from_json(self, doc):
-        if not isinstance(doc, list) or len(doc) != 4:
-            raise MismatchError("quaternion element is a list of 4 coordinates")
-        lvl = self.field.depth - 1
-        return tuple(self.field._value_from_json(lvl, c) for c in doc)
-
     def describe(self):
         inv = "conj" if self.involution_type == "conjugation" else "Int(u)conj"
         return f"(({self.a}, {self.b})_{self.field.describe()}, {inv})"
 
 
-class UnitaryQuaternionAlgebra(Algebra):
+class UnitaryQuaternionAlgebra(_QuaternionCore):
     """((a, b) over F(sqrt(alpha)), quaternion conjugation tensor conj).
 
     a and b stay in F, which keeps the involution of the second kind and
@@ -744,84 +650,8 @@ class UnitaryQuaternionAlgebra(Algebra):
     kind = "unitary_quaternion"
 
     def __init__(self, field: FieldTower, a, b, alpha):
-        self.field = field
-        self.a = field.coerce(a)
-        self.b = field.coerce(b)
-        alpha = field.coerce(alpha)
-        if self.a.is_zero() or self.b.is_zero():
-            raise MismatchError("quaternion parameters must be nonzero")
-        if alpha.is_zero() or alpha.is_square():
-            raise MismatchError("alpha must be a nonzero non-square")
-        self.alpha = alpha
-        self.dim = 8
-        self._s = _QuadExtScalars(field, alpha.value)
-        self._a = self._s.from_base(self.a.value)
-        self._b = self._s.from_base(self.b.value)
-
-    def one(self):
-        s = self._s
-        return (s.one(), s.zero(), s.zero(), s.zero())
-
-    def zero(self):
-        z = self._s.zero()
-        return (z, z, z, z)
-
-    def add(self, x, y):
-        s = self._s
-        return tuple(s.add(p, q) for p, q in zip(x, y))
-
-    def neg(self, x):
-        s = self._s
-        return tuple(s.neg(p) for p in x)
-
-    def mul(self, x, y):
-        return _quat_mul(self._s, self._a, self._b, x, y)
-
-    def involution(self, x):
-        g = _quat_conj(self._s, x)
-        return tuple(self._s.conj(c) for c in g)
-
-    def inverse(self, x):
-        if self.is_zero(x):
-            raise ZeroDivisionError("inverse of zero")
-        n = _quat_nrd(self._s, self._a, self._b, x)
-        if self._s.is_zero(n):
-            raise ZeroDivisorFound(self, x)
-        ninv = self._s.inv(n)
-        g = _quat_conj(self._s, x)
-        return tuple(self._s.mul(c, ninv) for c in g)
-
-    def is_zero(self, x):
-        return all(self._s.is_zero(c) for c in x)
-
-    def scalar_mul(self, c, x):
-        cc = self._s.from_base(c.value)
-        return tuple(self._s.mul(cc, p) for p in x)
-
-    def coords(self, x):
-        out = []
-        for c in x:
-            out.append(FieldElement(self.field, c[0]))
-            out.append(FieldElement(self.field, c[1]))
-        return out
-
-    def from_coords(self, coords):
-        return tuple(
-            (coords[2 * i].value, coords[2 * i + 1].value) for i in range(4)
-        )
-
-    def centre_nrd(self, x):
-        """Reduced norm over the centre F(sqrt(alpha)), as a pair."""
-        return _quat_nrd(self._s, self._a, self._b, x)
-
-    def reduced_trace(self, x):
-        """Trace composed down to the base field: Tr_{Z/F}(Trd)."""
-        t = self._s.trace(self._s.add(x[0], x[0]))
-        return FieldElement(self.field, t)
-
-    def reduced_norm(self, x):
-        """Norm composed down to the base field: N_{Z/F}(Nrd)."""
-        return FieldElement(self.field, self._s.norm(self.centre_nrd(x)))
+        super().__init__(UnitaryQuadraticAlgebra(field, alpha), a, b)
+        self.alpha = self.centre.alpha
 
     def lift_to(self, tower):
         return UnitaryQuaternionAlgebra(
@@ -839,23 +669,6 @@ class UnitaryQuaternionAlgebra(Algebra):
             "b": self.b.to_json(),
             "alpha": self.alpha.to_json(),
         }
-
-    def value_to_json(self, value):
-        lvl = self.field.depth - 1
-        j = self.field._value_to_json
-        return [{"u": j(lvl, c[0]), "v": j(lvl, c[1])} for c in value]
-
-    def value_from_json(self, doc):
-        if not isinstance(doc, list) or len(doc) != 4:
-            raise MismatchError("element is a list of 4 centre coordinates")
-        lvl = self.field.depth - 1
-        f = self.field._value_from_json
-        out = []
-        for c in doc:
-            if not isinstance(c, dict) or set(c) != {"u", "v"}:
-                raise MismatchError("centre coordinates take keys 'u', 'v'")
-            out.append((f(lvl, c["u"]), f(lvl, c["v"])))
-        return tuple(out)
 
     def describe(self):
         return (
@@ -1200,7 +1013,7 @@ class AlgebraElement:
         )
 
     def __hash__(self):
-        return hash((self.algebra, str(self.algebra.value_to_json(self.value))))
+        return hash((self.algebra, self.value))
 
     def __repr__(self):
         return f"AlgebraElement({self.algebra.value_to_json(self.value)})"
@@ -1575,8 +1388,8 @@ def _twisted_algebra(A: Algebra, u: AlgebraElement) -> Algebra:
         else:
             c = uinv * A.elem(A.u)
         cval = c.value
-        pure = A._s.is_zero(cval[0])
-        scalar = all(A._s.is_zero(cc) for cc in cval[1:])
+        pure = A.centre.is_zero(cval[0])
+        scalar = all(A.centre.is_zero(cc) for cc in cval[1:])
         if scalar:
             return QuaternionAlgebra(A.field, A.a, A.b, "conjugation")
         if pure:

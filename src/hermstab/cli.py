@@ -17,7 +17,12 @@ import sys
 
 from .algebras import HermitianForm, algebra_from_json
 from .fields import FieldTower, InvariantViolation, MismatchError, Ordering, TowerError
-from .quadratic import QuadraticForm, knebusch_check, scharlau_transfer
+from .quadratic import (
+    QuadraticForm,
+    SingularFormError,
+    knebusch_check,
+    scharlau_transfer,
+)
 from .signatures import (
     ReferenceForm,
     SearchExhausted,
@@ -442,14 +447,16 @@ def main(argv=None) -> int:
         TowerError,
         MismatchError,
         PreconditionNil,
-        ValueError,
+        SingularFormError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 4
-    return 0
+    except Exception as exc:  # a bug, not bad input: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -47,7 +47,9 @@ class TowerError(ValueError):
 
 
 class MismatchError(ValueError):
-    """Raised when an element and an ordering belong to different fields."""
+    """Raised on a caller's error: objects from different fields or
+    algebras, a malformed document, or a value outside an operation's
+    domain.  The CLI reports it with exit code 2."""
 
 
 class InvariantViolation(RuntimeError):
@@ -270,7 +272,7 @@ class FieldTower:
         if level is None:
             level = self.depth - 1
         if level <= 0 or level >= self.depth:
-            raise ValueError("no generator at this level")
+            raise MismatchError("no generator at this level")
         step = self.steps[level]
         lower_zero = self._zeros[level - 1]
         lower_one = self._ones[level - 1]
@@ -631,7 +633,7 @@ class FieldTower:
 
     def _is_square(self, level, x) -> bool:
         if self._is_zero(level, x):
-            raise ValueError("squareness of zero is not defined here")
+            raise MismatchError("squareness of zero is not defined here")
         if level == 0:
             return _frac_sqrt(x) is not None
         if self.steps[level][0] == "qext":
@@ -910,7 +912,7 @@ class FieldElement:
 
     def is_square(self) -> bool:
         if self.is_zero():
-            raise ValueError("squareness of zero is not defined here")
+            raise MismatchError("squareness of zero is not defined here")
         return self.tower._is_square(self._level(), self.value)
 
     def sqrt(self) -> FieldElement | None:
@@ -1051,5 +1053,5 @@ def harrison_set(a: FieldElement, field: FieldTower | None = None) -> set[Orderi
         field = a.tower
     a = field.coerce(a)
     if a.is_zero():
-        raise ValueError("the positivity set of zero is not defined")
+        raise MismatchError("the positivity set of zero is not defined")
     return {P for P in field.orderings() if a.sign_at(P) > 0}

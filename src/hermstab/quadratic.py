@@ -307,12 +307,12 @@ def hilbert_symbol(a, b, place) -> int:
     a = _as_fraction(a)
     b = _as_fraction(b)
     if a == 0 or b == 0:
-        raise ValueError("Hilbert symbol needs nonzero arguments")
+        raise MismatchError("Hilbert symbol needs nonzero arguments")
     if place == INF or place == "inf":
         return -1 if a < 0 and b < 0 else 1
     p = int(place)
     if p < 2 or any(p % q == 0 for q in range(2, min(p, int(math.isqrt(p)) + 1))):
-        raise ValueError(f"place must be a prime or infinity, got {place!r}")
+        raise MismatchError(f"place must be a prime or infinity, got {place!r}")
     if p == 2:
         alpha = _vp(a, 2) % 2
         beta = _vp(b, 2) % 2
@@ -415,7 +415,7 @@ def is_division_quaternion(a: FieldElement, b: FieldElement, field: FieldTower) 
     a = field.coerce(a)
     b = field.coerce(b)
     if a.is_zero() or b.is_zero():
-        raise ValueError("quaternion parameters must be nonzero")
+        raise MismatchError("quaternion parameters must be nonzero")
     if field.depth == 1:
         for place in relevant_places([a.value, b.value]):
             if hilbert_symbol(a.value, b.value, place) == -1:

@@ -17,7 +17,7 @@ from .algebras import (
     diagonalize_hermitian,
     morita_flatten,
 )
-from .fields import FieldTower, MismatchError, Ordering
+from .fields import FieldTower, InvariantViolation, MismatchError, Ordering
 from .quadratic import QuadraticForm, SignatureVector, pfister
 from .splitting import find_certificate, transport_form
 
@@ -144,7 +144,7 @@ def raw_signature(A: Algebra, h: HermitianForm, P: Ordering, budget: int = 50) -
     if lt.route == "diagonal-sum":
         diag = diagonalize_hermitian(h)
         if isinstance(diag, SplitWitness):
-            raise MismatchError(
+            raise InvariantViolation(
                 "the algebra is split where it must be division; the nil "
                 "computation and the form disagree"
             )
@@ -152,7 +152,7 @@ def raw_signature(A: Algebra, h: HermitianForm, P: Ordering, budget: int = 50) -
         for e in diag.diagonal_entries():
             coords = e.coords()
             if any(not c.is_zero() for c in coords[1:]):
-                raise MismatchError("diagonal entry escaped the fixed field")
+                raise InvariantViolation("diagonal entry escaped the fixed field")
             total += coords[0].sign_at(P)
         return total
     # split-certificate route
@@ -160,13 +160,13 @@ def raw_signature(A: Algebra, h: HermitianForm, P: Ordering, budget: int = 50) -
     transported, _ = transport_form(cert, h)
     diag = diagonalize_hermitian(transported)
     if isinstance(diag, SplitWitness):
-        raise MismatchError("transported form landed on a zero divisor")
+        raise InvariantViolation("transported form landed on a zero divisor")
     Q = cert.chosen
     total = 0
     for e in diag.diagonal_entries():
         coords = e.coords()
         if any(not c.is_zero() for c in coords[1:]):
-            raise MismatchError("transported entry escaped the target field")
+            raise InvariantViolation("transported entry escaped the target field")
         total += coords[0].sign_at(Q)
     return total
 

@@ -265,7 +265,7 @@ class _Span2:
         c2 = (a * w2 - c * w1) * dinv
         for i in range(len(w)):
             if not (self.v1[i] * c1 + self.v2[i] * c2 - w[i]).is_zero():
-                raise MismatchError("vector lies outside the ideal")
+                raise InvariantViolation("vector lies outside the ideal")
         return c1, c2
 
 
@@ -275,9 +275,8 @@ class _Span2:
 
 
 def _quat_centre_basis(A):
-    """Values of 1, i, j, k over the centre scalar domain."""
-    s = A._s
-    z, o = s.zero(), s.one()
+    """Values of 1, i, j, k over the centre."""
+    z, o = A.centre.zero(), A.centre.one()
     return [(o, z, z, z), (z, o, z, z), (z, z, o, z), (z, z, z, o)]
 
 
@@ -294,7 +293,7 @@ def _build_split_data(A_L: Algebra, centre: Algebra, witness_value, sqm: FieldEl
     w_scaled = A_L.scalar_mul(sq_inv, witness_value)
     e = A_L.scalar_mul(half, A_L.add(A_L.one(), w_scaled))
     if not A_L.equal(A_L.mul(e, e), e):
-        raise MismatchError("idempotent construction failed")
+        raise InvariantViolation("idempotent construction failed")
     basis = _quat_centre_basis(A_L)
     ideal = [A_L.mul(b, e) for b in basis]
     coords = [_centre_coords(centre, v) for v in ideal]
@@ -308,7 +307,7 @@ def _build_split_data(A_L: Algebra, centre: Algebra, witness_value, sqm: FieldEl
         except MismatchError:
             continue
     if span is None:
-        raise MismatchError("ideal is not 2-dimensional over the centre")
+        raise InvariantViolation("ideal is not 2-dimensional over the centre")
     matrices = []
     for b in basis:
         cols = [
@@ -379,14 +378,16 @@ def _solve_involution_datum(C: Algebra, matrices, flavor: str, A_L: Algebra):
                 rows.append(row)
     sols = _nullspace(rows, zero, one)
     if not sols:
-        raise MismatchError("no involution datum exists")
+        raise InvariantViolation("no involution datum exists")
     g = sols[0]
     G = ((g[0], g[1]), (g[2], g[3]))
     ct = _conj_transpose(unitary, G)
     if _mat2_eq(ct, G):
         return G
     if not unitary:
-        raise MismatchError("involution datum came out skew for an orthogonal type")
+        raise InvariantViolation(
+            "involution datum came out skew for an orthogonal type"
+        )
     # ct(G) = lambda * G with lambda of norm 1; rescale hermitian via
     # c/conj(c) = lambda, taking c = 1 + lambda (or sqrt(alpha) if lambda = -1)
     pivot = next(
@@ -395,11 +396,11 @@ def _solve_involution_datum(C: Algebra, matrices, flavor: str, A_L: Algebra):
     lam = ct[pivot[0]][pivot[1]] * G[pivot[0]][pivot[1]].inverse()
     if _mat2_eq(ct, tuple(tuple(lam * e for e in row) for row in G)):
         minus_one = C.elem(C.scalar_mul(C.field.rational(-1), C.one()))
-        c = C.elem(C._s.root()) if lam == minus_one else one + lam
+        c = C.basis()[1] if lam == minus_one else one + lam
         H = tuple(tuple(c * e for e in row) for row in G)
         if _mat2_eq(_conj_transpose(unitary, H), H):
             return H
-    raise MismatchError("involution datum cannot be normalized")
+    raise InvariantViolation("involution datum cannot be normalized")
 
 
 def _det2(G):
@@ -532,17 +533,10 @@ def _search_quaternion_split(A, P, budget, skip, unitary):
 def _emit_split_certificate(A, P, xyz, m, sqm, unitary):
     F = A.field
     x, y, z = (F.rational(t) for t in xyz)
-    if unitary:
-        s = A._s
-        root = s.root()
-        w_value = (
-            s.zero(),
-            s.mul(root, s.from_base(x.value)),
-            s.mul(root, s.from_base(y.value)),
-            s.mul(root, s.from_base(z.value)),
-        )
-    else:
-        w_value = (F.zero().value, x.value, y.value, z.value)
+    coords = [F.zero(), x, y, z]
+    if unitary:  # sqrt(alpha) * (x i + y j + z k)
+        coords = [c for t in coords for c in (F.zero(), t)]
+    w_value = A.from_coords(coords)
     witness = A.elem(w_value)
     if sqm is not None:
         L = F
@@ -727,9 +721,7 @@ def transport_form(cert: SplittingCertificate, h: HermitianForm):
         return HermitianForm(target, gram, 1), None
     if not verify_certificate(cert):
         raise MismatchError("refusing to transport along an unverified certificate")
-    A = cert.algebra
-    L = cert.extension
-    A_L = A.lift_to(L)
+    centre = cert.algebra.centre
     C = cert.centre_algebra()
     G = cert.g_datum
     k = h.rank
@@ -737,7 +729,8 @@ def transport_form(cert: SplittingCertificate, h: HermitianForm):
     big = [[zero] * (2 * k) for _ in range(2 * k)]
     for r in range(k):
         for s in range(k):
-            val = A.lift_value(h.gram[r][s], A_L)
+            # the entry's coefficients on 1, i, j, k, lifted to the centre over L
+            val = [centre.lift_value(c, C) for c in h.gram[r][s]]
             block = _mat2_mul(G, _phi(C, cert.matrices, val))
             for i in range(2):
                 for j in range(2):

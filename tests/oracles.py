@@ -3,9 +3,10 @@
 These deliberately avoid the library's own decision procedures: signs
 are checked against outward-rounded interval arithmetic on a numeric
 embedding, rational Hilbert symbols against a bounded Hensel-valid
-solution search on the associated ternary form, and tower arithmetic
+solution search on the associated ternary form, tower arithmetic
 against a slow re-implementation that canonicalises every Laurent value
-by the full strip, gcd and normalize.
+by the full strip, gcd and normalize, and quaternion arithmetic against
+the basis multiplication table applied bilinearly.
 """
 
 from __future__ import annotations
@@ -414,3 +415,117 @@ def eager_reference_scan(A, candidates, budget=50):
         if all(raws):
             return cand, {P.path: (1 if r > 0 else -1) for P, r in zip(targets, raws)}
     return None
+
+
+# ---------------------------------------------------------------------------
+# quaternion arithmetic from the basis multiplication table
+# ---------------------------------------------------------------------------
+
+# e_r * e_s = c * e_t on the basis 1, i, j, k with i^2 = a, j^2 = b,
+# ij = -ji = k; the entry is (t, c) with c a function of (a, b).
+_QUAT_TABLE = {
+    (1, 1): (0, lambda a, b: a),
+    (1, 2): (3, lambda a, b: 1),
+    (1, 3): (2, lambda a, b: a),
+    (2, 1): (3, lambda a, b: -1),
+    (2, 2): (0, lambda a, b: b),
+    (2, 3): (1, lambda a, b: -b),
+    (3, 1): (2, lambda a, b: -a),
+    (3, 2): (1, lambda a, b: b),
+    (3, 3): (0, lambda a, b: -a * b),
+}
+
+
+class QuaternionOracle:
+    """A quaternion kind of the catalogue, recomputed from the table above.
+
+    An element is a list of 4 centre elements; a centre element is a tuple
+    of base-field elements: ``(c,)`` over F, ``(u, v)`` = u + v*sqrt(alpha)
+    over a unitary centre.  Products expand bilinearly over the table, so
+    they share no code with the library's quaternion product."""
+
+    def __init__(self, A):
+        self.A = A
+        self.field = A.field
+        self.alpha = getattr(A, "alpha", None)
+        self.cdim = 1 if self.alpha is None else 2
+
+    # -- the centre ---------------------------------------------------------
+
+    def c_scalar(self, f):
+        return (f,) + (self.field.zero(),) * (self.cdim - 1)
+
+    def c_add(self, x, y):
+        return tuple(p + q for p, q in zip(x, y))
+
+    def c_mul(self, x, y):
+        if self.cdim == 1:
+            return (x[0] * y[0],)
+        return (x[0] * y[0] + self.alpha * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def c_conj(self, x):
+        return x if self.cdim == 1 else (x[0], -x[1])
+
+    def c_inverse(self, x):
+        n = self.c_mul(x, self.c_conj(x))[0]
+        return self.c_mul(self.c_conj(x), self.c_scalar(n.inverse()))
+
+    # -- quaternions --------------------------------------------------------
+
+    def from_library(self, value):
+        flat = self.A.coords(value)
+        d = self.cdim
+        return [tuple(flat[d * r : d * r + d]) for r in range(4)]
+
+    def to_library(self, q):
+        return self.A.from_coords([c for z in q for c in z])
+
+    def zero(self):
+        return [self.c_scalar(self.field.zero())] * 4
+
+    def mul(self, x, y):
+        out = self.zero()
+        a, b = self.A.a, self.A.b
+        for r in range(4):
+            for s in range(4):
+                if r == 0 or s == 0:
+                    t, c = r + s, self.field.one()
+                else:
+                    t, coef = _QUAT_TABLE[(r, s)]
+                    c = self.field.coerce(coef(a, b))
+                term = self.c_mul(self.c_mul(x[r], y[s]), self.c_scalar(c))
+                out[t] = self.c_add(out[t], term)
+        return out
+
+    def gamma(self, x):
+        """Quaternion conjugation: x0 - x1 i - x2 j - x3 k."""
+        minus = self.c_scalar(self.field.rational(-1))
+        return [x[0]] + [self.c_mul(minus, c) for c in x[1:]]
+
+    def nrd(self, x):
+        """x * gamma(x), checked to be a centre scalar."""
+        n = self.mul(x, self.gamma(x))
+        assert all(all(e.is_zero() for e in c) for c in n[1:])
+        return n[0]
+
+    def inverse(self, x):
+        ninv = self.c_inverse(self.nrd(x))
+        return [self.c_mul(c, ninv) for c in self.gamma(x)]
+
+    def involution(self, x):
+        """gamma, then the centre's involution on each coefficient; then
+        u * (that) * u^-1 for Int(u) o gamma."""
+        g = [self.c_conj(c) for c in self.gamma(x)]
+        if getattr(self.A, "u", None) is None:
+            return g
+        u = self.from_library(self.A.u)
+        return self.mul(u, self.mul(g, self.inverse(u)))
+
+    def reduced_trace(self, x):
+        """Trd = x + gamma(x) = 2 x_0, then the centre's trace down to F."""
+        t = self.c_add(x[0], x[0])
+        return self.c_add(t, self.c_conj(t))[0] if self.cdim == 2 else t[0]
+
+    def reduced_norm(self, x):
+        n = self.nrd(x)
+        return self.c_mul(n, self.c_conj(n))[0] if self.cdim == 2 else n[0]

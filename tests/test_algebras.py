@@ -24,12 +24,14 @@ from hermstab.algebras import (
 )
 from hermstab.fields import FieldTower, MismatchError
 from hermstab.quadratic import QuadraticForm
+from oracles import QuaternionOracle
 
 from corpus import (
     SamplingError,
     assert_skip_rate,
     random_algebra,
     random_element,
+    random_rational,
     random_hermitian_diagonal,
     random_sym_element,
     random_tower,
@@ -98,6 +100,96 @@ def test_involution_is_anti_automorphism():
             assert A.from_field(c).involution() == A.from_field(c)
             per_kind += 1
     assert_skip_rate(skipped, 8 * len(kinds))
+
+
+@pytest.mark.parametrize(
+    "kind", ["quaternion-conj", "quaternion-orth", "unitary_quaternion"]
+)
+def test_quaternion_kinds_match_table_oracle(kind):
+    rng = random.Random(7)
+    done = skipped = 0
+    while done < 6:
+        try:
+            A = random_algebra(rng, random_tower(rng, max_depth=2), kinds=(kind,))
+        except SamplingError:
+            skipped += 1
+            continue
+        O = QuaternionOracle(A)
+        for _ in range(5):
+            x, y = _rand_full_elem(rng, A), _rand_full_elem(rng, A)
+            ox, oy = O.from_library(x.value), O.from_library(y.value)
+            assert A.coords(A.from_coords(x.coords())) == x.coords()
+            assert O.to_library(O.mul(ox, oy)) == (x * y).value
+            assert O.to_library(O.involution(ox)) == x.involution().value
+            assert O.reduced_trace(ox) == x.reduced_trace()
+            assert O.reduced_norm(ox) == x.reduced_norm()
+            if x.reduced_norm().is_zero():
+                assert not x.is_invertible()
+            else:
+                assert O.to_library(O.inverse(ox)) == x.inverse().value
+        done += 1
+    assert_skip_rate(skipped, done)
+
+
+_EQUALITY_TOWERS = [Q, F2, LX, F2.adjoin_laurent().adjoin_laurent()]
+
+
+@pytest.mark.parametrize(
+    "field", _EQUALITY_TOWERS, ids=[F.describe() for F in _EQUALITY_TOWERS]
+)
+def test_value_equality_agrees_with_subtraction(field):
+    """Algebra.equal compares values; on canonical values that must agree
+    with the subtracting test, also when x - t cancels leading terms."""
+    rng = random.Random(11)
+    deep = field.depth > 2
+    top = field.generators()[-1] if field.steps[-1][0] == "laurent" else None
+
+    def rand(nonzero=False, simple=True):
+        return random_element(rng, field, height=4, nonzero=nonzero, simple=simple)
+
+    def near(c):
+        # c plus a term of higher order (or another value when there is no
+        # Laurent level), so that c - near(c) cancels c's leading terms
+        roll = rng.random()
+        if roll < 0.3:
+            return c
+        e = field.rational(random_rational(rng, 5))
+        if top is not None and roll < 0.8:
+            e = e * top * top * top
+        return c + e
+
+    a, b = rand(nonzero=True), rand(nonzero=True)
+    u = [0, 1, 1, 0] if not (a + b).is_zero() else [0, 1, 0, 0]
+    H = QuaternionAlgebra(field, a, b)
+    algebras = [
+        FieldAlgebra(field),
+        ExchangeAlgebra(field),
+        UnitaryQuadraticAlgebra(field, -3),
+        H,
+        QuaternionAlgebra(field, a, b, "orthogonal", u),
+        UnitaryQuaternionAlgebra(field, a, b, -1),
+        MatrixAlgebra(2, FieldAlgebra(field)),
+        MatrixAlgebra(2, H),
+    ]
+    for A in algebras:
+        zero = A.elem(A.zero())
+        for _ in range(6):
+            # denominators only where products stay cheap (Laurent gcds of
+            # dense rational functions grow fast): commutative kinds below
+            # depth 3; quaternion values are tuples of the same field values
+            simple = deep or A.dim > 2
+            x = A.elem(A.from_coords([rand(simple=simple) for _ in range(A.dim)]))
+            t = A.elem(A.from_coords([near(c) for c in x.coords()]))
+            d = x - t
+            pairs = [(x, t), (t + d, x), (d, zero), (x - x, zero), (x * t, t * x)]
+            if not simple and t.is_invertible():
+                pairs.append(((x * t) * t.inverse(), x))
+            for p, q in pairs:
+                same = p.value == q.value
+                assert same == A.is_zero(A.sub(p.value, q.value)), (A, p, q)
+                assert (p == q) == same
+                if same:
+                    assert hash(p) == hash(q)
 
 
 def test_matrix_involution_properties():

@@ -199,6 +199,62 @@ def test_failed_emitted_certificate_exit_code(monkeypatch):
     assert "Traceback" not in err
 
 
+def _split_witness_of_zero(h):
+    from hermstab.algebras import SplitWitness
+
+    return SplitWitness(h.algebra, h.algebra.elem(h.algebra.zero()))
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, argv, message",
+    [
+        (
+            "signatures",
+            "diagonalize_hermitian",
+            _split_witness_of_zero,
+            ("signature", "--algebra", HAM, "--form", '{"diag":[["1","0","0","0"]]}'),
+            "split where it must be division",
+        ),
+        (
+            "splitting",
+            "_nullspace",
+            lambda rows, zero, one: [],
+            ("split-cert", "--algebra", ORTH_X, "--ordering", "0"),
+            "no involution datum exists",
+        ),
+    ],
+    ids=["diagonal-route", "involution-datum"],
+)
+def test_internal_consistency_failures_exit_4(
+    monkeypatch, module, name, fake, argv, message
+):
+    import importlib
+
+    import hermstab.splitting as splitting
+
+    monkeypatch.setattr(importlib.import_module("hermstab." + module), name, fake)
+    splitting.clear_certificate_cache()
+    code, out, err = run_cli(*argv)
+    assert code == 4, err
+    assert out == "" and err.startswith("internal invariant violation:")
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [ValueError, KeyError, ZeroDivisionError, TypeError])
+def test_unexpected_exceptions_exit_4_in_one_line(monkeypatch, exc):
+    import hermstab.cli as cli
+
+    def broken(*args):
+        raise exc("injected bug")
+
+    monkeypatch.setattr(cli, "nil_set", broken)
+    code, out, err = run_cli("nil", "--algebra", HAM)
+    assert code == 4
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("internal error: " + exc.__name__)
+    assert "injected bug" in err and "Traceback" not in err
+
+
 def test_transfer_check_command():
     form = '{"field":' + F2_FIELD + ',"diag":[{"u":"0","v":"1"}]}'
     code, out, _ = run_cli("transfer-check", "--form", form)
@@ -339,6 +395,16 @@ def test_probes_file(tmp_path):
 
 _M2_HAM = '{"kind":"matrix","n":2,"inner":' + HAM + ',"g":G}'
 FQ = '{"kind":"field_id","field":' + Q_FIELD + "}"
+_HAM_F2 = HAM.replace(Q_FIELD, F2_FIELD)
+_UQUAT = (
+    '{"kind":"unitary_quaternion","field":' + Q_FIELD + ',"a":"-1","b":"-1",'
+    '"alpha":"-1"}'
+)
+_Z = '{"u":"0","v":"0"}'
+
+
+def _diag(algebra, entry):
+    return ("signature", "--algebra", algebra, "--form", '{"diag":[%s]}' % entry)
 
 
 @pytest.mark.parametrize(
@@ -353,9 +419,25 @@ FQ = '{"kind":"field_id","field":' + Q_FIELD + "}"
         ("signature", "--algebra", FQ, "--form", '{"gram":["1"]}'),
         ("signature", "--algebra", HAM, "--form", '{"epsilon":null,"diag":[]}'),
         ("transfer-check", "--form", '{"field":' + F2_FIELD + ',"diag":-1}'),
+        # quaternion elements, with coordinates in Q(sqrt 2) or in Q(sqrt -1)
+        _diag(_HAM_F2, '["1","0","0"]'),
+        _diag(_HAM_F2, '{"u":"1","v":"0"}'),
+        _diag(_HAM_F2, '[{"u":"1","v":"0","w":"0"},"0","0","0"]'),
+        _diag(_HAM_F2, '[{"u":"1"},"0","0","0"]'),
+        _diag(_HAM_F2, '"1"'),
+        _diag(_UQUAT, "[%s,%s,%s]" % (_Z, _Z, _Z)),
+        _diag(_UQUAT, '{"u":"1","v":"0"}'),
+        _diag(_UQUAT, '[{"u":"1","v":"0","w":"0"},%s,%s,%s]' % (_Z, _Z, _Z)),
+        _diag(_UQUAT, '[{"u":"1"},%s,%s,%s]' % (_Z, _Z, _Z)),
+        _diag(_UQUAT, '["1",%s,%s,%s]' % (_Z, _Z, _Z)),
     ],
     ids=["tower-float", "tower-empty", "u-null", "g-int", "g-zero", "diag-bool",
-         "gram-row-string", "epsilon-null", "quadratic-diag-int"],
+         "gram-row-string", "epsilon-null", "quadratic-diag-int"]
+    + [
+        f"{kind}-{case}"
+        for kind in ("quaternion", "unitary_quaternion")
+        for case in ("length-3", "non-list", "uv-extra-key", "uv-missing-key", "scalar")
+    ],
 )
 def test_wrongly_typed_json_values_exit_2(argv):
     code, out, err = run_cli(*argv)
