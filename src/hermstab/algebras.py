@@ -152,11 +152,6 @@ class Algebra:
     def sub(self, x, y):
         return self.add(x, self.neg(y))
 
-    def equal(self, x, y) -> bool:
-        """Values are canonical (see ``iter_reference_candidates``), so
-        equal elements have equal values."""
-        return x == y
-
     def lift_to(self, tower: FieldTower) -> Algebra:
         raise NotImplementedError
 
@@ -696,7 +691,7 @@ class MatrixAlgebra(Algebra):
         gv = []
         for gi in g:
             v = gi.value if isinstance(gi, AlgebraElement) else gi
-            if not inner.equal(inner.involution(v), v):
+            if inner.involution(v) != v:
                 raise MismatchError("scaling entries must be fixed by the involution")
             if not inner.elem(v).is_invertible():
                 raise MismatchError("scaling entries must be invertible")
@@ -1008,9 +1003,8 @@ class AlgebraElement:
                 other = self._coerced(other)
             except (TypeError, MismatchError):
                 return NotImplemented
-        return self.algebra == other.algebra and self.algebra.equal(
-            self.value, other.value
-        )
+        # values are canonical (see ``iter_reference_candidates``)
+        return self.algebra == other.algebra and self.value == other.value
 
     def __hash__(self):
         return hash((self.algebra, self.value))
@@ -1046,45 +1040,48 @@ def reduced_norm(A: Algebra, z: AlgebraElement) -> FieldElement:
     return z.reduced_norm()
 
 
+def _nullspace(rows, zero, one):
+    """Right-nullspace basis of a matrix of commutative invertible-capable
+    elements, deterministic pivoting, free variables in column order."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next(
+            (i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None
+        )
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [zero] * ncols
+        vec[fc] = one
+        for rr, pc in enumerate(pivots):
+            vec[pc] = zero - rows[rr][fc]
+        basis.append(vec)
+    return basis
+
+
 def sym_basis(A: Algebra) -> list[AlgebraElement]:
     """A base-field basis of the symmetric elements of (A, sigma).
 
     Computed as the kernel of sigma - id on the algebra, with pivots in
     basis order, so simple kinds return their canonical bases.
     """
-    field = A.field
-    basis = A.basis_values()
-    dim = A.dim
-    cols = []
-    for v in basis:
-        w = A.sub(A.involution(v), v)
-        cols.append(A.coords(w))
-    # row-reduce the dim x dim system M c = 0 (columns indexed by basis)
-    rows = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-    pivots = []
-    r = 0
-    for c in range(dim):
-        piv = next((i for i in range(r, dim) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(dim):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(dim) if c not in pivots]
-    out = []
-    for fcol in free:
-        coords = [field.zero()] * dim
-        coords[fcol] = field.one()
-        for rr, pc in enumerate(pivots):
-            coords[pc] = -rows[rr][fcol]
-        out.append(A.elem(A.from_coords(coords)))
-    return out
+    cols = [A.coords(A.sub(A.involution(v), v)) for v in A.basis_values()]
+    kernel = _nullspace(zip(*cols), A.field.zero(), A.field.one())
+    return [A.elem(A.from_coords(coords)) for coords in kernel]
 
 
 class HermitianForm:
@@ -1116,7 +1113,7 @@ class HermitianForm:
                 rhs = self.gram[i][j]
                 if epsilon == -1:
                     rhs = algebra.neg(rhs)
-                if not algebra.equal(algebra.involution(self.gram[j][i]), rhs):
+                if algebra.involution(self.gram[j][i]) != rhs:
                     raise MismatchError("Gram matrix is not epsilon-hermitian")
 
     @staticmethod
@@ -1222,12 +1219,7 @@ class HermitianForm:
             isinstance(other, HermitianForm)
             and self.algebra == other.algebra
             and self.epsilon == other.epsilon
-            and self.rank == other.rank
-            and all(
-                self.algebra.equal(self.gram[i][j], other.gram[i][j])
-                for i in range(self.rank)
-                for j in range(self.rank)
-            )
+            and self.gram == other.gram
         )
 
     def __repr__(self):
@@ -1405,7 +1397,7 @@ def _twisted_algebra(A: Algebra, u: AlgebraElement) -> Algebra:
 
 def _central(A: Algebra, value) -> bool:
     for b in A.basis_values():
-        if not A.equal(A.mul(value, b), A.mul(b, value)):
+        if A.mul(value, b) != A.mul(b, value):
             return False
     return True
 

@@ -29,6 +29,7 @@ from .signatures import (
     local_type,
     nil_set,
     reference_search,
+    reference_signs,
     total_signature,
 )
 from .splitting import BudgetExhausted, PreconditionNil, find_certificate
@@ -137,36 +138,30 @@ def cmd_nil(args) -> int:
     return 0
 
 
+def _parse_form(text: str, A) -> HermitianForm:
+    """A ``--form`` or ``--reference`` document over ``A``; a document
+    without an ``algebra`` is read over ``A`` with ``epsilon`` 1 unless it
+    says otherwise."""
+    doc = _load_doc(text)
+    if isinstance(doc, dict) and "algebra" not in doc:
+        doc = {**doc, "algebra": A.to_json()}
+        doc.setdefault("epsilon", 1)
+    return HermitianForm.from_json(doc)
+
+
 def cmd_signature(args) -> int:
     A = _parse_algebra(args.algebra, args.max_depth)
-    form_doc = _load_doc(args.form)
-    if isinstance(form_doc, dict) and "algebra" not in form_doc:
-        form_doc = dict(form_doc)
-        form_doc["algebra"] = A.to_json()
-        form_doc.setdefault("epsilon", 1)
-    h = HermitianForm.from_json(form_doc)
+    h = _parse_form(args.form, A)
     if h.algebra != A:
         raise ValidationFailure("form document does not match --algebra")
     if args.reference:
-        ref_doc = _load_doc(args.reference)
-        if isinstance(ref_doc, dict) and "algebra" not in ref_doc:
-            ref_doc = dict(ref_doc)
-            ref_doc["algebra"] = A.to_json()
-            ref_doc.setdefault("epsilon", 1)
-        ref_form = HermitianForm.from_json(ref_doc)
-        from .signatures import raw_signature
-
-        deltas = {}
-        for P in A.field.orderings():
-            if P in nil_set(A):
-                continue
-            r = raw_signature(A, ref_form, P, args.budget)
-            if r == 0:
-                raise ValidationFailure(
-                    "provided reference has zero signature at " + P.name()
-                )
-            deltas[P.path] = 1 if r > 0 else -1
-        ref = ReferenceForm(A, ref_form, deltas)
+        ref_form = _parse_form(args.reference, A)
+        signs = reference_signs(A, ref_form, args.budget)
+        if isinstance(signs, Ordering):
+            raise ValidationFailure(
+                "provided reference has zero signature at " + signs.name()
+            )
+        ref = ReferenceForm(A, ref_form, signs)
     else:
         ref = reference_search(A, args.budget)
     vec = total_signature(A, h, ref, args.budget)

@@ -383,14 +383,8 @@ class FieldTower:
         if self._is_zero(level, x):
             raise ZeroDivisionError("inverse of zero field element")
         if self.steps[level][0] == "qext":
-            d = self.steps[level][1]
             u, v = x
-            n = self._sub(
-                level - 1,
-                self._mul(level - 1, u, u),
-                self._mul(level - 1, d, self._mul(level - 1, v, v)),
-            )
-            ninv = self._inv(level - 1, n)
+            ninv = self._inv(level - 1, self._qext_norm(level, u, v))
             return (
                 self._mul(level - 1, u, ninv),
                 self._neg(level - 1, self._mul(level - 1, v, ninv)),
@@ -401,6 +395,15 @@ class FieldTower:
 
     def _div(self, level, x, y):
         return self._mul(level, x, self._inv(level, y))
+
+    def _qext_norm(self, level, u, v):
+        """u^2 - d v^2, one level down: the norm of u + v sqrt(d) at the
+        square-root level ``level``."""
+        lower = level - 1
+        d = self.steps[level][1]
+        return self._sub(
+            lower, self._mul(lower, u, u), self._mul(lower, d, self._mul(lower, v, v))
+        )
 
     # -- dense polynomial helpers (coefficients live one level down) ---------
 
@@ -413,9 +416,7 @@ class FieldTower:
             a = p[i] if i < len(p) else zero
             b = q[i] if i < len(q) else zero
             out.append(self._add(lower, a, b))
-        while out and self._is_zero(lower, out[-1]):
-            out.pop()
-        return tuple(out)
+        return self._p_trim_level(level, out)
 
     def _p_mul(self, level, p, q):
         lower = level - 1
@@ -428,9 +429,7 @@ class FieldTower:
                 continue
             for j, b in enumerate(q):
                 out[i + j] = self._add(lower, out[i + j], self._mul(lower, a, b))
-        while out and self._is_zero(lower, out[-1]):
-            out.pop()
-        return tuple(out)
+        return self._p_trim_level(level, out)
 
     def _p_scale(self, level, p, c):
         lower = level - 1
@@ -458,11 +457,7 @@ class FieldTower:
             quo[i] = c
             for j, b in enumerate(q):
                 rem[i + j] = self._sub(lower, rem[i + j], self._mul(lower, c, b))
-        while rem and self._is_zero(lower, rem[-1]):
-            rem.pop()
-        while quo and self._is_zero(lower, quo[-1]):
-            quo.pop()
-        return tuple(quo), tuple(rem)
+        return self._p_trim_level(level, quo), self._p_trim_level(level, rem)
 
     def _p_gcd(self, level, p, q):
         lower = level - 1
@@ -536,13 +531,7 @@ class FieldTower:
                 return sv
             if sv == 0 or su == sv:
                 return su
-            d = step[1]
-            disc = self._sub(
-                level - 1,
-                self._mul(level - 1, u, u),
-                self._mul(level - 1, d, self._mul(level - 1, v, v)),
-            )
-            return su * self._sign(level - 1, disc, path)
+            return su * self._sign(level - 1, self._qext_norm(level, u, v), path)
         s = path[level - 1]
         k, p, q = x
         if p == ():
@@ -569,12 +558,7 @@ class FieldTower:
                     if r is not None:
                         return (zero, r)
                 return None
-            n = self._sub(
-                level - 1,
-                self._mul(level - 1, u, u),
-                self._mul(level - 1, d, self._mul(level - 1, v, v)),
-            )
-            m = self._sqrt(level - 1, n)
+            m = self._sqrt(level - 1, self._qext_norm(level, u, v))
             if m is None:
                 return None
             half = self._from_rat(level - 1, Fraction(1, 2))
@@ -625,11 +609,12 @@ class FieldTower:
         return None
 
     def _p_trim_level(self, level, p):
+        """The coefficients of ``p`` as a tuple, trailing zeros dropped."""
         lower = level - 1
-        out = list(p)
-        while out and self._is_zero(lower, out[-1]):
-            out.pop()
-        return tuple(out)
+        n = len(p)
+        while n and self._is_zero(lower, p[n - 1]):
+            n -= 1
+        return tuple(p[:n])
 
     def _is_square(self, level, x) -> bool:
         if self._is_zero(level, x):

@@ -28,6 +28,7 @@ __all__ = [
     "nil_set",
     "local_type",
     "raw_signature",
+    "reference_signs",
     "reference_search",
     "h_signature",
     "total_signature",
@@ -73,60 +74,46 @@ class LocalType:
 
 def nil_set(A: Algebra) -> frozenset[Ordering]:
     """The orderings at which every signature of every form vanishes."""
-    field = A.field
-    orderings = field.orderings()
-    if A.kind == "field_id":
-        return frozenset()
-    if A.kind == "exchange":
-        return frozenset(orderings)
-    if A.kind in ("unitary_quadratic", "unitary_quaternion"):
-        return frozenset(P for P in orderings if A.alpha.sign_at(P) > 0)
-    if A.kind == "quaternion":
-        if A.involution_type == "conjugation":
-            return frozenset(
-                P
-                for P in orderings
-                if A.a.sign_at(P) > 0 or A.b.sign_at(P) > 0
-            )
-        return frozenset(
-            P for P in orderings if A.a.sign_at(P) < 0 and A.b.sign_at(P) < 0
-        )
-    if A.kind == "matrix":
-        return nil_set(A.inner)
-    raise MismatchError(f"unknown algebra kind {A.kind!r}")
+    return frozenset(P for P in A.field.orderings() if local_type(A, P).nil)
 
 
 def local_type(A: Algebra, P: Ordering) -> LocalType:
-    nil = P in nil_set(A)
+    """The shape of (A tensor F_P, sigma): whether P is nil, n x l, and the
+    route that reads signatures there.  This is the only per-kind rule of
+    the signature layer; every other fact here is read off it."""
     if A.kind == "matrix":
         inner = local_type(A.inner, P)
-        return LocalType(P, nil, A.n * inner.n, inner.l, inner.route)
+        return LocalType(P, inner.nil, A.n * inner.n, inner.l, inner.route)
     if A.kind == "field_id":
         return LocalType(P, False, 1, 1, "trace-form")
     if A.kind == "exchange":
         return LocalType(P, True, 1, 1, None)
     if A.kind == "unitary_quadratic":
-        if nil:
+        if A.alpha.sign_at(P) > 0:
             return LocalType(P, True, 1, 1, None)
         return LocalType(P, False, 1, 2, "diagonal-sum")
-    if A.kind == "quaternion":
+    if A.kind in ("quaternion", "unitary_quaternion"):
         division_here = A.a.sign_at(P) < 0 and A.b.sign_at(P) < 0
         n, l = (1, 4) if division_here else (2, 1)
+        if A.kind == "unitary_quaternion":
+            if A.alpha.sign_at(P) > 0:
+                return LocalType(P, True, n, l, None)
+            return LocalType(P, False, 2, 2, "split-certificate")
         if A.involution_type == "conjugation":
             return LocalType(P, not division_here, n, l, "diagonal-sum" if division_here else None)
         return LocalType(P, division_here, n, l, None if division_here else "split-certificate")
-    if A.kind == "unitary_quaternion":
-        if nil:
-            division_here = A.a.sign_at(P) < 0 and A.b.sign_at(P) < 0
-            n, l = (1, 4) if division_here else (2, 1)
-            return LocalType(P, True, n, l, None)
-        return LocalType(P, False, 2, 2, "split-certificate")
     raise MismatchError(f"unknown algebra kind {A.kind!r}")
 
 
 def raw_signature(A: Algebra, h: HermitianForm, P: Ordering, budget: int = 50) -> int:
     """The route value at P: the local signature divided by the local
-    division-algebra dimension, before the reference normalization."""
+    division-algebra dimension, before the reference normalization.
+
+    Every route ends in hermitian elimination and a count of the signs of
+    the diagonal entries, which lie in the fixed field.  Over (F, id) that
+    elimination is congruence diagonalization (the ``trace-form`` route);
+    the split-certificate route first carries h to the split model and P
+    to the certificate's chosen ordering."""
     if h.algebra != A:
         raise MismatchError("form does not live over the algebra")
     if h.epsilon != 1:
@@ -136,45 +123,38 @@ def raw_signature(A: Algebra, h: HermitianForm, P: Ordering, budget: int = 50) -
         return 0
     if A.kind == "matrix":
         return raw_signature(A.inner, morita_flatten(h), P, budget)
-    if A.kind == "field_id":
-        from .quadratic import diagonalize_gram
-
-        rows = [[_as_field(A, v) for v in row] for row in h.gram]
-        return diagonalize_gram(A.field, rows).signature(P)
-    if lt.route == "diagonal-sum":
-        diag = diagonalize_hermitian(h)
-        if isinstance(diag, SplitWitness):
-            raise InvariantViolation(
-                "the algebra is split where it must be division; the nil "
-                "computation and the form disagree"
-            )
-        total = 0
-        for e in diag.diagonal_entries():
-            coords = e.coords()
-            if any(not c.is_zero() for c in coords[1:]):
-                raise InvariantViolation("diagonal entry escaped the fixed field")
-            total += coords[0].sign_at(P)
-        return total
-    # split-certificate route
-    cert = find_certificate(A, P, budget)
-    transported, _ = transport_form(cert, h)
-    diag = diagonalize_hermitian(transported)
+    if lt.route == "split-certificate":
+        cert = find_certificate(A, P, budget)
+        h, _ = transport_form(cert, h)
+        P = cert.chosen
+    diag = diagonalize_hermitian(h)
     if isinstance(diag, SplitWitness):
-        raise InvariantViolation("transported form landed on a zero divisor")
-    Q = cert.chosen
+        raise InvariantViolation(
+            "the algebra is split where it must be division; the nil "
+            "computation and the form disagree"
+        )
     total = 0
     for e in diag.diagonal_entries():
         coords = e.coords()
         if any(not c.is_zero() for c in coords[1:]):
-            raise InvariantViolation("transported entry escaped the target field")
-        total += coords[0].sign_at(Q)
+            raise InvariantViolation("diagonal entry escaped the fixed field")
+        total += coords[0].sign_at(P)
     return total
 
 
-def _as_field(A: Algebra, value):
-    from .fields import FieldElement
-
-    return FieldElement(A.field, value)
+def reference_signs(A: Algebra, form: HermitianForm, budget: int = 50):
+    """The sign of ``form``'s raw signature at each non-nil ordering, keyed
+    by sign path; or, when that signature vanishes somewhere, the first
+    non-nil ordering where it does (later orderings are not evaluated)."""
+    signs = {}
+    for P in A.field.orderings():
+        if local_type(A, P).nil:
+            continue
+        r = raw_signature(A, form, P, budget)
+        if r == 0:
+            return P
+        signs[P.path] = 1 if r > 0 else -1
+    return signs
 
 
 class ReferenceForm:
@@ -211,17 +191,14 @@ def reference_search(A: Algebra, budget: int = 50) -> ReferenceForm:
     nothing); failing that, a sum of pieces cut out by one-ordering
     Pfister multipliers."""
     field = A.field
-    nil = nil_set(A)
-    targets = [P for P in field.orderings() if P not in nil]
+    targets = [P for P in field.orderings() if not local_type(A, P).nil]
     if not targets:
         empty = HermitianForm(A, [], 1)
         return ReferenceForm(A, empty, {})
     for cand in A.iter_reference_candidates():
-        raws = [raw_signature(A, cand, P, budget) for P in targets]
-        if all(r != 0 for r in raws):
-            return ReferenceForm(
-                A, cand, {P.path: (1 if r > 0 else -1) for P, r in zip(targets, raws)}
-            )
+        signs = reference_signs(A, cand, budget)
+        if not isinstance(signs, Ordering):
+            return ReferenceForm(A, cand, signs)
     pieces = None
     for P in targets:
         piece = None
@@ -236,12 +213,10 @@ def reference_search(A: Algebra, budget: int = 50) -> ReferenceForm:
         indicator = _ordering_indicator(field, P)
         local = piece.module_scale(indicator)
         pieces = local if pieces is None else pieces.direct_sum(local)
-    raws = [raw_signature(A, pieces, P, budget) for P in targets]
-    if any(r == 0 for r in raws):
+    signs = reference_signs(A, pieces, budget)
+    if isinstance(signs, Ordering):
         raise SearchExhausted("piecewise reference lost a coordinate")
-    return ReferenceForm(
-        A, pieces, {P.path: (1 if r > 0 else -1) for P, r in zip(targets, raws)}
-    )
+    return ReferenceForm(A, pieces, signs)
 
 
 def _ordering_indicator(field: FieldTower, P: Ordering) -> QuadraticForm:
@@ -263,7 +238,7 @@ def h_signature(
     reference sign times the raw route value."""
     if ref.algebra != A:
         raise MismatchError("reference form belongs to a different algebra")
-    if P in nil_set(A):
+    if local_type(A, P).nil:
         return 0
     return ref.delta(P) * raw_signature(A, h, P, budget)
 
@@ -280,16 +255,10 @@ def total_signature(
 def lift_reference(ref: ReferenceForm, A_L: Algebra, budget: int = 50) -> ReferenceForm:
     """The reference tensored up a field extension, with fresh signs."""
     form_L = ref.form.lift_to(A_L)
-    nil = nil_set(A_L)
-    deltas = {}
-    for R in A_L.field.orderings():
-        if R in nil:
-            continue
-        r = raw_signature(A_L, form_L, R, budget)
-        if r == 0:
-            raise SearchExhausted("lifted form is not a reference upstairs")
-        deltas[R.path] = 1 if r > 0 else -1
-    return ReferenceForm(A_L, form_L, deltas)
+    signs = reference_signs(A_L, form_L, budget)
+    if isinstance(signs, Ordering):
+        raise SearchExhausted("lifted form is not a reference upstairs")
+    return ReferenceForm(A_L, form_L, signs)
 
 
 def going_up_check(

@@ -21,6 +21,7 @@ from .algebras import (
     FieldAlgebra,
     HermitianForm,
     UnitaryQuadraticAlgebra,
+    _nullspace,
     morita_flatten,
 )
 from .fields import (
@@ -203,39 +204,6 @@ class SplittingCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _nullspace(rows, zero, one):
-    """Right-nullspace basis of a matrix of commutative invertible-capable
-    elements, deterministic pivoting, free variables in column order."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next(
-            (i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None
-        )
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for rr, pc in enumerate(pivots):
-            vec[pc] = zero - rows[rr][fc]
-        basis.append(vec)
-    return basis
-
-
 class _Span2:
     """Solve coordinates in the span of two independent vectors."""
 
@@ -292,7 +260,7 @@ def _build_split_data(A_L: Algebra, centre: Algebra, witness_value, sqm: FieldEl
     sq_inv = sqm.inverse()
     w_scaled = A_L.scalar_mul(sq_inv, witness_value)
     e = A_L.scalar_mul(half, A_L.add(A_L.one(), w_scaled))
-    if not A_L.equal(A_L.mul(e, e), e):
+    if A_L.mul(e, e) != e:
         raise InvariantViolation("idempotent construction failed")
     basis = _quat_centre_basis(A_L)
     ideal = [A_L.mul(b, e) for b in basis]
@@ -452,11 +420,11 @@ def find_certificate(
     Deterministic: the witness minimal in the spiral enumeration wins.
     ``skip`` ignores that many valid witnesses (used to cross-check that
     independent certificates agree)."""
-    from .signatures import nil_set
+    from .signatures import local_type
 
     if P.tower != A.field:
         raise MismatchError("ordering does not belong to the algebra's base field")
-    if P in nil_set(A):
+    if local_type(A, P).nil:
         raise PreconditionNil(
             f"{A.describe()} has vanishing signatures at {P.name()}"
         )

@@ -169,18 +169,9 @@ class ImageLattice:
         self.space = space
         self.generators = list(generators)  # (vector, provenance)
         # transform-tracked reduction is cubic in the row count, so kill
-        # duplicate and zero vectors first and remember who came first
-        seen = {}
-        rows = []
-        self._first_index = []
-        for idx, (v, _) in enumerate(self.generators):
-            v = tuple(v)
-            if not any(v) or v in seen:
-                continue
-            seen[v] = len(rows)
-            rows.append(v)
-            self._first_index.append(idx)
-        self.basis, self.transform = hnf_with_transform(rows)
+        # duplicate and zero vectors first
+        rows = [v for v in dict.fromkeys(tuple(v) for v, _ in self.generators) if any(v)]
+        self.basis = hnf_with_transform(rows)[0]
         self.certified_exact = certified_exact
 
     @property
@@ -189,16 +180,6 @@ class ImageLattice:
 
     def member(self, vector) -> bool:
         return lattice_member(self.basis, vector)
-
-    def coefficients(self, vector):
-        """Integer coefficients over the ORIGINAL generator list."""
-        compact = lattice_coefficients(self.basis, self.transform, vector)
-        if compact is None:
-            return None
-        out = [0] * len(self.generators)
-        for c, idx in zip(compact, self._first_index):
-            out[idx] = c
-        return out
 
     def recheck_generator(self, index: int, ref: ReferenceForm, budget: int = 50):
         """Recompute one generator from its recorded provenance form."""

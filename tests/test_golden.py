@@ -1,0 +1,157 @@
+"""Golden CLI outputs: the sha256 of stdout and the exit code of the
+``--json`` commands ``nil``, ``signature``, ``stability`` and ``split-cert``
+on one algebra of each catalogue kind (towers of depth <= 1) and on one
+2 x 2 matrix wrapper.
+
+Any change to the printed bytes or exit codes of these commands fails
+here.  To re-record after an intended output change, run this file as a
+script with ``src`` on the path: it prints the table below.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from hermstab.cli import main
+from hermstab.splitting import clear_certificate_cache
+
+Q = {"tower": [{"kind": "base"}]}
+F2 = {"tower": [{"kind": "base"}, {"kind": "qext", "d": "2"}]}
+LX = {"tower": [{"kind": "base"}, {"kind": "laurent"}]}
+X = {"num": [[1, "1"]], "den": [[0, "1"]]}
+S2 = {"u": "0", "v": "1"}
+ZERO3 = ["0", "0", "0"]
+
+HAM = {
+    "kind": "quaternion",
+    "field": Q,
+    "a": "-1",
+    "b": "-1",
+    "involution": {"type": "conjugation"},
+}
+
+# kind -> (algebra document, diagonal form entries, split-cert ordering)
+ALGEBRAS = {
+    "field_id": (
+        {"kind": "field_id", "field": F2},
+        [{"u": "1", "v": "1"}, "-3", S2],
+        "0",
+    ),
+    "exchange": (
+        {"kind": "exchange", "field": LX},
+        [{"left": "2", "right": "2"}],
+        "0",
+    ),
+    "unitary_quadratic": (
+        {"kind": "unitary_quadratic", "field": F2, "alpha": {"u": "-1", "v": "1"}},
+        [{"u": "1", "v": "0"}, {"u": "-2", "v": "0"}, {"u": "5", "v": "0"}],
+        "1",
+    ),
+    "quaternion_conjugation": (
+        {
+            "kind": "quaternion",
+            "field": F2,
+            "a": "-1",
+            "b": {"u": "0", "v": "-1"},
+            "involution": {"type": "conjugation"},
+        },
+        [["1", "0", "0", "0"], ["-2", "0", "0", "0"], [S2, "0", "0", "0"]],
+        "0",
+    ),
+    "quaternion_orthogonal": (
+        {
+            "kind": "quaternion",
+            "field": LX,
+            "a": X,
+            "b": "1",
+            "involution": {"type": "orthogonal", "u": ["0", "0", "1", "0"]},
+        },
+        [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["3", "0", "0", "0"]],
+        "0",
+    ),
+    "unitary_quaternion": (
+        {"kind": "unitary_quaternion", "field": Q, "a": "-1", "b": "-1", "alpha": "-1"},
+        [[{"u": "1", "v": "0"}] + [{"u": "0", "v": "0"}] * 3],
+        "0",
+    ),
+    "matrix": (
+        {"kind": "matrix", "n": 2, "inner": HAM, "g": [["1"] + ZERO3, ["-1"] + ZERO3]},
+        [[[["1"] + ZERO3, ["0"] + ZERO3], [["0"] + ZERO3, ["-2"] + ZERO3]]],
+        "0",
+    ),
+}
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def _commands():
+    for kind, (alg, diag, ordering) in ALGEBRAS.items():
+        a = _dumps(alg)
+        yield kind + "/nil", ["--json", "nil", "--algebra", a]
+        yield kind + "/signature", [
+            "--json", "signature", "--algebra", a, "--form", _dumps({"diag": diag})
+        ]
+        yield kind + "/stability", ["--json", "stability", "--algebra", a]
+        yield kind + "/split-cert", [
+            "--json", "split-cert", "--algebra", a, "--ordering", ordering
+        ]
+
+
+COMMANDS = dict(_commands())
+
+
+def _run(argv):
+    clear_certificate_cache()  # each CLI invocation starts cold
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+# name -> (exit code, sha256 of stdout)
+GOLDEN = {
+    "exchange/nil": (0, "dd43ed49e4721c287138a416722af303fee24562e827b3367d21c5a2198dfa25"),
+    "exchange/signature": (0, "9466d79e9c8bb2e3bac999ce3912a7c9301558124d5926930178677e1d135912"),
+    "exchange/split-cert": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "exchange/stability": (0, "780d41f72cf3285edac6d1eff9d8250a14ca538bc908fc2a9d1d05092410443b"),
+    "field_id/nil": (0, "5d91132caf0535bd52266cf039d7b5f381bcc50082840687e0508c60c7730ea8"),
+    "field_id/signature": (0, "6da18088c92938c2a4998d52dde49c7458626da8fa701ec6673d36eea9cd4ef4"),
+    "field_id/split-cert": (0, "5f3044b043525b523f5b7b0095dd3a2e2a857bc4317ce4facdd060a6b3c836de"),
+    "field_id/stability": (0, "18979336ffc0014dab2219848fa5fdff91d51ef8880ef8d87b05d78b7fce1487"),
+    "matrix/nil": (0, "3ee6b8962aa8fc1de32590b0a657fb5e7da4e4f81cc3dc519ef05212e797511a"),
+    "matrix/signature": (0, "4661c052f106a9990b75db9a7f339243ca97ffb40cb855bdb12c737e1585363d"),
+    "matrix/split-cert": (0, "a5ea08ef4545b1801fb4df214f3a7637d06e24987f25eff7ca3b49bfc2d1ce49"),
+    "matrix/stability": (0, "cea8b2b81de8a7ca9540d7c91fa6cfde9d4dd8461044b1c64799c2067293f53e"),
+    "quaternion_conjugation/nil": (0, "2f14f7db3092709a04dbbebce3c4137d5a52dd45201a41586f4fd1c2ea059b98"),
+    "quaternion_conjugation/signature": (0, "096332c598f68aeb028cff421d8f151c7b7bf67631500b8742ac5415ae5bd7df"),
+    "quaternion_conjugation/split-cert": (0, "d11fa51feefec28786864caea9cd45468ca23e0642b848935b298c6bf9efe67b"),
+    "quaternion_conjugation/stability": (0, "588e49a42091e65d9e0391b0cd140d02c13ba97f6b2db3a27c742d2450ffa64f"),
+    "quaternion_orthogonal/nil": (0, "9991308039841d348d7eadc88b910bb21a77bfa23f338ceb31a8fae3482b9ed7"),
+    "quaternion_orthogonal/signature": (0, "6e94ae812bb5e5b1cced119714b4a91a7a06bdf09d49c929277fa3d7fc354c9c"),
+    "quaternion_orthogonal/split-cert": (0, "f13405a4ddc8dc57d7b8d73f22eaa9e35695b92194a3db5c862a5defd4b459ca"),
+    "quaternion_orthogonal/stability": (0, "0d9ebb565e1f6f703e919925ab029f32dc45da932acf2c4ff90ec5246ca6544a"),
+    "unitary_quadratic/nil": (0, "25f06364e01a0febce79a41558083d5e98cda87c631ff9fd7480e41248ff7177"),
+    "unitary_quadratic/signature": (0, "0f64f118c2fa7579f186cd0d35f5234ef27276fb369439a19e8f764c8d1d791a"),
+    "unitary_quadratic/split-cert": (0, "6d15550afcf4cdef0d9511b9b4241abe17eb7846fc51abf819ef0f078f0b6173"),
+    "unitary_quadratic/stability": (0, "81f9776f566001e0245d73921e59cdde508ee216ad70100d98c96d14f4b7a9cd"),
+    "unitary_quaternion/nil": (0, "d43f4bc04c75e73ffeade697267dc93cd1a81364fb81377fae47b9612c668760"),
+    "unitary_quaternion/signature": (0, "2a31f73aee1e12be207834f15fc260daeace31656dbf4ac0576848aaf7bb8e7d"),
+    "unitary_quaternion/split-cert": (0, "0b9f9cdec31e3df7e7946397693d1119b1aa1d2d3fbb899732da9ef1bab21c4e"),
+    "unitary_quaternion/stability": (0, "4c6e6a62d60cd4b77bd0b1ce55be8b5625fe88e8eb13a754be6dd501b5081502"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_stdout(name):
+    assert _run(COMMANDS[name]) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    for name in sorted(COMMANDS):
+        code, sha = _run(COMMANDS[name])
+        print(f'    "{name}": ({code}, "{sha}"),')

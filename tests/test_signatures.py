@@ -489,3 +489,61 @@ def test_epsilon_minus_one_rejected():
     ref = reference_search(HAM)
     with pytest.raises(Exception):
         h_signature(HAM, skew, ref, P0)
+
+
+def _random_symmetric_gram(rng, field, n, zero_diagonal):
+    gram = [[field.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and zero_diagonal:
+                continue
+            gram[i][j] = gram[j][i] = random_element(rng, field, height=4, simple=True)
+    return gram
+
+
+def _singular_grams(rng, field, gram):
+    """A zero summand, and a row and column repeating an earlier one."""
+    n = len(gram)
+    zero = field.zero()
+    yield [row + [zero] for row in gram] + [[zero] * (n + 1)]
+    t = rng.randrange(n)
+    yield [row + [row[t]] for row in gram] + [gram[t] + [gram[t][t]]]
+
+
+@pytest.mark.parametrize("shape", ["Q", "Q(sqrt 2)", "Q((x))", "Q(sqrt 2)((x))((y))"])
+def test_field_id_route_matches_congruence_diagonalization(shape):
+    """Over (F, id) the signature route is hermitian elimination; it must
+    agree with congruence diagonalization of the symmetric Gram matrix at
+    every ordering, and both must refuse the same singular matrices."""
+    from hermstab.quadratic import SingularFormError, diagonalize_gram
+
+    field = {
+        "Q": Q,
+        "Q(sqrt 2)": F2,
+        "Q((x))": LX,
+        "Q(sqrt 2)((x))((y))": F2.adjoin_laurent().adjoin_laurent(),
+    }[shape]
+    A = FieldAlgebra(field)
+    rng = random.Random(shape)
+    max_rank = 2 if field.depth > 2 else 4  # exact elimination grows fast at depth 3
+    compared = singular = 0
+    for trial in range(12):
+        gram = _random_symmetric_gram(
+            rng, field, rng.randint(1, max_rank), zero_diagonal=trial % 3 == 0
+        )
+        grams = [(gram, False)] + [(g, True) for g in _singular_grams(rng, field, gram)]
+        for g, must_be_singular in grams:
+            h = HermitianForm(A, [[x.value for x in row] for row in g])
+            try:
+                q = diagonalize_gram(field, g)
+            except SingularFormError:
+                singular += 1
+                for P in field.orderings():
+                    with pytest.raises(SingularFormError):
+                        raw_signature(A, h, P)
+                continue
+            assert not must_be_singular
+            for P in field.orderings():
+                assert raw_signature(A, h, P) == q.signature(P), (shape, P.name())
+            compared += 1
+    assert compared >= 8 and singular >= 24
