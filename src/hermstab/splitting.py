@@ -14,12 +14,14 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 
 from .algebras import (
     Algebra,
     AlgebraElement,
     FieldAlgebra,
     HermitianForm,
+    MatrixAlgebra,
     UnitaryQuadraticAlgebra,
     _nullspace,
     morita_flatten,
@@ -72,6 +74,10 @@ def _centre_of(algebra: Algebra, extension: FieldTower, flavor: str) -> Algebra:
 class SplittingCertificate:
     """Explicit data realizing the split of (A, sigma) at an ordering.
 
+    ``matrices`` (the images of 1, i, j, k) and ``g_datum`` are values of
+    ``model``, the catalogue algebra M_2(C) over the centre C, whose
+    involution is the conjugate transpose.
+
     Certificates are immutable: every field is given to the constructor,
     ``matrices`` and ``g_datum`` are stored as tuples, and assigning to an
     attribute raises.  So ``verify_certificate`` checks each certificate
@@ -103,10 +109,12 @@ class SplittingCertificate:
     def __post_init__(self):
         if self.flavor not in self.FLAVORS:
             raise MismatchError(f"unknown certificate flavor {self.flavor!r}")
+        # model values are compared with ==, which needs nested tuples
         if self.matrices is not None:
-            object.__setattr__(self, "matrices", tuple(map(_mat2, self.matrices)))
+            matrices = tuple(tuple(map(tuple, X)) for X in self.matrices)
+            object.__setattr__(self, "matrices", matrices)
         if self.g_datum is not None:
-            object.__setattr__(self, "g_datum", _mat2(self.g_datum))
+            object.__setattr__(self, "g_datum", tuple(map(tuple, self.g_datum)))
         if self.definite_pair is not None:
             object.__setattr__(self, "definite_pair", tuple(self.definite_pair))
 
@@ -120,6 +128,11 @@ class SplittingCertificate:
         """The split model's scalar domain as a catalogue algebra."""
         return _centre_of(self.algebra, self.extension, self.flavor)
 
+    @cached_property
+    def model(self) -> MatrixAlgebra:
+        """The split model M_2(C), built once per certificate."""
+        return MatrixAlgebra(2, self.centre_algebra())
+
     def to_json(self) -> dict:
         out = {
             "algebra": self.algebra.to_json(),
@@ -132,15 +145,10 @@ class SplittingCertificate:
             out["witness"] = self.witness.to_json()
         if self.m is not None:
             out["m"] = self.m.to_json()
-        C = self.centre_algebra()
-
-        def rows_json(rows):
-            return [[C.value_to_json(e.value) for e in row] for row in rows]
-
         if self.matrices is not None:
-            out["matrices"] = [rows_json(M) for M in self.matrices]
+            out["matrices"] = [self.model.value_to_json(X) for X in self.matrices]
         if self.g_datum is not None:
-            out["g_datum"] = rows_json(self.g_datum)
+            out["g_datum"] = self.model.value_to_json(self.g_datum)
         if self.definite_pair is not None:
             d, c, u, v = self.definite_pair
             out["definite"] = {
@@ -166,14 +174,16 @@ class SplittingCertificate:
         ordering = Ordering.from_json(F, doc["ordering"])
         extension = FieldTower.from_json(doc["extension"])
         chosen = Ordering.from_json(extension, doc["chosen"])
-        C = _centre_of(algebra, extension, doc["flavor"])
+        M = MatrixAlgebra(2, _centre_of(algebra, extension, doc["flavor"]))
 
         def element(v):
             return algebra.elem(algebra.value_from_json(v))
 
-        def centre_rows(rows):
-            return [[C.elem(C.value_from_json(e)) for e in row] for row in rows]
-
+        matrices = None
+        if "matrices" in doc:
+            if not isinstance(doc["matrices"], list) or len(doc["matrices"]) != 4:
+                raise MismatchError("'matrices' is a list of four 2 x 2 matrices")
+            matrices = [M.value_from_json(X) for X in doc["matrices"]]
         definite = None
         if "definite" in doc:
             d = doc["definite"]
@@ -191,10 +201,8 @@ class SplittingCertificate:
             chosen,
             witness=element(doc["witness"]) if "witness" in doc else None,
             m=F.element_from_json(doc["m"]) if "m" in doc else None,
-            matrices=(
-                tuple(map(centre_rows, doc["matrices"])) if "matrices" in doc else None
-            ),
-            g_datum=centre_rows(doc["g_datum"]) if "g_datum" in doc else None,
+            matrices=matrices,
+            g_datum=M.value_from_json(doc["g_datum"]) if "g_datum" in doc else None,
             definite_pair=definite,
         )
 
@@ -282,97 +290,62 @@ def _build_split_data(A_L: Algebra, centre: Algebra, witness_value, sqm: FieldEl
             span.solve(_centre_coords(centre, A_L.mul(b, tuple(c.value for c in vs))))
             for vs in (span.v1, span.v2)
         ]
-        matrices.append(tuple(zip(*cols)))  # columns to rows
+        # columns to rows
+        matrices.append(tuple(tuple(e.value for e in row) for row in zip(*cols)))
     return matrices
 
 
-def _phi(C: Algebra, matrices, value):
-    """Image of a quaternion value in the 2 x 2 split model over C."""
-    coords = _centre_coords(C, value)
-    zero = C.elem(C.zero())
-    out = [[zero, zero], [zero, zero]]
-    for c, M in zip(coords, matrices):
-        for i in range(2):
-            for j in range(2):
-                out[i][j] = out[i][j] + c * M[i][j]
-    return tuple(tuple(row) for row in out)
+def _scale(C: Algebra, c, X):
+    """The 2 x 2 value X times the centre value c."""
+    return tuple(tuple(C.mul(c, e) for e in row) for row in X)
 
 
-def _conj_transpose(unitary: bool, M):
-    def tw(e):
-        return e.involution() if unitary else e
-    return (
-        (tw(M[0][0]), tw(M[1][0])),
-        (tw(M[0][1]), tw(M[1][1])),
-    )
+def _phi(M: MatrixAlgebra, matrices, value):
+    """Image in the split model M of a quaternion value: the sum of its
+    centre coordinates times the images of 1, i, j, k."""
+    return reduce(M.add, (_scale(M.inner, c, X) for c, X in zip(value, matrices)))
 
 
-def _mat2(M):
-    return tuple(tuple(row) for row in M)
-
-
-def _mat2_mul(a, b):
-    return tuple(
-        tuple(
-            a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)
-        )
-        for i in range(2)
-    )
-
-
-def _mat2_eq(a, b):
-    return all((a[i][j] - b[i][j]).is_zero() for i in range(2) for j in range(2))
-
-
-def _solve_involution_datum(C: Algebra, matrices, flavor: str, A_L: Algebra):
+def _solve_involution_datum(M: MatrixAlgebra, matrices, A_L: Algebra):
     """G with Phi(sigma(beta)) = G^-1 * conj-transpose(Phi(beta)) * G."""
-    unitary = flavor == "unitary-quaternion-split"
-    zero, one = C.elem(C.zero()), C.elem(C.one())
-    basis = _quat_centre_basis(A_L)
+    C = M.inner
     rows = []
     # unknowns: G00, G01, G10, G11; equations G*Phi(sigma b) - ct(Phi b)*G = 0
-    for b in basis:
-        S = _phi(C, matrices, A_L.involution(b))
-        T = _conj_transpose(unitary, _phi(C, matrices, b))
+    for b in _quat_centre_basis(A_L):
+        S = _phi(M, matrices, A_L.involution(b))
+        T = M.involution(_phi(M, matrices, b))
         for i in range(2):
             for j in range(2):
-                row = [zero, zero, zero, zero]
+                row = [C.zero()] * 4
                 # (G S)_{ij} = sum_t G_{it} S_{tj}
                 for t in range(2):
-                    row[2 * i + t] = row[2 * i + t] + S[t][j]
+                    row[2 * i + t] = C.add(row[2 * i + t], S[t][j])
                 # (T G)_{ij} = sum_t T_{it} G_{tj}
                 for t in range(2):
-                    row[2 * t + j] = row[2 * t + j] - T[i][t]
-                rows.append(row)
-    sols = _nullspace(rows, zero, one)
+                    row[2 * t + j] = C.sub(row[2 * t + j], T[i][t])
+                rows.append([C.elem(v) for v in row])
+    sols = _nullspace(rows, C.elem(C.zero()), C.elem(C.one()))
     if not sols:
         raise InvariantViolation("no involution datum exists")
-    g = sols[0]
+    g = [e.value for e in sols[0]]
     G = ((g[0], g[1]), (g[2], g[3]))
-    ct = _conj_transpose(unitary, G)
-    if _mat2_eq(ct, G):
+    ct = M.involution(G)
+    if ct == G:
         return G
-    if not unitary:
+    if C.kind != "unitary_quadratic":
         raise InvariantViolation(
             "involution datum came out skew for an orthogonal type"
         )
     # ct(G) = lambda * G with lambda of norm 1; rescale hermitian via
     # c/conj(c) = lambda, taking c = 1 + lambda (or sqrt(alpha) if lambda = -1)
-    pivot = next(
-        (i, j) for i in range(2) for j in range(2) if not G[i][j].is_zero()
-    )
-    lam = ct[pivot[0]][pivot[1]] * G[pivot[0]][pivot[1]].inverse()
-    if _mat2_eq(ct, tuple(tuple(lam * e for e in row) for row in G)):
-        minus_one = C.elem(C.scalar_mul(C.field.rational(-1), C.one()))
-        c = C.basis()[1] if lam == minus_one else one + lam
-        H = tuple(tuple(c * e for e in row) for row in G)
-        if _mat2_eq(_conj_transpose(unitary, H), H):
+    pi, pj = next((i, j) for i in range(2) for j in range(2) if not C.is_zero(G[i][j]))
+    lam = C.mul(ct[pi][pj], C.inverse(G[pi][pj]))
+    if ct == _scale(C, lam, G):
+        c = C.basis_values()[1] if lam == C.neg(C.one()) else C.add(C.one(), lam)
+        H = _scale(C, c, G)
+        if M.involution(H) == H:
             return H
     raise InvariantViolation("involution datum cannot be normalized")
-
-
-def _det2(G):
-    return G[0][0] * G[1][1] - G[0][1] * G[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +489,8 @@ def _emit_split_certificate(A, P, xyz, m, sqm, unitary):
         sq_elem = L.generator()
     A_L = A.lift_to(L)
     flavor = "unitary-quaternion-split" if unitary else "orthogonal-split"
-    centre = _centre_of(A, L, flavor)
-    matrices = _build_split_data(A_L, centre, A.lift_value(w_value, A_L), sq_elem)
+    M = MatrixAlgebra(2, _centre_of(A, L, flavor))
+    matrices = _build_split_data(A_L, M.inner, A.lift_value(w_value, A_L), sq_elem)
     return SplittingCertificate(
         A,
         P,
@@ -527,7 +500,7 @@ def _emit_split_certificate(A, P, xyz, m, sqm, unitary):
         witness=witness,
         m=m,
         matrices=matrices,
-        g_datum=_solve_involution_datum(centre, matrices, flavor, A_L),
+        g_datum=_solve_involution_datum(M, matrices, A_L),
     )
 
 
@@ -617,50 +590,37 @@ def _verify_impl(cert: SplittingCertificate) -> bool:
             # the scalar centre coordinate must vanish: w is not central
             return False
     A_L = A.lift_to(L)
-    C = cert.centre_algebra()
-    one = C.elem(C.one())
-    zero = C.elem(C.zero())
-    ident = ((one, zero), (zero, one))
-    a_c = C.elem(C.scalar_mul(A.a.lift_to(L), C.one()))
-    b_c = C.elem(C.scalar_mul(A.b.lift_to(L), C.one()))
-    M1, Mi, Mj, Mk = cert.matrices
-    if not _mat2_eq(M1, ident):
+    M = cert.model
+    C = M.inner
+    one = M.one()
+    X1, Xi, Xj, Xk = cert.matrices
+    if X1 != one:
         return False
-    if not _mat2_eq(_mat2_mul(Mi, Mi), _scale2(a_c, ident)):
+    if M.mul(Xi, Xi) != M.scalar_mul(A.a.lift_to(L), one):
         return False
-    if not _mat2_eq(_mat2_mul(Mj, Mj), _scale2(b_c, ident)):
+    if M.mul(Xj, Xj) != M.scalar_mul(A.b.lift_to(L), one):
         return False
-    ij = _mat2_mul(Mi, Mj)
-    ji = _mat2_mul(Mj, Mi)
-    if not _mat2_eq(ij, _neg2(ji)):
-        return False
-    if not _mat2_eq(ij, Mk):
+    ij = M.mul(Xi, Xj)
+    if ij != M.neg(M.mul(Xj, Xi)) or ij != Xk:
         return False
     # full 4-dimensional image: the four matrices are independent over C
-    cols = [[M[i][j] for M in cert.matrices] for i in range(2) for j in range(2)]
-    if _nullspace(cols, zero, one):
+    cols = [
+        [C.elem(X[i][j]) for X in cert.matrices] for i in range(2) for j in range(2)
+    ]
+    if _nullspace(cols, C.elem(C.zero()), C.elem(C.one())):
         return False
     # G reproduces the involution on the basis
     G = cert.g_datum
-    if _det2(G).is_zero():
+    if not M.elem(G).is_invertible():
         return False
-    unitary = cert.flavor == "unitary-quaternion-split"
-    if not _mat2_eq(_conj_transpose(unitary, G), G):
+    if M.involution(G) != G:
         return False
     for bval in _quat_centre_basis(A_L):
-        lhs = _mat2_mul(G, _phi(C, cert.matrices, A_L.involution(bval)))
-        rhs = _mat2_mul(_conj_transpose(unitary, _phi(C, cert.matrices, bval)), G)
-        if not _mat2_eq(lhs, rhs):
+        lhs = M.mul(G, _phi(M, cert.matrices, A_L.involution(bval)))
+        rhs = M.mul(M.involution(_phi(M, cert.matrices, bval)), G)
+        if lhs != rhs:
             return False
     return True
-
-
-def _scale2(c, M):
-    return tuple(tuple(c * e for e in row) for row in M)
-
-
-def _neg2(M):
-    return tuple(tuple((e * (-1)) for e in row) for row in M)
 
 
 def transport_form(cert: SplittingCertificate, h: HermitianForm):
@@ -690,16 +650,16 @@ def transport_form(cert: SplittingCertificate, h: HermitianForm):
     if not verify_certificate(cert):
         raise MismatchError("refusing to transport along an unverified certificate")
     centre = cert.algebra.centre
-    C = cert.centre_algebra()
+    M = cert.model
+    C = M.inner
     G = cert.g_datum
     k = h.rank
-    zero = C.elem(C.zero())
-    big = [[zero] * (2 * k) for _ in range(2 * k)]
+    big = [[C.zero()] * (2 * k) for _ in range(2 * k)]
     for r in range(k):
         for s in range(k):
             # the entry's coefficients on 1, i, j, k, lifted to the centre over L
             val = [centre.lift_value(c, C) for c in h.gram[r][s]]
-            block = _mat2_mul(G, _phi(C, cert.matrices, val))
+            block = M.mul(G, _phi(M, cert.matrices, val))
             for i in range(2):
                 for j in range(2):
                     big[2 * r + i][2 * s + j] = block[i][j]

@@ -226,18 +226,18 @@ def image_lattice(
     if space.dim == 0:
         return ImageLattice(space, [], _field_patterns_complete(field))
     qsigs = _probe_signatures(field, probes.field_elements, space.coords)
+    # (restricted signature vector, probe form, its reference form)
     base_vectors = []
     for cand in probes.sym_forms:
         vec = total_signature(A, cand, ref, budget)
-        base_vectors.append((space.restrict(vec), cand))
+        base_vectors.append((space.restrict(vec), cand, ref))
     if A.kind == "matrix":
         inner = A.inner
         inner_ref = reference_search(inner, budget)
         for cand in Probes.default(inner).sym_forms:
             vec = total_signature(inner, cand, inner_ref, budget)
-            base_vectors.append((space.restrict(vec), cand))
-    for vs, cand in base_vectors:
-        cand_ref = _ref_for(cand, ref, budget)
+            base_vectors.append((space.restrict(vec), cand, inner_ref))
+    for vs, cand, cand_ref in base_vectors:
         for qs, slots in qsigs:
             vector = tuple(a * b for a, b in zip(qs, vs))
             prov = {"multiplier": slots, "base": cand, "reference": cand_ref}
@@ -248,12 +248,6 @@ def image_lattice(
         and _value_groups_attained(A, space, [v for v, _ in generators])
     )
     return ImageLattice(space, generators, exact)
-
-
-def _ref_for(cand: HermitianForm, ref: ReferenceForm, budget: int):
-    if cand.algebra == ref.algebra:
-        return ref
-    return reference_search(cand.algebra, budget)
 
 
 def _value_groups_attained(A: Algebra, space: NilAwareSpace, vectors) -> bool:
@@ -410,24 +404,25 @@ def stability_report(
     )
 
 
-def _stability_index(lattice: ImageLattice):
-    """Least k with 2^k . (zero-on-nil functions) inside the lattice."""
-    m = lattice.space.dim
-    if m == 0:
-        return 0
+def _two_power_exponent(basis, vectors):
+    """Least n <= _EXPONENT_CAP with 2^n . v in the lattice spanned by
+    ``basis`` for every v in ``vectors`` (0 if there are none), else inf."""
     worst = 0
-    for i in range(m):
-        e = [0] * m
-        e[i] = 1
-        n = 0
-        while n <= _EXPONENT_CAP:
-            if lattice.member([v * (1 << n) for v in e]):
+    for v in vectors:
+        for n in range(_EXPONENT_CAP + 1):
+            if lattice_member(basis, [a * (1 << n) for a in v]):
                 break
-            n += 1
-        if n > _EXPONENT_CAP:
+        else:
             return math.inf
         worst = max(worst, n)
     return worst
+
+
+def _stability_index(lattice: ImageLattice):
+    """Least k with 2^k . (zero-on-nil functions) inside the lattice."""
+    m = lattice.space.dim
+    units = [[int(i == j) for j in range(m)] for i in range(m)]
+    return _two_power_exponent(lattice.basis, units)
 
 
 def h0_search(A: Algebra, ref: ReferenceForm, budget: int = 50):
@@ -510,18 +505,7 @@ def relative_stability(
             vec = [a + c * b for a, b in zip(vec, gv)]
         q0_vectors.append(tuple(vec))
     q0_basis, q0_transform = hnf_with_transform(q0_vectors)
-    n0 = 0
-    for v in lattice.basis:
-        full = space.expand(v)
-        n = 0
-        while n <= _EXPONENT_CAP:
-            if lattice_member(q0_basis, [a * (1 << n) for a in full]):
-                break
-            n += 1
-        if n > _EXPONENT_CAP:
-            n0 = math.inf
-            break
-        n0 = max(n0, n)
+    n0 = _two_power_exponent(q0_basis, [space.expand(v) for v in lattice.basis])
 
     def to_quadratic(h: HermitianForm) -> QuadraticForm:
         if n0 == math.inf:

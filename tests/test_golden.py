@@ -1,7 +1,8 @@
 """Golden CLI outputs: the sha256 of stdout and the exit code of the
 ``--json`` commands ``nil``, ``signature``, ``stability`` and ``split-cert``
 on one algebra of each catalogue kind (towers of depth <= 1) and on one
-2 x 2 matrix wrapper.
+2 x 2 matrix wrapper, and of ``signature`` and ``split-cert`` on two kinds
+over towers of depth 2, whose split certificates extend a Laurent tower.
 
 Any change to the printed bytes or exit codes of these commands fails
 here.  To re-record after an intended output change, run this file as a
@@ -21,7 +22,12 @@ from hermstab.splitting import clear_certificate_cache
 Q = {"tower": [{"kind": "base"}]}
 F2 = {"tower": [{"kind": "base"}, {"kind": "qext", "d": "2"}]}
 LX = {"tower": [{"kind": "base"}, {"kind": "laurent"}]}
+LXY = {"tower": [{"kind": "base"}, {"kind": "laurent"}, {"kind": "laurent"}]}
+F2X = {"tower": [{"kind": "base"}, {"kind": "qext", "d": "2"}, {"kind": "laurent"}]}
 X = {"num": [[1, "1"]], "den": [[0, "1"]]}
+# over Q((x))((y)): the inner generator x and -x, read at the top level
+INNER_X = {"num": [[0, X]], "den": [[0, "1"]]}
+MINUS_INNER_X = {"num": [[0, {"num": [[1, "-1"]], "den": [[0, "1"]]}]], "den": [[0, "1"]]}
 S2 = {"u": "0", "v": "1"}
 ZERO3 = ["0", "0", "0"]
 
@@ -84,22 +90,51 @@ ALGEBRAS = {
     ),
 }
 
+# depth-2 towers: kind -> (algebra document, diagonal form entries, split-cert
+# ordering); only ``signature`` and ``split-cert`` run on these
+DEPTH2 = {
+    "quaternion_orthogonal_depth2": (
+        {
+            "kind": "quaternion",
+            "field": LXY,
+            "a": X,
+            "b": MINUS_INNER_X,
+            "involution": {"type": "orthogonal", "u": ["0", "0", "1", "0"]},
+        },
+        [["1", "0", "0", "0"], ["0", "1", "0", "0"], [INNER_X, "0", "0", "0"]],
+        "0",
+    ),
+    "unitary_quaternion_depth2": (
+        {
+            "kind": "unitary_quaternion",
+            "field": F2X,
+            "a": "-1",
+            "b": {"num": [[1, "-1"]], "den": [[0, "1"]]},
+            "alpha": {"num": [[0, {"u": "0", "v": "-1"}]], "den": [[0, "1"]]},
+        },
+        [[{"u": "1", "v": "0"}] + [{"u": "0", "v": "0"}] * 3,
+         [{"u": X, "v": "0"}] + [{"u": "0", "v": "0"}] * 3],
+        "0",
+    ),
+}
+
 
 def _dumps(doc) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
 def _commands():
-    for kind, (alg, diag, ordering) in ALGEBRAS.items():
+    for kind, (alg, diag, ordering) in {**ALGEBRAS, **DEPTH2}.items():
         a = _dumps(alg)
-        yield kind + "/nil", ["--json", "nil", "--algebra", a]
         yield kind + "/signature", [
             "--json", "signature", "--algebra", a, "--form", _dumps({"diag": diag})
         ]
-        yield kind + "/stability", ["--json", "stability", "--algebra", a]
         yield kind + "/split-cert", [
             "--json", "split-cert", "--algebra", a, "--ordering", ordering
         ]
+        if kind in ALGEBRAS:
+            yield kind + "/nil", ["--json", "nil", "--algebra", a]
+            yield kind + "/stability", ["--json", "stability", "--algebra", a]
 
 
 COMMANDS = dict(_commands())
@@ -135,6 +170,10 @@ GOLDEN = {
     "quaternion_orthogonal/signature": (0, "6e94ae812bb5e5b1cced119714b4a91a7a06bdf09d49c929277fa3d7fc354c9c"),
     "quaternion_orthogonal/split-cert": (0, "f13405a4ddc8dc57d7b8d73f22eaa9e35695b92194a3db5c862a5defd4b459ca"),
     "quaternion_orthogonal/stability": (0, "0d9ebb565e1f6f703e919925ab029f32dc45da932acf2c4ff90ec5246ca6544a"),
+    "quaternion_orthogonal_depth2/signature": (0, "b0f0f85195fc9c60b9417d79f7a59091fae1269bb15f6e89e17e811ee6ae60f3"),
+    "quaternion_orthogonal_depth2/split-cert": (0, "1580f45304ba23d3662760a3f168e0e82e3a3cf32f0c064c2ca241fef4296298"),
+    "unitary_quaternion_depth2/signature": (0, "0e453e03bc1cb5abd93411919ae6179fb966864704244d36f1f8240692f91dee"),
+    "unitary_quaternion_depth2/split-cert": (0, "d681796559b17313e57b4677654db1ccb32e630abd4ed0804d3366888c6036a3"),
     "unitary_quadratic/nil": (0, "25f06364e01a0febce79a41558083d5e98cda87c631ff9fd7480e41248ff7177"),
     "unitary_quadratic/signature": (0, "0f64f118c2fa7579f186cd0d35f5234ef27276fb369439a19e8f764c8d1d791a"),
     "unitary_quadratic/split-cert": (0, "6d15550afcf4cdef0d9511b9b4241abe17eb7846fc51abf819ef0f078f0b6173"),

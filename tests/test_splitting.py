@@ -90,7 +90,7 @@ def test_tampered_certificates_fail():
     )
     assert not verify_certificate(negated)
     bumped = [list(map(list, M)) for M in cert.matrices]
-    bumped[1][0][0] = bumped[1][0][0] + bumped[1][0][1]
+    bumped[1][0][0] = cert.centre_algebra().add(bumped[1][0][0], bumped[1][0][1])
     perturbed = SplittingCertificate(
         cert.algebra,
         cert.ordering,
@@ -339,6 +339,26 @@ def test_unitary_flavor_on_non_unitary_algebra_rejected(flavor):
         SplittingCertificate.from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "key, malformed",
+    [
+        ("matrices", lambda d: [[row[:1]] for row in d["matrices"]]),
+        ("g_datum", lambda d: [d["g_datum"][0], d["g_datum"][1][:1]]),
+        ("g_datum", lambda d: 5),
+        ("matrices", lambda d: 5),
+        ("matrices", lambda d: d["matrices"][:3]),
+    ],
+    ids=["matrix-1x1", "short-g-row", "g-number", "matrices-number", "three-matrices"],
+)
+def test_malformed_certificate_documents_rejected(key, malformed):
+    from hermstab.fields import MismatchError
+
+    doc = find_certificate(ORTH, LX.orderings()[0]).to_json()
+    doc[key] = malformed(doc)
+    with pytest.raises(MismatchError):
+        SplittingCertificate.from_json(doc)
+
+
 def test_certificate_cache_is_a_bounded_lru(monkeypatch):
     """Distinct keys never grow the cache past its bound, the least recently
     used entry goes first, and a hit returns the identical certificate."""
@@ -402,3 +422,47 @@ def test_certificate_cache_under_threads(monkeypatch):
     assert errors == []
     assert len(splitting._cert_cache) <= 3
     splitting.clear_certificate_cache()
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_unitary_datum_rescaling(monkeypatch, shift):
+    """A datum solution G with ct(G) = lambda * G, lambda != 1, is rescaled
+    to a hermitian one: scaling the first solution of the datum system by
+    sqrt(alpha) gives lambda = -1 and the result alpha * G; scaling it by
+    1 + sqrt(alpha) gives the 1 + lambda path and the result 2 * G."""
+    import hermstab.splitting as splitting
+
+    A = UnitaryQuaternionAlgebra(F2, -1, -1, -F2.generator())
+    P = F2.orderings()[0]
+
+    def g_datum(cert):
+        C = cert.centre_algebra()
+        rows = cert.to_json()["g_datum"]
+        return C, [[C.value_from_json(e) for e in row] for row in rows]
+
+    splitting.clear_certificate_cache()
+    C, plain = g_datum(find_certificate(A, P))
+    root = C.basis()[1]
+    factor = root + 1 if shift else root
+    expected = C.from_field(2) if shift else C.elem(C.mul(root.value, root.value))
+    real = splitting._nullspace
+
+    def skewed(rows, zero, one):
+        rows = list(rows)
+        sols = real(rows, zero, one)
+        if len(rows) == 16:  # the datum system: 4 basis elements x 4 entries
+            sols[0] = [factor * e for e in sols[0]]
+        return sols
+
+    monkeypatch.setattr(splitting, "_nullspace", skewed)
+    splitting.clear_certificate_cache()
+    try:
+        cert = find_certificate(A, P)
+    finally:
+        splitting.clear_certificate_cache()
+    assert verify_certificate(cert)
+    C, G = g_datum(cert)
+    for i in range(2):
+        for j in range(2):
+            assert C.involution(G[j][i]) == G[i][j]
+            assert G[i][j] == C.mul(expected.value, plain[i][j])
