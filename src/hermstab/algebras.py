@@ -1085,9 +1085,13 @@ def sym_basis(A: Algebra) -> list[AlgebraElement]:
 
 
 class HermitianForm:
-    """An epsilon-hermitian form by its Gram matrix over a catalogue algebra."""
+    """An epsilon-hermitian form by its Gram matrix over a catalogue algebra.
 
-    __slots__ = ("algebra", "epsilon", "gram")
+    Forms are immutable.  ``route_memo`` keeps the eliminations that
+    ``signatures.raw_signature`` has done on this form, so each is done
+    once; it lives and dies with the form."""
+
+    __slots__ = ("algebra", "epsilon", "gram", "route_memo")
 
     def __init__(self, algebra: Algebra, gram, epsilon: int = 1):
         if epsilon not in (1, -1):
@@ -1115,6 +1119,7 @@ class HermitianForm:
                     rhs = algebra.neg(rhs)
                 if algebra.involution(self.gram[j][i]) != rhs:
                     raise MismatchError("Gram matrix is not epsilon-hermitian")
+        self.route_memo = {}
 
     @staticmethod
     def diagonal(algebra: Algebra, entries, epsilon: int = 1) -> HermitianForm:
@@ -1298,7 +1303,7 @@ def diagonalize_hermitian(h: HermitianForm):
         for i in range(n):
             if not A.is_zero(g[i][i]):
                 try:
-                    A.inverse(g[i][i])
+                    dinv = A.inverse(g[i][i])
                 except ZeroDivisorFound as zd:
                     return SplitWitness(A, A.elem(zd.value))
                 piv = i
@@ -1326,13 +1331,12 @@ def diagonalize_hermitian(h: HermitianForm):
             for t in range(n):
                 g[t][i] = A.add(g[t][i], A.mul(g[t][j], lam))
             piv = i
+            dinv = A.inverse(g[i][i])
         if piv != 0:
             g[0], g[piv] = g[piv], g[0]
             for row in g:
                 row[0], row[piv] = row[piv], row[0]
-        d = g[0][0]
-        dinv = A.inverse(d)
-        entries.append(d)
+        entries.append(g[0][0])
         rest = [
             [
                 A.sub(g[r][s], A.mul(g[r][0], A.mul(dinv, g[0][s])))

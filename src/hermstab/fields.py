@@ -79,7 +79,7 @@ class InvariantViolation(RuntimeError):
 # Every level-0 value is a Fraction in lowest terms: coprime numerator,
 # positive denominator (_from_rat and the JSON reader build them through
 # Fraction, and the kernel below keeps them so).  The level-0 branches of
-# _add, _neg, _mul, _inv, _is_zero and _sign run the kernel _q_* on
+# _add, _sub, _neg, _mul, _inv, _is_zero and _sign run the kernel _q_* on
 # numerator and denominator, which splits gcds the classical way (Knuth,
 # TAOCP vol. 2, 4.5.1) and so produces a coprime pair by construction;
 # _q_make wraps that pair without normalising it again, and is the only
@@ -103,6 +103,20 @@ def _q_add(x: Fraction, y: Fraction) -> Fraction:
         return _q_make(na * db + nb * da, da * db)
     s = da // g
     t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return _q_make(t, s * db)
+    return _q_make(t // g2, s * (db // g2))
+
+
+def _q_sub(x: Fraction, y: Fraction) -> Fraction:
+    na, da = x.numerator, x.denominator
+    nb, db = y.numerator, y.denominator
+    g = math.gcd(da, db)
+    if g == 1:
+        return _q_make(na * db - nb * da, da * db)
+    s = da // g
+    t = na * (db // g) - nb * s
     g2 = math.gcd(t, g)
     if g2 == 1:
         return _q_make(t, s * db)
@@ -350,6 +364,14 @@ class FieldTower:
         return (k, tuple(self._neg(level - 1, c) for c in p), q)
 
     def _sub(self, level, x, y):
+        if level == 0:
+            return _q_sub(x, y)
+        if self.steps[level][0] == "qext":
+            return (
+                self._sub(level - 1, x[0], y[0]),
+                self._sub(level - 1, x[1], y[1]),
+            )
+        # Laurent: negating first keeps _add's shared-denominator shortcuts
         return self._add(level, x, self._neg(level, y))
 
     def _mul(self, level, x, y):

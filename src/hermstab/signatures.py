@@ -113,7 +113,13 @@ def raw_signature(A: Algebra, h: HermitianForm, P: Ordering, budget: int = 50) -
     the diagonal entries, which lie in the fixed field.  Over (F, id) that
     elimination is congruence diagonalization (the ``trace-form`` route);
     the split-certificate route first carries h to the split model and P
-    to the certificate's chosen ordering."""
+    to the certificate's chosen ordering.
+
+    The elimination is done once per form and key and kept in
+    ``h.route_memo``: on the split-certificate route the key is ``P.path``;
+    on the other routes the diagonal does not depend on P, so the key is
+    None and only the sign count runs per ordering.  Failures are not
+    kept, and the budget only decides whether a value is found."""
     if h.algebra != A:
         raise MismatchError("form does not live over the algebra")
     if h.epsilon != 1:
@@ -121,25 +127,38 @@ def raw_signature(A: Algebra, h: HermitianForm, P: Ordering, budget: int = 50) -
     lt = local_type(A, P)
     if lt.nil:
         return 0
-    if A.kind == "matrix":
-        return raw_signature(A.inner, morita_flatten(h), P, budget)
-    if lt.route == "split-certificate":
+    key = P.path if lt.route == "split-certificate" else None
+    hit = h.route_memo.get(key)
+    if hit is None:
+        hit = h.route_memo[key] = _route_diagonal(A, h, P, lt.route, budget)
+    diagonal, chosen = hit
+    at = P if chosen is None else chosen
+    return sum(c.sign_at(at) for c in diagonal)
+
+
+def _route_diagonal(A, h, P, route, budget):
+    """The checked fixed-field diagonal of h's elimination on ``route``, and
+    the ordering its signs are read at (None: the ordering asked for)."""
+    while A.kind == "matrix":
+        A, h = A.inner, morita_flatten(h)
+    chosen = None
+    if route == "split-certificate":
         cert = find_certificate(A, P, budget)
         h, _ = transport_form(cert, h)
-        P = cert.chosen
+        chosen = cert.chosen
     diag = diagonalize_hermitian(h)
     if isinstance(diag, SplitWitness):
         raise InvariantViolation(
             "the algebra is split where it must be division; the nil "
             "computation and the form disagree"
         )
-    total = 0
+    diagonal = []
     for e in diag.diagonal_entries():
         coords = e.coords()
         if any(not c.is_zero() for c in coords[1:]):
             raise InvariantViolation("diagonal entry escaped the fixed field")
-        total += coords[0].sign_at(P)
-    return total
+        diagonal.append(coords[0])
+    return tuple(diagonal), chosen
 
 
 def reference_signs(A: Algebra, form: HermitianForm, budget: int = 50):

@@ -12,6 +12,7 @@ from hermstab.fields import (
     _q_inv,
     _q_mul,
     _q_neg,
+    _q_sub,
     harrison_set,
 )
 
@@ -284,6 +285,29 @@ def test_laurent_fast_paths_match_full_canonicalisation(field):
             assert slow.is_canonical(top, fast)
 
 
+@pytest.mark.parametrize("field", [Q, F2, LX, F2XY], ids=str)
+def test_sub_matches_add_of_negation(field):
+    """Direct subtraction gives the value tuple of x + (-y): on random
+    pairs, on equal pairs, and on pairs whose difference cancels the
+    leading Laurent term of the top variable or of the one below it."""
+    rng = random.Random(29)
+    top = field.depth - 1
+    elems = [random_element(rng, field, height=3) for _ in range(6)]
+    pairs = [(a, b) for a in elems for b in elems]
+    laurent = [g for g, step in zip(field.generators(), field.steps[1:])
+               if step[0] == "laurent"]
+    for t in laurent:
+        for c in elems:
+            pairs += [(c + t, c - t * t), (c * (1 + t), c), ((c + t) / (1 - t), c)]
+    if len(laurent) == 2:
+        x, y = laurent
+        pairs += [(1 + x + y, 1 + x * x), ((1 + x) / (1 - y), (1 + x * x) / (1 - y))]
+    for a, b in pairs:
+        want = field._add(top, a.value, field._neg(top, b.value))
+        assert field._sub(top, a.value, b.value) == want
+        assert (a - b).value == want
+
+
 def _kernel_operands(rng):
     big = 10**40
     out = [Fraction(n) for n in (0, 1, -1, 2, -3, 12, big)]
@@ -320,6 +344,7 @@ def test_rational_kernel_matches_fraction():
             same(_q_inv(x), 1 / x)
         for y in ops:
             same(_q_add(x, y), x + y)
+            same(_q_sub(x, y), x - y)
             same(_q_mul(x, y), x * y)
     with pytest.raises(ZeroDivisionError):
         _q_inv(Fraction(0))

@@ -1,8 +1,11 @@
 """Golden CLI outputs: the sha256 of stdout and the exit code of the
 ``--json`` commands ``nil``, ``signature``, ``stability`` and ``split-cert``
 on one algebra of each catalogue kind (towers of depth <= 1) and on one
-2 x 2 matrix wrapper, and of ``signature`` and ``split-cert`` on two kinds
-over towers of depth 2, whose split certificates extend a Laurent tower.
+2 x 2 matrix wrapper, of ``signature`` and ``split-cert`` on two kinds
+over towers of depth 2, whose split certificates extend a Laurent tower,
+and of ``stability`` on an orthogonal and a conjugation quaternion algebra
+over towers of depth 2, whose reports evaluate the same forms at several
+orderings.
 
 Any change to the printed bytes or exit codes of these commands fails
 here.  To re-record after an intended output change, run this file as a
@@ -119,6 +122,27 @@ DEPTH2 = {
 }
 
 
+# depth-2 towers: name -> algebra document; only ``stability`` runs on these
+DEPTH2_REPORTS = {
+    # (x, -1) with an orthogonal involution over Q((x))((y))
+    "quaternion_orthogonal_depth2_report": {
+        "kind": "quaternion",
+        "field": LXY,
+        "a": INNER_X,
+        "b": "-1",
+        "involution": {"type": "orthogonal", "u": ["0", "0", "1", "0"]},
+    },
+    # (-1, x) with conjugation over Q(sqrt 2)((x))
+    "quaternion_conjugation_depth2_report": {
+        "kind": "quaternion",
+        "field": F2X,
+        "a": "-1",
+        "b": X,
+        "involution": {"type": "conjugation"},
+    },
+}
+
+
 def _dumps(doc) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
@@ -135,6 +159,8 @@ def _commands():
         if kind in ALGEBRAS:
             yield kind + "/nil", ["--json", "nil", "--algebra", a]
             yield kind + "/stability", ["--json", "stability", "--algebra", a]
+    for name, alg in DEPTH2_REPORTS.items():
+        yield name + "/stability", ["--json", "stability", "--algebra", _dumps(alg)]
 
 
 COMMANDS = dict(_commands())
@@ -166,14 +192,14 @@ GOLDEN = {
     "quaternion_conjugation/signature": (0, "096332c598f68aeb028cff421d8f151c7b7bf67631500b8742ac5415ae5bd7df"),
     "quaternion_conjugation/split-cert": (0, "d11fa51feefec28786864caea9cd45468ca23e0642b848935b298c6bf9efe67b"),
     "quaternion_conjugation/stability": (0, "588e49a42091e65d9e0391b0cd140d02c13ba97f6b2db3a27c742d2450ffa64f"),
+    "quaternion_conjugation_depth2_report/stability": (0, "73a62ea5e20afa6647a12bfb3015829b6865ee99577f429d1ebdd8ab57c64622"),
     "quaternion_orthogonal/nil": (0, "9991308039841d348d7eadc88b910bb21a77bfa23f338ceb31a8fae3482b9ed7"),
     "quaternion_orthogonal/signature": (0, "6e94ae812bb5e5b1cced119714b4a91a7a06bdf09d49c929277fa3d7fc354c9c"),
     "quaternion_orthogonal/split-cert": (0, "f13405a4ddc8dc57d7b8d73f22eaa9e35695b92194a3db5c862a5defd4b459ca"),
     "quaternion_orthogonal/stability": (0, "0d9ebb565e1f6f703e919925ab029f32dc45da932acf2c4ff90ec5246ca6544a"),
     "quaternion_orthogonal_depth2/signature": (0, "b0f0f85195fc9c60b9417d79f7a59091fae1269bb15f6e89e17e811ee6ae60f3"),
     "quaternion_orthogonal_depth2/split-cert": (0, "1580f45304ba23d3662760a3f168e0e82e3a3cf32f0c064c2ca241fef4296298"),
-    "unitary_quaternion_depth2/signature": (0, "0e453e03bc1cb5abd93411919ae6179fb966864704244d36f1f8240692f91dee"),
-    "unitary_quaternion_depth2/split-cert": (0, "d681796559b17313e57b4677654db1ccb32e630abd4ed0804d3366888c6036a3"),
+    "quaternion_orthogonal_depth2_report/stability": (0, "3ef6bd21235cde2057ead415340a991152e799734309841503369357a085cb10"),
     "unitary_quadratic/nil": (0, "25f06364e01a0febce79a41558083d5e98cda87c631ff9fd7480e41248ff7177"),
     "unitary_quadratic/signature": (0, "0f64f118c2fa7579f186cd0d35f5234ef27276fb369439a19e8f764c8d1d791a"),
     "unitary_quadratic/split-cert": (0, "6d15550afcf4cdef0d9511b9b4241abe17eb7846fc51abf819ef0f078f0b6173"),
@@ -182,6 +208,8 @@ GOLDEN = {
     "unitary_quaternion/signature": (0, "2a31f73aee1e12be207834f15fc260daeace31656dbf4ac0576848aaf7bb8e7d"),
     "unitary_quaternion/split-cert": (0, "0b9f9cdec31e3df7e7946397693d1119b1aa1d2d3fbb899732da9ef1bab21c4e"),
     "unitary_quaternion/stability": (0, "4c6e6a62d60cd4b77bd0b1ce55be8b5625fe88e8eb13a754be6dd501b5081502"),
+    "unitary_quaternion_depth2/signature": (0, "0e453e03bc1cb5abd93411919ae6179fb966864704244d36f1f8240692f91dee"),
+    "unitary_quaternion_depth2/split-cert": (0, "d681796559b17313e57b4677654db1ccb32e630abd4ed0804d3366888c6036a3"),
 }
 
 

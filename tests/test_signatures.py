@@ -35,6 +35,7 @@ from corpus import (
     random_nonsquare,
     random_quadratic_extension,
     random_quadratic_form,
+    random_sym_element,
     random_tower,
     tower_shapes,
 )
@@ -547,3 +548,143 @@ def test_field_id_route_matches_congruence_diagonalization(shape):
                 assert raw_signature(A, h, P) == q.signature(P), (shape, P.name())
             compared += 1
     assert compared >= 8 and singular >= 24
+
+
+def _memo_cases():
+    """(algebra, forms) for every catalogue kind and every route: the
+    trace-form, diagonal-sum and split-certificate routes, nil orderings,
+    matrix wrappers over the diagonal-sum and split-certificate routes,
+    and split-certificate kinds over Laurent towers."""
+    LXY = LX.adjoin_laurent()
+    algebras = [
+        FieldAlgebra(F2),
+        ExchangeAlgebra(LX),
+        UnitaryQuadraticAlgebra(F2, -1),
+        A3,
+        QuaternionAlgebra(LXY, LXY.generator(1), -1, "orthogonal", [0, 0, 1, 0]),
+        UnitaryQuaternionAlgebra(LX, -1, LX.generator(), -1),
+        MatrixAlgebra(2, HAM, [HAM.elem(HAM.one()), HAM.from_field(-2)]),
+        MatrixAlgebra(2, ORTH_X),
+    ]
+    rng = random.Random(83)
+    for A in algebras:
+        forms = list(A.reference_candidates[:4])
+        for rank in (1, 2):
+            forms.append(random_hermitian_diagonal(rng, A, rank))
+        # a full 2 x 2 Gram [[s, b], [sigma(b), t]], b not symmetric when
+        # the algebra allows: b = s1 * s2 - s2 * s1 + s1; not over matrix
+        # wrappers, whose forms already flatten to non-diagonal Grams and
+        # whose full Grams take seconds to eliminate
+        if A.kind != "matrix":
+            s, t, s1, s2 = (random_sym_element(rng, A).value for _ in range(4))
+            b = A.add(A.sub(A.mul(s1, s2), A.mul(s2, s1)), s1)
+            forms.append(HermitianForm(A, [[s, b], [A.involution(b), t]]))
+        forms.append(forms[0].direct_sum(forms[-1]))
+        yield A, forms
+
+
+def test_route_memo_matches_fresh_forms():
+    """Each form evaluated twice at every ordering (the second pass reads
+    the memo) equals a fresh form with the same Gram evaluated once."""
+    routes = set()
+    for A, forms in _memo_cases():
+        orderings = A.field.orderings()
+        routes.update(local_type(A, P).route for P in orderings)
+        for h in forms:
+            want = [
+                raw_signature(A, HermitianForm(A, h.gram, h.epsilon), P)
+                for P in orderings
+            ]
+            for _ in range(2):
+                assert [raw_signature(A, h, P) for P in orderings] == want, A.describe()
+    assert routes == {None, "trace-form", "diagonal-sum", "split-certificate"}
+
+
+def test_route_memo_keeps_no_failure(monkeypatch):
+    """A search that fails once leaves nothing in the memo: the next call
+    on the same form object returns the true value."""
+    import hermstab.signatures as signatures
+    from hermstab.splitting import clear_certificate_cache, find_certificate
+
+    A = ORTH_X
+    P = LX.orderings()[0]
+    h = HermitianForm.diagonal(A, [A.one(), A.from_field(3)])
+    want = raw_signature(A, HermitianForm(A, h.gram), P)
+    clear_certificate_cache()
+    failures = []
+
+    def fails_once(*args):
+        if not failures:
+            failures.append(args)
+            raise SearchExhausted("no certificate this time")
+        return find_certificate(*args)
+
+    monkeypatch.setattr(signatures, "find_certificate", fails_once)
+    with pytest.raises(SearchExhausted):
+        raw_signature(A, h, P)
+    assert h.route_memo == {} and failures
+    assert raw_signature(A, h, P) == want
+    assert list(h.route_memo) == [P.path]
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` wherever hermstab imported it."""
+    import sys
+
+    fn = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("hermstab.") and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "workload, eliminations", [("deep_orth", 38), ("deep_conj", 3)]
+)
+def test_stability_report_eliminates_each_form_once(monkeypatch, workload, eliminations):
+    """A cold stability report eliminates each form once per key: once per
+    form on the diagonal-sum route, once per (form, ordering) on the
+    split-certificate route."""
+    import hermstab.algebras as algebras
+    from hermstab.splitting import clear_certificate_cache
+    from hermstab.stability import stability_report
+
+    if workload == "deep_orth":
+        F = LX.adjoin_laurent()
+        A = QuaternionAlgebra(F, F.generator(1), -1, "orthogonal", [0, 0, 1, 0])
+    else:
+        F = F2.adjoin_laurent().adjoin_laurent()
+        A = QuaternionAlgebra(F, -1, F.generator(2))
+    clear_certificate_cache()
+    calls = _count_calls(monkeypatch, algebras, "diagonalize_hermitian")
+    stability_report(A)
+    assert len(calls) == eliminations
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_elimination_inverts_each_pivot_once(monkeypatch, n):
+    """An n x n Gram over a field whose diagonal pivots are all invertible
+    costs exactly n inverses."""
+    from hermstab.algebras import diagonalize_hermitian
+
+    A = FieldAlgebra(LX)
+    x = LX.generator()
+    gram = [[(1 + x) ** (i + j) + (i == j) for j in range(n)] for i in range(n)]
+    h = HermitianForm(A, [[e.value for e in row] for row in gram])
+    inverses = []
+    inverse = FieldAlgebra.inverse
+
+    def counted(self, v):
+        inverses.append(v)
+        return inverse(self, v)
+
+    monkeypatch.setattr(FieldAlgebra, "inverse", counted)
+    diag = diagonalize_hermitian(h)
+    assert diag.rank == n and len(inverses) == n
