@@ -5,7 +5,9 @@ on one algebra of each catalogue kind (towers of depth <= 1) and on one
 over towers of depth 2, whose split certificates extend a Laurent tower,
 and of ``stability`` on an orthogonal and a conjugation quaternion algebra
 over towers of depth 2, whose reports evaluate the same forms at several
-orderings.
+orderings, and of ``transfer-check`` on forms over Q(sqrt 2), Q(sqrt 3)
+and Q(sqrt 2)(sqrt 3), with entries u + v*sqrt(e) both with u = 0 and
+with u != 0.
 
 Any change to the printed bytes or exit codes of these commands fails
 here.  To re-record after an intended output change, run this file as a
@@ -143,6 +145,31 @@ DEPTH2_REPORTS = {
 }
 
 
+F3 = {"tower": [{"kind": "base"}, {"kind": "qext", "d": "3"}]}
+F23 = {"tower": [{"kind": "base"}, {"kind": "qext", "d": "2"}, {"kind": "qext", "d": "3"}]}
+
+# name -> quadratic form document; only ``transfer-check`` runs on these
+TRANSFERS = {
+    "transfer_q_sqrt2": {
+        "field": F2,
+        "diag": [{"u": "0", "v": "3"}, {"u": "1", "v": "1"}, "-5", {"u": "2", "v": "-1/3"}],
+    },
+    "transfer_q_sqrt3": {
+        "field": F3,
+        "diag": [{"u": "0", "v": "-2"}, {"u": "1/2", "v": "1"}, "7", {"u": "-1", "v": "1"}],
+    },
+    "transfer_q_sqrt2_sqrt3": {
+        "field": F23,
+        "diag": [
+            {"u": {"u": "1", "v": "1"}, "v": "0"},
+            {"u": "0", "v": {"u": "0", "v": "1"}},
+            {"u": "-1", "v": {"u": "1", "v": "0"}},
+            {"u": {"u": "1", "v": "-1"}, "v": {"u": "2", "v": "1"}},
+        ],
+    },
+}
+
+
 def _dumps(doc) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
@@ -161,6 +188,8 @@ def _commands():
             yield kind + "/stability", ["--json", "stability", "--algebra", a]
     for name, alg in DEPTH2_REPORTS.items():
         yield name + "/stability", ["--json", "stability", "--algebra", _dumps(alg)]
+    for name, form in TRANSFERS.items():
+        yield name + "/transfer-check", ["--json", "transfer-check", "--form", _dumps(form)]
 
 
 COMMANDS = dict(_commands())
@@ -200,6 +229,9 @@ GOLDEN = {
     "quaternion_orthogonal_depth2/signature": (0, "b0f0f85195fc9c60b9417d79f7a59091fae1269bb15f6e89e17e811ee6ae60f3"),
     "quaternion_orthogonal_depth2/split-cert": (0, "1580f45304ba23d3662760a3f168e0e82e3a3cf32f0c064c2ca241fef4296298"),
     "quaternion_orthogonal_depth2_report/stability": (0, "3ef6bd21235cde2057ead415340a991152e799734309841503369357a085cb10"),
+    "transfer_q_sqrt2/transfer-check": (0, "99b51ecfd13944158226e0c9202a834541b8e79614c62dbeb7e4825872052931"),
+    "transfer_q_sqrt2_sqrt3/transfer-check": (0, "8c1312d29fa715759082cc5600e891e9075363f10de55ba70650f316c3b2b3d9"),
+    "transfer_q_sqrt3/transfer-check": (0, "d5812d8f37e89530e082782c47079c0f87a2eb1ab6ce90c85555729126cf9284"),
     "unitary_quadratic/nil": (0, "25f06364e01a0febce79a41558083d5e98cda87c631ff9fd7480e41248ff7177"),
     "unitary_quadratic/signature": (0, "0f64f118c2fa7579f186cd0d35f5234ef27276fb369439a19e8f764c8d1d791a"),
     "unitary_quadratic/split-cert": (0, "6d15550afcf4cdef0d9511b9b4241abe17eb7846fc51abf819ef0f078f0b6173"),
