@@ -752,41 +752,27 @@ class MatrixAlgebra(Algebra):
         )
 
     def inverse(self, x):
-        """Row reduction over the inner algebra (a division ring on the
-        catalogue); a non-invertible pivot surfaces the inner witness."""
+        """Gauss-Jordan on [X | I] over the inner algebra (a division ring
+        on the catalogue); a non-invertible pivot gives a witness in M."""
         if self.is_zero(x):
             raise ZeroDivisionError("inverse of zero")
         n = self.n
-        work = [list(row) for row in x]
-        aug = [
-            [self.inner.one() if i == j else self.inner.zero() for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            piv = next(
-                (r for r in range(col, n) if not self.inner.is_zero(work[r][col])),
-                None,
+        D = self.inner
+        one = self.one()
+        try:
+            rows, pivots = _gauss_jordan(
+                [[D.elem(v) for v in (*row, *one[i])] for i, row in enumerate(x)]
             )
-            if piv is None:
-                raise ZeroDivisorFound(self, x)
-            work[col], work[piv] = work[piv], work[col]
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pinv = self.inner.inverse(work[col][col])
-            work[col] = [self.inner.mul(pinv, v) for v in work[col]]
-            aug[col] = [self.inner.mul(pinv, v) for v in aug[col]]
-            for r in range(n):
-                if r == col or self.inner.is_zero(work[r][col]):
-                    continue
-                f = work[r][col]
-                work[r] = [
-                    self.inner.sub(v, self.inner.mul(f, w))
-                    for v, w in zip(work[r], work[col])
-                ]
-                aug[r] = [
-                    self.inner.sub(v, self.inner.mul(f, w))
-                    for v, w in zip(aug[r], aug[col])
-                ]
-        return tuple(tuple(row) for row in aug)
+        except ZeroDivisorFound as zd:
+            # the inner witness z in the top-left corner: a zero divisor of M
+            corner = tuple(
+                tuple(zd.value if i == j == 0 else D.zero() for j in range(n))
+                for i in range(n)
+            )
+            raise ZeroDivisorFound(self, corner) from None
+        if pivots[:n] != list(range(n)):
+            raise ZeroDivisorFound(self, x)
+        return tuple(tuple(e.value for e in row[n:]) for row in rows)
 
     def is_zero(self, x):
         return all(self.inner.is_zero(v) for row in x for v in row)
@@ -1040,14 +1026,16 @@ def reduced_norm(A: Algebra, z: AlgebraElement) -> FieldElement:
     return z.reduced_norm()
 
 
-def _nullspace(rows, zero, one):
-    """Right-nullspace basis of a matrix of commutative invertible-capable
-    elements, deterministic pivoting, free variables in column order."""
+def _gauss_jordan(rows):
+    """Reduced row echelon form over a division ring, by row operations
+    multiplying on the left; the pivot is the first nonzero entry of its
+    column.  Entries need ``*``, ``-``, ``inverse()`` and ``is_zero()``.
+    Returns (rows, pivot columns)."""
     rows = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
     pivots = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         piv = next(
             (i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None
         )
@@ -1055,16 +1043,23 @@ def _nullspace(rows, zero, one):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = [inv * x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and not rows[i][c].is_zero():
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    return rows, pivots
+
+
+def _nullspace(rows, zero, one):
+    """Right-nullspace basis of a matrix, free variables in column order."""
+    rows, pivots = _gauss_jordan(rows)
+    ncols = len(rows[0]) if rows else 0
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [zero] * ncols
         vec[fc] = one
         for rr, pc in enumerate(pivots):
@@ -1337,14 +1332,11 @@ def diagonalize_hermitian(h: HermitianForm):
             for row in g:
                 row[0], row[piv] = row[piv], row[0]
         entries.append(g[0][0])
-        rest = [
-            [
-                A.sub(g[r][s], A.mul(g[r][0], A.mul(dinv, g[0][s])))
-                for s in range(1, len(g))
-            ]
-            for r in range(1, len(g))
+        scaled = [A.mul(dinv, v) for v in g[0][1:]]
+        g = [
+            [A.sub(v, A.mul(row[0], w)) for v, w in zip(row[1:], scaled)]
+            for row in g[1:]
         ]
-        g = rest
     return HermitianForm.diagonal(A, entries, 1)
 
 

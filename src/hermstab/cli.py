@@ -17,12 +17,7 @@ import sys
 
 from .algebras import HermitianForm, algebra_from_json
 from .fields import FieldTower, InvariantViolation, MismatchError, Ordering, TowerError
-from .quadratic import (
-    QuadraticForm,
-    SingularFormError,
-    knebusch_check,
-    scharlau_transfer,
-)
+from .quadratic import QuadraticForm, SingularFormError, transfer_table
 from .signatures import (
     ReferenceForm,
     SearchExhausted,
@@ -271,17 +266,9 @@ def cmd_transfer_check(args) -> int:
         raise ValidationFailure(
             "transfer needs a form over a field whose top step is a square root"
         )
-    tr = scharlau_transfer(L, phi)
-    ok = knebusch_check(L, phi)
-    F = tr.field
-    rows = []
-    for P in F.orderings():
-        rhs = sum(
-            phi.signature(Q)
-            for Q in L.orderings()
-            if Q.path[: len(P.path)] == P.path
-        )
-        rows.append((P.name(), tr.signature(P), rhs))
+    tr, table = transfer_table(L, phi)
+    ok = all(a == b for _, a, b in table)
+    rows = [(P.name(), a, b) for P, a, b in table]
     doc = {
         "form": phi.to_json(),
         "transfer": tr.to_json(),

@@ -20,6 +20,7 @@ __all__ = [
     "diagonalize_gram",
     "pfister",
     "scharlau_transfer",
+    "transfer_table",
     "knebusch_check",
     "hilbert_symbol",
     "hasse_invariant",
@@ -154,54 +155,14 @@ class SignatureVector:
 
 
 def diagonalize_gram(field: FieldTower, gram) -> QuadraticForm:
-    """Diagonalize a symmetric Gram matrix by congruence.
+    """Diagonalize a symmetric Gram matrix by congruence: the hermitian
+    elimination over (F, id)."""
+    from .algebras import FieldAlgebra, HermitianForm, diagonalize_hermitian, rho_form
 
-    Uses symmetric pivoting; a block with zero diagonal is repaired by
-    adding a row/column, which realizes the usual hyperbolic split.
-    """
-    g = [[field.coerce(x) for x in row] for row in gram]
-    n = len(g)
-    for row in g:
-        if len(row) != n:
-            raise SingularFormError("Gram matrix must be square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if g[i][j] != g[j][i]:
-                raise MismatchError("Gram matrix must be symmetric")
-    entries = []
-    while g:
-        n = len(g)
-        piv = next((i for i in range(n) if not g[i][i].is_zero()), None)
-        if piv is None:
-            pair = next(
-                (
-                    (i, j)
-                    for i in range(n)
-                    for j in range(i + 1, n)
-                    if not g[i][j].is_zero()
-                ),
-                None,
-            )
-            if pair is None:
-                raise SingularFormError("Gram matrix is singular")
-            i, j = pair
-            for t in range(n):
-                g[i][t] = g[i][t] + g[j][t]
-            for t in range(n):
-                g[t][i] = g[t][i] + g[t][j]
-            piv = i
-        if piv != 0:
-            g[0], g[piv] = g[piv], g[0]
-            for row in g:
-                row[0], row[piv] = row[piv], row[0]
-        d = g[0][0]
-        entries.append(d)
-        rest = [
-            [g[r][s] - g[r][0] * g[0][s] / d for s in range(1, len(g))]
-            for r in range(1, len(g))
-        ]
-        g = rest
-    return QuadraticForm(field, entries)
+    g = [[field.coerce(x).value for x in row] for row in gram]
+    if any(len(row) != len(g) for row in g):
+        raise SingularFormError("Gram matrix must be square")
+    return rho_form(diagonalize_hermitian(HermitianForm(FieldAlgebra(field), g)))
 
 
 def pfister(field: FieldTower, elements) -> QuadraticForm:
@@ -219,7 +180,8 @@ def scharlau_transfer(L: FieldTower, phi: QuadraticForm) -> QuadraticForm:
     """Trace transfer of a form along a single square-root step L = F(sqrt(e)).
 
     Each entry c = u + v*sqrt(e) contributes the Gram [[2u, 2ve], [2ve, 2ue]]
-    on the basis {1, sqrt(e)}, which is then diagonalized over F.
+    on the basis {1, sqrt(e)}, whose congruence diagonal is
+    <2u, 2ue - (2ve)^2/(2u)> when u != 0 and <4ve, -ve> when u = 0.
     """
     if L.steps[-1][0] != "qext":
         raise MismatchError("transfer needs the top tower step to be a square root")
@@ -230,28 +192,38 @@ def scharlau_transfer(L: FieldTower, phi: QuadraticForm) -> QuadraticForm:
     two = F.rational(2)
     entries = []
     for c in phi.entries:
-        u, v = c.value
-        u = FieldElement(F, u)
-        v = FieldElement(F, v)
-        gram = [
-            [two * u, two * v * e],
-            [two * v * e, two * u * e],
-        ]
-        entries.extend(diagonalize_gram(F, gram).entries)
+        u, v = (FieldElement(F, x) for x in c.value)
+        ve = v * e
+        if u.is_zero():
+            entries += [two * two * ve, -ve]
+        else:
+            u2, ve2 = two * u, two * ve
+            entries += [u2, u2 * e - ve2 * ve2 / u2]
     return QuadraticForm(F, entries)
+
+
+def transfer_table(L: FieldTower, phi: QuadraticForm):
+    """The transfer tr(φ) to F and, for each ordering P of F, the triple
+    (P, sign_P(tr φ), Σ_{Q over P} sign_Q(φ))."""
+    tr = scharlau_transfer(L, phi)
+    rows = [
+        (
+            P,
+            tr.signature(P),
+            sum(
+                phi.signature(Q)
+                for Q in L.orderings()
+                if Q.path[: len(P.path)] == P.path
+            ),
+        )
+        for P in tr.field.orderings()
+    ]
+    return tr, rows
 
 
 def knebusch_check(L: FieldTower, phi: QuadraticForm) -> bool:
     """Transfer signature identity: sign_P(tr φ) = Σ_{Q over P} sign_Q(φ)."""
-    tr = scharlau_transfer(L, phi)
-    F = tr.field
-    for P in F.orderings():
-        rhs = sum(
-            phi.signature(Q) for Q in L.orderings() if Q.path[: len(P.path)] == P.path
-        )
-        if tr.signature(P) != rhs:
-            return False
-    return True
+    return all(a == b for _, a, b in transfer_table(L, phi)[1])
 
 
 # ---------------------------------------------------------------------------

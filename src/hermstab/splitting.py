@@ -23,6 +23,7 @@ from .algebras import (
     HermitianForm,
     MatrixAlgebra,
     UnitaryQuadraticAlgebra,
+    _gauss_jordan,
     _nullspace,
     morita_flatten,
 )
@@ -208,44 +209,6 @@ class SplittingCertificate:
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra over a commutative coefficient algebra
-# ---------------------------------------------------------------------------
-
-
-class _Span2:
-    """Solve coordinates in the span of two independent vectors."""
-
-    def __init__(self, v1, v2):
-        self.v1 = v1
-        self.v2 = v2
-        n = len(v1)
-        p1 = next(i for i in range(n) if not v1[i].is_zero())
-        self.p1 = p1
-        p2 = None
-        for i in range(n):
-            det = v1[p1] * v2[i] - v1[i] * v2[p1]
-            if not det.is_zero():
-                p2 = i
-                self.det = det
-                break
-        if p2 is None:
-            raise MismatchError("ideal basis vectors are dependent")
-        self.p2 = p2
-
-    def solve(self, w):
-        a, b = self.v1[self.p1], self.v2[self.p1]
-        c, d = self.v1[self.p2], self.v2[self.p2]
-        w1, w2 = w[self.p1], w[self.p2]
-        dinv = self.det.inverse()
-        c1 = (d * w1 - b * w2) * dinv
-        c2 = (a * w2 - c * w1) * dinv
-        for i in range(len(w)):
-            if not (self.v1[i] * c1 + self.v2[i] * c2 - w[i]).is_zero():
-                raise InvariantViolation("vector lies outside the ideal")
-        return c1, c2
-
-
-# ---------------------------------------------------------------------------
 # the split model of a quaternion kind over its centre
 # ---------------------------------------------------------------------------
 
@@ -262,7 +225,8 @@ def _centre_coords(centre: Algebra, value):
 
 
 def _build_split_data(A_L: Algebra, centre: Algebra, witness_value, sqm: FieldElement):
-    """Idempotent splitting: matrices of 1, i, j, k acting on (A tensor L) e."""
+    """Idempotent splitting: matrices of 1, i, j, k acting on (A tensor L) e,
+    in the basis v1, v2 of the first two independent columns of the ideal."""
     L = A_L.field
     half = L.rational(1, 2)
     sq_inv = sqm.inverse()
@@ -272,27 +236,17 @@ def _build_split_data(A_L: Algebra, centre: Algebra, witness_value, sqm: FieldEl
         raise InvariantViolation("idempotent construction failed")
     basis = _quat_centre_basis(A_L)
     ideal = [A_L.mul(b, e) for b in basis]
-    coords = [_centre_coords(centre, v) for v in ideal]
-    # pick the first two independent columns of the ideal
-    v1 = coords[0]
-    span = None
-    for cand in coords[1:]:
-        try:
-            span = _Span2(v1, cand)
-            break
-        except MismatchError:
-            continue
-    if span is None:
+    # column 4s + t is b_s * ideal[t]; with b_0 = 1 the first four are the ideal
+    cols = [A_L.mul(b, v) for b in basis for v in ideal]
+    rows, pivots = _gauss_jordan(zip(*(_centre_coords(centre, v) for v in cols)))
+    if len(pivots) < 2 or pivots[1] >= 4:
         raise InvariantViolation("ideal is not 2-dimensional over the centre")
-    matrices = []
-    for b in basis:
-        cols = [
-            span.solve(_centre_coords(centre, A_L.mul(b, tuple(c.value for c in vs))))
-            for vs in (span.v1, span.v2)
-        ]
-        # columns to rows
-        matrices.append(tuple(tuple(e.value for e in row) for row in zip(*cols)))
-    return matrices
+    if any(not x.is_zero() for row in rows[2:] for x in row):
+        raise InvariantViolation("vector lies outside the ideal")
+    return [
+        tuple(tuple(rows[r][4 * s + t].value for t in pivots[:2]) for r in (0, 1))
+        for s in range(4)
+    ]
 
 
 def _scale(C: Algebra, c, X):

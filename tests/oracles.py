@@ -5,16 +5,20 @@ are checked against outward-rounded interval arithmetic on a numeric
 embedding, rational Hilbert symbols against a bounded Hensel-valid
 solution search on the associated ternary form, tower arithmetic
 against a slow re-implementation that canonicalises every Laurent value
-by the full strip, gcd and normalize, and quaternion arithmetic against
-the basis multiplication table applied bilinearly.
+by the full strip, gcd and normalize, quaternion arithmetic against
+the basis multiplication table applied bilinearly, symmetric Gram
+matrices against plain congruence diagonalization over the field, and
+integer invariant factors against the determinantal divisors.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
-from hermstab.fields import FieldElement, FieldTower, Ordering
+from hermstab.fields import FieldElement, FieldTower, MismatchError, Ordering
+from hermstab.quadratic import QuadraticForm, SingularFormError
 
 
 class Interval:
@@ -529,3 +533,91 @@ class QuaternionOracle:
     def reduced_norm(self, x):
         n = self.nrd(x)
         return self.c_mul(n, self.c_conj(n))[0] if self.cdim == 2 else n[0]
+
+
+# ---------------------------------------------------------------------------
+# congruence diagonalization over the field itself
+# ---------------------------------------------------------------------------
+
+
+def diagonalize_gram(field: FieldTower, gram) -> QuadraticForm:
+    """Diagonalize a symmetric Gram matrix by congruence with FieldElement
+    arithmetic: symmetric pivoting, and a block with zero diagonal repaired
+    by adding row/column j to row/column i (the hyperbolic split)."""
+    g = [[field.coerce(x) for x in row] for row in gram]
+    n = len(g)
+    for row in g:
+        if len(row) != n:
+            raise SingularFormError("Gram matrix must be square")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if g[i][j] != g[j][i]:
+                raise MismatchError("Gram matrix must be symmetric")
+    entries = []
+    while g:
+        n = len(g)
+        piv = next((i for i in range(n) if not g[i][i].is_zero()), None)
+        if piv is None:
+            pair = next(
+                (
+                    (i, j)
+                    for i in range(n)
+                    for j in range(i + 1, n)
+                    if not g[i][j].is_zero()
+                ),
+                None,
+            )
+            if pair is None:
+                raise SingularFormError("Gram matrix is singular")
+            i, j = pair
+            for t in range(n):
+                g[i][t] = g[i][t] + g[j][t]
+            for t in range(n):
+                g[t][i] = g[t][i] + g[t][j]
+            piv = i
+        if piv != 0:
+            g[0], g[piv] = g[piv], g[0]
+            for row in g:
+                row[0], row[piv] = row[piv], row[0]
+        d = g[0][0]
+        entries.append(d)
+        rest = [
+            [g[r][s] - g[r][0] * g[0][s] / d for s in range(1, len(g))]
+            for r in range(1, len(g))
+        ]
+        g = rest
+    return QuadraticForm(field, entries)
+
+
+# ---------------------------------------------------------------------------
+# integer invariant factors from determinantal divisors
+# ---------------------------------------------------------------------------
+
+
+def _det(m) -> int:
+    """Integer determinant by Laplace expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def determinantal_invariants(rows, ambient_dim: int):
+    """(torsion factors, free rank) of Z^m modulo the row lattice, by
+    s_k = d_k / d_(k-1) with d_k the gcd of all k x k minors (brute force,
+    meant for matrices with at most 5 rows and columns)."""
+    rows = [list(r) for r in rows]
+    divisors = [1]
+    for k in range(1, min(len(rows), ambient_dim) + 1):
+        d = 0
+        for rs in combinations(range(len(rows)), k):
+            for cs in combinations(range(ambient_dim), k):
+                d = math.gcd(d, _det([[rows[r][c] for c in cs] for r in rs]))
+        if d == 0:
+            break
+        divisors.append(d)
+    factors = [b // a for a, b in zip(divisors, divisors[1:])]
+    return [s for s in factors if s != 1], ambient_dim - len(factors)

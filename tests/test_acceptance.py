@@ -403,7 +403,7 @@ def test_criterion_6_route_independence(capsys):
                 for i in range(2):
                     for j in range(2):
                         big[2 * r + i][2 * s + j] = block[i][j]
-        from hermstab.quadratic import diagonalize_gram
+        from oracles import diagonalize_gram
 
         oracle_sig = diagonalize_gram(Q, big).signature(P0)
         assert abs(lib) == abs(oracle_sig), (A.describe(), lib, oracle_sig)

@@ -301,6 +301,47 @@ def test_diagonalize_split_witness():
     assert not w.is_invertible()
 
 
+def test_matrix_split_witness_is_an_element_of_the_wrapper():
+    """A zero divisor met inside the inner algebra of M_2(D) surfaces as a
+    zero divisor of M_2(D): the inner witness in the top-left corner."""
+    D = QuaternionAlgebra(Q, 1, 1, "orthogonal", [0, 1, 0, 0])
+    M = MatrixAlgebra(2, D)
+    _, _, j, k = D.basis()
+    z = D.zero()
+    entry = M.elem((((j + k).value, z), (z, D.one())))
+    res = diagonalize_hermitian(HermitianForm.diagonal(M, [entry]))
+    assert isinstance(res, SplitWitness)
+    w = res.element
+    assert w.algebra == M and not w.is_zero()
+    assert len(w.coords()) == M.dim
+    assert not w.is_invertible()
+
+
+def test_diagonalize_hermitian_forms_each_row_product_once(monkeypatch):
+    """A Schur-complement step on an n x n Gram makes (n-1) + (n-1)^2
+    products: 40 on a 5 x 5 Gram with nonzero pivots, where forming
+    dinv * g[0][s] once per entry made 2 (n-1)^2 per step, 60 in all."""
+    L = F2.adjoin_laurent()
+    A = FieldAlgebra(L)
+    s2 = L.coerce(F2.generator())
+    x = L.generator()
+    gram = [
+        [(4 + s2 * x if r == c else (r + c) * x + s2 * x * x).value for c in range(5)]
+        for r in range(5)
+    ]
+    h = HermitianForm(A, gram)
+    calls = []
+    real = FieldAlgebra.mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(FieldAlgebra, "mul", counted)
+    d = diagonalize_hermitian(h)
+    assert d.rank == 5 and len(calls) == 40
+
+
 def test_diagonalize_preserves_trace_signature():
     rng = random.Random(46)
     done = skipped = 0

@@ -516,7 +516,8 @@ def test_field_id_route_matches_congruence_diagonalization(shape):
     """Over (F, id) the signature route is hermitian elimination; it must
     agree with congruence diagonalization of the symmetric Gram matrix at
     every ordering, and both must refuse the same singular matrices."""
-    from hermstab.quadratic import SingularFormError, diagonalize_gram
+    from hermstab.quadratic import SingularFormError
+    from oracles import diagonalize_gram
 
     field = {
         "Q": Q,
