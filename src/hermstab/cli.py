@@ -48,6 +48,8 @@ def _load_doc(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationFailure(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationFailure("invalid JSON: nested too deeply") from exc
 
 
 def _check_depth(field: FieldTower, max_depth: int):
@@ -199,6 +201,8 @@ def cmd_stability(args) -> int:
         pd = _load_doc("@" + args.probes)
         if not isinstance(pd, dict) or not set(pd) <= {"sym", "field"}:
             raise ValidationFailure("probes file takes keys 'sym' and 'field'")
+        if not all(isinstance(v, list) for v in pd.values()):
+            raise ValidationFailure("probes 'sym' and 'field' take lists")
         default = Probes.default(A)
         sym = list(default.sym_forms)
         for e in pd.get("sym", []):
@@ -229,7 +233,7 @@ def cmd_split_cert(args) -> int:
     A = _parse_algebra(args.algebra, args.max_depth)
     orderings = A.field.orderings()
     text = args.ordering
-    if text.lstrip("-").isdigit():
+    if text.lstrip("-").isdecimal():
         idx = int(text)
         if not 0 <= idx < len(orderings):
             raise ValidationFailure(f"ordering index {idx} out of range")

@@ -23,9 +23,11 @@ from .algebras import (
 from .fields import FieldElement, FieldTower, InvariantViolation, MismatchError
 from .lattices import (
     cokernel_invariants,
+    hnf,
     hnf_with_transform,
     lattice_coefficients,
     lattice_member,
+    lattice_solve,
 )
 from .quadratic import (
     QuadraticForm,
@@ -58,8 +60,6 @@ __all__ = [
     "relative_stability",
     "invariance_suite",
 ]
-
-_EXPONENT_CAP = 40
 
 
 class NilAwareSpace:
@@ -168,10 +168,10 @@ class ImageLattice:
     def __init__(self, space, generators, certified_exact):
         self.space = space
         self.generators = list(generators)  # (vector, provenance)
-        # transform-tracked reduction is cubic in the row count, so kill
-        # duplicate and zero vectors first
+        # the Hermite loop is cubic in the row count, so kill duplicate
+        # and zero vectors first
         rows = [v for v in dict.fromkeys(tuple(v) for v, _ in self.generators) if any(v)]
-        self.basis = hnf_with_transform(rows)[0]
+        self.basis = hnf(rows)
         self.certified_exact = certified_exact
 
     @property
@@ -185,15 +185,8 @@ class ImageLattice:
         """Recompute one generator from its recorded provenance form."""
         vector, prov = self.generators[index]
         form = prov["base"].module_scale(pfister(self.space.field, prov["multiplier"]))
-        algebra = form.algebra
-        use_ref = prov.get("reference", ref)
-        vec = total_signature(algebra, form, use_ref, budget)
-        got = tuple(
-            v
-            for i, v in enumerate(vec.values)
-            if i not in NilAwareSpace(algebra).nil_indices
-        )
-        return got == tuple(vector)
+        vec = total_signature(form.algebra, form, prov.get("reference", ref), budget)
+        return self.space.restrict(vec) == tuple(vector)
 
     def to_json(self):
         return {
@@ -405,16 +398,20 @@ def stability_report(
 
 
 def _two_power_exponent(basis, vectors):
-    """Least n <= _EXPONENT_CAP with 2^n . v in the lattice spanned by
-    ``basis`` for every v in ``vectors`` (0 if there are none), else inf."""
+    """Least n with 2^n . v in the lattice spanned by the echelon ``basis``
+    for every v in ``vectors`` (0 if there are none): the largest 2-power
+    denominator of their coordinates.  An odd factor in a denominator, or
+    a vector outside the span, gives inf."""
     worst = 0
     for v in vectors:
-        for n in range(_EXPONENT_CAP + 1):
-            if lattice_member(basis, [a * (1 << n) for a in v]):
-                break
-        else:
+        coords = lattice_solve(basis, v)
+        if coords is None:
             return math.inf
-        worst = max(worst, n)
+        for c in coords:
+            d = c.denominator
+            if d & (d - 1):
+                return math.inf
+            worst = max(worst, d.bit_length() - 1)
     return worst
 
 
@@ -494,36 +491,26 @@ def relative_stability(
     form whose signature vector is 2^n0 times that of h."""
     if lattice is None:
         lattice = image_lattice(A, ref, budget=budget)
-    space = lattice.space
+    nil = lattice.space.nil_indices
     field = A.field
     gens = _probe_signatures(field, _field_probes(field), field.orderings())
-    kernel_rows = _left_kernel([v for v, _ in gens], space.nil_indices)
-    q0_vectors = []
-    for u in kernel_rows:
-        vec = [0] * len(field.orderings())
-        for c, (gv, _) in zip(u, gens):
-            vec = [a + c * b for a, b in zip(vec, gv)]
-        q0_vectors.append(tuple(vec))
-    q0_basis, q0_transform = hnf_with_transform(q0_vectors)
-    n0 = _two_power_exponent(q0_basis, [space.expand(v) for v in lattice.basis])
+    vectors = [v for v, _ in gens]
+    q0_basis = _zero_on_nil_basis(vectors, nil)
+    n0 = _two_power_exponent(q0_basis, lattice.basis)
 
     def to_quadratic(h: HermitianForm) -> QuadraticForm:
         if n0 == math.inf:
             raise SearchExhausted("no uniform quadratic comparison exists")
         vec = total_signature(A, h, ref, budget)
         target = [v * (1 << n0) for v in vec.values]
-        coeffs = lattice_coefficients(q0_basis, q0_transform, target)
+        basis, transform = hnf_with_transform(_nil_first(vectors, nil))
+        coeffs = lattice_coefficients(basis, transform, _nil_first([target], nil)[0])
         if coeffs is None:
             raise InvariantViolation(
                 "a hermitian signature escaped the certified quadratic image"
             )
-        # coefficients over the kernel rows -> over the original probe forms
-        on_probes = [0] * len(gens)
-        for c, combo in zip(coeffs, kernel_rows):
-            for j, u in enumerate(combo):
-                on_probes[j] += c * u
         entries = []
-        for c, (_, slots) in zip(on_probes, gens):
+        for c, (_, slots) in zip(coeffs, gens):
             if c == 0:
                 continue
             q = pfister(field, slots)
@@ -539,23 +526,18 @@ def relative_stability(
     return n0, to_quadratic
 
 
-def _left_kernel(rows, zero_cols):
-    """Integer vectors u with (u . rows) vanishing on the given columns."""
-    k = len(rows)
-    if k == 0:
-        return []
-    if not zero_cols:
-        return [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
-    aug = []
-    for i, r in enumerate(rows):
-        aug.append([r[c] for c in zero_cols] + [1 if j == i else 0 for j in range(k)])
-    basis, _ = hnf_with_transform(aug)
-    t = len(zero_cols)
-    out = []
-    for row in basis:
-        if all(v == 0 for v in row[:t]):
-            out.append(tuple(row[t:]))
-    return out
+def _nil_first(vectors, nil_indices):
+    """The vectors with the columns at ``nil_indices`` moved to the front."""
+    order = [*nil_indices, *(i for i in range(len(vectors[0])) if i not in nil_indices)]
+    return [[v[i] for i in order] for v in vectors]
+
+
+def _zero_on_nil_basis(rows, nil_indices):
+    """Hermite basis, over the other columns in order, of the vectors of
+    the row lattice that vanish on ``nil_indices``: with those columns
+    first, the Hermite rows that vanish on them."""
+    t = len(nil_indices)
+    return [row[t:] for row in hnf(_nil_first(rows, nil_indices)) if not any(row[:t])]
 
 
 def invariance_suite(A: Algebra, ref: ReferenceForm | None = None, budget: int = 50):

@@ -7,8 +7,10 @@ solution search on the associated ternary form, tower arithmetic
 against a slow re-implementation that canonicalises every Laurent value
 by the full strip, gcd and normalize, quaternion arithmetic against
 the basis multiplication table applied bilinearly, symmetric Gram
-matrices against plain congruence diagonalization over the field, and
-integer invariant factors against the determinantal divisors.
+matrices against plain congruence diagonalization over the field,
+integer invariant factors against the determinantal divisors, and the
+zero-on-nil sublattice and its 2-power exponents against a left kernel
+and a capped floor-division membership search.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from hermstab.fields import FieldElement, FieldTower, MismatchError, Ordering
+from hermstab.lattices import hnf
 from hermstab.quadratic import QuadraticForm, SingularFormError
 
 
@@ -621,3 +624,58 @@ def determinantal_invariants(rows, ambient_dim: int):
         divisors.append(d)
     factors = [b // a for a, b in zip(divisors, divisors[1:])]
     return [s for s in factors if s != 1], ambient_dim - len(factors)
+
+
+# ---------------------------------------------------------------------------
+# zero-on-nil sublattices and 2-power exponents
+# ---------------------------------------------------------------------------
+
+
+def left_kernel(rows, zero_cols):
+    """Integer vectors u with (u . rows) vanishing on the given columns:
+    the Hermite rows of [rows on zero_cols | I] that vanish on the first
+    block, with that block dropped."""
+    k = len(rows)
+    if not zero_cols:
+        return [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    aug = [[r[c] for c in zero_cols] + [int(j == i) for j in range(k)] for i, r in enumerate(rows)]
+    t = len(zero_cols)
+    return [row[t:] for row in hnf(aug) if not any(row[:t])]
+
+
+def zero_on_nil_vectors(rows, zero_cols):
+    """Generators of the row-lattice vectors vanishing on ``zero_cols``:
+    the rows recombined by each left-kernel vector."""
+    out = []
+    for u in left_kernel(rows, zero_cols):
+        vec = [0] * len(rows[0])
+        for c, r in zip(u, rows):
+            vec = [a + c * b for a, b in zip(vec, r)]
+        out.append(tuple(vec))
+    return out
+
+
+def floor_member(basis, v) -> bool:
+    """Membership in the lattice of an echelon basis by floor-division
+    reduction at each pivot."""
+    v = list(v)
+    for row in basis:
+        p = next((i for i, a in enumerate(row) if a != 0), None)
+        if p is not None:
+            q = v[p] // row[p]
+            v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+def capped_two_power_exponent(basis, vectors, cap=40):
+    """Least n <= cap with 2^n . v a lattice member for every v (0 if
+    there are none), found by trying n = 0, 1, ...; inf past the cap."""
+    worst = 0
+    for v in vectors:
+        for n in range(cap + 1):
+            if floor_member(basis, [a * (1 << n) for a in v]):
+                break
+        else:
+            return math.inf
+        worst = max(worst, n)
+    return worst

@@ -393,6 +393,22 @@ def test_probes_file(tmp_path):
     assert "stability group: Z/2Z" in out
 
 
+
+@pytest.mark.parametrize("case", ["superscript-ordering", "probes-sym", "probes-field", "deep-nesting"])
+def test_malformed_inputs_exit_2_in_one_line(tmp_path, case):
+    path = tmp_path / "doc.json"
+    if case == "superscript-ordering":
+        argv = ("split-cert", "--algebra", ORTH_X, "--ordering", "\u00b2")
+    elif case == "deep-nesting":
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        argv = ("nil", "--algebra", "@" + str(path))
+    else:
+        path.write_text(json.dumps({case[len("probes-"):]: 5}), encoding="utf-8")
+        argv = ("stability", "--algebra", ORTH_X, "--probes", str(path))
+    code, out, err = run_cli(*argv)
+    assert code == 2, err
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
 _M2_HAM = '{"kind":"matrix","n":2,"inner":' + HAM + ',"g":G}'
 FQ = '{"kind":"field_id","field":' + Q_FIELD + "}"
 _HAM_F2 = HAM.replace(Q_FIELD, F2_FIELD)
