@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .algebras import HermitianForm, algebra_from_json
 from .fields import FieldTower, InvariantViolation, MismatchError, Ordering, TowerError
@@ -71,9 +72,59 @@ def _parse_algebra(text: str, max_depth: int):
     return algebra
 
 
+def _json_text(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, for
+    the types the CLI emits: dicts with string keys, lists, tuples,
+    strings, ints, booleans and None.  Anything else raises TypeError.
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder;
+    here strings go through the C one."""
+    out = []
+    _write_json(doc, "\n", out.append)
+    return "".join(out)
+
+
+def _write_json(value, newline, write):
+    if isinstance(value, str):
+        write(encode_basestring_ascii(value))
+    elif value is None:
+        write("null")
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        write("[")
+        for i, item in enumerate(value):
+            write("," + inner if i else inner)
+            _write_json(item, inner, write)
+        write(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be strings")
+        inner = newline + "  "
+        write("{")
+        for i, key in enumerate(sorted(value)):
+            write("," + inner if i else inner)
+            write(encode_basestring_ascii(key))
+            write(": ")
+            _write_json(value[key], inner, write)
+        write(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(doc, as_json: bool, text_lines):
     if as_json:
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(_json_text(doc))
     else:
         for line in text_lines:
             print(line)

@@ -378,16 +378,24 @@ class FieldTower:
         if level == 0:
             return _q_mul(x, y)
         if self.steps[level][0] == "qext":
-            d = self.steps[level][1]
+            lower = level - 1
             u1, v1 = x
             u2, v2 = y
-            uu = self._mul(level - 1, u1, u2)
-            vv = self._mul(level - 1, v1, v2)
-            uv = self._mul(level - 1, u1, v2)
-            vu = self._mul(level - 1, v1, u2)
+            # a zero sqrt part drops the products it would multiply into
+            if self._is_zero(lower, v1):
+                if self._is_zero(lower, v2):
+                    return (self._mul(lower, u1, u2), self._zeros[lower])
+                return (self._mul(lower, u1, u2), self._mul(lower, u1, v2))
+            if self._is_zero(lower, v2):
+                return (self._mul(lower, u1, u2), self._mul(lower, v1, u2))
+            d = self.steps[level][1]
+            uu = self._mul(lower, u1, u2)
+            vv = self._mul(lower, v1, v2)
+            uv = self._mul(lower, u1, v2)
+            vu = self._mul(lower, v1, u2)
             return (
-                self._add(level - 1, uu, self._mul(level - 1, d, vv)),
-                self._add(level - 1, uv, vu),
+                self._add(lower, uu, self._mul(lower, d, vv)),
+                self._add(lower, uv, vu),
             )
         kx, px, qx = x
         ky, py, qy = y

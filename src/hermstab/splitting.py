@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 
 from .algebras import (
     Algebra,
@@ -133,6 +133,13 @@ class SplittingCertificate:
     def model(self) -> MatrixAlgebra:
         """The split model M_2(C), built once per certificate."""
         return MatrixAlgebra(2, self.centre_algebra())
+
+    @cached_property
+    def transport_images(self) -> tuple:
+        """G . X for the images X of 1, i, j, k, built once per certificate:
+        ``transport_form`` sums them with each Gram entry's coordinates."""
+        M = self.model
+        return tuple(M.mul(self.g_datum, X) for X in self.matrices)
 
     def to_json(self) -> dict:
         out = {
@@ -256,8 +263,21 @@ def _scale(C: Algebra, c, X):
 
 def _phi(M: MatrixAlgebra, matrices, value):
     """Image in the split model M of a quaternion value: the sum of its
-    centre coordinates times the images of 1, i, j, k."""
-    return reduce(M.add, (_scale(M.inner, c, X) for c, X in zip(value, matrices)))
+    centre coordinates times the images of 1, i, j, k.  Zero coordinates
+    and zero matrix entries add nothing, so they are skipped."""
+    C = M.inner
+    is_zero, add, mul = C.is_zero, C.add, C.mul
+    out = [[None, None], [None, None]]
+    for c, X in zip(value, matrices):
+        if is_zero(c):
+            continue
+        for acc, row in zip(out, X):
+            for j, e in enumerate(row):
+                if not is_zero(e):
+                    t = mul(c, e)
+                    acc[j] = t if acc[j] is None else add(acc[j], t)
+    z = C.zero()
+    return tuple(tuple(z if e is None else e for e in acc) for acc in out)
 
 
 def _solve_involution_datum(M: MatrixAlgebra, matrices, A_L: Algebra):
@@ -583,7 +603,12 @@ def transport_form(cert: SplittingCertificate, h: HermitianForm):
     Returns (form over the split target, involution datum): a quadratic
     Gram over L for the orthogonal flavor, a conjugation-hermitian Gram
     over L(sqrt(alpha)) for the unitary flavors, the flattened Gram over
-    F for the trivial split of matrix-over-field kinds."""
+    F for the trivial split of matrix-over-field kinds.
+
+    The 2 x 2 block of an entry with centre coordinates c_b is
+    G . Phi(entry) = sum_b c_b (G X_b), exact because the c_b are
+    central; the G X_b are the certificate's ``transport_images``.  A
+    zero entry gives a zero block, and zero coordinates add nothing."""
     if h.epsilon != 1:
         raise MismatchError("transport expects a +1-hermitian form")
     if h.algebra.kind == "matrix":
@@ -606,15 +631,18 @@ def transport_form(cert: SplittingCertificate, h: HermitianForm):
     centre = cert.algebra.centre
     M = cert.model
     C = M.inner
-    G = cert.g_datum
+    images = cert.transport_images
     k = h.rank
-    big = [[C.zero()] * (2 * k) for _ in range(2 * k)]
-    for r in range(k):
-        for s in range(k):
+    z = C.zero()
+    big = [[z] * (2 * k) for _ in range(2 * k)]
+    for r, row in enumerate(h.gram):
+        for s, entry in enumerate(row):
+            zeros = [centre.is_zero(c) for c in entry]
+            if all(zeros):
+                continue
             # the entry's coefficients on 1, i, j, k, lifted to the centre over L
-            val = [centre.lift_value(c, C) for c in h.gram[r][s]]
-            block = M.mul(G, _phi(M, cert.matrices, val))
+            val = [z if o else centre.lift_value(c, C) for c, o in zip(entry, zeros)]
+            block = _phi(M, images, val)
             for i in range(2):
-                for j in range(2):
-                    big[2 * r + i][2 * s + j] = block[i][j]
-    return HermitianForm(C, big, 1), G
+                big[2 * r + i][2 * s : 2 * s + 2] = block[i]
+    return HermitianForm(C, big, 1), cert.g_datum

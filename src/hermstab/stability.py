@@ -132,6 +132,7 @@ def _probe_signatures(field: FieldTower, field_elements, orderings):
     if any(a.is_zero() for a in elements):
         raise SingularFormError("Pfister slots must be nonzero")
     signs = [[a.sign_at(P) for P in orderings] for a in elements]
+    negated = [-a for a in elements]
     out = [((1,) * len(orderings), [])]
     n = len(elements)
     for mask in range(1, 1 << n):
@@ -141,7 +142,7 @@ def _probe_signatures(field: FieldTower, field_elements, orderings):
             slots = []
             for j, i in enumerate(chosen):
                 s = -1 if flips >> j & 1 else 1
-                slots.append(elements[i] if s == 1 else -elements[i])
+                slots.append(elements[i] if s == 1 else negated[i])
                 vector = [v * (1 + s * t) for v, t in zip(vector, signs[i])]
             out.append((tuple(vector), slots))
     return out
@@ -165,9 +166,12 @@ def _field_patterns_complete(field: FieldTower) -> bool:
 class ImageLattice:
     """The subgroup of Z^m generated by total signatures of probe forms."""
 
-    def __init__(self, space, generators, certified_exact):
+    def __init__(self, space, generators, certified_exact, field_signatures=None):
         self.space = space
         self.generators = list(generators)  # (vector, provenance)
+        # _probe_signatures of the default field probes over every
+        # ordering, when those were the probes: relative_stability reuses it
+        self.field_signatures = field_signatures
         # the Hermite loop is cubic in the row count, so kill duplicate
         # and zero vectors first
         rows = [v for v in dict.fromkeys(tuple(v) for v, _ in self.generators) if any(v)]
@@ -218,7 +222,17 @@ def image_lattice(
     generators = []
     if space.dim == 0:
         return ImageLattice(space, [], _field_patterns_complete(field))
-    qsigs = _probe_signatures(field, probes.field_elements, space.coords)
+    defaults = _field_probes(field)
+    full = None
+    if probes.field_elements == defaults:
+        full = _probe_signatures(field, defaults, space.all_orderings)
+        nil = space.nil_indices
+        qsigs = [
+            (tuple(v for i, v in enumerate(vec) if i not in nil), slots)
+            for vec, slots in full
+        ]
+    else:
+        qsigs = _probe_signatures(field, probes.field_elements, space.coords)
     # (restricted signature vector, probe form, its reference form)
     base_vectors = []
     for cand in probes.sym_forms:
@@ -240,7 +254,7 @@ def image_lattice(
         and _division_certain(A)
         and _value_groups_attained(A, space, [v for v, _ in generators])
     )
-    return ImageLattice(space, generators, exact)
+    return ImageLattice(space, generators, exact, full)
 
 
 def _value_groups_attained(A: Algebra, space: NilAwareSpace, vectors) -> bool:
@@ -493,7 +507,9 @@ def relative_stability(
         lattice = image_lattice(A, ref, budget=budget)
     nil = lattice.space.nil_indices
     field = A.field
-    gens = _probe_signatures(field, _field_probes(field), field.orderings())
+    gens = lattice.field_signatures
+    if gens is None:
+        gens = _probe_signatures(field, _field_probes(field), field.orderings())
     vectors = [v for v, _ in gens]
     q0_basis = _zero_on_nil_basis(vectors, nil)
     n0 = _two_power_exponent(q0_basis, lattice.basis)

@@ -8,17 +8,21 @@ against a slow re-implementation that canonicalises every Laurent value
 by the full strip, gcd and normalize, quaternion arithmetic against
 the basis multiplication table applied bilinearly, symmetric Gram
 matrices against plain congruence diagonalization over the field,
-integer invariant factors against the determinantal divisors, and the
+integer invariant factors against the determinantal divisors, the
 zero-on-nil sublattice and its 2-power exponents against a left kernel
-and a capped floor-division membership search.
+and a capped floor-division membership search, and the split model of a
+certificate and the transport along it against the dense sum over every
+coordinate and matrix entry, with one product by G per Gram entry.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
+from hermstab.algebras import morita_flatten
 from hermstab.fields import FieldElement, FieldTower, MismatchError, Ordering
 from hermstab.lattices import hnf
 from hermstab.quadratic import QuadraticForm, SingularFormError
@@ -679,3 +683,58 @@ def capped_two_power_exponent(basis, vectors, cap=40):
             return math.inf
         worst = max(worst, n)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the split model of a certificate, dense
+# ---------------------------------------------------------------------------
+
+
+def dense_phi(M, matrices, value):
+    """Image in the split model M of a quaternion value: every centre
+    coordinate times every entry of the images of 1, i, j, k, summed,
+    zeros included."""
+    C = M.inner
+    return reduce(
+        M.add,
+        (
+            tuple(tuple(C.mul(c, e) for e in row) for row in X)
+            for c, X in zip(value, matrices)
+        ),
+    )
+
+
+def dense_transport_gram(cert, h):
+    """The Gram that a proper split certificate carries the +1-hermitian
+    form ``h`` to: each entry's coordinates, lifted to the centre over the
+    extension, go through ``dense_phi`` and one product by G on the left,
+    zero entries included.  Matrix wrappers are flattened first."""
+    h = morita_flatten(h)
+    centre = cert.algebra.centre
+    M = cert.model
+    C = M.inner
+    k = h.rank
+    big = [[C.zero()] * (2 * k) for _ in range(2 * k)]
+    for r in range(k):
+        for s in range(k):
+            val = [centre.lift_value(c, C) for c in h.gram[r][s]]
+            block = M.mul(cert.g_datum, dense_phi(M, cert.matrices, val))
+            for i in range(2):
+                for j in range(2):
+                    big[2 * r + i][2 * s + j] = block[i][j]
+    return tuple(map(tuple, big))
+
+
+def dense_datum_holds(cert) -> bool:
+    """G . Phi(sigma(b)) == conj-transpose(Phi(b)) . G on the basis
+    1, i, j, k of the algebra over the extension, with ``dense_phi``."""
+    A_L = cert.algebra.lift_to(cert.extension)
+    M = cert.model
+    G = cert.g_datum
+    z, o = A_L.centre.zero(), A_L.centre.one()
+    for b in ((o, z, z, z), (z, o, z, z), (z, z, o, z), (z, z, z, o)):
+        lhs = M.mul(G, dense_phi(M, cert.matrices, A_L.involution(b)))
+        rhs = M.mul(M.involution(dense_phi(M, cert.matrices, b)), G)
+        if lhs != rhs:
+            return False
+    return True

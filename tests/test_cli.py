@@ -560,3 +560,76 @@ def test_shared_parser_is_stateless_under_mutated_input():
     for earlier in (["--budget", "7", "--json"], ["--budget", "0"], ["--max-depth", "0"]):
         run_cli(*earlier, *argv)
         assert run_cli(*argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def _random_json_doc(rng, depth=0):
+    """A nested document of the types the JSON writer takes, with empty
+    and nested-empty containers, tuples, negative and very large ints,
+    the three literals and strings that need escaping."""
+    pieces = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", " ", "𝄞", "a", " /"]
+
+    def text():
+        return "".join(rng.choice(pieces) for _ in range(rng.randint(0, 4)))
+
+    roll = rng.random()
+    if depth >= 4 or roll < 0.3:
+        return rng.choice(
+            [
+                text(),
+                rng.randint(-10, 10),
+                -(10 ** rng.randint(20, 400)) + rng.randint(0, 9),
+                10 ** rng.randint(20, 400),
+                True,
+                False,
+                None,
+                {},
+                [],
+                (),
+                {"": {}},
+                [[]],
+            ]
+        )
+    n = rng.randint(0, 4)
+    items = [_random_json_doc(rng, depth + 1) for _ in range(n)]
+    if roll < 0.55:
+        return items
+    if roll < 0.7:
+        return tuple(items)
+    return {text() + str(i): v for i, v in enumerate(items)}
+
+
+def test_json_writer_matches_json_dumps(monkeypatch):
+    """The --json writer is json.dumps(doc, sort_keys=True, indent=2),
+    byte for byte, on every golden-table document, on --json examples
+    and on seeded random nested documents."""
+    from hermstab import cli
+    from test_golden import COMMANDS, GOLDEN, _run
+
+    docs = []
+    real = cli._json_text
+
+    def recording(doc):
+        docs.append(doc)
+        return real(doc)
+
+    monkeypatch.setattr(cli, "_json_text", recording)
+    for argv in COMMANDS.values():
+        _run(argv)
+    _run(["--json", "examples"])
+    assert len(docs) == sum(code == 0 for code, _ in GOLDEN.values()) + 1
+    rng = random.Random(71)
+    docs += [_random_json_doc(rng) for _ in range(300)]
+    for doc in docs:
+        assert real(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [1.5, {"a": [0.0]}, {1, 2}, [frozenset()], {1: "x"}, {"a": {None: 1}}, {("k",): 1}],
+    ids=["float", "nested-float", "set", "nested-set", "int-key", "none-key", "tuple-key"],
+)
+def test_json_writer_rejects_other_types(doc):
+    from hermstab.cli import _json_text
+
+    with pytest.raises(TypeError):
+        _json_text(doc)

@@ -285,6 +285,47 @@ def test_laurent_fast_paths_match_full_canonicalisation(field):
             assert slow.is_canonical(top, fast)
 
 
+def _zero_part_operands(rng, field):
+    """Values of ``field`` whose square-root parts are zero, alone or with
+    the rational part, and values with neither part zero.  At a
+    square-root top level these are u + v*sqrt(d) with u, v or both zero;
+    over Q(sqrt 2)((x)) they are Laurent values whose coefficients are."""
+    top = field.depth - 1
+    if field.steps[top][0] == "qext":
+        below = field.prefix(top)
+        zero = below.zero().value
+        out = [(zero, zero)]
+        for _ in range(3):
+            u = random_element(rng, below, height=4, nonzero=True).value
+            v = random_element(rng, below, height=4, nonzero=True).value
+            out += [(u, zero), (zero, v), (u, v)]
+        return out
+    s2, x = field.coerce(F2.generator()), field.generator()
+    rational = [1 + 3 * x, field.rational(-2, 5) + x * x, (1 - x) / (2 + x)]
+    out = [field.zero()] + rational + [s2 * a for a in rational]
+    out += [a + s2 * b for a, b in zip(rational, rational[1:])]
+    out.append((1 + s2 * x) / (1 - x))
+    return [a.value for a in out]
+
+
+@pytest.mark.parametrize(
+    "field", [F2, F2.adjoin_sqrt(3), F2X, LXY.adjoin_sqrt(LXY.generator())], ids=str
+)
+def test_products_with_a_zero_sqrt_part_match_slow_tower(field):
+    """Square-root level products skip the terms of a zero sqrt part; on
+    operands with a zero rational part, sqrt part or both they give the
+    value tuple of the slow oracle, which forms every product."""
+    rng = random.Random(37)
+    slow = SlowTower(field)
+    top = field.depth - 1
+    operands = _zero_part_operands(rng, field)
+    for a in operands:
+        for b in operands:
+            fast = field._mul(top, a, b)
+            assert fast == slow.mul(top, a, b)
+            assert slow.is_canonical(top, fast)
+
+
 @pytest.mark.parametrize("field", [Q, F2, LX, F2XY], ids=str)
 def test_sub_matches_add_of_negation(field):
     """Direct subtraction gives the value tuple of x + (-y): on random

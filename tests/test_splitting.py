@@ -10,6 +10,7 @@ from hermstab.algebras import (
     SplitWitness,
     UnitaryQuaternionAlgebra,
     diagonalize_hermitian,
+    morita_flatten,
     trace_form,
 )
 from hermstab.fields import FieldTower
@@ -18,6 +19,7 @@ from hermstab.splitting import (
     BudgetExhausted,
     PreconditionNil,
     SplittingCertificate,
+    _phi,
     find_certificate,
     transport_form,
     verify_certificate,
@@ -29,11 +31,14 @@ from corpus import (
     orthogonal_quaternion,
     random_element,
     random_hermitian_diagonal,
+    random_sym_element,
     tower_shapes,
 )
+from oracles import dense_datum_holds, dense_phi, dense_transport_gram
 
 Q = FieldTower.rationals()
 LX = Q.adjoin_laurent()
+LXY = LX.adjoin_laurent()
 F2 = Q.adjoin_sqrt(2)
 P0 = Q.orderings()[0]
 
@@ -466,3 +471,178 @@ def test_unitary_datum_rescaling(monkeypatch, shift):
         for j in range(2):
             assert C.involution(G[j][i]) == G[i][j]
             assert G[i][j] == C.mul(expected.value, plain[i][j])
+
+
+def _split_model_algebras():
+    """An orthogonal and a unitary quaternion algebra over each of Q,
+    Q(sqrt 2), Q((x)) and Q((x))((y)), each with a non-nil ordering, and
+    2 x 2 wrappers with scaling (1, -2) of those over Q and Q((x))."""
+    s2, x, y = F2.generator(), LX.generator(), LXY.generator()
+    x2 = LXY.generator(1)
+    j = [0, 0, 1, 0]
+    out = [
+        orthogonal_quaternion(Q, -1, 3, [Q.rational(c) for c in j]),
+        orthogonal_quaternion(F2, -1, s2, [F2.rational(c) for c in j]),
+        ORTH,
+        orthogonal_quaternion(LXY, y, -x2, [LXY.rational(c) for c in j]),
+        UnitaryQuaternionAlgebra(Q, -1, -1, -1),
+        UnitaryQuaternionAlgebra(F2, -1, s2, -1),
+        UnitaryQuaternionAlgebra(LX, x, -1, -1),
+        UnitaryQuaternionAlgebra(LXY, y, -1, -x2),
+    ]
+    for A in (out[0], out[2], out[4], out[6]):
+        out.append(MatrixAlgebra(2, A, [A.one(), A.from_field(A.field.rational(-2)).value]))
+    return out
+
+
+def _sparse_element(rng, A):
+    """An element of A whose base-field coordinates are each zero with
+    probability 1/2."""
+    F = A.field
+    return A.elem(
+        A.from_coords(
+            [
+                random_element(rng, F, height=3, simple=True)
+                if rng.random() < 0.5
+                else F.zero()
+                for _ in range(A.dim)
+            ]
+        )
+    )
+
+
+def _full_gram(rng, A, rank=3):
+    """A +1-hermitian Gram with sparse entries everywhere and a zero
+    entry at (0, rank - 1) and (rank - 1, 0)."""
+    gram = [[None] * rank for _ in range(rank)]
+    for r in range(rank):
+        d = _sparse_element(rng, A)
+        gram[r][r] = d + d.involution()
+        for s in range(r + 1, rank):
+            b = _sparse_element(rng, A)
+            if (r, s) == (0, rank - 1):
+                b = A.elem(A.zero())
+            gram[r][s], gram[s][r] = b, b.involution()
+    return HermitianForm(A, gram)
+
+
+def _proper_certificates():
+    for A in _split_model_algebras():
+        nil = nil_set(A)
+        non_nil = [P for P in A.field.orderings() if P not in nil]
+        assert non_nil
+        for P in non_nil:
+            cert = find_certificate(A, P)
+            assert cert.flavor in ("orthogonal-split", "unitary-quaternion-split")
+            yield A, cert
+
+
+def test_sparse_split_model_matches_dense_oracle():
+    """The split model skips zero coordinates and zero matrix entries, and
+    transport sums the certificate's G . X images: on full Grams with
+    zero entries and zero coordinates, over every proper split kind and
+    Q, Q(sqrt 2), Q((x)) and Q((x))((y)), the images and the transported
+    Gram are those of the dense oracle."""
+    rng = random.Random(67)
+    seen = set()
+    for A, cert in _proper_certificates():
+        seen.add((A.kind, cert.flavor, A.field.depth))
+        M = cert.model
+        C = M.inner
+        centre = cert.algebra.centre
+        for rank in (1, 3):
+            h = _full_gram(rng, A, rank)
+            target, datum = transport_form(cert, h)
+            assert datum == cert.g_datum
+            assert target.algebra == C
+            assert target.gram == dense_transport_gram(cert, h)
+            flat = morita_flatten(h)
+            for entry in (e for row in flat.gram for e in row):
+                val = [centre.lift_value(c, C) for c in entry]
+                assert _phi(M, cert.matrices, val) == dense_phi(M, cert.matrices, val)
+                assert _phi(M, cert.transport_images, val) == M.mul(
+                    cert.g_datum, dense_phi(M, cert.matrices, val)
+                )
+    kinds = {(k, f) for k, f, _ in seen}
+    assert kinds == {
+        ("quaternion", "orthogonal-split"),
+        ("unitary_quaternion", "unitary-quaternion-split"),
+        ("matrix", "orthogonal-split"),
+        ("matrix", "unitary-quaternion-split"),
+    }
+    assert {d for _, _, d in seen} == {1, 2, 3}
+
+
+def test_verification_matches_dense_oracle():
+    """With G replaced by hermitian invertible matrices that may or may
+    not carry the involution, verification agrees with the dense check of
+    G . Phi(sigma(b)) == ct(Phi(b)) . G, and it accepts and rejects."""
+    verdicts = set()
+    for A, cert in _proper_certificates():
+        if A.kind == "matrix":
+            continue
+        M = cert.model
+        G = cert.g_datum
+        two = cert.extension.rational(2)
+        swapped = ((G[1][1], G[1][0]), (G[0][1], G[0][0]))
+        for datum in (G, M.scalar_mul(two, G), M.one(), swapped):
+            assert M.involution(datum) == datum
+            tampered = SplittingCertificate(
+                cert.algebra,
+                cert.ordering,
+                cert.flavor,
+                cert.extension,
+                cert.chosen,
+                witness=cert.witness,
+                m=cert.m,
+                matrices=cert.matrices,
+                g_datum=datum,
+            )
+            ok = dense_datum_holds(tampered)
+            assert verify_certificate(tampered) == ok
+            verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("A", [ORTH, UnitaryQuaternionAlgebra(LX, LX.generator(), -1, -1)],
+                         ids=["orthogonal", "unitary"])
+def test_transport_makes_no_product_for_zero_entries(monkeypatch, A):
+    """Once a certificate has its transport images, a rank-3 diagonal form
+    makes no product in M_2(C), and centre products only for the nonzero
+    coordinates of its 3 diagonal entries times the nonzero entries of the
+    images: its 6 zero entries cost nothing."""
+    P = next(P for P in A.field.orderings() if P not in nil_set(A))
+    cert = find_certificate(A, P)
+    rng = random.Random(68)
+    entries = [random_sym_element(rng, A) for _ in range(3)]
+    h = HermitianForm.diagonal(A, entries)
+    transport_form(cert, h)  # builds the transport images
+    C = cert.model.inner
+    centre = A.centre
+    expected = 0
+    for e in entries:
+        for c, X in zip(e.value, cert.transport_images):
+            if not centre.is_zero(c):
+                expected += sum(not C.is_zero(v) for row in X for v in row)
+    calls = {"matrix": 0, "centre": 0}
+    real_matrix, real_centre = MatrixAlgebra.mul, type(C).mul
+
+    def matrix_mul(self, x, y):
+        calls["matrix"] += 1
+        return real_matrix(self, x, y)
+
+    def centre_mul(self, x, y):
+        calls["centre"] += 1
+        return real_centre(self, x, y)
+
+    monkeypatch.setattr(MatrixAlgebra, "mul", matrix_mul)
+    monkeypatch.setattr(type(C), "mul", centre_mul)
+    target, _ = transport_form(cert, h)
+    assert calls == {"matrix": 0, "centre": expected}
+    assert 0 < expected < 3 * 4 * 4
+    zero = C.zero()
+    assert all(
+        target.gram[2 * r + i][2 * s + j] == zero
+        for r in range(3) for s in range(3) if r != s
+        for i in range(2) for j in range(2)
+    )

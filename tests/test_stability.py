@@ -345,3 +345,38 @@ def test_space_restrict_rejects_nonvanishing():
     bad = SignatureVector(F2, (0, 5))
     with pytest.raises(Exception):
         space.restrict(bad)
+
+
+def test_report_computes_probe_signatures_once(monkeypatch):
+    """With the default probes a report computes the Pfister probe
+    signatures once, over every ordering; the lattice reads the non-nil
+    coordinates off them and relative_stability reuses them.  With other
+    field probes relative_stability computes the default ones itself,
+    and n0 does not change."""
+    import hermstab.stability as stability
+
+    calls = []
+    real = stability._probe_signatures
+
+    def counting(field, elements, orderings):
+        calls.append(orderings)
+        return real(field, elements, orderings)
+
+    monkeypatch.setattr(stability, "_probe_signatures", counting)
+    A = EX4
+    ref = reference_search(A)
+    report = stability_report(A, ref)
+    assert calls == [A.field.orderings()]
+    space = report.lattice.space
+    assert space.nil_indices
+    # the first generators are the probe signatures times that of the
+    # first probe form, which is the first of them (times <1>)
+    direct = real(A.field, [A.field.rational(-1), *A.field.generators()], space.coords)
+    gens = [v for v, _ in report.lattice.generators[: len(direct)]]
+    assert [tuple(a * b for a, b in zip(v, gens[0])) for v, _ in direct] == gens
+    calls.clear()
+    probes = Probes(Probes.default(A).sym_forms, [A.field.rational(-1)])
+    lattice = image_lattice(A, ref, probes)
+    n0, _ = relative_stability(A, ref, lattice)
+    assert calls == [space.coords, A.field.orderings()]
+    assert lattice.field_signatures is None and n0 == report.n0
