@@ -222,17 +222,12 @@ def image_lattice(
     generators = []
     if space.dim == 0:
         return ImageLattice(space, [], _field_patterns_complete(field))
-    defaults = _field_probes(field)
-    full = None
-    if probes.field_elements == defaults:
-        full = _probe_signatures(field, defaults, space.all_orderings)
-        nil = space.nil_indices
-        qsigs = [
-            (tuple(v for i, v in enumerate(vec) if i not in nil), slots)
-            for vec, slots in full
-        ]
-    else:
-        qsigs = _probe_signatures(field, probes.field_elements, space.coords)
+    full = _probe_signatures(field, probes.field_elements, space.all_orderings)
+    nil = space.nil_indices
+    qsigs = [
+        (tuple(v for i, v in enumerate(vec) if i not in nil), slots)
+        for vec, slots in full
+    ]
     # (restricted signature vector, probe form, its reference form)
     base_vectors = []
     for cand in probes.sym_forms:
@@ -254,7 +249,8 @@ def image_lattice(
         and _division_certain(A)
         and _value_groups_attained(A, space, [v for v, _ in generators])
     )
-    return ImageLattice(space, generators, exact, full)
+    defaults = probes.field_elements == _field_probes(field)
+    return ImageLattice(space, generators, exact, full if defaults else None)
 
 
 def _value_groups_attained(A: Algebra, space: NilAwareSpace, vectors) -> bool:

@@ -378,5 +378,5 @@ def test_report_computes_probe_signatures_once(monkeypatch):
     probes = Probes(Probes.default(A).sym_forms, [A.field.rational(-1)])
     lattice = image_lattice(A, ref, probes)
     n0, _ = relative_stability(A, ref, lattice)
-    assert calls == [space.coords, A.field.orderings()]
+    assert calls == [A.field.orderings(), A.field.orderings()]
     assert lattice.field_signatures is None and n0 == report.n0
