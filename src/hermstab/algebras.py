@@ -688,18 +688,20 @@ class MatrixAlgebra(Algebra):
         self.dim = n * n * inner.dim
         if g is None:
             g = [inner.elem(inner.one()) for _ in range(n)]
-        gv = []
+        gv, g_inv = [], []
         for gi in g:
             v = gi.value if isinstance(gi, AlgebraElement) else gi
             if inner.involution(v) != v:
                 raise MismatchError("scaling entries must be fixed by the involution")
-            if not inner.elem(v).is_invertible():
-                raise MismatchError("scaling entries must be invertible")
+            try:
+                g_inv.append(inner.inverse(v))
+            except (ZeroDivisionError, ZeroDivisorFound):
+                raise MismatchError("scaling entries must be invertible") from None
             gv.append(v)
         if len(gv) != n:
             raise MismatchError("scaling needs one entry per row")
         self.g = tuple(gv)
-        self._g_inv = tuple(inner.inverse(v) for v in gv)
+        self._g_inv = tuple(g_inv)
 
     def one(self):
         z = self.inner.zero()
@@ -1243,14 +1245,22 @@ class HermitianForm:
 
     @staticmethod
     def from_json(doc: dict) -> HermitianForm:
+        """A form document that carries its own ``algebra``."""
         if not isinstance(doc, dict) or "algebra" not in doc:
             raise MismatchError("hermitian form document needs an 'algebra'")
-        keys = set(doc)
-        if keys not in ({"algebra", "epsilon", "gram"}, {"algebra", "epsilon", "diag"}):
-            raise MismatchError(
-                "hermitian form takes keys 'algebra', 'epsilon' and 'gram' or 'diag'"
-            )
-        algebra = algebra_from_json(doc["algebra"])
+        _check_form_keys(set(doc))
+        return HermitianForm._body_from_json(algebra_from_json(doc["algebra"]), doc)
+
+    @staticmethod
+    def body_from_json(algebra: Algebra, doc: dict) -> HermitianForm:
+        """A form document without ``algebra``, read over ``algebra``;
+        ``epsilon`` is 1 unless the document says otherwise."""
+        doc = {"epsilon": 1, **doc}
+        _check_form_keys(set(doc) | {"algebra"})
+        return HermitianForm._body_from_json(algebra, doc)
+
+    @staticmethod
+    def _body_from_json(algebra: Algebra, doc: dict) -> HermitianForm:
         eps, rows = doc["epsilon"], doc.get("diag", doc.get("gram"))
         if type(eps) is not int:
             raise MismatchError("'epsilon' must be the integer 1 or -1")
@@ -1263,6 +1273,13 @@ class HermitianForm:
             return HermitianForm.diagonal(algebra, entries, eps)
         gram = [[algebra.value_from_json(v) for v in row] for row in rows]
         return HermitianForm(algebra, gram, eps)
+
+
+def _check_form_keys(keys: set):
+    if keys not in ({"algebra", "epsilon", "gram"}, {"algebra", "epsilon", "diag"}):
+        raise MismatchError(
+            "hermitian form takes keys 'algebra', 'epsilon' and 'gram' or 'diag'"
+        )
 
 
 def morita_flatten(h: HermitianForm) -> HermitianForm:

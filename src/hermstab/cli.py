@@ -192,8 +192,7 @@ def _parse_form(text: str, A) -> HermitianForm:
     says otherwise."""
     doc = _load_doc(text)
     if isinstance(doc, dict) and "algebra" not in doc:
-        doc = {**doc, "algebra": A.to_json()}
-        doc.setdefault("epsilon", 1)
+        return HermitianForm.body_from_json(A, doc)
     return HermitianForm.from_json(doc)
 
 

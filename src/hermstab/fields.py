@@ -180,13 +180,10 @@ def _rational_from_json(doc) -> Fraction:
 class FieldTower:
     """A field of the tower grammar together with its finite ordering space."""
 
-    def __init__(self, steps, _validated=False):
+    def __init__(self, steps):
+        """Build the tower of `steps`, which were already checked: they come
+        from `rationals`, `adjoin_sqrt`, `adjoin_laurent` or `prefix`."""
         self.steps = tuple(steps)
-        if not self.steps or self.steps[0][0] != "base":
-            raise TowerError("tower must start with the rational base field")
-        for step in self.steps[1:]:
-            if step[0] not in ("qext", "laurent"):
-                raise TowerError(f"unknown tower step {step[0]!r}")
         self._orderings = None
         # the zero and one of every level, built once: values are immutable
         z, o = Fraction(0), Fraction(1)
@@ -196,42 +193,34 @@ class FieldTower:
             z, o = ((z, z), (o, z)) if qext else ((0, (), (o,)), (0, (o,), (o,)))
             self._zeros.append(z)
             self._ones.append(o)
-        if not _validated:
-            for level, step in enumerate(self.steps):
-                if step[0] == "qext":
-                    prefix = FieldTower(self.steps[:level], _validated=True)
-                    d = step[1]
-                    if prefix._is_zero(level - 1, d):
-                        raise TowerError("square-root step needs a nonzero element")
-                    if prefix._is_square(level - 1, d):
-                        raise TowerError("square-root step needs a non-square")
-                    if all(
-                        prefix._sign(level - 1, d, P.path) < 0
-                        for P in prefix.orderings()
-                    ):
-                        raise TowerError(
-                            "square-root step needs an element positive somewhere"
-                        )
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
     def rationals() -> FieldTower:
-        return FieldTower((("base",),), _validated=True)
+        return FieldTower((("base",),))
 
     def adjoin_sqrt(self, d) -> FieldTower:
+        """F(sqrt d) for d nonzero, non-square and positive at some ordering."""
         d = self.coerce(d)
+        level = self.depth - 1
+        if self._is_zero(level, d.value):
+            raise TowerError("square-root step needs a nonzero element")
+        if self._is_square(level, d.value):
+            raise TowerError("square-root step needs a non-square")
+        if all(self._sign(level, d.value, P.path) < 0 for P in self.orderings()):
+            raise TowerError("square-root step needs an element positive somewhere")
         return FieldTower(self.steps + (("qext", d.value),))
 
     def adjoin_laurent(self) -> FieldTower:
-        return FieldTower(self.steps + (("laurent",),), _validated=True)
+        return FieldTower(self.steps + (("laurent",),))
 
     @property
     def depth(self) -> int:
         return len(self.steps)
 
     def prefix(self, depth: int) -> FieldTower:
-        return FieldTower(self.steps[:depth], _validated=True)
+        return FieldTower(self.steps[:depth])
 
     def extends(self, other: FieldTower) -> bool:
         return self.steps[: len(other.steps)] == other.steps

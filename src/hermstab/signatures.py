@@ -34,6 +34,7 @@ __all__ = [
     "total_signature",
     "going_up_check",
     "lift_reference",
+    "piecewise_form",
 ]
 
 
@@ -218,7 +219,7 @@ def reference_search(A: Algebra, budget: int = 50) -> ReferenceForm:
         signs = reference_signs(A, cand, budget)
         if not isinstance(signs, Ordering):
             return ReferenceForm(A, cand, signs)
-    pieces = None
+    pieces = []
     for P in targets:
         piece = None
         for cand in A.reference_candidates:
@@ -229,21 +230,26 @@ def reference_search(A: Algebra, budget: int = 50) -> ReferenceForm:
             raise SearchExhausted(
                 f"no diagonal candidate has nonzero signature at {P.name()}"
             )
-        indicator = _ordering_indicator(field, P)
-        local = piece.module_scale(indicator)
-        pieces = local if pieces is None else pieces.direct_sum(local)
-    signs = reference_signs(A, pieces, budget)
+        pieces.append((P, piece, 0))
+    form = piecewise_form(field, pieces)
+    signs = reference_signs(A, form, budget)
     if isinstance(signs, Ordering):
         raise SearchExhausted("piecewise reference lost a coordinate")
-    return ReferenceForm(A, pieces, signs)
+    return ReferenceForm(A, form, signs)
 
 
-def _ordering_indicator(field: FieldTower, P: Ordering) -> QuadraticForm:
-    """A Pfister form with signature 2^r exactly at P and 0 elsewhere."""
-    slots = []
-    for g in field.generators():
-        slots.append(g if g.sign_at(P) > 0 else -g)
-    return pfister(field, slots)
+def piecewise_form(field: FieldTower, pieces) -> HermitianForm:
+    """The sum over (P, h, pad) in ``pieces`` of <1, ..., 1> (2^pad ones)
+    times a Pfister form of r slots with signature 2^r exactly at P and 0
+    elsewhere, times h: its signature at each P of ``pieces`` is
+    2^(pad + r) times that of its h there, r the number of generators."""
+    total = None
+    for P, h, pad in pieces:
+        slots = [g if g.sign_at(P) > 0 else -g for g in field.generators()]
+        ones = QuadraticForm(field, [field.one()] * (1 << pad))
+        local = h.module_scale(ones * pfister(field, slots))
+        total = local if total is None else total.direct_sum(local)
+    return total
 
 
 def h_signature(

@@ -326,11 +326,12 @@ def _solve_involution_datum(M: MatrixAlgebra, matrices, A_L: Algebra):
 # the search
 # ---------------------------------------------------------------------------
 
-# Certificates found with skip == 0, least recently used first.  The search
-# is deterministic, so an evicted entry is only found again, identically;
-# the bound keeps a long-lived process that answers distinct queries from
-# growing without limit.  The lock makes each lookup-and-reorder and each
-# insert-and-evict one step for threads sharing the cache.
+# Certificates found, keyed by non-matrix algebras, least recently used
+# first.  The search is deterministic, so an evicted entry is only found
+# again, identically; the bound keeps a long-lived process that answers
+# distinct queries from growing without limit.  The lock makes each
+# lookup-and-reorder and each insert-and-evict one step for threads
+# sharing the cache.
 CERT_CACHE_SIZE = 1024
 _cert_cache: OrderedDict = OrderedDict()
 _cert_lock = threading.Lock()
@@ -359,90 +360,78 @@ def _spiral(budget: int):
                         yield (x, y, z)
 
 
-def find_certificate(
-    A: Algebra, P: Ordering, budget: int = 50, skip: int = 0
-) -> SplittingCertificate:
+def find_certificate(A: Algebra, P: Ordering, budget: int = 50) -> SplittingCertificate:
     """Search for and verify a splitting certificate for (A, sigma) at P.
 
-    Deterministic: the witness minimal in the spiral enumeration wins.
-    ``skip`` ignores that many valid witnesses (used to cross-check that
-    independent certificates agree)."""
+    Deterministic: the witness minimal in the spiral enumeration wins.  A
+    matrix wrapper (M_n(D), ad_g) splits exactly as D does (Morita
+    equivalence), so its certificate is D's: searched, verified and
+    cached once, under D."""
     from .signatures import local_type
 
-    if P.tower != A.field:
+    D = A.inner if A.kind == "matrix" else A
+    if P.tower != D.field:
         raise MismatchError("ordering does not belong to the algebra's base field")
-    if local_type(A, P).nil:
+    if local_type(D, P).nil:
         raise PreconditionNil(
             f"{A.describe()} has vanishing signatures at {P.name()}"
         )
-    key = (A, P.path, budget)
-    if skip == 0:
-        with _cert_lock:
-            cert = _cert_cache.get(key)
-            if cert is not None:
-                _cert_cache.move_to_end(key)
-                return cert
-    cert = _find_certificate_impl(A, P, budget, skip)
+    key = (D, P.path, budget)
+    with _cert_lock:
+        cert = _cert_cache.get(key)
+        if cert is not None:
+            _cert_cache.move_to_end(key)
+            return cert
+    cert = next(_certificates(D, P, budget), None)
+    if cert is None:
+        raise BudgetExhausted(D, P, budget)
     if not verify_certificate(cert):
         raise InvariantViolation("emitted certificate fails verification")
-    if skip == 0:
-        with _cert_lock:
-            _cert_cache[key] = cert
-            if len(_cert_cache) > CERT_CACHE_SIZE:
-                _cert_cache.popitem(last=False)
+    with _cert_lock:
+        _cert_cache[key] = cert
+        if len(_cert_cache) > CERT_CACHE_SIZE:
+            _cert_cache.popitem(last=False)
     return cert
 
 
-def _find_certificate_impl(A, P, budget, skip):
+def _certificates(A, P, budget):
+    """The certificates of a non-matrix (A, sigma) at a non-nil P in search
+    order: the one degenerate shape of ``field_id``, ``unitary_quadratic``
+    and conjugation quaternions, or one per valid spiral witness of height
+    <= budget for the split kinds.  Unverified."""
     F = A.field
-    if A.kind == "matrix":
-        return find_certificate(A.inner, P, budget, skip)
     if A.kind == "field_id":
-        return SplittingCertificate(A, P, "split-trivial", F, P)
-    if A.kind == "unitary_quadratic":
-        return SplittingCertificate(A, P, "unitary-deg1", F, P)
-    if A.kind == "quaternion" and A.involution_type == "conjugation":
-        d = -A.a
-        c = -A.b
+        yield SplittingCertificate(A, P, "split-trivial", F, P)
+    elif A.kind == "unitary_quadratic":
+        yield SplittingCertificate(A, P, "unitary-deg1", F, P)
+    elif A.kind == "quaternion" and A.involution_type == "conjugation":
         basis = A.basis()
-        return SplittingCertificate(
+        yield SplittingCertificate(
             A,
             P,
             "symplectic-definite",
             F,
             P,
-            definite_pair=(d, c, basis[1], basis[2]),
+            definite_pair=(-A.a, -A.b, basis[1], basis[2]),
         )
-    if A.kind == "quaternion":
-        return _search_quaternion_split(A, P, budget, skip, unitary=False)
-    if A.kind == "unitary_quaternion":
-        return _search_quaternion_split(A, P, budget, skip, unitary=True)
-    raise PreconditionNil(f"{A.describe()} has no non-nil orderings")
-
-
-def _search_quaternion_split(A, P, budget, skip, unitary):
-    F = A.field
-    a, b = A.a, A.b
-    seen = 0
-    for (x, y, z) in _spiral(budget):
-        xe, ye, ze = F.rational(x), F.rational(y), F.rational(z)
-        m = a * xe * xe + b * ye * ye - a * b * ze * ze
-        if unitary:
-            m = A.alpha * m
-        if m.is_zero():
-            continue
-        if m.sign_at(P) != 1:
-            continue
-        sqm = m.sqrt()
-        if sqm is None and m.is_square():
-            # a square in the ambient series field without an explicit
-            # rational-function root: not usable as a tower step
-            continue
-        if seen < skip:
-            seen += 1
-            continue
-        return _emit_split_certificate(A, P, (x, y, z), m, sqm, unitary)
-    raise BudgetExhausted(A, P, budget)
+    else:  # orthogonal quaternion or unitary quaternion
+        unitary = A.kind == "unitary_quaternion"
+        a, b = A.a, A.b
+        for (x, y, z) in _spiral(budget):
+            xe, ye, ze = F.rational(x), F.rational(y), F.rational(z)
+            m = a * xe * xe + b * ye * ye - a * b * ze * ze
+            if unitary:
+                m = A.alpha * m
+            if m.is_zero():
+                continue
+            if m.sign_at(P) != 1:
+                continue
+            sqm = m.sqrt()
+            if sqm is None and m.is_square():
+                # a square in the ambient series field without an explicit
+                # rational-function root: not usable as a tower step
+                continue
+            yield _emit_split_certificate(A, P, (x, y, z), m, sqm, unitary)
 
 
 def _emit_split_certificate(A, P, xyz, m, sqm, unitary):

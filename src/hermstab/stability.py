@@ -39,10 +39,10 @@ from .quadratic import (
 from .signatures import (
     ReferenceForm,
     SearchExhausted,
-    _ordering_indicator,
     h_signature,
     local_type,
     nil_set,
+    piecewise_form,
     reference_search,
     total_signature,
 )
@@ -87,13 +87,6 @@ class NilAwareSpace:
                 raise MismatchError("vector does not vanish on the nil set")
         keep = [v for i, v in enumerate(values) if i not in self.nil_indices]
         return tuple(keep)
-
-    def expand(self, coords):
-        out = []
-        it = iter(coords)
-        for i in range(len(self.all_orderings)):
-            out.append(0 if i in self.nil_indices else next(it))
-        return tuple(out)
 
 
 class Probes:
@@ -293,15 +286,13 @@ def _division_certain(A: Algebra) -> bool:
     return False
 
 
-def quadratic_image_lattice(field: FieldTower, field_elements=None):
-    """im(sign) over all coordinates, generated by the probe forms.
+def quadratic_image_lattice(field: FieldTower):
+    """im(sign) over all coordinates, generated by the default probe forms.
 
     Returns (generators, basis, transform, exact): generators are
     (vector, slots) pairs over the full coordinate list, where the slots
     name the Pfister form pfister(field, slots)."""
-    if field_elements is None:
-        field_elements = _field_probes(field)
-    gens = _probe_signatures(field, field_elements, field.orderings())
+    gens = _probe_signatures(field, _field_probes(field), field.orderings())
     basis, transform = hnf_with_transform([v for v, _ in gens])
     return gens, basis, transform, _field_patterns_complete(field)
 
@@ -455,7 +446,6 @@ def h0_search(A: Algebra, ref: ReferenceForm, budget: int = 50):
     if best is not None:
         return best
     pieces = []
-    exponents = []
     for P in space.coords:
         piece = None
         for cand in candidates:
@@ -471,17 +461,11 @@ def h0_search(A: Algebra, ref: ReferenceForm, budget: int = 50):
             raise SearchExhausted(
                 f"no candidate with 2-power signature at {P.name()}"
             )
-        indicator = _ordering_indicator(field, P)
-        pieces.append(piece.module_scale(indicator))
-        exponents.append(local_exp + len(field.generators()))
-    k0 = max(exponents)
-    total = None
-    for piece, e in zip(pieces, exponents):
-        pad = k0 - e
-        if pad:
-            padder = QuadraticForm(field, [field.one()] * (1 << pad))
-            piece = piece.module_scale(padder)
-        total = piece if total is None else total.direct_sum(piece)
+        pieces.append((P, piece, local_exp))
+    # every piece is padded to the largest exponent k0 = local_exp + r
+    top = max(e for _, _, e in pieces)
+    k0 = top + len(field.generators())
+    total = piecewise_form(field, [(P, h, top - e) for P, h, e in pieces])
     vec = space.restrict(total_signature(A, total, ref, budget))
     if any(v != (1 << k0) for v in vec):
         raise SearchExhausted("piecewise constant-signature assembly failed")

@@ -12,7 +12,9 @@ integer invariant factors against the determinantal divisors, the
 zero-on-nil sublattice and its 2-power exponents against a left kernel
 and a capped floor-division membership search, and the split model of a
 certificate and the transport along it against the dense sum over every
-coordinate and matrix entry, with one product by G per Gram entry.
+coordinate and matrix entry, with one product by G per Gram entry, and
+the piecewise assembly of references and of h0 against scaling each
+piece first by its one-ordering Pfister form and then by its padding.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import combinations
 from hermstab.algebras import morita_flatten
 from hermstab.fields import FieldElement, FieldTower, MismatchError, Ordering
 from hermstab.lattices import hnf
-from hermstab.quadratic import QuadraticForm, SingularFormError
+from hermstab.quadratic import QuadraticForm, SingularFormError, pfister
 
 
 class Interval:
@@ -738,3 +740,22 @@ def dense_datum_holds(cert) -> bool:
         if lhs != rhs:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# piecewise assembly
+# ---------------------------------------------------------------------------
+
+
+def stepwise_piecewise_form(field: FieldTower, pieces):
+    """The sum over (P, h, pad) of h scaled by the Pfister form on the
+    generators signed as at P, then, when pad > 0, by <1, ..., 1> with
+    2^pad ones, in the order of ``pieces``."""
+    total = None
+    for P, h, pad in pieces:
+        slots = [g if g.sign_at(P) > 0 else -g for g in field.generators()]
+        local = h.module_scale(pfister(field, slots))
+        if pad:
+            local = local.module_scale(QuadraticForm(field, [field.one()] * (1 << pad)))
+        total = local if total is None else total.direct_sum(local)
+    return total

@@ -602,3 +602,32 @@ def test_unknown_json_keys_rejected():
     doc["extra"] = 1
     with pytest.raises(MismatchError):
         algebra_from_json(doc)
+
+
+def test_matrix_scaling_inverts_each_entry_once(monkeypatch):
+    """The inverse of each scaling entry is computed once, kept for the
+    involution, and is what shows the entry invertible."""
+    D = QuaternionAlgebra(Q, -1, -1)
+    calls = []
+    real = QuaternionAlgebra.inverse
+
+    def counted(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(QuaternionAlgebra, "inverse", counted)
+    g = [D.from_field(1), D.from_field(-2)]
+    M = MatrixAlgebra(2, D, g)
+    assert calls == [e.value for e in g]
+    assert M._g_inv == (D.one(), D.from_field(Fraction(-1, 2)).value)
+
+
+@pytest.mark.parametrize("entry", [[0, 0, 0, 0], [1, 1, 0, 0]], ids=["zero", "zero_divisor"])
+def test_matrix_scaling_must_be_invertible(entry):
+    """Over the split (1, 1)_Q with Int(j)conj, 1 + i is symmetric with
+    reduced norm 0: like 0, it is refused as a scaling entry."""
+    D = QuaternionAlgebra(Q, 1, 1, "orthogonal", [0, 0, 1, 0])
+    e = D.elem(D.from_coords([Q.rational(c) for c in entry]))
+    assert e.involution() == e
+    with pytest.raises(MismatchError, match="^scaling entries must be invertible$"):
+        MatrixAlgebra(2, D, [D.elem(D.one()), e])

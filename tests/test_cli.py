@@ -633,3 +633,68 @@ def test_json_writer_rejects_other_types(doc):
 
     with pytest.raises(TypeError):
         _json_text(doc)
+
+
+# a valid depth-3 tower Q(sqrt 2)(sqrt 3)(sqrt 5); each bad step replaces one
+_SQRT_STEPS = ["2", "3", "5"]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        ("0", "square-root step needs a nonzero element"),
+        ("4", "square-root step needs a non-square"),
+        ("-1", "square-root step needs an element positive somewhere"),
+    ],
+)
+def test_bad_square_root_step_at_each_level_exits_2(level, d, message):
+    steps = list(_SQRT_STEPS)
+    steps[level - 1] = d
+    field = {"tower": [{"kind": "base"}] + [{"kind": "qext", "d": e} for e in steps]}
+    code, out, err = run_cli("orderings", "--field", json.dumps(field))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_matrix_scaling_that_is_not_invertible_exits_2():
+    split = (
+        '{"kind":"quaternion","field":' + Q_FIELD + ',"a":"1","b":"1",'
+        '"involution":{"type":"orthogonal","u":["0","0","1","0"]}}'
+    )
+    for g in ('["0","0","0","0"]', '["1","1","0","0"]'):
+        alg = '{"kind":"matrix","n":2,"inner":' + split + ',"g":[["1","0","0","0"],' + g + "]}"
+        code, out, err = run_cli("nil", "--algebra", alg)
+        assert (code, out, err) == (2, "", "error: scaling entries must be invertible\n")
+
+
+@pytest.mark.parametrize(
+    "algebra, form, built",
+    [
+        (HAM, '{"diag":[["1","0","0","0"]]}', ["QuaternionAlgebra"]),
+        (
+            '{"kind":"matrix","n":2,"inner":' + HAM + ',"g":[["1","0","0","0"],["-1","0","0","0"]]}',
+            '{"diag":[[[["1","0","0","0"],["0","0","0","0"]],[["0","0","0","0"],["-2","0","0","0"]]]]}',
+            ["QuaternionAlgebra", "MatrixAlgebra"],
+        ),
+    ],
+    ids=["quaternion", "matrix"],
+)
+def test_signature_query_builds_each_algebra_once(monkeypatch, algebra, form, built):
+    """A ``--form`` document without ``algebra`` is read over the parsed
+    ``--algebra``: each kind constructor runs once, where re-reading the
+    form over ``A.to_json()`` ran each twice."""
+    import hermstab.algebras as algebras
+
+    calls = []
+    for name in ("QuaternionAlgebra", "MatrixAlgebra"):
+        cls = getattr(algebras, name)
+        real = cls.__init__
+
+        def counted(self, *args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    code, _, _ = run_cli("--json", "signature", "--algebra", algebra, "--form", form)
+    assert code == 0
+    assert sorted(calls) == sorted(built)

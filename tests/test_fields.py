@@ -394,3 +394,27 @@ def test_rational_kernel_matches_fraction():
     # the tower's level-0 branches run the kernel
     assert [Q._sign(0, x, ()) for x in ops[:4]] == [0, 1, -1, 1]
     assert Q._is_zero(0, Fraction(0)) and not Q._is_zero(0, Fraction(-1, 2))
+
+
+def test_json_tower_checks_each_square_root_step_once(monkeypatch):
+    """Each square-root step is checked when it is adjoined and then
+    trusted: a JSON tower with two steps makes two square tests, where
+    re-checking every earlier step on each adjoin made three."""
+    checked = []
+    nesting = [0]
+    real = FieldTower._is_square
+
+    def counted(self, level, x):
+        if nesting[0] == 0:
+            checked.append((level, x))
+        nesting[0] += 1
+        try:
+            return real(self, level, x)
+        finally:
+            nesting[0] -= 1
+
+    monkeypatch.setattr(FieldTower, "_is_square", counted)
+    steps = [{"kind": "base"}, {"kind": "qext", "d": "2"}, {"kind": "laurent"}]
+    field = FieldTower.from_json({"tower": steps + [{"kind": "qext", "d": "3"}]})
+    # the d of step k + 1 is checked once, at level k
+    assert checked == [(0, field.steps[1][1]), (2, field.steps[3][1])]

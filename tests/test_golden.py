@@ -7,7 +7,10 @@ and of ``stability`` on an orthogonal and a conjugation quaternion algebra
 over towers of depth 2, whose reports evaluate the same forms at several
 orderings, and of ``transfer-check`` on forms over Q(sqrt 2), Q(sqrt 3)
 and Q(sqrt 2)(sqrt 3), with entries u + v*sqrt(e) both with u = 0 and
-with u != 0.
+with u != 0.  ``signature`` also runs on the other branches of the form
+reader, over the orthogonal quaternion algebra and the matrix wrapper: a
+form that carries its own ``algebra`` (the same one, or another), a
+``gram`` document, an explicit ``epsilon`` and ``--reference`` documents.
 
 Any change to the printed bytes or exit codes of these commands fails
 here.  To re-record after an intended output change, run this file as a
@@ -170,6 +173,60 @@ TRANSFERS = {
 }
 
 
+# the other branches of the ``--form`` / ``--reference`` reader, on an
+# orthogonal quaternion algebra and a 2 x 2 matrix wrapper: name ->
+# (algebra key in ALGEBRAS, form document, reference document or None)
+ONE = ["1", "0", "0", "0"]
+TWO = ["2", "0", "0", "0"]
+I_ = ["0", "1", "0", "0"]
+K_ = ["0", "0", "0", "1"]
+XI = ["0", X, "0", "0"]
+MINUS_XK = ["0", "0", "0", {"num": [[1, "-1"]], "den": [[0, "1"]]}]
+ZERO = ["0"] + ZERO3
+M_ONE = [[ONE, ZERO], [ZERO, ONE]]
+M_TWO = [[TWO, ZERO], [ZERO, TWO]]
+M_G = [[ONE, ZERO], [ZERO, ["-1"] + ZERO3]]
+M_G2 = [[TWO, ZERO], [ZERO, ["-1"] + ZERO3]]
+FORM_DOCS = {
+    "quaternion_orthogonal/form_with_algebra": (
+        "quaternion_orthogonal",
+        {
+            "algebra": ALGEBRAS["quaternion_orthogonal"][0],
+            "epsilon": 1,
+            "diag": ALGEBRAS["quaternion_orthogonal"][1],
+        },
+        None,
+    ),
+    "quaternion_orthogonal/form_other_algebra": (
+        "quaternion_orthogonal",
+        {"algebra": HAM, "epsilon": 1, "diag": [ONE]},
+        None,
+    ),
+    "quaternion_orthogonal/gram": (
+        "quaternion_orthogonal", {"gram": [[ONE, TWO], [TWO, ["3", "0", "0", "0"]]]}, None
+    ),
+    "quaternion_orthogonal/epsilon": (
+        "quaternion_orthogonal", {"epsilon": 1, "diag": [ONE, I_]}, None
+    ),
+    "quaternion_orthogonal/reference": (
+        "quaternion_orthogonal", {"diag": [I_]}, {"diag": [I_, MINUS_XK]}
+    ),
+    "quaternion_orthogonal/reference_with_algebra": (
+        "quaternion_orthogonal",
+        {"diag": [I_, K_]},
+        {"algebra": ALGEBRAS["quaternion_orthogonal"][0], "epsilon": 1, "diag": [XI, K_]},
+    ),
+    "matrix/form_with_algebra": (
+        "matrix",
+        {"algebra": ALGEBRAS["matrix"][0], "epsilon": 1, "diag": ALGEBRAS["matrix"][1]},
+        None,
+    ),
+    "matrix/gram": ("matrix", {"gram": [[M_ONE, M_TWO], [M_TWO, M_ONE]]}, None),
+    "matrix/epsilon": ("matrix", {"epsilon": 1, "diag": [M_ONE, M_G]}, None),
+    "matrix/reference": ("matrix", {"diag": [M_ONE, M_G]}, {"diag": [M_G2]}),
+}
+
+
 def _dumps(doc) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
@@ -186,6 +243,12 @@ def _commands():
         if kind in ALGEBRAS:
             yield kind + "/nil", ["--json", "nil", "--algebra", a]
             yield kind + "/stability", ["--json", "stability", "--algebra", a]
+    for name, (kind, form, ref) in FORM_DOCS.items():
+        argv = ["--json", "signature", "--algebra", _dumps(ALGEBRAS[kind][0])]
+        argv += ["--form", _dumps(form)]
+        if ref is not None:
+            argv += ["--reference", _dumps(ref)]
+        yield name + "/signature", argv
     for name, alg in DEPTH2_REPORTS.items():
         yield name + "/stability", ["--json", "stability", "--algebra", _dumps(alg)]
     for name, form in TRANSFERS.items():
@@ -213,7 +276,11 @@ GOLDEN = {
     "field_id/signature": (0, "6da18088c92938c2a4998d52dde49c7458626da8fa701ec6673d36eea9cd4ef4"),
     "field_id/split-cert": (0, "5f3044b043525b523f5b7b0095dd3a2e2a857bc4317ce4facdd060a6b3c836de"),
     "field_id/stability": (0, "18979336ffc0014dab2219848fa5fdff91d51ef8880ef8d87b05d78b7fce1487"),
+    "matrix/epsilon/signature": (0, "41f635cfff0bb630ff05a1110043dfd04b0d3f831a36f152f43e11ce289852e6"),
+    "matrix/form_with_algebra/signature": (0, "4661c052f106a9990b75db9a7f339243ca97ffb40cb855bdb12c737e1585363d"),
+    "matrix/gram/signature": (0, "305b3cb676fd95c8d4ab34ba745a55c568d4f16316d950d7eec227304b23676f"),
     "matrix/nil": (0, "3ee6b8962aa8fc1de32590b0a657fb5e7da4e4f81cc3dc519ef05212e797511a"),
+    "matrix/reference/signature": (0, "91eaa833f66d98a046c5290966e0a36d0eb150c742ca1c00eef2c82203617597"),
     "matrix/signature": (0, "4661c052f106a9990b75db9a7f339243ca97ffb40cb855bdb12c737e1585363d"),
     "matrix/split-cert": (0, "a5ea08ef4545b1801fb4df214f3a7637d06e24987f25eff7ca3b49bfc2d1ce49"),
     "matrix/stability": (0, "cea8b2b81de8a7ca9540d7c91fa6cfde9d4dd8461044b1c64799c2067293f53e"),
@@ -222,7 +289,13 @@ GOLDEN = {
     "quaternion_conjugation/split-cert": (0, "d11fa51feefec28786864caea9cd45468ca23e0642b848935b298c6bf9efe67b"),
     "quaternion_conjugation/stability": (0, "588e49a42091e65d9e0391b0cd140d02c13ba97f6b2db3a27c742d2450ffa64f"),
     "quaternion_conjugation_depth2_report/stability": (0, "73a62ea5e20afa6647a12bfb3015829b6865ee99577f429d1ebdd8ab57c64622"),
+    "quaternion_orthogonal/epsilon/signature": (0, "7bc26b6fa89fb15621adffbb22dabd3b0f35fe4a01600505e4f94c75c5766ace"),
+    "quaternion_orthogonal/form_other_algebra/signature": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "quaternion_orthogonal/form_with_algebra/signature": (0, "6e94ae812bb5e5b1cced119714b4a91a7a06bdf09d49c929277fa3d7fc354c9c"),
+    "quaternion_orthogonal/gram/signature": (0, "fca0d09b393a8b4c3a577c430a088e9731ca4536c4f63ce54906f592bc1fd8ec"),
     "quaternion_orthogonal/nil": (0, "9991308039841d348d7eadc88b910bb21a77bfa23f338ceb31a8fae3482b9ed7"),
+    "quaternion_orthogonal/reference/signature": (0, "40ade9bfbbf049e0dbecb63ff3462284c31ea48843576d3f3f7fa3af85db965a"),
+    "quaternion_orthogonal/reference_with_algebra/signature": (0, "ca430036b170734fc3c21478f4ba7d83d324239fc08abb663d6f303e0515bb17"),
     "quaternion_orthogonal/signature": (0, "6e94ae812bb5e5b1cced119714b4a91a7a06bdf09d49c929277fa3d7fc354c9c"),
     "quaternion_orthogonal/split-cert": (0, "f13405a4ddc8dc57d7b8d73f22eaa9e35695b92194a3db5c862a5defd4b459ca"),
     "quaternion_orthogonal/stability": (0, "0d9ebb565e1f6f703e919925ab029f32dc45da932acf2c4ff90ec5246ca6544a"),

@@ -39,7 +39,11 @@ from corpus import (
     random_tower,
     tower_shapes,
 )
-from oracles import eager_reference_candidates, eager_reference_scan
+from oracles import (
+    eager_reference_candidates,
+    eager_reference_scan,
+    stepwise_piecewise_form,
+)
 
 Q = FieldTower.rationals()
 F2 = Q.adjoin_sqrt(2)
@@ -419,6 +423,36 @@ def test_piecewise_reference_assembly():
     for P in targets:
         assert raw_signature(A, ref.form, P) != 0
         assert h_signature(A, ref.form, ref, P) > 0
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        QuaternionAlgebra(LX, LX.generator(), 1, "orthogonal", [0, 0, 1, 0]),
+        QuaternionAlgebra(F2, 1, F2.generator(), "orthogonal", [0, 1, 0, 0]),
+    ],
+    ids=["x_1_int_j", "1_sqrt2_int_i"],
+)
+def test_piecewise_reference_matches_stepwise_assembly(monkeypatch, A):
+    """The reference fallback's one assembly gives the form that scaling
+    each piece by its Pfister form and summing gives."""
+    import hermstab.signatures as signatures
+
+    calls = []
+    real = signatures.piecewise_form
+
+    def recording(field, pieces):
+        out = real(field, pieces)
+        calls.append((field, list(pieces), out))
+        return out
+
+    monkeypatch.setattr(signatures, "piecewise_form", recording)
+    ref = reference_search(A)
+    [(field, pieces, out)] = calls
+    assert ref.form is out and [pad for _, _, pad in pieces] == [0, 0]
+    expected = stepwise_piecewise_form(field, pieces)
+    assert (out.gram, out.epsilon) == (expected.gram, expected.epsilon)
+    assert out.to_json() == expected.to_json()
 
 
 def _reference_oracle_algebras():

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -19,6 +20,7 @@ from hermstab.splitting import (
     BudgetExhausted,
     PreconditionNil,
     SplittingCertificate,
+    _certificates,
     _phi,
     find_certificate,
     transport_form,
@@ -76,7 +78,7 @@ def test_budget_exhaustion_raises():
     # height-0 budget cannot find any witness
     Pp = LX.orderings()[0]
     with pytest.raises(BudgetExhausted):
-        find_certificate(ORTH, Pp, budget=0, skip=10**6)
+        find_certificate(ORTH, Pp, budget=0)
 
 
 def test_tampered_certificates_fail():
@@ -296,11 +298,12 @@ def test_independent_certificates_agree_in_absolute_value():
         for P in A.field.orderings():
             if P in nil:
                 continue
-            c0 = find_certificate(A, P, skip=0)
-            try:
-                c1 = find_certificate(A, P, skip=1)
-            except BudgetExhausted:
+            c0 = find_certificate(A, P)
+            # the second certificate in search order, if there is one
+            c1 = next(islice(_certificates(A, P, 50), 1, None), None)
+            if c1 is None:
                 continue
+            assert verify_certificate(c1)
             h = random_hermitian_diagonal(rng, A, rank=2)
 
             def tsig(cert, form):
@@ -646,3 +649,21 @@ def test_transport_makes_no_product_for_zero_entries(monkeypatch, A):
         for r in range(3) for s in range(3) if r != s
         for i in range(2) for j in range(2)
     )
+
+
+def test_wrapper_certificate_is_the_inner_algebras():
+    """(M_2(D), ad_g) splits as D does: its certificate is D's, searched,
+    verified and cached once, under D."""
+    import hermstab.splitting as splitting
+
+    D = ORTH
+    M = MatrixAlgebra(2, D, [D.elem(D.one()), D.from_field(-2)])
+    P = LX.orderings()[0]
+    splitting.clear_certificate_cache()
+    cert = find_certificate(M, P)
+    assert cert.algebra is D and verify_certificate(cert)
+    assert list(splitting._cert_cache) == [(D, P.path, 50)]
+    assert find_certificate(D, P) is cert
+    assert find_certificate(M, P) is cert
+    assert len(splitting._cert_cache) == 1
+    splitting.clear_certificate_cache()

@@ -12,7 +12,12 @@ from hermstab.algebras import (
 )
 from hermstab.fields import FieldTower
 from hermstab.quadratic import SingularFormError, pfister
-from hermstab.signatures import reference_search, total_signature
+from hermstab.signatures import (
+    ReferenceForm,
+    reference_search,
+    reference_signs,
+    total_signature,
+)
 from hermstab.stability import (
     NilAwareSpace,
     Probes,
@@ -26,6 +31,7 @@ from hermstab.stability import (
 )
 
 from corpus import random_hermitian_diagonal
+from oracles import stepwise_piecewise_form
 
 Q = FieldTower.rationals()
 F2 = Q.adjoin_sqrt(2)
@@ -318,6 +324,37 @@ def test_piecewise_h0_assembly():
     vec = total_signature(A, h0, ref)
     assert set(vec.values) == {1 << k0}
     assert k0 == 2 and h0.rank == 4
+
+
+def test_piecewise_h0_matches_stepwise_assembly(monkeypatch):
+    """h0's fallback pads its pieces with <1, ..., 1> inside the one
+    piecewise assembly and gives the form that scaling each piece by its
+    Pfister form and then by its padding gives.  The reference is the
+    searched one plus its first piece again, so its signature is 8 at one
+    ordering and 4 at the other, and no candidate is constant."""
+    import hermstab.stability as stability
+
+    A = QuaternionAlgebra(LX, LX.generator(), 1, "orthogonal", [0, 0, 1, 0])
+    entries = reference_search(A).form.diagonal_entries()
+    form = HermitianForm.diagonal(A, list(entries) + list(entries[:2]))
+    ref = ReferenceForm(A, form, reference_signs(A, form))
+    assert total_signature(A, form, ref).values == (8, 4)
+    calls = []
+    real = stability.piecewise_form
+
+    def recording(field, pieces):
+        out = real(field, pieces)
+        calls.append((field, list(pieces), out))
+        return out
+
+    monkeypatch.setattr(stability, "piecewise_form", recording)
+    h0, k0 = h0_search(A, ref)
+    [(field, pieces, out)] = calls
+    assert h0 is out and [pad for _, _, pad in pieces] == [0, 1]
+    assert k0 == 4 and set(total_signature(A, h0, ref).values) == {16}
+    expected = stepwise_piecewise_form(field, pieces)
+    assert (out.gram, out.epsilon) == (expected.gram, expected.epsilon)
+    assert out.to_json() == expected.to_json()
 
 
 def test_split_algebra_reports_are_lower_bounds():
