@@ -178,6 +178,12 @@ class Algebra:
         """All of ``iter_reference_candidates()``, computed once per instance."""
         return tuple(self.iter_reference_candidates())
 
+    @cached_property
+    def reference_memo(self) -> dict:
+        """``signatures.reference_search``'s latest success on this
+        algebra, keyed by its budget; it lives and dies with the algebra."""
+        return {}
+
     def iter_reference_candidates(self):
         """Rank-one forms on invertible symmetric elements: the identity,
         the symmetric basis, and pairwise sums and differences, each with

@@ -28,7 +28,13 @@ from .signatures import (
     reference_signs,
     total_signature,
 )
-from .splitting import BudgetExhausted, PreconditionNil, find_certificate
+from .splitting import (
+    CERT_CACHE_SIZE,
+    BudgetExhausted,
+    PreconditionNil,
+    find_certificate,
+    verify_certificate,
+)
 from .stability import stability_report, Probes
 
 __all__ = ["main"]
@@ -38,13 +44,22 @@ class ValidationFailure(ValueError):
     pass
 
 
+def _read_text(text: str) -> str:
+    """The document's text: ``@path`` is read from the file on every call."""
+    if not text.startswith("@"):
+        return text
+    try:
+        with open(text[1:], "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValidationFailure(f"cannot read {text[1:]!r}: {exc}") from exc
+
+
 def _load_doc(text: str):
-    if text.startswith("@"):
-        try:
-            with open(text[1:], "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ValidationFailure(f"cannot read {text[1:]!r}: {exc}") from exc
+    return _parse_json(_read_text(text))
+
+
+def _parse_json(text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -67,9 +82,32 @@ def _parse_field(text: str, max_depth: int) -> FieldTower:
 
 
 def _parse_algebra(text: str, max_depth: int):
-    algebra = algebra_from_json(_load_doc(text))
+    algebra = _algebra_from_text(_read_text(text))
     _check_depth(algebra.field, max_depth)
     return algebra
+
+
+# Algebras are immutable and their documents are read deterministically, so
+# a long-lived process parses each document text once; the bound keeps it
+# from growing without limit.  A failing document raises on every call, as
+# lru_cache keeps no exceptions.
+@functools.lru_cache(maxsize=CERT_CACHE_SIZE)
+def _algebra_from_text(text: str):
+    return algebra_from_json(_parse_json(text))
+
+
+class _Rendered(str):
+    """A value's JSON text as ``_json_text`` writes it at top level;
+    ``_write_json`` splices it in at any depth."""
+
+
+# JSON renderings of algebras (by value), and of certificates and searched
+# references (by identity: both are kept, so a warm query gets the same
+# object back); all are immutable, so each is rendered once while it stays
+# in this bound.
+@functools.lru_cache(maxsize=CERT_CACHE_SIZE)
+def _rendered(obj) -> _Rendered:
+    return _Rendered(_json_text(obj.to_json()))
 
 
 def _json_text(doc) -> str:
@@ -85,7 +123,12 @@ def _json_text(doc) -> str:
 
 def _write_json(value, newline, write):
     if isinstance(value, str):
-        write(encode_basestring_ascii(value))
+        if type(value) is _Rendered:
+            # exact: a newline inside a JSON string is escaped, so every
+            # newline in the text starts an indented line
+            write(value.replace("\n", newline))
+        else:
+            write(encode_basestring_ascii(value))
     elif value is None:
         write("null")
     elif value is True:
@@ -169,7 +212,7 @@ def cmd_nil(args) -> int:
     nil = nil_set(A)
     orderings = A.field.orderings()
     doc = {
-        "algebra": A.to_json(),
+        "algebra": _rendered(A),
         "nil": [P.to_json() for P in orderings if P in nil],
         "non_nil": [P.to_json() for P in orderings if P not in nil],
     }
@@ -226,12 +269,12 @@ def cmd_signature(args) -> int:
             "l": lt.l,
         }
         if not lt.nil and lt.route == "split-certificate":
-            entry["certificate"] = find_certificate(A, P, args.budget).to_json()
+            entry["certificate"] = _rendered(find_certificate(A, P, args.budget))
         details.append(entry)
     doc = {
-        "algebra": A.to_json(),
+        "algebra": _rendered(A),
         "form": h.to_json(),
-        "reference": ref.to_json(),
+        "reference": ref.to_json() if args.reference else _rendered(ref),
         "signatures": details,
         "values": list(vec.values),
     }
@@ -264,7 +307,7 @@ def cmd_stability(args) -> int:
             fields.append(A.field.element_from_json(e))
         probes = Probes(sym, fields)
     report = stability_report(A, probes=probes, budget=args.budget)
-    doc = {"algebra": A.to_json(), "report": report.to_json()}
+    doc = {"algebra": _rendered(A), "report": report.to_json()}
     st = "inf" if report.st == math.inf else report.st
     lines = [
         f"algebra: {A.describe()}",
@@ -291,10 +334,8 @@ def cmd_split_cert(args) -> int:
     else:
         P = Ordering.from_json(A.field, _load_doc(text))
     cert = find_certificate(A, P, args.budget)
-    from .splitting import verify_certificate
-
     ok = verify_certificate(cert)
-    doc = {"certificate": cert.to_json(), "verified": ok}
+    doc = {"certificate": _rendered(cert), "verified": ok}
     lines = [
         f"algebra: {A.describe()}",
         f"ordering: {P.name()}",

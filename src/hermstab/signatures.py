@@ -209,7 +209,22 @@ def reference_search(A: Algebra, budget: int = 50) -> ReferenceForm:
     ``Algebra.iter_reference_candidates``, whose raw signature is nonzero
     at every non-nil ordering (built lazily, so later candidates cost
     nothing); failing that, a sum of pieces cut out by one-ordering
-    Pfister multipliers."""
+    Pfister multipliers.
+
+    The search depends only on A and the budget, so a success is kept in
+    ``A.reference_memo`` under its budget; failures are not kept.  Only the
+    latest budget's success is kept, so a stream of distinct budgets does
+    not grow the memo."""
+    memo = A.reference_memo
+    ref = memo.get(budget)
+    if ref is None:
+        ref = _search_reference(A, budget)
+        memo.clear()
+        memo[budget] = ref
+    return ref
+
+
+def _search_reference(A: Algebra, budget: int) -> ReferenceForm:
     field = A.field
     targets = [P for P in field.orderings() if not local_type(A, P).nil]
     if not targets:

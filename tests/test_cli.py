@@ -598,29 +598,34 @@ def _random_json_doc(rng, depth=0):
     return {text() + str(i): v for i, v in enumerate(items)}
 
 
-def test_json_writer_matches_json_dumps(monkeypatch):
+def _nest(value, depth):
+    """``value`` at nesting depth ``depth``, between siblings, alternating
+    list and dict levels."""
+    for level in range(depth):
+        value = [0, value, "x"] if level % 2 else {"a": 0, "b": value, "c": []}
+    return value
+
+
+def test_json_writer_matches_json_dumps():
     """The --json writer is json.dumps(doc, sort_keys=True, indent=2),
-    byte for byte, on every golden-table document, on --json examples
-    and on seeded random nested documents."""
+    byte for byte: every golden-table command and --json examples prints
+    what json.dumps prints for the document it printed, and on seeded
+    random nested documents the writer matches json.dumps and a rendered
+    value spliced in at nesting depth k writes what the value does."""
     from hermstab import cli
-    from test_golden import COMMANDS, GOLDEN, _run
+    from test_golden import COMMANDS, call
 
-    docs = []
-    real = cli._json_text
-
-    def recording(doc):
-        docs.append(doc)
-        return real(doc)
-
-    monkeypatch.setattr(cli, "_json_text", recording)
-    for argv in COMMANDS.values():
-        _run(argv)
-    _run(["--json", "examples"])
-    assert len(docs) == sum(code == 0 for code, _ in GOLDEN.values()) + 1
+    for argv in [*COMMANDS.values(), ["--json", "examples"]]:
+        code, out, _ = call(argv)
+        if code == 0:
+            assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
     rng = random.Random(71)
-    docs += [_random_json_doc(rng) for _ in range(300)]
-    for doc in docs:
-        assert real(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    for doc in [_random_json_doc(rng) for _ in range(300)]:
+        assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+        rendered = cli._Rendered(cli._json_text(doc))
+        for depth in range(5):
+            expected = json.dumps(_nest(doc, depth), sort_keys=True, indent=2)
+            assert cli._json_text(_nest(rendered, depth)) == expected
 
 
 @pytest.mark.parametrize(
@@ -684,7 +689,9 @@ def test_signature_query_builds_each_algebra_once(monkeypatch, algebra, form, bu
     ``--algebra``: each kind constructor runs once, where re-reading the
     form over ``A.to_json()`` ran each twice."""
     import hermstab.algebras as algebras
+    from test_golden import clear_memos
 
+    clear_memos()
     calls = []
     for name in ("QuaternionAlgebra", "MatrixAlgebra"):
         cls = getattr(algebras, name)

@@ -24,6 +24,7 @@ import json
 
 import pytest
 
+from hermstab import cli
 from hermstab.cli import main
 from hermstab.splitting import clear_certificate_cache
 
@@ -258,12 +259,30 @@ def _commands():
 COMMANDS = dict(_commands())
 
 
-def _run(argv):
-    clear_certificate_cache()  # each CLI invocation starts cold
+def clear_memos():
+    """Forget every parsed algebra, rendering and certificate, so that the
+    next CLI call in this process starts as a fresh process does."""
+    cli._algebra_from_text.cache_clear()
+    cli._rendered.cache_clear()
+    clear_certificate_cache()
+
+
+def call(argv):
+    """One CLI call in this process: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _run(argv):
+    clear_memos()  # each CLI invocation starts cold
+    code, out, _ = call(argv)
+    return code, digest(out)
 
 
 # name -> (exit code, sha256 of stdout)
