@@ -1090,7 +1090,7 @@ def sym_basis(A: Algebra) -> list[AlgebraElement]:
 class HermitianForm:
     """An epsilon-hermitian form by its Gram matrix over a catalogue algebra.
 
-    Forms are immutable.  ``route_memo`` keeps the eliminations that
+    Forms are immutable.  ``route_memo`` keeps the route evaluations that
     ``signatures.raw_signature`` has done on this form, so each is done
     once; it lives and dies with the form."""
 
@@ -1114,13 +1114,18 @@ class HermitianForm:
             if len(row) != k:
                 raise MismatchError("Gram matrix must be square")
         # sigma(g[j][i]) == eps * g[i][j] for j >= i only: applying sigma,
-        # which fixes eps, gives the (j, i) condition, as eps**2 == 1.
+        # which fixes eps, gives the (j, i) condition, as eps**2 == 1.  A
+        # pair of zeros satisfies it, so only pairs with a nonzero entry
+        # pay an involution.
+        is_zero = algebra.is_zero
         for i in range(k):
             for j in range(i, k):
-                rhs = self.gram[i][j]
+                rhs, lhs = self.gram[i][j], self.gram[j][i]
+                if is_zero(rhs) and is_zero(lhs):
+                    continue
                 if epsilon == -1:
                     rhs = algebra.neg(rhs)
-                if algebra.involution(self.gram[j][i]) != rhs:
+                if algebra.involution(lhs) != rhs:
                     raise MismatchError("Gram matrix is not epsilon-hermitian")
         self.route_memo = {}
 
@@ -1303,7 +1308,8 @@ def morita_flatten(h: HermitianForm) -> HermitianForm:
             block = h.gram[r][s]
             for i in range(n):
                 for j in range(n):
-                    gram[r * n + i][s * n + j] = inner.mul(A.g[i], block[i][j])
+                    if not inner.is_zero(block[i][j]):
+                        gram[r * n + i][s * n + j] = inner.mul(A.g[i], block[i][j])
     return HermitianForm(inner, gram, h.epsilon)
 
 

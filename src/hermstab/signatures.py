@@ -18,7 +18,7 @@ from .algebras import (
     morita_flatten,
 )
 from .fields import FieldTower, InvariantViolation, MismatchError, Ordering
-from .quadratic import QuadraticForm, SignatureVector, pfister
+from .quadratic import QuadraticForm, SignatureVector, SingularFormError, pfister
 from .splitting import find_certificate, transport_form
 
 __all__ = [
@@ -110,17 +110,22 @@ def raw_signature(A: Algebra, h: HermitianForm, P: Ordering, budget: int = 50) -
     """The route value at P: the local signature divided by the local
     division-algebra dimension, before the reference normalization.
 
-    Every route ends in hermitian elimination and a count of the signs of
-    the diagonal entries, which lie in the fixed field.  Over (F, id) that
-    elimination is congruence diagonalization (the ``trace-form`` route);
-    the split-certificate route first carries h to the split model and P
-    to the certificate's chosen ordering.
+    A diagonal Gram (after Morita flattening) is read entry by entry,
+    without elimination.  On the ``trace-form`` and ``diagonal-sum``
+    routes each entry lies in the fixed field, and its sign counts.  On
+    the split-certificate route each entry d goes through the
+    certificate's split model as a 2 x 2 block, whose signature two signs
+    fix (``SplittingCertificate.rank_one_signature``).  Any other Gram
+    runs hermitian elimination and counts the signs of the diagonal;
+    there the split-certificate route first carries h to the split model
+    and P to the certificate's chosen ordering.
 
-    The elimination is done once per form and key and kept in
-    ``h.route_memo``: on the split-certificate route the key is ``P.path``;
-    on the other routes the diagonal does not depend on P, so the key is
-    None and only the sign count runs per ordering.  Failures are not
-    kept, and the budget only decides whether a value is found."""
+    Each route evaluation is done once per form and key and kept in
+    ``h.route_memo``: on the split-certificate route the key is ``P.path``
+    and the value is kept; on the other routes the fixed-field diagonal
+    does not depend on P, so the key is None, it is kept, and only the
+    sign count runs per ordering.  Failures are not kept, and the budget
+    only decides whether a value is found."""
     if h.algebra != A:
         raise MismatchError("form does not live over the algebra")
     if h.epsilon != 1:
@@ -132,34 +137,54 @@ def raw_signature(A: Algebra, h: HermitianForm, P: Ordering, budget: int = 50) -
     hit = h.route_memo.get(key)
     if hit is None:
         hit = h.route_memo[key] = _route_diagonal(A, h, P, lt.route, budget)
-    diagonal, chosen = hit
-    at = P if chosen is None else chosen
-    return sum(c.sign_at(at) for c in diagonal)
+    if key is None:
+        return sum(c.sign_at(P) for c in hit)
+    return hit
 
 
 def _route_diagonal(A, h, P, route, budget):
-    """The checked fixed-field diagonal of h's elimination on ``route``, and
-    the ordering its signs are read at (None: the ordering asked for)."""
-    while A.kind == "matrix":
+    """On the split-certificate route, h's value at P; on the others, the
+    checked fixed-field diagonal of h."""
+    if A.kind == "matrix":
         A, h = A.inner, morita_flatten(h)
-    chosen = None
+    diagonal = h.is_diagonal()
     if route == "split-certificate":
         cert = find_certificate(A, P, budget)
+        if diagonal:
+            return sum(cert.rank_one_signature(row[i]) for i, row in enumerate(h.gram))
         h, _ = transport_form(cert, h)
-        chosen = cert.chosen
+        return sum(c.sign_at(cert.chosen) for c in _fixed_diagonal(_eliminate(h)))
+    return _fixed_diagonal(h if diagonal else _eliminate(h))
+
+
+_SPLIT_HERE = (
+    "the algebra is split where it must be division; the nil "
+    "computation and the form disagree"
+)
+
+
+def _eliminate(h):
     diag = diagonalize_hermitian(h)
     if isinstance(diag, SplitWitness):
-        raise InvariantViolation(
-            "the algebra is split where it must be division; the nil "
-            "computation and the form disagree"
-        )
-    diagonal = []
-    for e in diag.diagonal_entries():
-        coords = e.coords()
-        if any(not c.is_zero() for c in coords[1:]):
+        raise InvariantViolation(_SPLIT_HERE)
+    return diag
+
+
+def _fixed_diagonal(h):
+    """The fixed-field coordinates of a diagonal form's entries."""
+    A = h.algebra
+    entries = [row[i] for i, row in enumerate(h.gram)]
+    if any(A.is_zero(d) for d in entries):
+        raise SingularFormError("hermitian Gram matrix is singular")
+    out = []
+    for d in entries:
+        head, *rest = A.coords(d)
+        if any(not r.is_zero() for r in rest):
+            if A.reduced_norm(d).is_zero():
+                raise InvariantViolation(_SPLIT_HERE)
             raise InvariantViolation("diagonal entry escaped the fixed field")
-        diagonal.append(coords[0])
-    return tuple(diagonal), chosen
+        out.append(head)
+    return tuple(out)
 
 
 def reference_signs(A: Algebra, form: HermitianForm, budget: int = 50):

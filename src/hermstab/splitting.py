@@ -34,6 +34,7 @@ from .fields import (
     MismatchError,
     Ordering,
 )
+from .quadratic import SingularFormError
 
 __all__ = [
     "SplittingCertificate",
@@ -140,6 +141,39 @@ class SplittingCertificate:
         ``transport_form`` sums them with each Gram entry's coordinates."""
         M = self.model
         return tuple(M.mul(self.g_datum, X) for X in self.matrices)
+
+    @cached_property
+    def _det_sign(self) -> int:
+        """The sign of det G at ``chosen``, read once per certificate."""
+        C = self.model.inner
+        (g00, g01), (g10, g11) = self.g_datum
+        det = C.sub(C.mul(g00, g11), C.mul(g01, g10))
+        return _fixed_part(C, det).sign_at(self.chosen)
+
+    def rank_one_signature(self, value) -> int:
+        """The signature at ``chosen`` of the rank-one form <d> carried
+        through a proper split, d the symmetric quaternion value ``value``,
+        without transport or elimination.
+
+        The block is B = G . Phi(d), and det B = det G . Nrd(d).  So B
+        counts 0 when det B < 0 and 2 sign(B00) when det B > 0, with
+        B00 = sum_b c_b (G X_b)00 over d's centre coordinates c_b; Nrd(d)
+        lies in F, so its sign at ``chosen`` is its sign at ``ordering``.
+        Nrd(d) = 0 (d = 0 included) makes the form singular."""
+        if self.g_datum is None:
+            raise MismatchError(f"a {self.flavor} certificate has no split model")
+        A = self.algebra
+        centre, C = A.centre, self.model.inner
+        s = _fixed_part(centre, A._nrd(value)).sign_at(self.ordering)
+        if s == 0:
+            raise SingularFormError("hermitian Gram matrix is singular")
+        if s != self._det_sign:
+            return 0
+        b00 = C.zero()
+        for c, GX in zip(value, self.transport_images):
+            if not centre.is_zero(c):
+                b00 = C.add(b00, C.mul(centre.lift_value(c, C), GX[0][0]))
+        return 2 * _fixed_part(C, b00).sign_at(self.chosen)
 
     def to_json(self) -> dict:
         out = {
@@ -256,6 +290,15 @@ def _build_split_data(A_L: Algebra, centre: Algebra, witness_value, sqm: FieldEl
     ]
 
 
+def _fixed_part(C: Algebra, value) -> FieldElement:
+    """``value`` of a catalogue algebra C as an element of its base field:
+    the coordinate on 1, all others being zero."""
+    head, *rest = C.coords(value)
+    if any(not r.is_zero() for r in rest):
+        raise InvariantViolation("diagonal entry escaped the fixed field")
+    return head
+
+
 def _scale(C: Algebra, c, X):
     """The 2 x 2 value X times the centre value c."""
     return tuple(tuple(C.mul(c, e) for e in row) for row in X)
@@ -326,12 +369,13 @@ def _solve_involution_datum(M: MatrixAlgebra, matrices, A_L: Algebra):
 # the search
 # ---------------------------------------------------------------------------
 
-# Certificates found, keyed by non-matrix algebras, least recently used
-# first.  The search is deterministic, so an evicted entry is only found
-# again, identically; the bound keeps a long-lived process that answers
-# distinct queries from growing without limit.  The lock makes each
-# lookup-and-reorder and each insert-and-evict one step for threads
-# sharing the cache.
+# Certificates found, keyed (D, P.path, budget) by non-matrix algebras,
+# and the ordering-free split models of their witnesses, keyed (D, xyz);
+# least recently used first.  The search is deterministic, so an evicted
+# entry is only found again, identically; the bound keeps a long-lived
+# process that answers distinct queries from growing without limit.  The
+# lock makes each lookup-and-reorder and each insert-and-evict one step
+# for threads sharing the cache.
 CERT_CACHE_SIZE = 1024
 _cert_cache: OrderedDict = OrderedDict()
 _cert_lock = threading.Lock()
@@ -340,6 +384,21 @@ _cert_lock = threading.Lock()
 def clear_certificate_cache():
     with _cert_lock:
         _cert_cache.clear()
+
+
+def _cached(key):
+    with _cert_lock:
+        hit = _cert_cache.get(key)
+        if hit is not None:
+            _cert_cache.move_to_end(key)
+        return hit
+
+
+def _keep(key, value):
+    with _cert_lock:
+        _cert_cache[key] = value
+        if len(_cert_cache) > CERT_CACHE_SIZE:
+            _cert_cache.popitem(last=False)
 
 
 def _spiral(budget: int):
@@ -377,20 +436,15 @@ def find_certificate(A: Algebra, P: Ordering, budget: int = 50) -> SplittingCert
             f"{A.describe()} has vanishing signatures at {P.name()}"
         )
     key = (D, P.path, budget)
-    with _cert_lock:
-        cert = _cert_cache.get(key)
-        if cert is not None:
-            _cert_cache.move_to_end(key)
-            return cert
+    cert = _cached(key)
+    if cert is not None:
+        return cert
     cert = next(_certificates(D, P, budget), None)
     if cert is None:
         raise BudgetExhausted(D, P, budget)
     if not verify_certificate(cert):
         raise InvariantViolation("emitted certificate fails verification")
-    with _cert_lock:
-        _cert_cache[key] = cert
-        if len(_cert_cache) > CERT_CACHE_SIZE:
-            _cert_cache.popitem(last=False)
+    _keep(key, cert)
     return cert
 
 
@@ -435,25 +489,9 @@ def _certificates(A, P, budget):
 
 
 def _emit_split_certificate(A, P, xyz, m, sqm, unitary):
-    F = A.field
-    x, y, z = (F.rational(t) for t in xyz)
-    coords = [F.zero(), x, y, z]
-    if unitary:  # sqrt(alpha) * (x i + y j + z k)
-        coords = [c for t in coords for c in (F.zero(), t)]
-    w_value = A.from_coords(coords)
-    witness = A.elem(w_value)
-    if sqm is not None:
-        L = F
-        Q = P
-        sq_elem = sqm
-    else:
-        L = F.adjoin_sqrt(m)
-        Q = Ordering(L, P.path + (1,))
-        sq_elem = L.generator()
-    A_L = A.lift_to(L)
     flavor = "unitary-quaternion-split" if unitary else "orthogonal-split"
-    M = MatrixAlgebra(2, _centre_of(A, L, flavor))
-    matrices = _build_split_data(A_L, M.inner, A.lift_value(w_value, A_L), sq_elem)
+    witness, L, matrices, g_datum = _split_model(A, xyz, m, sqm, flavor)
+    Q = P if sqm is not None else Ordering(L, P.path + (1,))
     return SplittingCertificate(
         A,
         P,
@@ -463,8 +501,35 @@ def _emit_split_certificate(A, P, xyz, m, sqm, unitary):
         witness=witness,
         m=m,
         matrices=matrices,
-        g_datum=_solve_involution_datum(M, matrices, A_L),
+        g_datum=g_datum,
     )
+
+
+def _split_model(A, xyz, m, sqm, flavor):
+    """The witness of ``xyz``, the extension L, ``matrices`` and ``g_datum``:
+    the part of a split certificate that does not depend on the ordering,
+    built once per (A, witness) and kept in the certificate cache."""
+    key = (A, xyz)
+    model = _cached(key)
+    if model is not None:
+        return model
+    F = A.field
+    x, y, z = (F.rational(t) for t in xyz)
+    coords = [F.zero(), x, y, z]
+    if flavor == "unitary-quaternion-split":  # sqrt(alpha) * (x i + y j + z k)
+        coords = [c for t in coords for c in (F.zero(), t)]
+    w_value = A.from_coords(coords)
+    if sqm is not None:
+        L, sq_elem = F, sqm
+    else:
+        L = F.adjoin_sqrt(m)
+        sq_elem = L.generator()
+    A_L = A.lift_to(L)
+    M = MatrixAlgebra(2, _centre_of(A, L, flavor))
+    matrices = _build_split_data(A_L, M.inner, A.lift_value(w_value, A_L), sq_elem)
+    model = (A.elem(w_value), L, matrices, _solve_involution_datum(M, matrices, A_L))
+    _keep(key, model)
+    return model
 
 
 # ---------------------------------------------------------------------------

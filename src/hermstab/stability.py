@@ -7,8 +7,10 @@ inside the functions vanishing on nil orderings.  Probe completeness is
 tracked honestly: a report is 'certified-exact' only when the field
 probes provably generate every quadratic sign pattern of the tower and
 the hermitian probes attain a generator of each coordinate's value
-group; otherwise the lattice (and everything derived from it) is a
-lower bound.
+group.  Otherwise the lattice is a sublattice of the true image, a
+lower bound; the stability group maps onto the true group, a quotient;
+the stability index is at least the true one, an upper bound; and the
+comparison exponent n0 bounds nothing.
 """
 
 from __future__ import annotations

@@ -12,9 +12,11 @@ integer invariant factors against the determinantal divisors, the
 zero-on-nil sublattice and its 2-power exponents against a left kernel
 and a capped floor-division membership search, and the split model of a
 certificate and the transport along it against the dense sum over every
-coordinate and matrix entry, with one product by G per Gram entry, and
-the piecewise assembly of references and of h0 against scaling each
-piece first by its one-ordering Pfister form and then by its padding.
+coordinate and matrix entry, with one product by G per Gram entry, the
+piecewise assembly of references and of h0 against scaling each piece
+first by its one-ordering Pfister form and then by its padding, and the
+entry-by-entry reading of diagonal forms' route values against transport
+and elimination of every form.
 """
 
 from __future__ import annotations
@@ -740,6 +742,42 @@ def dense_datum_holds(cert) -> bool:
         if lhs != rhs:
             return False
     return True
+
+
+def slow_raw_signature(A, h, P, budget=50):
+    """``raw_signature`` by the slow route on every form, diagonal or not:
+    flatten a matrix wrapper, carry the form through the certificate on
+    the split-certificate route (``transport_form``), run hermitian
+    elimination, and count the signs of the fixed-field diagonal, at the
+    certificate's chosen ordering on that route.  Nothing is memoised."""
+    from hermstab.algebras import SplitWitness, diagonalize_hermitian
+    from hermstab.fields import InvariantViolation
+    from hermstab.signatures import local_type
+    from hermstab.splitting import find_certificate, transport_form
+
+    lt = local_type(A, P)
+    if lt.nil:
+        return 0
+    if A.kind == "matrix":
+        A, h = A.inner, morita_flatten(h)
+    at = P
+    if lt.route == "split-certificate":
+        cert = find_certificate(A, P, budget)
+        h, _ = transport_form(cert, h)
+        at = cert.chosen
+    diag = diagonalize_hermitian(h)
+    if isinstance(diag, SplitWitness):
+        raise InvariantViolation(
+            "the algebra is split where it must be division; the nil "
+            "computation and the form disagree"
+        )
+    total = 0
+    for e in diag.diagonal_entries():
+        head, *rest = e.coords()
+        if any(not c.is_zero() for c in rest):
+            raise InvariantViolation("diagonal entry escaped the fixed field")
+        total += head.sign_at(at)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -565,6 +565,34 @@ def test_hermitian_check_catches_every_single_entry_error():
                         HermitianForm(A, bad, eps)
 
 
+def test_zero_pairs_skip_the_involution_but_half_zero_pairs_fail(monkeypatch):
+    """A Gram pays one involution per pair (i <= j) with a nonzero entry,
+    so a diagonal form pays one per diagonal entry; a pair with 0 on one
+    side and a nonzero entry on the other is still rejected, whichever
+    side holds the zero, for epsilon = +1 and -1."""
+    M = MatrixAlgebra(2, HAM, [HAM.elem(HAM.one()), HAM.from_field(-2)])
+    for A in (HAM, ORTH, UnitaryQuaternionAlgebra(Q, -1, -1, -1), M):
+        sym = A.elem(A.one())
+        calls = []
+        involution = type(A).involution
+
+        def counted(self, x):
+            calls.append(x)
+            return involution(self, x)
+
+        monkeypatch.setattr(type(A), "involution", counted)
+        HermitianForm.diagonal(A, [sym, sym, sym])
+        assert len(calls) == 3
+        monkeypatch.undo()
+        z = A.elem(A.zero())
+        for eps in (1, -1):
+            for i, j in ((0, 1), (1, 0), (0, 2), (2, 1)):
+                gram = [[z] * 3 for _ in range(3)]
+                gram[i][j] = sym
+                with pytest.raises(MismatchError, match="not epsilon-hermitian"):
+                    HermitianForm(A, gram, eps)
+
+
 def test_skew_hermitian_entries():
     one, i, j, k = HAM.basis()
     HermitianForm(HAM, [[i, j], [j, k]], -1)

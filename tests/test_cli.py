@@ -199,10 +199,18 @@ def test_failed_emitted_certificate_exit_code(monkeypatch):
     assert "Traceback" not in err
 
 
-def _split_witness_of_zero(h):
-    from hermstab.algebras import SplitWitness
+# (1, -1)_Q with Int(j)conj is split: 1 + i is symmetric with Nrd 0
+SPLIT_Q = (
+    '{"kind":"quaternion","field":' + Q_FIELD + ',"a":"1","b":"-1",'
+    '"involution":{"type":"orthogonal","u":["0","0","1","0"]}}'
+)
 
-    return SplitWitness(h.algebra, h.algebra.elem(h.algebra.zero()))
+
+def _division_everywhere(A, P):
+    """A nil computation that wrongly reads every ordering as division."""
+    from hermstab.signatures import LocalType
+
+    return LocalType(P, False, 1, 4, "diagonal-sum")
 
 
 @pytest.mark.parametrize(
@@ -210,9 +218,9 @@ def _split_witness_of_zero(h):
     [
         (
             "signatures",
-            "diagonalize_hermitian",
-            _split_witness_of_zero,
-            ("signature", "--algebra", HAM, "--form", '{"diag":[["1","0","0","0"]]}'),
+            "local_type",
+            _division_everywhere,
+            ("signature", "--algebra", SPLIT_Q, "--form", '{"diag":[["1","1","0","0"]]}'),
             "split where it must be division",
         ),
         (

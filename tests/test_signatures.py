@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,7 @@ from hermstab.algebras import (
     rho_form,
     trace_form,
 )
-from hermstab.fields import FieldTower, harrison_set
+from hermstab.fields import FieldTower, MismatchError, harrison_set
 from hermstab.signatures import (
     ReferenceForm,
     SearchExhausted,
@@ -28,6 +29,7 @@ from hermstab.signatures import (
 
 from corpus import (
     SamplingError,
+    orthogonal_quaternion,
     assert_skip_rate,
     random_algebra,
     random_element,
@@ -42,6 +44,7 @@ from corpus import (
 from oracles import (
     eager_reference_candidates,
     eager_reference_scan,
+    slow_raw_signature,
     stepwise_piecewise_form,
 )
 
@@ -680,14 +683,14 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-@pytest.mark.parametrize(
-    "workload, eliminations", [("deep_orth", 38), ("deep_conj", 3)]
-)
-def test_stability_report_eliminates_each_form_once(monkeypatch, workload, eliminations):
-    """A cold stability report eliminates each form once per key: once per
-    form on the diagonal-sum route, once per (form, ordering) on the
-    split-certificate route."""
+@pytest.mark.parametrize("workload, evaluations", [("deep_orth", 38), ("deep_conj", 3)])
+def test_stability_report_eliminates_each_form_once(monkeypatch, workload, evaluations):
+    """A cold stability report evaluates each form's route once per key:
+    once per form on the diagonal-sum route, once per (form, ordering) on
+    the split-certificate route.  Its probe forms are all diagonal, so
+    none is eliminated."""
     import hermstab.algebras as algebras
+    import hermstab.signatures as signatures
     from hermstab.splitting import clear_certificate_cache
     from hermstab.stability import stability_report
 
@@ -698,9 +701,36 @@ def test_stability_report_eliminates_each_form_once(monkeypatch, workload, elimi
         F = F2.adjoin_laurent().adjoin_laurent()
         A = QuaternionAlgebra(F, -1, F.generator(2))
     clear_certificate_cache()
-    calls = _count_calls(monkeypatch, algebras, "diagonalize_hermitian")
+    eliminations = _count_calls(monkeypatch, algebras, "diagonalize_hermitian")
+    route = signatures._route_diagonal
+    seen = []  # (form, key), holding each form so that ids stay unique
+
+    def recorded(A, h, P, route_name, budget):
+        seen.append((h, P.path if route_name == "split-certificate" else None))
+        return route(A, h, P, route_name, budget)
+
+    monkeypatch.setattr(signatures, "_route_diagonal", recorded)
     stability_report(A)
-    assert len(calls) == eliminations
+    keys = [(id(h), key) for h, key in seen]
+    assert len(keys) == len(set(keys)) == evaluations
+    assert eliminations == []
+
+
+def test_reference_search_inverts_each_candidate_once(monkeypatch):
+    """Over (-1, -1)_Q the reference search inverts each candidate value
+    once, to see that it is invertible; reading the rank-one candidate's
+    signature inverts nothing."""
+    A = QuaternionAlgebra(Q, -1, -1)
+    inverse = QuaternionAlgebra.inverse
+    calls = []
+
+    def counted(self, x):
+        calls.append(x)
+        return inverse(self, x)
+
+    monkeypatch.setattr(QuaternionAlgebra, "inverse", counted)
+    ref = reference_search(A)
+    assert calls == [A.one()] and ref.form.gram == ((A.one(),),)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -723,3 +753,136 @@ def test_elimination_inverts_each_pivot_once(monkeypatch, n):
     monkeypatch.setattr(FieldAlgebra, "inverse", counted)
     diag = diagonalize_hermitian(h)
     assert diag.rank == n and len(inverses) == n
+
+
+
+def _simple(rng, F):
+    """A monomial c * g, c = +-1, +-2 or +-1/2 and g a product of tower
+    generators: elimination over a square-root extension by such values
+    stays cheap on Laurent towers."""
+    c = F.rational(rng.choice([1, 2, Fraction(1, 2)]) * rng.choice([1, -1]))
+    for g in F.generators():
+        if rng.random() < 0.5:
+            c = c * g
+    return c
+
+
+def _oracle_kinds(rng, F):
+    """Over F, each with its symmetric zero divisor or None: a random
+    orthogonal quaternion algebra, a split one, the same for the unitary
+    kind, a matrix wrapper of each split one, and one algebra of each
+    kind read on the ``trace-form`` and ``diagonal-sum`` routes.
+    Parameters have no denominators, which keeps Laurent arithmetic
+    cheap."""
+    while True:
+        try:
+            orth = orthogonal_quaternion(
+                F, _simple(rng, F), _simple(rng, F),
+                [F.zero()] + [F.rational(rng.randint(-2, 2)) for _ in range(3)],
+            )
+            break
+        except (SamplingError, MismatchError):
+            continue
+    alpha = _simple(rng, F)
+    while alpha.is_square():
+        alpha = _simple(rng, F)
+    if all(alpha.sign_at(P) > 0 for P in F.orderings()):
+        alpha = -alpha  # negative somewhere, so some ordering is non-nil
+    unitary = UnitaryQuaternionAlgebra(F, _simple(rng, F), _simple(rng, F), alpha)
+    # (t^2, b) with Int(j)conj: t + i is symmetric with Nrd t^2 - a = 0
+    t = F.rational(rng.randint(1, 3))
+    split_orth = QuaternionAlgebra(F, t * t, _simple(rng, F), "orthogonal", [0, 0, 1, 0])
+    zd_orth = split_orth.elem(split_orth.from_coords([t, F.one(), F.zero(), F.zero()]))
+    # (1/alpha, b) over F(sqrt alpha): 1 + sqrt(alpha) i is symmetric with
+    # Nrd 1 - alpha / alpha = 0
+    split_unitary = UnitaryQuaternionAlgebra(F, alpha.inverse(), _simple(rng, F), alpha)
+    z, o = F.zero(), F.one()
+    zd_unitary = split_unitary.elem(split_unitary.from_coords([o, z, z, o, z, z, z, z]))
+    out = [(orth, None), (unitary, None), (split_orth, zd_orth), (split_unitary, zd_unitary)]
+    for D, zd in out[2:]:
+        g = [D.elem(D.one()), D.from_field(_simple(rng, F))]
+        out.append((MatrixAlgebra(2, D, g), zd))
+    m = _simple(rng, F)
+    definite = QuaternionAlgebra(F, -m * m, -1)  # division at every ordering
+    g = [definite.elem(definite.one()), definite.from_field(_simple(rng, F))]
+    out += [
+        (FieldAlgebra(F), None),
+        (UnitaryQuadraticAlgebra(F, alpha), None),
+        (definite, None),
+        (MatrixAlgebra(2, definite, g), None),
+    ]
+    return out
+
+
+def _oracle_entry(rng, A, zd):
+    """A symmetric entry of A: invertible, unrestricted, zero, or the zero
+    divisor ``zd``; over a matrix wrapper, a diagonal matrix of such
+    entries of the inner algebra."""
+    if A.kind == "matrix":
+        D = A.inner
+        pair = [_oracle_entry(rng, D, zd).value for _ in range(2)]
+        return A.elem(((pair[0], D.zero()), (D.zero(), pair[1])))
+    roll = rng.random()
+    if roll < 0.15:
+        return A.elem(A.zero())
+    if roll < 0.3 and zd is not None:
+        return zd if rng.random() < 0.5 else zd * A.field.rational(-2)
+    return random_sym_element(rng, A, invertible=roll < 0.8)
+
+
+def _outcome(route, A, h, P):
+    try:
+        return route(A, h, P)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "F, batches",
+    [(Q, 2), (F2, 2), (LX, 2), (F2.adjoin_laurent(), 2), (LX.adjoin_laurent(), 1)],
+    ids=["Q", "Q(s2)", "Q((x))", "Q(s2)((x))", "Q((x))((y))"],
+)
+def test_diagonal_reading_matches_slow_route(F, batches):
+    """On diagonal forms of rank 1-3 over every route's kinds (zero and
+    zero divisor entries included), reading the Gram entry by entry gives the
+    value or the exception, message included, of transport and
+    elimination (``oracles.slow_raw_signature``), at every ordering.  Over
+    towers of depth <= 2 a full hermitian entry over a matrix wrapper,
+    which keeps elimination, is compared too.  Over Q((x))((y)) one batch
+    of algebras is drawn: elimination there can stall in the Laurent gcd
+    (ROADMAP item 2), which the entry-by-entry reading never runs."""
+    from hermstab.quadratic import SingularFormError
+
+    rng = random.Random(f"diagonal-oracle-{F.describe()}")
+    seen = {"nonzero": 0, "singular": 0, "routes": set()}
+    kinds = [pair for _ in range(batches) for pair in _oracle_kinds(rng, F)]
+    for A, zd in kinds:
+        forms = [
+            HermitianForm.diagonal(
+                A, [_oracle_entry(rng, A, zd) for _ in range(rng.randint(1, 3))]
+            )
+            for _ in range(3)
+        ]
+        if A.kind == "matrix" and F.depth <= 2:
+            forms.append(HermitianForm.diagonal(A, [random_sym_element(rng, A)]))
+        for h in forms:
+            for P in F.orderings():
+                fast = _outcome(raw_signature, A, h, P)
+                assert fast == _outcome(slow_raw_signature, A, h, P), (A, h, P)
+                if isinstance(fast, int):
+                    seen["nonzero"] += fast != 0
+                    seen["routes"].add((A.kind, local_type(A, P).route))
+                else:
+                    assert fast[0] is SingularFormError, fast
+                    seen["singular"] += 1
+    assert seen["nonzero"] and seen["singular"]
+    split, diagonal_sum = "split-certificate", "diagonal-sum"
+    assert seen["routes"] >= {
+        ("field_id", "trace-form"),
+        ("unitary_quadratic", diagonal_sum),
+        ("quaternion", diagonal_sum),
+        ("quaternion", split),
+        ("unitary_quaternion", split),
+        ("matrix", diagonal_sum),
+        ("matrix", split),
+    }

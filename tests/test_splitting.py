@@ -150,6 +150,48 @@ def test_verification_runs_once_per_certificate(monkeypatch):
     assert checked[0] is cert and checked[1] is copy
 
 
+def test_orderings_sharing_a_witness_share_its_split_model(monkeypatch):
+    """On deep_orth's algebra both non-nil orderings take one witness: its
+    split model is built once and carried by both certificates, each of
+    which is still verified in full, once; each certificate's JSON is a
+    cold build's, and clearing the cache drops the shared model."""
+    import hermstab.splitting as splitting
+
+    A = QuaternionAlgebra(LXY, LXY.generator(1), -1, "orthogonal", [0, 0, 1, 0])
+    targets = [P for P in LXY.orderings() if not local_type(A, P).nil]
+    builds, checked = [], []
+    build, verify = splitting._build_split_data, splitting._verify_impl
+
+    def counted_build(*args):
+        builds.append(1)
+        return build(*args)
+
+    def counted_verify(cert):
+        checked.append(cert)
+        return verify(cert)
+
+    monkeypatch.setattr(splitting, "_build_split_data", counted_build)
+    monkeypatch.setattr(splitting, "_verify_impl", counted_verify)
+    splitting.clear_certificate_cache()
+    certs = [find_certificate(A, P) for P in targets]
+    assert len(certs) == 2 and len(builds) == 1
+    first, second = certs
+    assert first.witness == second.witness and first.extension == second.extension
+    assert first.matrices == second.matrices and first.g_datum == second.g_datum
+    assert first.chosen != second.chosen
+    assert len(checked) == 2 and checked[0] is first and checked[1] is second
+    cold = []
+    for P in targets:
+        splitting.clear_certificate_cache()
+        cold.append(find_certificate(A, P).to_json())
+    assert [c.to_json() for c in certs] == cold and len(builds) == 3
+    splitting.clear_certificate_cache()
+    assert len(splitting._cert_cache) == 0
+    find_certificate(A, targets[1])
+    assert len(builds) == 4
+    splitting.clear_certificate_cache()
+
+
 def _random_quaternion_instances(rng, count, orthogonal):
     """Quaternion algebras with small parameters over the shape pool."""
     out = []
@@ -653,7 +695,7 @@ def test_transport_makes_no_product_for_zero_entries(monkeypatch, A):
 
 def test_wrapper_certificate_is_the_inner_algebras():
     """(M_2(D), ad_g) splits as D does: its certificate is D's, searched,
-    verified and cached once, under D."""
+    verified and cached once, under D, next to its witness's split model."""
     import hermstab.splitting as splitting
 
     D = ORTH
@@ -662,8 +704,9 @@ def test_wrapper_certificate_is_the_inner_algebras():
     splitting.clear_certificate_cache()
     cert = find_certificate(M, P)
     assert cert.algebra is D and verify_certificate(cert)
-    assert list(splitting._cert_cache) == [(D, P.path, 50)]
+    keys = list(splitting._cert_cache)
+    assert [k[0] for k in keys] == [D, D] and keys[1] == (D, P.path, 50)
     assert find_certificate(D, P) is cert
     assert find_certificate(M, P) is cert
-    assert len(splitting._cert_cache) == 1
+    assert list(splitting._cert_cache) == keys
     splitting.clear_certificate_cache()
