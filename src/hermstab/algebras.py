@@ -35,7 +35,6 @@ __all__ = [
     "SplitWitness",
     "ZeroDivisorFound",
     "algebra_from_json",
-    "involution_apply",
     "sym_basis",
     "reduced_trace",
     "reduced_norm",
@@ -184,22 +183,53 @@ class Algebra:
         algebra, keyed by its budget; it lives and dies with the algebra."""
         return {}
 
+    @cached_property
+    def certificate_memo(self) -> dict:
+        """``splitting.find_certificate``'s success at each ordering, keyed
+        by sign path, with its witness height; it lives and dies with the
+        algebra."""
+        return {}
+
+    @cached_property
+    def split_model_memo(self) -> dict:
+        """The ordering-free part of each split certificate found on this
+        algebra (witness, extension, matrices, datum), keyed by the
+        witness's integer triple."""
+        return {}
+
+    @cached_property
+    def _reference_forms(self) -> dict:
+        """Each reference candidate value seen so far: its rank-one form,
+        or None when the value is not invertible."""
+        return {}
+
     def iter_reference_candidates(self):
         """Rank-one forms on invertible symmetric elements: the identity,
         the symmetric basis, and pairwise sums and differences, each with
         its negative, without repeats.  Lazy: the symmetric basis is only
         computed once the identity's two forms have been consumed.
 
+        Each value's form is built, and its invertibility tested, once per
+        algebra: every walk, and ``reference_candidates``, yields the same
+        form objects, so their route evaluations are shared too.
+
         Repeats are found by value: every kind stores an element as a
         tuple (nested for matrices) of coordinates in a fixed basis, and
         each coordinate is a canonical tower value (see fields.py), so two
         elements are equal exactly when their values are equal tuples."""
+        forms = self._reference_forms
         seen = set()
         for s in self._reference_elements():
             for cand in (s, -s):
-                if cand.value not in seen and cand.is_invertible():
-                    seen.add(cand.value)
-                    yield HermitianForm.diagonal(self, [cand])
+                if cand.value in seen:
+                    continue
+                seen.add(cand.value)
+                if cand.value not in forms:
+                    invertible = cand.is_invertible()
+                    form = HermitianForm.diagonal(self, [cand]) if invertible else None
+                    forms.setdefault(cand.value, form)
+                if forms[cand.value] is not None:
+                    yield forms[cand.value]
 
     def _reference_elements(self):
         yield self.elem(self.one())
@@ -1014,12 +1044,6 @@ class AlgebraElement:
 
     def lift_to(self, target: Algebra) -> AlgebraElement:
         return AlgebraElement(target, self.algebra.lift_value(self.value, target))
-
-
-def involution_apply(A: Algebra, z: AlgebraElement) -> AlgebraElement:
-    if z.algebra != A:
-        raise MismatchError("element does not belong to the algebra")
-    return z.involution()
 
 
 def reduced_trace(A: Algebra, z: AlgebraElement) -> FieldElement:

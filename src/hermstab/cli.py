@@ -29,7 +29,6 @@ from .signatures import (
     total_signature,
 )
 from .splitting import (
-    CERT_CACHE_SIZE,
     BudgetExhausted,
     PreconditionNil,
     find_certificate,
@@ -87,11 +86,17 @@ def _parse_algebra(text: str, max_depth: int):
     return algebra
 
 
+# Entries kept by each of the two memos below: the bound keeps a long-lived
+# process that answers distinct queries from growing without limit.
+_MEMO_SIZE = 1024
+
+
 # Algebras are immutable and their documents are read deterministically, so
-# a long-lived process parses each document text once; the bound keeps it
-# from growing without limit.  A failing document raises on every call, as
-# lru_cache keeps no exceptions.
-@functools.lru_cache(maxsize=CERT_CACHE_SIZE)
+# a long-lived process parses each document text once, and the memos kept
+# on each algebra (references, certificates) serve every later query on
+# that text.  A failing document raises on every call, as lru_cache keeps
+# no exceptions.
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _algebra_from_text(text: str):
     return algebra_from_json(_parse_json(text))
 
@@ -105,7 +110,7 @@ class _Rendered(str):
 # references (by identity: both are kept, so a warm query gets the same
 # object back); all are immutable, so each is rendered once while it stays
 # in this bound.
-@functools.lru_cache(maxsize=CERT_CACHE_SIZE)
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _rendered(obj) -> _Rendered:
     return _Rendered(_json_text(obj.to_json()))
 

@@ -67,10 +67,6 @@ class QuadraticForm:
     def __neg__(self) -> QuadraticForm:
         return QuadraticForm(self.field, [-e for e in self.entries])
 
-    def scale(self, c) -> QuadraticForm:
-        c = self.field.coerce(c)
-        return QuadraticForm(self.field, [c * e for e in self.entries])
-
     def signature(self, P: Ordering) -> int:
         return sum(e.sign_at(P) for e in self.entries)
 
@@ -123,23 +119,6 @@ class SignatureVector:
         self.values = tuple(int(v) for v in values)
         if len(self.values) != len(field.orderings()):
             raise MismatchError("signature vector length must match |orderings|")
-
-    def __add__(self, other: SignatureVector) -> SignatureVector:
-        if other.field != self.field:
-            raise MismatchError("vectors live over different fields")
-        return SignatureVector(
-            self.field, tuple(a + b for a, b in zip(self.values, other.values))
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SignatureVector)
-            and self.field == other.field
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.values))
 
     def __repr__(self):
         return f"SignatureVector{self.values}"

@@ -63,15 +63,6 @@ class LocalType:
         tag = "nil" if self.nil else self.route
         return f"LocalType(n={self.n}, l={self.l}, {tag})"
 
-    def to_json(self) -> dict:
-        return {
-            "ordering": self.ordering.to_json(),
-            "nil": self.nil,
-            "n": self.n,
-            "l": self.l,
-            "route": self.route,
-        }
-
 
 def nil_set(A: Algebra) -> frozenset[Ordering]:
     """The orderings at which every signature of every form vanishes."""
@@ -124,8 +115,10 @@ def raw_signature(A: Algebra, h: HermitianForm, P: Ordering, budget: int = 50) -
     ``h.route_memo``: on the split-certificate route the key is ``P.path``
     and the value is kept; on the other routes the fixed-field diagonal
     does not depend on P, so the key is None, it is kept, and only the
-    sign count runs per ordering.  Failures are not kept, and the budget
-    only decides whether a value is found."""
+    sign count runs per ordering.  Failures are not kept.  The budget
+    matters only on the split-certificate route, and is decided there by
+    ``find_certificate`` before the memo is read: a kept value is
+    returned only at a budget at which a fresh form would get one."""
     if h.algebra != A:
         raise MismatchError("form does not live over the algebra")
     if h.epsilon != 1:
@@ -133,23 +126,25 @@ def raw_signature(A: Algebra, h: HermitianForm, P: Ordering, budget: int = 50) -
     lt = local_type(A, P)
     if lt.nil:
         return 0
-    key = P.path if lt.route == "split-certificate" else None
+    if lt.route == "split-certificate":
+        cert, key = find_certificate(A, P, budget), P.path
+    else:
+        cert = key = None
     hit = h.route_memo.get(key)
     if hit is None:
-        hit = h.route_memo[key] = _route_diagonal(A, h, P, lt.route, budget)
+        hit = h.route_memo[key] = _route_diagonal(A, h, cert)
     if key is None:
         return sum(c.sign_at(P) for c in hit)
     return hit
 
 
-def _route_diagonal(A, h, P, route, budget):
-    """On the split-certificate route, h's value at P; on the others, the
+def _route_diagonal(A, h, cert):
+    """With a split certificate, h's value at its ordering; without, the
     checked fixed-field diagonal of h."""
     if A.kind == "matrix":
         A, h = A.inner, morita_flatten(h)
     diagonal = h.is_diagonal()
-    if route == "split-certificate":
-        cert = find_certificate(A, P, budget)
+    if cert is not None:
         if diagonal:
             return sum(cert.rank_one_signature(row[i]) for i, row in enumerate(h.gram))
         h, _ = transport_form(cert, h)

@@ -7,12 +7,15 @@ inside the algebra, an idempotent-based isomorphism with a 2 x 2 matrix
 model over L (or over L(sqrt(alpha)) for the unitary quaternion kind),
 and the matrix datum of the transported involution.  Definite symplectic
 and commutative cases carry their own degenerate certificate shapes.
+
+A certificate depends only on the algebra and the ordering, so each one
+found is kept on its algebra (``Algebra.certificate_memo``), next to the
+ordering-free split model of its witness (``Algebra.split_model_memo``);
+the module itself keeps no state.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,7 +46,6 @@ __all__ = [
     "find_certificate",
     "verify_certificate",
     "transport_form",
-    "clear_certificate_cache",
 ]
 
 
@@ -369,38 +371,6 @@ def _solve_involution_datum(M: MatrixAlgebra, matrices, A_L: Algebra):
 # the search
 # ---------------------------------------------------------------------------
 
-# Certificates found, keyed (D, P.path, budget) by non-matrix algebras,
-# and the ordering-free split models of their witnesses, keyed (D, xyz);
-# least recently used first.  The search is deterministic, so an evicted
-# entry is only found again, identically; the bound keeps a long-lived
-# process that answers distinct queries from growing without limit.  The
-# lock makes each lookup-and-reorder and each insert-and-evict one step
-# for threads sharing the cache.
-CERT_CACHE_SIZE = 1024
-_cert_cache: OrderedDict = OrderedDict()
-_cert_lock = threading.Lock()
-
-
-def clear_certificate_cache():
-    with _cert_lock:
-        _cert_cache.clear()
-
-
-def _cached(key):
-    with _cert_lock:
-        hit = _cert_cache.get(key)
-        if hit is not None:
-            _cert_cache.move_to_end(key)
-        return hit
-
-
-def _keep(key, value):
-    with _cert_lock:
-        _cert_cache[key] = value
-        if len(_cert_cache) > CERT_CACHE_SIZE:
-            _cert_cache.popitem(last=False)
-
-
 def _spiral(budget: int):
     """Integer triples ordered by increasing height; within one height,
     0 before positive before negative in each coordinate, x outermost."""
@@ -423,29 +393,46 @@ def find_certificate(A: Algebra, P: Ordering, budget: int = 50) -> SplittingCert
     """Search for and verify a splitting certificate for (A, sigma) at P.
 
     Deterministic: the witness minimal in the spiral enumeration wins.  A
-    matrix wrapper (M_n(D), ad_g) splits exactly as D does (Morita
-    equivalence), so its certificate is D's: searched, verified and
-    cached once, under D."""
+    certificate depends only on (A, sigma) and P; the budget only bounds
+    the witness height the search may reach.  So the first success at P
+    is kept in ``A.certificate_memo`` with its witness height (0 for the
+    degenerate shapes) and answers every later budget: the spiral is
+    ordered by height, so a search at budget b finds that certificate
+    when its height is at most b (a negative b reaches what 0 reaches),
+    and nothing otherwise.  Failures are
+    not kept.  A matrix wrapper (M_n(D), ad_g) splits exactly as D does
+    (Morita equivalence), so its certificate is D's: searched, verified
+    and kept once, on D."""
     from .signatures import local_type
 
     D = A.inner if A.kind == "matrix" else A
     if P.tower != D.field:
         raise MismatchError("ordering does not belong to the algebra's base field")
-    if local_type(D, P).nil:
-        raise PreconditionNil(
-            f"{A.describe()} has vanishing signatures at {P.name()}"
-        )
-    key = (D, P.path, budget)
-    cert = _cached(key)
-    if cert is not None:
-        return cert
-    cert = next(_certificates(D, P, budget), None)
-    if cert is None:
+    hit = D.certificate_memo.get(P.path)
+    if hit is None:  # a kept certificate shows that P is not nil
+        if local_type(D, P).nil:
+            raise PreconditionNil(
+                f"{A.describe()} has vanishing signatures at {P.name()}"
+            )
+        cert = next(_certificates(D, P, budget), None)
+        if cert is None:
+            raise BudgetExhausted(D, P, budget)
+        if not verify_certificate(cert):
+            raise InvariantViolation("emitted certificate fails verification")
+        hit = D.certificate_memo[P.path] = (cert, _witness_height(cert))
+    cert, height = hit
+    if height > max(budget, 0):
         raise BudgetExhausted(D, P, budget)
-    if not verify_certificate(cert):
-        raise InvariantViolation("emitted certificate fails verification")
-    _keep(key, cert)
     return cert
+
+
+def _witness_height(cert: SplittingCertificate) -> int:
+    """The spiral height max(|x|, |y|, |z|) of a split certificate's
+    witness, read as the largest height of its integer coordinates; 0 for
+    the degenerate shapes, which have no witness."""
+    if cert.witness is None:
+        return 0
+    return max(c.height() for c in cert.witness.coords())
 
 
 def _certificates(A, P, budget):
@@ -508,9 +495,8 @@ def _emit_split_certificate(A, P, xyz, m, sqm, unitary):
 def _split_model(A, xyz, m, sqm, flavor):
     """The witness of ``xyz``, the extension L, ``matrices`` and ``g_datum``:
     the part of a split certificate that does not depend on the ordering,
-    built once per (A, witness) and kept in the certificate cache."""
-    key = (A, xyz)
-    model = _cached(key)
+    built once per witness and kept in ``A.split_model_memo``."""
+    model = A.split_model_memo.get(xyz)
     if model is not None:
         return model
     F = A.field
@@ -528,7 +514,7 @@ def _split_model(A, xyz, m, sqm, flavor):
     M = MatrixAlgebra(2, _centre_of(A, L, flavor))
     matrices = _build_split_data(A_L, M.inner, A.lift_value(w_value, A_L), sq_elem)
     model = (A.elem(w_value), L, matrices, _solve_involution_datum(M, matrices, A_L))
-    _keep(key, model)
+    A.split_model_memo[xyz] = model
     return model
 
 
@@ -608,6 +594,9 @@ def _verify_impl(cert: SplittingCertificate) -> bool:
             return False
     else:
         if A.kind != "unitary_quaternion":
+            return False
+        if A.alpha.sign_at(P) != -1:
+            # alpha > 0 at P: P is nil, and no signature splits off there
             return False
         if not (w.involution() == w):
             return False

@@ -190,9 +190,10 @@ def test_search_exhausted_exit_code(monkeypatch):
 
 def test_failed_emitted_certificate_exit_code(monkeypatch):
     import hermstab.splitting as splitting
+    from test_golden import clear_memos
 
     monkeypatch.setattr(splitting, "_verify_impl", lambda cert: False)
-    splitting.clear_certificate_cache()
+    clear_memos()
     code, _, err = run_cli("split-cert", "--algebra", ORTH_X, "--ordering", "0")
     assert code == 4
     assert "internal invariant violation" in err
@@ -238,10 +239,10 @@ def test_internal_consistency_failures_exit_4(
 ):
     import importlib
 
-    import hermstab.splitting as splitting
+    from test_golden import clear_memos
 
     monkeypatch.setattr(importlib.import_module("hermstab." + module), name, fake)
-    splitting.clear_certificate_cache()
+    clear_memos()
     code, out, err = run_cli(*argv)
     assert code == 4, err
     assert out == "" and err.startswith("internal invariant violation:")

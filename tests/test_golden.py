@@ -26,7 +26,6 @@ import pytest
 
 from hermstab import cli
 from hermstab.cli import main
-from hermstab.splitting import clear_certificate_cache
 
 Q = {"tower": [{"kind": "base"}]}
 F2 = {"tower": [{"kind": "base"}, {"kind": "qext", "d": "2"}]}
@@ -260,11 +259,11 @@ COMMANDS = dict(_commands())
 
 
 def clear_memos():
-    """Forget every parsed algebra, rendering and certificate, so that the
-    next CLI call in this process starts as a fresh process does."""
+    """Forget every parsed algebra and rendering, and with each algebra its
+    references and certificates, so that the next CLI call in this process
+    starts as a fresh process does."""
     cli._algebra_from_text.cache_clear()
     cli._rendered.cache_clear()
-    clear_certificate_cache()
 
 
 def call(argv):

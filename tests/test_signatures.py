@@ -381,6 +381,24 @@ def test_going_up_examples():
     assert going_up_check(HAM, ref.form, ref, F2, F2.orderings()[1])
 
 
+def test_going_up_on_a_matrix_wrapper():
+    """``MatrixAlgebra.lift_to`` lifts the inner algebra and the scaling:
+    over (M_2(D), ad_g), D = ((x, -1)_Q((x)), Int(j)conj), g = diag(1, -2),
+    every reference candidate and the reference keep their signatures at
+    each extension of each ordering to Q((x))(sqrt 2)."""
+    M = MatrixAlgebra(2, ORTH_X, [ORTH_X.elem(ORTH_X.one()), ORTH_X.from_field(-2)])
+    L = LX.adjoin_sqrt(2)
+    lifted = M.lift_to(L)
+    assert lifted.kind == "matrix" and lifted.n == 2 and lifted.field == L
+    assert lifted.inner == ORTH_X.lift_to(L)
+    assert lifted.g == tuple(ORTH_X.lift_value(v, lifted.inner) for v in M.g)
+    ref = reference_search(M)
+    forms = [ref.form, *M.reference_candidates[:3]]
+    for h in forms:
+        for Qo in L.orderings():
+            assert going_up_check(M, h, ref, L, Qo)
+
+
 def test_going_up_random():
     rng = random.Random(79)
     done = skipped = 0
@@ -642,13 +660,12 @@ def test_route_memo_keeps_no_failure(monkeypatch):
     """A search that fails once leaves nothing in the memo: the next call
     on the same form object returns the true value."""
     import hermstab.signatures as signatures
-    from hermstab.splitting import clear_certificate_cache, find_certificate
+    from hermstab.splitting import find_certificate
 
     A = ORTH_X
     P = LX.orderings()[0]
     h = HermitianForm.diagonal(A, [A.one(), A.from_field(3)])
     want = raw_signature(A, HermitianForm(A, h.gram), P)
-    clear_certificate_cache()
     failures = []
 
     def fails_once(*args):
@@ -683,15 +700,15 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-@pytest.mark.parametrize("workload, evaluations", [("deep_orth", 38), ("deep_conj", 3)])
+@pytest.mark.parametrize("workload, evaluations", [("deep_orth", 36), ("deep_conj", 2)])
 def test_stability_report_eliminates_each_form_once(monkeypatch, workload, evaluations):
     """A cold stability report evaluates each form's route once per key:
     once per form on the diagonal-sum route, once per (form, ordering) on
-    the split-certificate route.  Its probe forms are all diagonal, so
-    none is eliminated."""
+    the split-certificate route.  The reference search and the probes
+    share one form per candidate value, so <1> is evaluated once.  Its
+    probe forms are all diagonal, so none is eliminated."""
     import hermstab.algebras as algebras
     import hermstab.signatures as signatures
-    from hermstab.splitting import clear_certificate_cache
     from hermstab.stability import stability_report
 
     if workload == "deep_orth":
@@ -700,14 +717,13 @@ def test_stability_report_eliminates_each_form_once(monkeypatch, workload, evalu
     else:
         F = F2.adjoin_laurent().adjoin_laurent()
         A = QuaternionAlgebra(F, -1, F.generator(2))
-    clear_certificate_cache()
     eliminations = _count_calls(monkeypatch, algebras, "diagonalize_hermitian")
     route = signatures._route_diagonal
     seen = []  # (form, key), holding each form so that ids stay unique
 
-    def recorded(A, h, P, route_name, budget):
-        seen.append((h, P.path if route_name == "split-certificate" else None))
-        return route(A, h, P, route_name, budget)
+    def recorded(A, h, cert):
+        seen.append((h, None if cert is None else cert.ordering.path))
+        return route(A, h, cert)
 
     monkeypatch.setattr(signatures, "_route_diagonal", recorded)
     stability_report(A)
@@ -731,6 +747,26 @@ def test_reference_search_inverts_each_candidate_once(monkeypatch):
     monkeypatch.setattr(QuaternionAlgebra, "inverse", counted)
     ref = reference_search(A)
     assert calls == [A.one()] and ref.form.gram == ((A.one(),),)
+
+
+def test_stability_report_tests_each_candidate_once(monkeypatch):
+    """Over (-1, -1)_Q a stability report tests the invertibility of each
+    candidate value once: the reference search and the probes walk one
+    candidate sequence, so <1> is inverted once and -1 once."""
+    from hermstab.stability import stability_report
+
+    A = QuaternionAlgebra(Q, -1, -1)
+    inverse = QuaternionAlgebra.inverse
+    calls = []
+
+    def counted(self, x):
+        calls.append(x)
+        return inverse(self, x)
+
+    monkeypatch.setattr(QuaternionAlgebra, "inverse", counted)
+    stability_report(A)
+    assert calls == [A.one(), A.neg(A.one())]
+    assert A.reference_candidates[0] is reference_search(A).form
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -14,7 +15,7 @@ from hermstab.algebras import (
     morita_flatten,
     trace_form,
 )
-from hermstab.fields import FieldTower
+from hermstab.fields import FieldTower, Ordering
 from hermstab.signatures import local_type, nil_set
 from hermstab.splitting import (
     BudgetExhausted,
@@ -45,6 +46,16 @@ F2 = Q.adjoin_sqrt(2)
 P0 = Q.orderings()[0]
 
 ORTH = QuaternionAlgebra(LX, LX.generator(), -1, "orthogonal", [0, 0, 1, 0])
+
+
+def fresh_orth():
+    """ORTH as a new instance, whose memos are empty."""
+    return QuaternionAlgebra(LX, LX.generator(), -1, "orthogonal", [0, 0, 1, 0])
+
+
+def fresh_deep_orth():
+    """deep_orth's algebra (x, -1) with Int(j)conj over Q((x))((y)), new."""
+    return QuaternionAlgebra(LXY, LXY.generator(1), -1, "orthogonal", [0, 0, 1, 0])
 
 
 def test_certificate_examples():
@@ -135,12 +146,12 @@ def test_verification_runs_once_per_certificate(monkeypatch):
         return real(cert)
 
     monkeypatch.setattr(splitting, "_verify_impl", counting)
-    splitting.clear_certificate_cache()
+    A = fresh_orth()
     Pp = LX.orderings()[0]
-    cert = find_certificate(ORTH, Pp)
-    assert find_certificate(ORTH, Pp) is cert
-    assert find_certificate(MatrixAlgebra(2, ORTH), Pp) is cert
-    h = HermitianForm.diagonal(ORTH, [ORTH.basis()[0]])
+    cert = find_certificate(A, Pp)
+    assert find_certificate(A, Pp) is cert
+    assert find_certificate(MatrixAlgebra(2, A), Pp) is cert
+    h = HermitianForm.diagonal(A, [A.basis()[0]])
     for _ in range(3):
         transport_form(cert, h)
         assert verify_certificate(cert)
@@ -154,10 +165,10 @@ def test_orderings_sharing_a_witness_share_its_split_model(monkeypatch):
     """On deep_orth's algebra both non-nil orderings take one witness: its
     split model is built once and carried by both certificates, each of
     which is still verified in full, once; each certificate's JSON is a
-    cold build's, and clearing the cache drops the shared model."""
+    cold build's, and a new instance of the algebra builds its own model."""
     import hermstab.splitting as splitting
 
-    A = QuaternionAlgebra(LXY, LXY.generator(1), -1, "orthogonal", [0, 0, 1, 0])
+    A = fresh_deep_orth()
     targets = [P for P in LXY.orderings() if not local_type(A, P).nil]
     builds, checked = [], []
     build, verify = splitting._build_split_data, splitting._verify_impl
@@ -172,7 +183,6 @@ def test_orderings_sharing_a_witness_share_its_split_model(monkeypatch):
 
     monkeypatch.setattr(splitting, "_build_split_data", counted_build)
     monkeypatch.setattr(splitting, "_verify_impl", counted_verify)
-    splitting.clear_certificate_cache()
     certs = [find_certificate(A, P) for P in targets]
     assert len(certs) == 2 and len(builds) == 1
     first, second = certs
@@ -180,16 +190,9 @@ def test_orderings_sharing_a_witness_share_its_split_model(monkeypatch):
     assert first.matrices == second.matrices and first.g_datum == second.g_datum
     assert first.chosen != second.chosen
     assert len(checked) == 2 and checked[0] is first and checked[1] is second
-    cold = []
-    for P in targets:
-        splitting.clear_certificate_cache()
-        cold.append(find_certificate(A, P).to_json())
+    assert len(A.split_model_memo) == 1 and len(A.certificate_memo) == 2
+    cold = [find_certificate(fresh_deep_orth(), P).to_json() for P in targets]
     assert [c.to_json() for c in certs] == cold and len(builds) == 3
-    splitting.clear_certificate_cache()
-    assert len(splitting._cert_cache) == 0
-    find_certificate(A, targets[1])
-    assert len(builds) == 4
-    splitting.clear_certificate_cache()
 
 
 def _random_quaternion_instances(rng, count, orthogonal):
@@ -409,52 +412,80 @@ def test_malformed_certificate_documents_rejected(key, malformed):
         SplittingCertificate.from_json(doc)
 
 
-def test_certificate_cache_is_a_bounded_lru(monkeypatch):
-    """Distinct keys never grow the cache past its bound, the least recently
-    used entry goes first, and a hit returns the identical certificate."""
-    import hermstab.splitting as splitting
-
-    A = FieldAlgebra(Q)
-    splitting.clear_certificate_cache()
-    # the budget is part of the key, so each budget is a distinct entry
-    for budget in range(1, splitting.CERT_CACHE_SIZE + 60):
-        find_certificate(A, P0, budget)
-        assert len(splitting._cert_cache) <= splitting.CERT_CACHE_SIZE
-    assert len(splitting._cert_cache) == splitting.CERT_CACHE_SIZE
-
-    monkeypatch.setattr(splitting, "CERT_CACHE_SIZE", 3)
-    splitting.clear_certificate_cache()
-    first = [find_certificate(A, P0, budget) for budget in (1, 2, 3)]
-    assert find_certificate(A, P0, 1) is first[0]
-    find_certificate(A, P0, 4)  # evicts budget 2, the least recently used
-    assert len(splitting._cert_cache) == 3
-    assert find_certificate(A, P0, 1) is first[0]
-    assert find_certificate(A, P0, 3) is first[2]
-    again = find_certificate(A, P0, 2)
-    assert again is not first[1] and again.to_json() == first[1].to_json()
-    splitting.clear_certificate_cache()
+def test_certificate_memo_keeps_one_entry_per_ordering():
+    """Distinct budgets do not grow an algebra's memos: each ordering keeps
+    one certificate, returned at every budget that reaches its witness,
+    and the orderings that share a witness share one split model."""
+    A = fresh_deep_orth()
+    targets = [P for P in LXY.orderings() if not local_type(A, P).nil]
+    first = {P.path: find_certificate(A, P, 1) for P in targets}
+    for budget in range(2, 1101):
+        for P in targets:
+            assert find_certificate(A, P, budget) is first[P.path]
+    assert set(A.certificate_memo) == set(first) and len(targets) == 2
+    assert len(A.split_model_memo) == 1
+    for P in targets:
+        with pytest.raises(BudgetExhausted):
+            find_certificate(A, P, 0)
+    assert len(A.certificate_memo) == 2
 
 
-def test_certificate_cache_under_threads(monkeypatch):
-    """Threads sharing a small cache: every lookup returns a certificate of
-    the algebra at the ordering asked for, and no lookup or eviction trips
-    over another thread's."""
+def test_kept_certificate_answers_small_budgets_as_a_cold_search():
+    """Over (9(1 + x), 16(1 + 2x)) with Int(j)conj every height-one value
+    of m is negative or a square with no root in Q((x)), so the witness
+    i + 2j has height 2: after a search at budget 50, budgets 0 and 1
+    raise BudgetExhausted and budgets 2 and 3 return the kept
+    certificate, as searches on new instances do."""
+    x = LX.generator()
+
+    def algebra():
+        a, b = 9 * (1 + x), 16 * (1 + 2 * x)
+        return QuaternionAlgebra(LX, a, b, "orthogonal", [0, 0, 1, 0])
+
+    def answer(A, P, budget):
+        try:
+            return find_certificate(A, P, budget).to_json()
+        except BudgetExhausted as exc:
+            return ("exhausted", exc.budget, exc.ordering)
+
+    A = algebra()
+    for P in LX.orderings():
+        kept = find_certificate(A, P, 50)
+        assert A.certificate_memo[P.path] == (kept, 2)
+        for budget in range(4):
+            assert answer(A, P, budget) == answer(algebra(), P, budget), budget
+        assert answer(A, P, 1)[0] == "exhausted"
+        assert find_certificate(A, P, 2) is kept
+
+
+def test_certificate_memo_under_threads():
+    """Six threads sharing one algebra at budgets 0-7 get what a cold search
+    gets at each budget: the same certificate JSON, or BudgetExhausted."""
     import sys
     import threading
 
-    import hermstab.splitting as splitting
+    budgets = range(8)
+    P = LX.orderings()[0]
 
-    A = FieldAlgebra(Q)
-    monkeypatch.setattr(splitting, "CERT_CACHE_SIZE", 3)
-    splitting.clear_certificate_cache()
-    errors = []
+    def answer(A, budget):
+        try:
+            return find_certificate(A, P, budget)
+        except BudgetExhausted as exc:
+            return ("exhausted", exc.budget)
+
+    def as_json(result):
+        return result if isinstance(result, tuple) else result.to_json()
+
+    cold = {b: as_json(answer(fresh_orth(), b)) for b in budgets}
+    assert cold[0] == ("exhausted", 0) and "witness" in cold[1]
+    A = fresh_orth()
+    results, errors = [], []
 
     def work(offset):
         try:
-            for i in range(1000):
-                budget = 1 + (i + offset) % 7
-                cert = find_certificate(A, P0, budget)
-                assert cert.algebra == A and cert.ordering == P0
+            for i in range(400):
+                budget = (i + offset) % len(budgets)
+                results.append((budget, answer(A, budget)))
         except Exception as exc:  # reported by the main thread below
             errors.append(exc)
 
@@ -469,9 +500,11 @@ def test_certificate_cache_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert len(splitting._cert_cache) <= 3
-    splitting.clear_certificate_cache()
+    assert errors == [] and len(results) == 6 * 400
+    distinct = {(b, id(r)): r for b, r in results}
+    for (budget, _), result in distinct.items():
+        assert as_json(result) == cold[budget], budget
+    assert list(A.certificate_memo) == [P.path]
 
 
 @pytest.mark.parametrize("shift", [0, 1])
@@ -479,10 +512,13 @@ def test_unitary_datum_rescaling(monkeypatch, shift):
     """A datum solution G with ct(G) = lambda * G, lambda != 1, is rescaled
     to a hermitian one: scaling the first solution of the datum system by
     sqrt(alpha) gives lambda = -1 and the result alpha * G; scaling it by
-    1 + sqrt(alpha) gives the 1 + lambda path and the result 2 * G."""
+    1 + sqrt(alpha) gives the 1 + lambda path and the result 2 * G.  Each
+    search runs on a new instance of the algebra, whose memos are empty."""
     import hermstab.splitting as splitting
 
-    A = UnitaryQuaternionAlgebra(F2, -1, -1, -F2.generator())
+    def algebra():
+        return UnitaryQuaternionAlgebra(F2, -1, -1, -F2.generator())
+
     P = F2.orderings()[0]
 
     def g_datum(cert):
@@ -490,8 +526,7 @@ def test_unitary_datum_rescaling(monkeypatch, shift):
         rows = cert.to_json()["g_datum"]
         return C, [[C.value_from_json(e) for e in row] for row in rows]
 
-    splitting.clear_certificate_cache()
-    C, plain = g_datum(find_certificate(A, P))
+    C, plain = g_datum(find_certificate(algebra(), P))
     root = C.basis()[1]
     factor = root + 1 if shift else root
     expected = C.from_field(2) if shift else C.elem(C.mul(root.value, root.value))
@@ -505,11 +540,7 @@ def test_unitary_datum_rescaling(monkeypatch, shift):
         return sols
 
     monkeypatch.setattr(splitting, "_nullspace", skewed)
-    splitting.clear_certificate_cache()
-    try:
-        cert = find_certificate(A, P)
-    finally:
-        splitting.clear_certificate_cache()
+    cert = find_certificate(algebra(), P)
     assert verify_certificate(cert)
     C, G = g_datum(cert)
     for i in range(2):
@@ -695,18 +726,257 @@ def test_transport_makes_no_product_for_zero_entries(monkeypatch, A):
 
 def test_wrapper_certificate_is_the_inner_algebras():
     """(M_2(D), ad_g) splits as D does: its certificate is D's, searched,
-    verified and cached once, under D, next to its witness's split model."""
-    import hermstab.splitting as splitting
-
-    D = ORTH
+    verified and kept once, on D, next to its witness's split model."""
+    D = fresh_orth()
     M = MatrixAlgebra(2, D, [D.elem(D.one()), D.from_field(-2)])
     P = LX.orderings()[0]
-    splitting.clear_certificate_cache()
     cert = find_certificate(M, P)
     assert cert.algebra is D and verify_certificate(cert)
-    keys = list(splitting._cert_cache)
-    assert [k[0] for k in keys] == [D, D] and keys[1] == (D, P.path, 50)
+    assert D.certificate_memo == {P.path: (cert, 1)}
+    assert len(D.split_model_memo) == 1
     assert find_certificate(D, P) is cert
     assert find_certificate(M, P) is cert
-    assert list(splitting._cert_cache) == keys
-    splitting.clear_certificate_cache()
+    assert list(D.certificate_memo) == [P.path] and len(D.split_model_memo) == 1
+    assert "certificate_memo" not in vars(M) and "split_model_memo" not in vars(M)
+
+
+# ---------------------------------------------------------------------------
+# tampered certificates: each edit breaks one check of ``_verify_impl``
+# ---------------------------------------------------------------------------
+
+
+def _scaled(cert, X, c):
+    """The model value X times the base-field rational c."""
+    return cert.model.scalar_mul(cert.extension.rational(c), X)
+
+
+def _orthogonal_cert():
+    """(x, -1) with Int(j)conj at x -> 0+: witness k, m = x, L = Q((x))(sqrt x)."""
+    return find_certificate(fresh_orth(), LX.orderings()[0])
+
+
+def _square_m_cert():
+    """(1, 4)_Q with Int(j)conj: witness j, m = 4, so L = Q."""
+    return find_certificate(QuaternionAlgebra(Q, 1, 4, "orthogonal", [0, 0, 1, 0]), P0)
+
+
+def _unitary_cert():
+    """(-1, -1) over Q(sqrt -1): witness sqrt(-1) k, m = 1, L = Q, G = 1."""
+    return find_certificate(UnitaryQuaternionAlgebra(Q, -1, -1, -1), P0)
+
+
+def _definite_cert():
+    """(-1, -1)_Q with conjugation: d = c = 1, u = i, v = j."""
+    return find_certificate(QuaternionAlgebra(Q, -1, -1), P0)
+
+
+def _with_matrices(cert, scale):
+    """``cert`` with the image of basis element s scaled by scale[s]."""
+    return replace(
+        cert,
+        matrices=[_scaled(cert, X, c) for X, c in zip(cert.matrices, scale)],
+    )
+
+
+def _tamper_ordering_of_another_field():
+    return replace(find_certificate(FieldAlgebra(Q), P0), ordering=F2.orderings()[0])
+
+
+def _tamper_trivial_extension():
+    return replace(find_certificate(FieldAlgebra(Q), P0), extension=F2)
+
+
+def _tamper_unitary_deg1_alpha_sign():
+    from hermstab.algebras import UnitaryQuadraticAlgebra
+
+    A = UnitaryQuadraticAlgebra(F2, F2.generator())
+    negative, positive = sorted(F2.orderings(), key=lambda P: A.alpha.sign_at(P))
+    return replace(find_certificate(A, negative), ordering=positive)
+
+
+def _tamper_definite_kind():
+    cert = _definite_cert()
+    A = QuaternionAlgebra(Q, -1, -1, "orthogonal", [0, 1, 0, 0])
+    d, c, _, _ = cert.definite_pair
+    _, u, v, _ = A.basis()
+    return replace(cert, algebra=A, definite_pair=(d, c, u, v))
+
+
+def _tamper_definite_missing_pair():
+    return replace(_definite_cert(), definite_pair=None)
+
+
+def _tamper_definite_sign():
+    A = QuaternionAlgebra(F2, -1, -F2.generator())
+    division, split = sorted(F2.orderings(), key=lambda P: A.b.sign_at(P))
+    cert = find_certificate(A, division)
+    return replace(cert, ordering=split, chosen=split)
+
+
+def _tamper_definite_square():
+    d, c, u, v = _definite_cert().definite_pair
+    return replace(_definite_cert(), definite_pair=(d * 4, c, u, v))
+
+
+def _tamper_definite_anticommute():
+    d, c, u, v = _definite_cert().definite_pair
+    return replace(_definite_cert(), definite_pair=(d, c, u, u))
+
+
+def _tamper_missing_witness():
+    return replace(_orthogonal_cert(), witness=None)
+
+
+def _tamper_missing_datum():
+    return replace(_orthogonal_cert(), g_datum=None)
+
+
+def _tamper_m_sign():
+    cert = _orthogonal_cert()
+    other = LX.orderings()[1]  # x -> 0-, where m = x is negative
+    return replace(
+        cert, ordering=other, chosen=Ordering(cert.extension, other.path + (1,))
+    )
+
+
+def _tamper_m_not_square():
+    cert = _square_m_cert()
+    _, i, j, _ = cert.algebra.basis()
+    return replace(cert, witness=i + j, m=Q.rational(5))  # (i + j)^2 = 5
+
+
+def _tamper_extension_steps():
+    cert = _orthogonal_cert()
+    return replace(cert, witness=cert.witness * 2, m=cert.m * 4)
+
+
+def _tamper_chosen():
+    cert = _orthogonal_cert()
+    return replace(cert, chosen=Ordering(cert.extension, (-1, 1)))
+
+
+def _tamper_orthogonal_kind():
+    return replace(_unitary_cert(), flavor="orthogonal-split")
+
+
+def _tamper_orthogonal_witness_pure():
+    cert = _square_m_cert()
+    return replace(cert, witness=cert.algebra.from_field(2))
+
+
+def _tamper_orthogonal_witness_square():
+    cert = _orthogonal_cert()
+    return replace(cert, witness=cert.witness * 2)
+
+
+def _tamper_unitary_kind():
+    return replace(_orthogonal_cert(), flavor="unitary-quaternion-split")
+
+
+def _tamper_unitary_nil_ordering():
+    """(-1, -sqrt 2) over Q(sqrt 2)(sqrt(-sqrt 2)): moved from sqrt 2 > 0 to
+    sqrt 2 < 0, where alpha = -sqrt 2 is positive, so signatures vanish."""
+    A = UnitaryQuaternionAlgebra(F2, -1, -F2.generator(), -F2.generator())
+    split, nil = sorted(F2.orderings(), key=lambda P: A.alpha.sign_at(P))
+    cert = find_certificate(A, split)
+    extra = cert.chosen.path[len(split.path):]
+    return replace(cert, ordering=nil, chosen=Ordering(cert.extension, nil.path + extra))
+
+
+def _tamper_unitary_witness_symmetric():
+    """(1 + s) i + (1 - s) j + s k, s = sqrt(-1): pure, squares to 1 = m,
+    and sigma(c i) = -conj(c) i does not fix it."""
+    cert = _unitary_cert()
+    A = cert.algebra
+    coords = (0, 0, 1, 1, 1, -1, 0, 1)  # (u, v) for u + v s on 1, i, j, k
+    return replace(cert, witness=A.elem(A.from_coords([Q.rational(c) for c in coords])))
+
+
+def _tamper_unitary_witness_square():
+    cert = _unitary_cert()
+    return replace(cert, witness=cert.witness * 2)
+
+
+def _tamper_unitary_witness_central():
+    cert = _unitary_cert()
+    return replace(cert, witness=cert.algebra.from_field(1))  # m = 1
+
+
+def _tamper_x1():
+    return _with_matrices(_orthogonal_cert(), (2, 1, 1, 1))
+
+
+def _tamper_xi_square():
+    return _with_matrices(_orthogonal_cert(), (1, 2, 1, 2))
+
+
+def _tamper_xj_square():
+    return _with_matrices(_orthogonal_cert(), (1, 1, 2, 2))
+
+
+def _tamper_xk():
+    return _with_matrices(_orthogonal_cert(), (1, 1, 1, 2))
+
+
+def _tamper_datum_singular():
+    cert = _orthogonal_cert()
+    return replace(cert, g_datum=cert.model.zero())
+
+
+def _tamper_datum_not_hermitian():
+    cert = _unitary_cert()
+    C = cert.model.inner
+    root = C.basis_values()[1]  # sqrt(alpha): ct(root * G) = -root * G
+    return replace(
+        cert, g_datum=[[C.mul(root, e) for e in row] for row in cert.g_datum]
+    )
+
+
+def _tamper_datum_other_involution():
+    cert = _orthogonal_cert()
+    M = cert.model
+    two = M.inner.from_coords([cert.extension.rational(2)])
+    z, o = M.inner.zero(), M.inner.one()
+    return replace(cert, g_datum=((o, z), (z, two)))
+
+
+TAMPERS = {
+    name[len("_tamper_"):]: fn
+    for name, fn in sorted(globals().items())
+    if name.startswith("_tamper_")
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERS))
+def test_tampered_certificate_fails_verification(name):
+    """Editing one field of a valid certificate breaks one check, and
+    ``verify_certificate`` rejects the copy."""
+    cert = TAMPERS[name]()
+    assert isinstance(cert, SplittingCertificate)
+    assert verify_certificate(cert) is False
+
+
+def test_tampers_start_from_valid_certificates():
+    for make in (_orthogonal_cert, _square_m_cert, _unitary_cert, _definite_cert):
+        cert = make()
+        back = SplittingCertificate.from_json(cert.to_json())
+        assert verify_certificate(cert) and verify_certificate(back)
+    assert _square_m_cert().extension == Q and _unitary_cert().g_datum == (
+        _unitary_cert().model.one()
+    )
+
+
+def test_dependent_images_fail_verification(monkeypatch):
+    """The four images must be independent.  No edit of a certificate that
+    keeps X1 = 1 and the quaternion relations reaches this check, since
+    those relations already force independence, so the test reports a
+    kernel vector from the independence system instead."""
+    import hermstab.splitting as splitting
+
+    cert = replace(_orthogonal_cert())
+
+    def dependent(rows, zero, one):
+        return [[one, zero, zero, zero]]
+
+    monkeypatch.setattr(splitting, "_nullspace", dependent)
+    assert verify_certificate(cert) is False

@@ -193,3 +193,58 @@ def test_second_signature_query_reuses_parse_reference_and_renderings(monkeypatc
     # the document, the algebra, the searched reference and each certificate
     assert counts[0][2] == 3 + certs
     assert counts[1] == (0, 0, 1)
+
+
+def _module_state():
+    """Every module-level dict, list and set of hermstab (OrderedDict
+    included) by a copy of its contents, and every module-level
+    functools cache by its size; ``__main__`` runs the CLI on import and
+    is left out."""
+    import functools
+    import importlib
+    import pkgutil
+
+    import hermstab
+
+    names = ["hermstab"] + [
+        f"hermstab.{info.name}"
+        for info in pkgutil.iter_modules(hermstab.__path__)
+        if info.name != "__main__"
+    ]
+    state = {}
+    for name in names:
+        for attr, value in vars(importlib.import_module(name)).items():
+            key = f"{name}.{attr}"
+            if isinstance(value, (dict, list, set)) and not attr.startswith("__"):
+                state[key] = type(value)(value)
+            elif isinstance(value, functools._lru_cache_wrapper):
+                state[key] = value.cache_info().currsize
+    return state
+
+
+def test_no_global_state_outside_the_cli_memos():
+    """A stability report, a signature query and a split-cert query leave
+    every module-level container of hermstab as it was: what they learn
+    is kept on the algebra.  Only the CLI's parse and rendering memos
+    grow, each within its bound."""
+    doc = json.dumps({**PIECEWISE["x_1_int_j"], "a": "3"})  # text no other test uses
+    call(["orderings", "--field", json.dumps(Q)])  # the one argument parser
+    before = _module_state()
+    queries = [
+        ["--json", "stability", "--algebra", doc],
+        ["--json", "signature", "--algebra", doc, "--form", json.dumps({"diag": [ONE]})],
+        ["--json", "split-cert", "--algebra", doc, "--ordering", "0"],
+    ]
+    for argv in queries:
+        assert call(argv)[0] == 0, argv
+    after = _module_state()
+    assert set(after) == set(before)
+    changed = {key for key in before if after[key] != before[key]}
+    memos = {"hermstab.cli._algebra_from_text", "hermstab.cli._rendered"}
+    assert changed <= memos
+    assert after["hermstab.cli._algebra_from_text"] == (
+        before["hermstab.cli._algebra_from_text"] + 1
+    )
+    for memo in (cli._algebra_from_text, cli._rendered):
+        info = memo.cache_info()
+        assert info.currsize <= info.maxsize == 1024
