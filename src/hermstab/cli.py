@@ -5,6 +5,13 @@ run the library, and print aligned tables or machine JSON.  All inputs
 are explicit; there is no configuration beyond the flags.  Exit codes:
 0 success, 2 validation error, 3 search budget exhausted, 4 internal
 invariant violation.
+
+The commands and options are declared once, in ``_COMMANDS`` and
+``_GLOBAL_OPTIONS``.  ``_read_argv`` reads a well-formed command line
+straight from them; every other line (help, abbreviations, usage
+errors) goes to the argparse parser that ``build_parser`` builds from
+the same tables, so help, usage messages and their exit code 2 are
+argparse's.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .algebras import HermitianForm, algebra_from_json
+from .algebras import FieldAlgebra, HermitianForm, QuaternionAlgebra, algebra_from_json
 from .fields import FieldTower, InvariantViolation, MismatchError, Ordering, TowerError
 from .quadratic import QuadraticForm, SingularFormError, transfer_table
 from .signatures import (
@@ -387,13 +394,14 @@ def cmd_transfer_check(args) -> int:
     return 0 if ok else 4
 
 
+# The worked examples are built once per process, so the memos kept on
+# each algebra (references, certificates) serve every later call.
+@functools.cache
 def _example_algebras():
     Q = FieldTower.rationals()
     F2 = Q.adjoin_sqrt(2)
     Lx = Q.adjoin_laurent()
-    from .algebras import QuaternionAlgebra
-
-    return [
+    return (
         (
             "(1) (-1,-1) conjugation / Q",
             QuaternionAlgebra(Q, -1, -1),
@@ -407,27 +415,25 @@ def _example_algebras():
         (
             "(3) (-1,-sqrt(2)) conjugation / Q(sqrt(2))",
             QuaternionAlgebra(F2, -1, -F2.generator()),
-            F2,
+            FieldAlgebra(F2),
         ),
         (
             "(4) (x,-1) orthogonal / Q((x))",
             QuaternionAlgebra(Lx, Lx.generator(), -1, "orthogonal", [0, 0, 1, 0]),
-            Lx,
+            FieldAlgebra(Lx),
         ),
-    ]
+    )
 
 
 def cmd_examples(args) -> int:
-    from .algebras import FieldAlgebra
-
     rows = []
     docs = []
-    for name, A, field_for_st in _example_algebras():
+    for name, A, field_algebra in _example_algebras():
         report = stability_report(A, budget=args.budget)
         st = "inf" if report.st == math.inf else str(report.st)
         st_f = ""
-        if field_for_st is not None:
-            st_f = str(stability_report(FieldAlgebra(field_for_st)).st)
+        if field_algebra is not None:
+            st_f = str(stability_report(field_algebra).st)
         rows.append(
             (
                 name,
@@ -452,6 +458,44 @@ def cmd_examples(args) -> int:
     return 0
 
 
+# The options before the command: flag, dest, default and help.  A False
+# default makes a flag that takes no value, an int default an option that
+# takes an int.
+_GLOBAL_OPTIONS = (
+    ("--json", "json", False, "emit machine-readable JSON"),
+    ("--budget", "budget", 50, "height bound for splitting-witness searches (default 50)"),
+    ("--max-depth", "max_depth", 4, "maximum accepted tower depth (default 4)"),
+)
+
+# The commands: name, handler, help, and the options after the command,
+# each a flag, dest, required flag and help; every one of them takes a value.
+_COMMANDS = (
+    ("orderings", cmd_orderings, "enumerate the orderings of a tower field", (
+        ("--field", "field", True, "field JSON (inline or @file)"),
+    )),
+    ("nil", cmd_nil, "the nil orderings of an algebra with involution", (
+        ("--algebra", "algebra", True, None),
+    )),
+    ("signature", cmd_signature, "total signature of a hermitian form", (
+        ("--algebra", "algebra", True, None),
+        ("--form", "form", True, None),
+        ("--reference", "reference", False, "reference form JSON (default: searched)"),
+    )),
+    ("stability", cmd_stability, "stability report of an algebra", (
+        ("--algebra", "algebra", True, None),
+        ("--probes", "probes", False, "JSON file with extra probe elements"),
+    )),
+    ("split-cert", cmd_split_cert, "find and verify a splitting certificate", (
+        ("--algebra", "algebra", True, None),
+        ("--ordering", "ordering", True, "index or JSON sign path"),
+    )),
+    ("transfer-check", cmd_transfer_check, "trace-transfer signature identity for a form", (
+        ("--form", "form", True, "quadratic form JSON over F(sqrt e)"),
+    )),
+    ("examples", cmd_examples, "reproduce the four worked stability examples", ()),
+)
+
+
 @functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -461,62 +505,78 @@ def build_parser() -> argparse.ArgumentParser:
             "over algebras with involution"
         ),
     )
-    parser.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=50,
-        help="height bound for splitting-witness searches (default 50)",
-    )
-    parser.add_argument(
-        "--max-depth",
-        type=int,
-        default=4,
-        help="maximum accepted tower depth (default 4)",
-    )
+    for flag, dest, default, text in _GLOBAL_OPTIONS:
+        if default is False:
+            parser.add_argument(flag, dest=dest, action="store_true", help=text)
+        else:
+            parser.add_argument(flag, dest=dest, type=int, default=default, help=text)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("orderings", help="enumerate the orderings of a tower field")
-    p.add_argument("--field", required=True, help="field JSON (inline or @file)")
-    p.set_defaults(func=cmd_orderings)
-
-    p = sub.add_parser("nil", help="the nil orderings of an algebra with involution")
-    p.add_argument("--algebra", required=True)
-    p.set_defaults(func=cmd_nil)
-
-    p = sub.add_parser("signature", help="total signature of a hermitian form")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--form", required=True)
-    p.add_argument("--reference", help="reference form JSON (default: searched)")
-    p.set_defaults(func=cmd_signature)
-
-    p = sub.add_parser("stability", help="stability report of an algebra")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--probes", help="JSON file with extra probe elements")
-    p.set_defaults(func=cmd_stability)
-
-    p = sub.add_parser("split-cert", help="find and verify a splitting certificate")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--ordering", required=True, help="index or JSON sign path")
-    p.set_defaults(func=cmd_split_cert)
-
-    p = sub.add_parser(
-        "transfer-check", help="trace-transfer signature identity for a form"
-    )
-    p.add_argument("--form", required=True, help="quadratic form JSON over F(sqrt e)")
-    p.set_defaults(func=cmd_transfer_check)
-
-    p = sub.add_parser("examples", help="reproduce the four worked stability examples")
-    p.set_defaults(func=cmd_examples)
-
+    for name, func, text, options in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for flag, dest, required, option_text in options:
+            p.add_argument(flag, dest=dest, required=required, help=option_text)
+        p.set_defaults(func=func)
     return parser
 
 
+_GLOBAL_DEFAULTS = {dest: default for _, dest, default, _ in _GLOBAL_OPTIONS}
+_GLOBAL_FLAGS = {flag: dest for flag, dest, _, _ in _GLOBAL_OPTIONS}
+# command name -> (handler, {flag: dest}, dests of the required options)
+_COMMAND_READERS = {
+    name: (
+        func,
+        {flag: dest for flag, dest, _, _ in options},
+        tuple(dest for _, dest, required, _ in options if required),
+    )
+    for name, func, _, options in _COMMANDS
+}
+
+
+def _read_argv(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns, read
+    straight from the command table, or None where argparse has more to
+    say: help, abbreviated or ``--opt=value`` options, a value that starts
+    with ``-``, ``--``, an unknown command or option, a missing option or
+    value, a global option after the command, or a value that is no int."""
+    args = dict(_GLOBAL_DEFAULTS)
+    tokens = iter(argv)
+    for token in tokens:
+        dest = _GLOBAL_FLAGS.get(token)
+        if dest is None:
+            break
+        if _GLOBAL_DEFAULTS[dest] is False:
+            args[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value[:1] == "-":
+            return None
+        try:
+            args[dest] = int(value)
+        except ValueError:
+            return None
+    else:
+        return None  # no command
+    command = token
+    reader = _COMMAND_READERS.get(command)
+    if reader is None:
+        return None
+    func, flags, required = reader
+    args.update(dict.fromkeys(flags.values()))
+    for token in tokens:
+        dest = flags.get(token)
+        value = next(tokens, None)
+        if dest is None or value is None or value[:1] == "-":
+            return None
+        args[dest] = value
+    if any(args[dest] is None for dest in required):
+        return None
+    return argparse.Namespace(command=command, func=func, **args)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
+    if args is None:  # help, a usage error or a line only argparse reads
+        args = build_parser().parse_args(argv)
     try:
         if args.budget < 0:
             raise ValidationFailure("--budget must be non-negative")

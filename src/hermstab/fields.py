@@ -171,8 +171,12 @@ def _rational_from_json(doc) -> Fraction:
         raise TowerError(
             f"rational {text[:40]!r}... has more than {MAX_RATIONAL_DIGITS} digits"
         )
+    p, q = m.groups()
+    p = -int(p) if text[0] == "-" else int(p)
+    if q is None:
+        return Fraction(p)
     try:
-        return Fraction(text)
+        return Fraction(p, int(q))
     except ZeroDivisionError as exc:
         raise TowerError(f"invalid rational {text[:40]!r}: {exc}") from exc
 

@@ -214,6 +214,35 @@ def _division_everywhere(A, P):
     return LocalType(P, False, 1, 4, "diagonal-sum")
 
 
+def _split_route_everywhere(A, P):
+    """A local type that wrongly puts every ordering on a split route,
+    whose signatures are even."""
+    from hermstab.signatures import LocalType, local_type
+
+    lt = local_type(A, P)
+    return LocalType(P, lt.nil, lt.n, lt.l, "split-certificate")
+
+
+def _doubled_root_split_data():
+    """``splitting._build_split_data`` given twice the square root of the
+    witness's norm, so that its e is no idempotent."""
+    from hermstab.splitting import _build_split_data
+
+    return lambda A_L, centre, w, sqm: _build_split_data(A_L, centre, w, sqm + sqm)
+
+
+def _echelon_with(tamper):
+    """``splitting._gauss_jordan``, which only the split data use, with its
+    (rows, pivots) edited by ``tamper``."""
+    from hermstab.algebras import _gauss_jordan
+
+    return lambda rows: tamper(*_gauss_jordan(rows))
+
+
+STABILITY_HAM = ("stability", "--algebra", HAM)
+SPLIT_CERT_X = ("split-cert", "--algebra", ORTH_X, "--ordering", "0")
+
+
 @pytest.mark.parametrize(
     "module, name, fake, argv, message",
     [
@@ -228,11 +257,63 @@ def _division_everywhere(A, P):
             "splitting",
             "_nullspace",
             lambda rows, zero, one: [],
-            ("split-cert", "--algebra", ORTH_X, "--ordering", "0"),
+            SPLIT_CERT_X,
             "no involution datum exists",
         ),
+        (
+            "stability",
+            "cokernel_invariants",
+            lambda basis, dim: ([3], 0),
+            STABILITY_HAM,
+            "certified-exact cokernel has a non-2-power invariant factor",
+        ),
+        (
+            "stability",
+            "_stability_index",
+            lambda lattice: 1,
+            STABILITY_HAM,
+            "stability index disagrees with the cokernel exponent",
+        ),
+        (
+            "stability",
+            "local_type",
+            _split_route_everywhere,
+            STABILITY_HAM,
+            "coordinate Q attained 1, finer than the theoretical value group 2Z",
+        ),
+        (
+            "splitting",
+            "_build_split_data",
+            _doubled_root_split_data(),
+            SPLIT_CERT_X,
+            "idempotent construction failed",
+        ),
+        (
+            "splitting",
+            "_gauss_jordan",
+            _echelon_with(lambda rows, pivots: (rows, pivots[:1])),
+            SPLIT_CERT_X,
+            "ideal is not 2-dimensional over the centre",
+        ),
+        (
+            "splitting",
+            "_gauss_jordan",
+            # the first row again in place of the third, which is zero
+            _echelon_with(lambda rows, pivots: (rows[:2] + rows[:1] + rows[3:], pivots)),
+            SPLIT_CERT_X,
+            "vector lies outside the ideal",
+        ),
     ],
-    ids=["diagonal-route", "involution-datum"],
+    ids=[
+        "diagonal-route",
+        "involution-datum",
+        "non-2-power-factor",
+        "stability-index",
+        "value-group",
+        "idempotent",
+        "ideal-dimension",
+        "outside-ideal",
+    ],
 )
 def test_internal_consistency_failures_exit_4(
     monkeypatch, module, name, fake, argv, message

@@ -7,12 +7,14 @@ from hermstab.fields import (
     FieldTower,
     MismatchError,
     Ordering,
+    MAX_RATIONAL_DIGITS,
     TowerError,
     _q_add,
     _q_inv,
     _q_mul,
     _q_neg,
     _q_sub,
+    _rational_from_json,
     harrison_set,
 )
 
@@ -394,6 +396,71 @@ def test_rational_kernel_matches_fraction():
     # the tower's level-0 branches run the kernel
     assert [Q._sign(0, x, ()) for x in ops[:4]] == [0, 1, -1, 1]
     assert Q._is_zero(0, Fraction(0)) and not Q._is_zero(0, Fraction(-1, 2))
+
+
+def _random_leaf(rng):
+    """A rational leaf string: a sign, digits with leading zeros, and
+    perhaps a denominator, which may be zero."""
+
+    def digits():
+        return "0" * rng.choice((0, 0, 1, 3)) + rng.choice(
+            ("", "0", str(rng.randint(1, 9)), str(rng.randint(1, 10**rng.randint(1, 40))))
+        ) or "0"
+
+    text = rng.choice(("", "-")) + digits()
+    if rng.random() < 0.6:
+        text += "/" + digits()
+    return text
+
+
+def test_rational_leaves_read_as_fraction():
+    """A leaf is read to the Fraction that Fraction(text) gives; where that
+    divides by zero, the error carries Fraction's own message."""
+    rng = random.Random(2014)
+    leaves = [_random_leaf(rng) for _ in range(2000)]
+    leaves += ["3/0", "-3/0", "0/0", "-0/0", "-0", "007/0", "-007/010", "0/7"]
+    zero_divisions = 0
+    for text in leaves:
+        try:
+            want = Fraction(text)
+        except ZeroDivisionError as exc:
+            zero_divisions += 1
+            with pytest.raises(TowerError) as info:
+                _rational_from_json(text)
+            assert str(info.value) == f"invalid rational {text[:40]!r}: {exc}"
+            continue
+        got = _rational_from_json(text)
+        assert type(got) is Fraction and got == want, text
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert zero_divisions > 50
+    for n in (0, -5, 10**30):  # JSON integers
+        assert _rational_from_json(n) == Fraction(n)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ("3/0", "invalid rational '3/0': Fraction(3, 0)"),
+        ("-0/00", "invalid rational '-0/00': Fraction(0, 0)"),
+        ("-012/0", "invalid rational '-012/0': Fraction(-12, 0)"),
+        ("1.5", "rational must be 'p' or 'p/q' in decimal digits, got '1.5'"),
+        ("+1", "rational must be 'p' or 'p/q' in decimal digits, got '+1'"),
+        (" 1", "rational must be 'p' or 'p/q' in decimal digits, got ' 1'"),
+        (True, "rational must be 'p' or 'p/q' in decimal digits, got 'True'"),
+        (
+            "1/" + "7" * (MAX_RATIONAL_DIGITS + 1),
+            f"rational '1/{'7' * 38}'... has more than {MAX_RATIONAL_DIGITS} digits",
+        ),
+        (
+            "-" + "7" * (MAX_RATIONAL_DIGITS + 1),
+            f"rational '-{'7' * 39}'... has more than {MAX_RATIONAL_DIGITS} digits",
+        ),
+    ],
+)
+def test_rational_leaf_errors(doc, message):
+    with pytest.raises(TowerError) as info:
+        _rational_from_json(doc)
+    assert str(info.value) == message
 
 
 def test_json_tower_checks_each_square_root_step_once(monkeypatch):

@@ -3,8 +3,9 @@
 The CLI keeps what a long-lived process already knows: each ``--algebra``
 document text is parsed once (``cli._algebra_from_text``), each algebra's
 reference search succeeds once per budget (``Algebra.reference_memo``),
-and each algebra, searched reference and certificate is rendered to JSON
-once (``cli._rendered``).  These tests check that every such memo behaves as
+each algebra, searched reference and certificate is rendered to JSON
+once (``cli._rendered``), and the worked examples are built once
+(``cli._example_algebras``).  These tests check that every such memo behaves as
 if it were absent: same exit code, stdout and stderr, whatever ran
 before, and that a memo hit skips the work it is there to skip.
 """
@@ -90,6 +91,29 @@ def test_small_budgets_after_a_large_one_answer_as_cold(name, command):
     for budget in range(4):
         assert call(["--json", "--budget", "50", *argv])[0] == 0
         assert call(["--json", "--budget", str(budget), *argv]) == cold[budget]
+
+
+def test_second_examples_call_searches_no_certificate(monkeypatch):
+    """The example algebras are built once per process, so a second
+    ``--json examples`` prints the same bytes from the certificates kept
+    on them, without building a split model."""
+    from hermstab import splitting
+
+    clear_memos()
+    first = call(EXAMPLES)
+    models = []
+    real = splitting._split_model
+
+    def counted(*args):
+        models.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(splitting, "_split_model", counted)
+    assert call(EXAMPLES) == first
+    assert first[0] == 0 and models == []
+    clear_memos()
+    assert call(EXAMPLES) == first
+    assert models  # a fresh start does build them
 
 
 def test_malformed_document_fails_alike_twice():
@@ -228,7 +252,7 @@ def test_no_global_state_outside_the_cli_memos():
     is kept on the algebra.  Only the CLI's parse and rendering memos
     grow, each within its bound."""
     doc = json.dumps({**PIECEWISE["x_1_int_j"], "a": "3"})  # text no other test uses
-    call(["orderings", "--field", json.dumps(Q)])  # the one argument parser
+    call(["orderings", "--field", json.dumps(Q)])  # one query before the snapshot
     before = _module_state()
     queries = [
         ["--json", "stability", "--algebra", doc],
