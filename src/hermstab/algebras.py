@@ -263,21 +263,22 @@ class FieldAlgebra(Algebra):
         self.field = field
         self.dim = 1
         self._lvl = field.depth - 1
+        self._k = field.levels[-1]
 
     def one(self):
-        return self.field._ones[self._lvl]
+        return self._k.one
 
     def zero(self):
-        return self.field._zeros[self._lvl]
+        return self._k.zero
 
     def add(self, x, y):
-        return self.field._add(self._lvl, x, y)
+        return self._k.add(x, y)
 
     def neg(self, x):
-        return self.field._neg(self._lvl, x)
+        return self._k.neg(x)
 
     def mul(self, x, y):
-        return self.field._mul(self._lvl, x, y)
+        return self._k.mul(x, y)
 
     def involution(self, x):
         return x
@@ -285,13 +286,13 @@ class FieldAlgebra(Algebra):
     def inverse(self, x):
         if self.is_zero(x):
             raise ZeroDivisionError("inverse of zero")
-        return self.field._inv(self._lvl, x)
+        return self._k.inv(x)
 
     def is_zero(self, x):
-        return self.field._is_zero(self._lvl, x)
+        return self._k.is_zero(x)
 
     def scalar_mul(self, c, x):
-        return self.field._mul(self._lvl, c.value, x)
+        return self._k.mul(c.value, x)
 
     def coords(self, x):
         return [FieldElement(self.field, x)]
@@ -329,26 +330,27 @@ class _PairAlgebra(Algebra):
     def __init__(self, field: FieldTower):
         self.field = field
         self._lvl = field.depth - 1
+        self._k = field.levels[-1]
 
     def zero(self):
-        z = self.field._zeros[self._lvl]
+        z = self._k.zero
         return (z, z)
 
     def add(self, x, y):
-        t, l = self.field, self._lvl
-        return (t._add(l, x[0], y[0]), t._add(l, x[1], y[1]))
+        K = self._k
+        return (K.add(x[0], y[0]), K.add(x[1], y[1]))
 
     def neg(self, x):
-        t, l = self.field, self._lvl
-        return (t._neg(l, x[0]), t._neg(l, x[1]))
+        K = self._k
+        return (K.neg(x[0]), K.neg(x[1]))
 
     def is_zero(self, x):
-        t, l = self.field, self._lvl
-        return t._is_zero(l, x[0]) and t._is_zero(l, x[1])
+        K = self._k
+        return K.is_zero(x[0]) and K.is_zero(x[1])
 
     def scalar_mul(self, c, x):
-        t, l = self.field, self._lvl
-        return (t._mul(l, c.value, x[0]), t._mul(l, c.value, x[1]))
+        K = self._k
+        return (K.mul(c.value, x[0]), K.mul(c.value, x[1]))
 
     def coords(self, x):
         return [FieldElement(self.field, x[0]), FieldElement(self.field, x[1])]
@@ -363,29 +365,29 @@ class ExchangeAlgebra(_PairAlgebra):
     kind = "exchange"
 
     def one(self):
-        o = self.field._ones[self._lvl]
+        o = self._k.one
         return (o, o)
 
     def mul(self, x, y):
-        t, l = self.field, self._lvl
-        return (t._mul(l, x[0], y[0]), t._mul(l, x[1], y[1]))
+        K = self._k
+        return (K.mul(x[0], y[0]), K.mul(x[1], y[1]))
 
     def involution(self, x):
         return (x[1], x[0])
 
     def inverse(self, x):
-        t, l = self.field, self._lvl
+        K = self._k
         if self.is_zero(x):
             raise ZeroDivisionError("inverse of zero")
-        if t._is_zero(l, x[0]) or t._is_zero(l, x[1]):
+        if K.is_zero(x[0]) or K.is_zero(x[1]):
             raise ZeroDivisorFound(self, x)
-        return (t._inv(l, x[0]), t._inv(l, x[1]))
+        return (K.inv(x[0]), K.inv(x[1]))
 
     def reduced_trace(self, x):
-        return FieldElement(self.field, self.field._add(self._lvl, x[0], x[1]))
+        return FieldElement(self.field, self._k.add(x[0], x[1]))
 
     def reduced_norm(self, x):
-        return FieldElement(self.field, self.field._mul(self._lvl, x[0], x[1]))
+        return FieldElement(self.field, self._k.mul(x[0], x[1]))
 
     def lift_to(self, tower):
         return ExchangeAlgebra(tower)
@@ -421,34 +423,32 @@ class UnitaryQuadraticAlgebra(_PairAlgebra):
         self.alpha = alpha
 
     def one(self):
-        return (self.field._ones[self._lvl], self.field._zeros[self._lvl])
+        return (self._k.one, self._k.zero)
 
     def mul(self, x, y):
-        t, l = self.field, self._lvl
-        uu = t._mul(l, x[0], y[0])
-        vv = t._mul(l, x[1], y[1])
-        uv = t._mul(l, x[0], y[1])
-        vu = t._mul(l, x[1], y[0])
-        return (t._add(l, uu, t._mul(l, self.alpha.value, vv)), t._add(l, uv, vu))
+        K = self._k
+        uu = K.mul(x[0], y[0])
+        vv = K.mul(x[1], y[1])
+        uv = K.mul(x[0], y[1])
+        vu = K.mul(x[1], y[0])
+        return (K.add(uu, K.mul(self.alpha.value, vv)), K.add(uv, vu))
 
     def involution(self, x):
-        return (x[0], self.field._neg(self._lvl, x[1]))
+        return (x[0], self._k.neg(x[1]))
 
     def inverse(self, x):
         if self.is_zero(x):
             raise ZeroDivisionError("inverse of zero")
-        t, l = self.field, self._lvl
-        ninv = t._inv(l, self._norm(x))
-        return (t._mul(l, x[0], ninv), t._neg(l, t._mul(l, x[1], ninv)))
+        K = self._k
+        ninv = K.inv(self._norm(x))
+        return (K.mul(x[0], ninv), K.neg(K.mul(x[1], ninv)))
 
     def _norm(self, x):
-        t, l = self.field, self._lvl
-        return t._sub(
-            l, t._mul(l, x[0], x[0]), t._mul(l, self.alpha.value, t._mul(l, x[1], x[1]))
-        )
+        K = self._k
+        return K.sub(K.mul(x[0], x[0]), K.mul(self.alpha.value, K.mul(x[1], x[1])))
 
     def reduced_trace(self, x):
-        return FieldElement(self.field, self.field._add(self._lvl, x[0], x[0]))
+        return FieldElement(self.field, self._k.add(x[0], x[0]))
 
     def reduced_norm(self, x):
         return FieldElement(self.field, self._norm(x))

@@ -57,33 +57,46 @@ class InvariantViolation(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Internal value representation, indexed by tower level:
-#   level 0                : Fraction
-#   qext level (d = steps) : (u, v)  meaning  u + v*sqrt(d), u/v one level down
-#   laurent level          : (shift, p, q)  meaning  x**shift * p(x)/q(x)
-#                            with p, q dense coefficient tuples one level
-#                            down, p == () only for zero, p[0] != 0,
-#                            q[0] == 1 and gcd(p, q) == 1.
+# Internal value representation.  A tower keeps one level object per step
+# in FieldTower.levels.  The object of level i does the arithmetic on the
+# values of level i, with the operations of level i - 1 bound once, when
+# it is built:
+#   _Rationals     level 0   : Fraction
+#   _SqrtLevel     qext, d   : (u, v)  meaning  u + v*sqrt(d), u/v one level down
+#   _LaurentLevel  laurent   : (shift, p, q)  meaning  x**shift * p(x)/q(x)
+#                              with p, q dense coefficient tuples one level
+#                              down, p == () only for zero, p[0] != 0, no
+#                              trailing zero in p or q, q[0] == 1 and
+#                              gcd(p, q) == 1.
+# Level objects belong to their tower: adjoin_sqrt, adjoin_laurent and
+# prefix share the parent's objects and build only the new level.  The
+# rarer operations (signs, square roots, heights, rendering and JSON) stay
+# on FieldTower and dispatch on the step kind.
 # These invariants make the representation canonical (one tuple per
 # element; zero is (0, (), (1,))), so a result built without the general
-# strip-gcd-normalize of _make_laurent is the same tuple whenever it meets
+# strip-gcd-normalize of make_laurent is the same tuple whenever it meets
 # them.  The Laurent shortcuts rely on them as follows:
-#   _inv  : q/p is coprime because p/q is; scaling both by 1/p[0] makes
+#   inv   : q/p is coprime because p/q is; scaling both by 1/p[0] makes
 #           the new denominator start with 1 and keeps p[0] != 0 on top.
-#   _mul  : two denominators of length 1 are both (1,); the numerator
+#   mul   : two denominators of length 1 are both (1,); the numerator
 #           product starts with p[0]*p'[0] != 0 and is coprime to 1.
-#   _add  : over a shared denominator q the sum is num/q, so q*q and the
-#           cross products are never formed; _make_laurent still reduces.
-#   _make_laurent : once x-powers are stripped, a single-term p or q is a
-#           nonzero constant, a unit, so the gcd is 1 and is not computed.
+#   add   : over a shared denominator q the sum is num/q, so q*q and the
+#           cross products are never formed; make_laurent still reduces.
+#   p_mul : a factor with a single coefficient c multiplies the other one
+#           coefficient by coefficient, with no sums and no trim: a field
+#           has no zero divisors, so c times the nonzero last coefficient
+#           is nonzero.  A zero c gives ().
+#   make_laurent : once x-powers are stripped, a single-term p or q is a
+#           nonzero constant, a unit, so the gcd is 1 and is not computed;
+#           when the reduced q[0] is already the lower level's one, p/q is
+#           returned as it is, without inverting and scaling by 1.
 # Every level-0 value is a Fraction in lowest terms: coprime numerator,
 # positive denominator (_from_rat and the JSON reader build them through
-# Fraction, and the kernel below keeps them so).  The level-0 branches of
-# _add, _sub, _neg, _mul, _inv, _is_zero and _sign run the kernel _q_* on
-# numerator and denominator, which splits gcds the classical way (Knuth,
-# TAOCP vol. 2, 4.5.1) and so produces a coprime pair by construction;
-# _q_make wraps that pair without normalising it again, and is the only
-# code that builds a Fraction from its internal slots.
+# Fraction, and the kernel below keeps them so).  _Rationals runs the
+# kernel _q_* on the _numerator and _denominator slots, which splits gcds
+# the classical way (Knuth, TAOCP vol. 2, 4.5.1) and so produces a coprime
+# pair by construction; _q_make wraps that pair without normalising it
+# again, and is the only code that builds a Fraction from its slots.
 # ---------------------------------------------------------------------------
 
 
@@ -96,8 +109,8 @@ def _q_make(n: int, d: int) -> Fraction:
 
 
 def _q_add(x: Fraction, y: Fraction) -> Fraction:
-    na, da = x.numerator, x.denominator
-    nb, db = y.numerator, y.denominator
+    na, da = x._numerator, x._denominator
+    nb, db = y._numerator, y._denominator
     g = math.gcd(da, db)
     if g == 1:
         return _q_make(na * db + nb * da, da * db)
@@ -110,8 +123,8 @@ def _q_add(x: Fraction, y: Fraction) -> Fraction:
 
 
 def _q_sub(x: Fraction, y: Fraction) -> Fraction:
-    na, da = x.numerator, x.denominator
-    nb, db = y.numerator, y.denominator
+    na, da = x._numerator, x._denominator
+    nb, db = y._numerator, y._denominator
     g = math.gcd(da, db)
     if g == 1:
         return _q_make(na * db - nb * da, da * db)
@@ -124,8 +137,8 @@ def _q_sub(x: Fraction, y: Fraction) -> Fraction:
 
 
 def _q_mul(x: Fraction, y: Fraction) -> Fraction:
-    na, da = x.numerator, x.denominator
-    nb, db = y.numerator, y.denominator
+    na, da = x._numerator, x._denominator
+    nb, db = y._numerator, y._denominator
     g1 = math.gcd(na, db)
     if g1 > 1:
         na //= g1
@@ -138,16 +151,245 @@ def _q_mul(x: Fraction, y: Fraction) -> Fraction:
 
 
 def _q_neg(x: Fraction) -> Fraction:
-    return _q_make(-x.numerator, x.denominator)
+    return _q_make(-x._numerator, x._denominator)
 
 
 def _q_inv(x: Fraction) -> Fraction:
-    n, d = x.numerator, x.denominator
+    n, d = x._numerator, x._denominator
     if n > 0:
         return _q_make(d, n)
     if n < 0:
         return _q_make(-d, -n)
     raise ZeroDivisionError("inverse of zero field element")
+
+
+class _Rationals:
+    """Level 0: Fractions, through the kernel _q_*."""
+
+    zero, one = Fraction(0), Fraction(1)
+    add, sub, neg = staticmethod(_q_add), staticmethod(_q_sub), staticmethod(_q_neg)
+    mul, inv = staticmethod(_q_mul), staticmethod(_q_inv)
+
+    @staticmethod
+    def is_zero(x) -> bool:
+        return not x._numerator
+
+
+class _SqrtLevel:
+    """u + v*sqrt(d), with u, v and d one level down."""
+
+    def __init__(self, lower, d):
+        self.lower, self.d = lower, d
+        z, o = lower.zero, lower.one
+        self.zero, self.one, self.gen = (z, z), (o, z), (z, o)
+        self._is_zero, self._add, self._sub = lower.is_zero, lower.add, lower.sub
+        self._neg, self._mul, self._inv = lower.neg, lower.mul, lower.inv
+
+    def embed(self, c):
+        return (c, self.lower.zero)
+
+    def is_zero(self, x) -> bool:
+        is_zero = self._is_zero
+        return is_zero(x[0]) and is_zero(x[1])
+
+    def add(self, x, y):
+        add = self._add
+        return (add(x[0], y[0]), add(x[1], y[1]))
+
+    def sub(self, x, y):
+        sub = self._sub
+        return (sub(x[0], y[0]), sub(x[1], y[1]))
+
+    def neg(self, x):
+        neg = self._neg
+        return (neg(x[0]), neg(x[1]))
+
+    def mul(self, x, y):
+        mul, is_zero = self._mul, self._is_zero
+        u1, v1 = x
+        u2, v2 = y
+        # a zero sqrt part drops the products it would multiply into
+        if is_zero(v1):
+            if is_zero(v2):
+                return (mul(u1, u2), self.lower.zero)
+            return (mul(u1, u2), mul(u1, v2))
+        if is_zero(v2):
+            return (mul(u1, u2), mul(v1, u2))
+        add = self._add
+        return (
+            add(mul(u1, u2), mul(self.d, mul(v1, v2))),
+            add(mul(u1, v2), mul(v1, u2)),
+        )
+
+    def norm(self, u, v):
+        """u^2 - d v^2, one level down: the norm of u + v sqrt(d)."""
+        mul = self._mul
+        return self._sub(mul(u, u), mul(self.d, mul(v, v)))
+
+    def inv(self, x):
+        u, v = x
+        # d is a non-square, so the norm is zero only for x == 0, and then
+        # inverting it raises
+        ninv = self._inv(self.norm(u, v))
+        mul = self._mul
+        return (mul(u, ninv), self._neg(mul(v, ninv)))
+
+
+class _LaurentLevel:
+    """x**shift * p(x)/q(x), with the coefficients of p and q one level
+    down, and the dense polynomial arithmetic on such coefficient tuples."""
+
+    def __init__(self, lower):
+        self.lower = lower
+        o = lower.one
+        self.zero, self.one, self.gen = (0, (), (o,)), (0, (o,), (o,)), (1, (o,), (o,))
+        self._is_zero, self._add, self._sub = lower.is_zero, lower.add, lower.sub
+        self._neg, self._mul, self._inv = lower.neg, lower.mul, lower.inv
+
+    def embed(self, c):
+        if self._is_zero(c):
+            return self.zero
+        return (0, (c,), (self.lower.one,))
+
+    def is_zero(self, x) -> bool:
+        return not x[1]
+
+    def add(self, x, y):
+        kx, px, qx = x
+        ky, py, qy = y
+        if not px:
+            return y
+        if not py:
+            return x
+        if kx != ky:
+            pad = (self.lower.zero,) * abs(kx - ky)
+            if kx > ky:
+                kx, px = ky, pad + px
+            else:
+                py = pad + py
+        if qx == qy:
+            return self.make_laurent(kx, self.p_add(px, py), qx)
+        p_mul = self.p_mul
+        num = self.p_add(p_mul(px, qy), p_mul(py, qx))
+        return self.make_laurent(kx, num, p_mul(qx, qy))
+
+    def sub(self, x, y):
+        # negating first keeps add's shared-denominator shortcuts
+        return self.add(x, self.neg(y))
+
+    def neg(self, x):
+        k, p, q = x
+        neg = self._neg
+        return (k, tuple([neg(c) for c in p]), q)
+
+    def mul(self, x, y):
+        kx, px, qx = x
+        ky, py, qy = y
+        if not px or not py:
+            return self.zero
+        if len(qx) == 1 and len(qy) == 1:
+            return (kx + ky, self.p_mul(px, py), qx)
+        return self.make_laurent(kx + ky, self.p_mul(px, py), self.p_mul(qx, qy))
+
+    def inv(self, x):
+        k, p, q = x
+        if not p:
+            raise ZeroDivisionError("inverse of zero field element")
+        c = self._inv(p[0])
+        return (-k, self.p_scale(q, c), self.p_scale(p, c))
+
+    # -- dense polynomials: coefficient tuples one level down ----------------
+
+    def trim(self, p):
+        """The coefficients of ``p`` as a tuple, trailing zeros dropped."""
+        is_zero = self._is_zero
+        n = len(p)
+        while n and is_zero(p[n - 1]):
+            n -= 1
+        return tuple(p[:n])
+
+    def p_add(self, p, q):
+        if len(p) < len(q):
+            p, q = q, p
+        add = self._add
+        return self.trim([add(a, b) for a, b in zip(p, q)] + list(p[len(q):]))
+
+    def p_mul(self, p, q):
+        if not p or not q:
+            return ()
+        if len(q) == 1:
+            p, q = q, p
+        if len(p) == 1:
+            if len(q) == 1:
+                c = self._mul(p[0], q[0])
+                return () if self._is_zero(c) else (c,)
+            return self.p_scale(q, p[0])
+        add, mul, is_zero = self._add, self._mul, self._is_zero
+        out = [self.lower.zero] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            if is_zero(a):
+                continue
+            for j, b in enumerate(q):
+                out[i + j] = add(out[i + j], mul(a, b))
+        return self.trim(out)
+
+    def p_scale(self, p, c):
+        if self._is_zero(c):
+            return ()
+        mul = self._mul
+        return tuple([mul(a, c) for a in p])
+
+    def p_divmod(self, p, q):
+        if not q:
+            raise ZeroDivisionError("polynomial division by zero")
+        mul, sub, is_zero = self._mul, self._sub, self._is_zero
+        rem = list(p)
+        quo = [self.lower.zero] * max(0, len(p) - len(q) + 1)
+        lead_inv = self._inv(q[-1])
+        for i in range(len(p) - len(q), -1, -1):
+            c = mul(rem[i + len(q) - 1], lead_inv)
+            if is_zero(c):
+                continue
+            quo[i] = c
+            for j, b in enumerate(q):
+                rem[i + j] = sub(rem[i + j], mul(c, b))
+        return self.trim(quo), self.trim(rem)
+
+    def p_gcd(self, p, q):
+        """The gcd of p and q with last coefficient 1, by Euclid."""
+        a, b = tuple(p), tuple(q)
+        while b:
+            a, b = b, self.p_divmod(a, b)[1]
+        if a:
+            a = self.p_scale(a, self._inv(a[-1]))
+        return a
+
+    def make_laurent(self, shift, p, q):
+        """Canonical form of x**shift * p/q for trimmed coefficient tuples
+        p and q: strip x-powers, reduce by gcd, normalize q[0] = 1."""
+        if not q:
+            raise ZeroDivisionError("Laurent denominator is zero")
+        if not p:
+            return self.zero
+        is_zero = self._is_zero
+        i = 0
+        while is_zero(p[i]):
+            i += 1
+        j = 0
+        while is_zero(q[j]):
+            j += 1
+        if i or j:
+            shift += i - j
+            p, q = p[i:], q[j:]
+        if len(p) > 1 and len(q) > 1:
+            g = self.p_gcd(p, q)
+            if len(g) > 1:
+                p = self.p_divmod(p, g)[0]
+                q = self.p_divmod(q, g)[0]
+        if q[0] == self.lower.one:
+            return (shift, p, q)
+        c = self._inv(q[0])
+        return (shift, self.p_scale(p, c), self.p_scale(q, c))
 
 
 def _frac_sqrt(f: Fraction):
@@ -184,47 +426,46 @@ def _rational_from_json(doc) -> Fraction:
 class FieldTower:
     """A field of the tower grammar together with its finite ordering space."""
 
-    def __init__(self, steps):
-        """Build the tower of `steps`, which were already checked: they come
-        from `rationals`, `adjoin_sqrt`, `adjoin_laurent` or `prefix`."""
-        self.steps = tuple(steps)
+    def __init__(self, steps, levels):
+        """Build the tower of `steps`, which were already checked, over the
+        level objects `levels`: they come from `rationals`, `adjoin_sqrt`,
+        `adjoin_laurent` or `prefix`."""
+        self.steps = steps
+        self.levels = levels
         self._orderings = None
-        # the zero and one of every level, built once: values are immutable
-        z, o = Fraction(0), Fraction(1)
-        self._zeros, self._ones = [z], [o]
-        for step in self.steps[1:]:
-            qext = step[0] == "qext"
-            z, o = ((z, z), (o, z)) if qext else ((0, (), (o,)), (0, (o,), (o,)))
-            self._zeros.append(z)
-            self._ones.append(o)
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
     def rationals() -> FieldTower:
-        return FieldTower((("base",),))
+        return FieldTower((("base",),), (_Rationals(),))
 
     def adjoin_sqrt(self, d) -> FieldTower:
         """F(sqrt d) for d nonzero, non-square and positive at some ordering."""
         d = self.coerce(d)
         level = self.depth - 1
-        if self._is_zero(level, d.value):
+        if d.is_zero():
             raise TowerError("square-root step needs a nonzero element")
         if self._is_square(level, d.value):
             raise TowerError("square-root step needs a non-square")
         if all(self._sign(level, d.value, P.path) < 0 for P in self.orderings()):
             raise TowerError("square-root step needs an element positive somewhere")
-        return FieldTower(self.steps + (("qext", d.value),))
+        return FieldTower(
+            self.steps + (("qext", d.value),),
+            self.levels + (_SqrtLevel(self.levels[-1], d.value),),
+        )
 
     def adjoin_laurent(self) -> FieldTower:
-        return FieldTower(self.steps + (("laurent",),))
+        return FieldTower(
+            self.steps + (("laurent",),), self.levels + (_LaurentLevel(self.levels[-1]),)
+        )
 
     @property
     def depth(self) -> int:
         return len(self.steps)
 
     def prefix(self, depth: int) -> FieldTower:
-        return FieldTower(self.steps[:depth])
+        return FieldTower(self.steps[:depth], self.levels[:depth])
 
     def extends(self, other: FieldTower) -> bool:
         return self.steps[: len(other.steps)] == other.steps
@@ -255,13 +496,18 @@ class FieldTower:
     # -- scalars ------------------------------------------------------------
 
     def zero(self) -> FieldElement:
-        return FieldElement(self, self._zeros[self.depth - 1])
+        return FieldElement(self, self.levels[-1].zero)
 
     def one(self) -> FieldElement:
-        return FieldElement(self, self._ones[self.depth - 1])
+        return FieldElement(self, self.levels[-1].one)
 
     def rational(self, p, q=1) -> FieldElement:
         return FieldElement(self, self._from_rat(self.depth - 1, Fraction(p, q)))
+
+    def _from_rat(self, level, f: Fraction):
+        if level == 0:
+            return f
+        return self.levels[level].embed(self._from_rat(level - 1, f))
 
     def coerce(self, x) -> FieldElement:
         if isinstance(x, FieldElement):
@@ -280,245 +526,13 @@ class FieldTower:
             level = self.depth - 1
         if level <= 0 or level >= self.depth:
             raise MismatchError("no generator at this level")
-        step = self.steps[level]
-        lower_zero = self._zeros[level - 1]
-        lower_one = self._ones[level - 1]
-        if step[0] == "qext":
-            val = (lower_zero, lower_one)
-        else:
-            val = (1, (lower_one,), (lower_one,))
+        val = self.levels[level].gen
         for lvl in range(level + 1, self.depth):
-            val = self._embed(lvl, val)
+            val = self.levels[lvl].embed(val)
         return FieldElement(self, val)
 
     def generators(self) -> list[FieldElement]:
         return [self.generator(level) for level in range(1, self.depth)]
-
-    # -- raw arithmetic, indexed by level ------------------------------------
-
-    def _from_rat(self, level, f: Fraction):
-        if f == 0:
-            return self._zeros[level]
-        if f == 1:
-            return self._ones[level]
-        if level == 0:
-            return f
-        below = self._from_rat(level - 1, f)
-        if self.steps[level][0] == "qext":
-            return (below, self._zeros[level - 1])
-        return (0, (below,), (self._ones[level - 1],))
-
-    def _embed(self, level, lower_value):
-        """Wrap a level-1 value as a value at ``level``."""
-        if self.steps[level][0] == "qext":
-            return (lower_value, self._zeros[level - 1])
-        if self._is_zero(level - 1, lower_value):
-            return self._zeros[level]
-        return (0, (lower_value,), (self._ones[level - 1],))
-
-    def _is_zero(self, level, x) -> bool:
-        if level == 0:
-            return x.numerator == 0
-        if self.steps[level][0] == "qext":
-            return self._is_zero(level - 1, x[0]) and self._is_zero(level - 1, x[1])
-        return x[1] == ()
-
-    def _add(self, level, x, y):
-        if level == 0:
-            return _q_add(x, y)
-        if self.steps[level][0] == "qext":
-            return (
-                self._add(level - 1, x[0], y[0]),
-                self._add(level - 1, x[1], y[1]),
-            )
-        kx, px, qx = x
-        ky, py, qy = y
-        if px == ():
-            return y
-        if py == ():
-            return x
-        k = min(kx, ky)
-        num_x = self._p_shift(level, px, kx - k)
-        num_y = self._p_shift(level, py, ky - k)
-        if qx == qy:
-            return self._make_laurent(level, k, self._p_add(level, num_x, num_y), qx)
-        num = self._p_add(
-            level, self._p_mul(level, num_x, qy), self._p_mul(level, num_y, qx)
-        )
-        den = self._p_mul(level, qx, qy)
-        return self._make_laurent(level, k, num, den)
-
-    def _neg(self, level, x):
-        if level == 0:
-            return _q_neg(x)
-        if self.steps[level][0] == "qext":
-            return (self._neg(level - 1, x[0]), self._neg(level - 1, x[1]))
-        k, p, q = x
-        return (k, tuple(self._neg(level - 1, c) for c in p), q)
-
-    def _sub(self, level, x, y):
-        if level == 0:
-            return _q_sub(x, y)
-        if self.steps[level][0] == "qext":
-            return (
-                self._sub(level - 1, x[0], y[0]),
-                self._sub(level - 1, x[1], y[1]),
-            )
-        # Laurent: negating first keeps _add's shared-denominator shortcuts
-        return self._add(level, x, self._neg(level, y))
-
-    def _mul(self, level, x, y):
-        if level == 0:
-            return _q_mul(x, y)
-        if self.steps[level][0] == "qext":
-            lower = level - 1
-            u1, v1 = x
-            u2, v2 = y
-            # a zero sqrt part drops the products it would multiply into
-            if self._is_zero(lower, v1):
-                if self._is_zero(lower, v2):
-                    return (self._mul(lower, u1, u2), self._zeros[lower])
-                return (self._mul(lower, u1, u2), self._mul(lower, u1, v2))
-            if self._is_zero(lower, v2):
-                return (self._mul(lower, u1, u2), self._mul(lower, v1, u2))
-            d = self.steps[level][1]
-            uu = self._mul(lower, u1, u2)
-            vv = self._mul(lower, v1, v2)
-            uv = self._mul(lower, u1, v2)
-            vu = self._mul(lower, v1, u2)
-            return (
-                self._add(lower, uu, self._mul(lower, d, vv)),
-                self._add(lower, uv, vu),
-            )
-        kx, px, qx = x
-        ky, py, qy = y
-        if px == () or py == ():
-            return self._zeros[level]
-        if len(qx) == 1 and len(qy) == 1:
-            return (kx + ky, self._p_mul(level, px, py), qx)
-        return self._make_laurent(
-            level, kx + ky, self._p_mul(level, px, py), self._p_mul(level, qx, qy)
-        )
-
-    def _inv(self, level, x):
-        if level == 0:
-            return _q_inv(x)
-        if self._is_zero(level, x):
-            raise ZeroDivisionError("inverse of zero field element")
-        if self.steps[level][0] == "qext":
-            u, v = x
-            ninv = self._inv(level - 1, self._qext_norm(level, u, v))
-            return (
-                self._mul(level - 1, u, ninv),
-                self._neg(level - 1, self._mul(level - 1, v, ninv)),
-            )
-        k, p, q = x
-        c = self._inv(level - 1, p[0])
-        return (-k, self._p_scale(level, q, c), self._p_scale(level, p, c))
-
-    def _div(self, level, x, y):
-        return self._mul(level, x, self._inv(level, y))
-
-    def _qext_norm(self, level, u, v):
-        """u^2 - d v^2, one level down: the norm of u + v sqrt(d) at the
-        square-root level ``level``."""
-        lower = level - 1
-        d = self.steps[level][1]
-        return self._sub(
-            lower, self._mul(lower, u, u), self._mul(lower, d, self._mul(lower, v, v))
-        )
-
-    # -- dense polynomial helpers (coefficients live one level down) ---------
-
-    def _p_add(self, level, p, q):
-        lower = level - 1
-        n = max(len(p), len(q))
-        out = []
-        zero = self._zeros[lower]
-        for i in range(n):
-            a = p[i] if i < len(p) else zero
-            b = q[i] if i < len(q) else zero
-            out.append(self._add(lower, a, b))
-        return self._p_trim_level(level, out)
-
-    def _p_mul(self, level, p, q):
-        lower = level - 1
-        if not p or not q:
-            return ()
-        zero = self._zeros[lower]
-        out = [zero] * (len(p) + len(q) - 1)
-        for i, a in enumerate(p):
-            if self._is_zero(lower, a):
-                continue
-            for j, b in enumerate(q):
-                out[i + j] = self._add(lower, out[i + j], self._mul(lower, a, b))
-        return self._p_trim_level(level, out)
-
-    def _p_scale(self, level, p, c):
-        lower = level - 1
-        if self._is_zero(lower, c):
-            return ()
-        return tuple(self._mul(lower, a, c) for a in p)
-
-    def _p_shift(self, level, p, n):
-        if not p or n == 0:
-            return tuple(p)
-        zero = self._zeros[level - 1]
-        return (zero,) * n + tuple(p)
-
-    def _p_divmod(self, level, p, q):
-        lower = level - 1
-        if not q:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(p)
-        quo = [self._zeros[lower]] * max(0, len(p) - len(q) + 1)
-        lead_inv = self._inv(lower, q[-1])
-        for i in range(len(p) - len(q), -1, -1):
-            c = self._mul(lower, rem[i + len(q) - 1], lead_inv)
-            if self._is_zero(lower, c):
-                continue
-            quo[i] = c
-            for j, b in enumerate(q):
-                rem[i + j] = self._sub(lower, rem[i + j], self._mul(lower, c, b))
-        return self._p_trim_level(level, quo), self._p_trim_level(level, rem)
-
-    def _p_gcd(self, level, p, q):
-        lower = level - 1
-        a, b = tuple(p), tuple(q)
-        while b:
-            _, r = self._p_divmod(level, a, b)
-            a, b = b, r
-        if a:
-            a = self._p_scale(level, a, self._inv(lower, a[-1]))
-        return a
-
-    def _make_laurent(self, level, shift, p, q):
-        """Canonical form: strip x-powers, reduce by gcd, normalize q[0] = 1."""
-        lower = level - 1
-        p = tuple(p)
-        q = tuple(q)
-        if not q:
-            raise ZeroDivisionError("Laurent denominator is zero")
-        if not p:
-            return self._zeros[level]
-        i = 0
-        while self._is_zero(lower, p[i]):
-            i += 1
-        j = 0
-        while self._is_zero(lower, q[j]):
-            j += 1
-        shift += i - j
-        p = p[i:]
-        q = q[j:]
-        if len(p) > 1 and len(q) > 1:
-            g = self._p_gcd(level, p, q)
-            if len(g) > 1:
-                p, _ = self._p_divmod(level, p, g)
-                q, _ = self._p_divmod(level, q, g)
-        c = self._inv(lower, q[0])
-        p = self._p_scale(level, p, c)
-        q = self._p_scale(level, q, c)
-        return (shift, p, q)
 
     # -- orderings ------------------------------------------------------------
 
@@ -554,7 +568,7 @@ class FieldTower:
                 return sv
             if sv == 0 or su == sv:
                 return su
-            return su * self._sign(level - 1, self._qext_norm(level, u, v), path)
+            return su * self._sign(level - 1, self.levels[level].norm(u, v), path)
         s = path[level - 1]
         k, p, q = x
         if p == ():
@@ -569,30 +583,25 @@ class FieldTower:
         if level == 0:
             return _frac_sqrt(x)
         if self.steps[level][0] == "qext":
-            d = self.steps[level][1]
+            K = self.levels[level - 1]
             u, v = x
-            zero = self._zeros[level - 1]
-            if self._is_zero(level - 1, v):
+            if K.is_zero(v):
                 r = self._sqrt(level - 1, u)
                 if r is not None:
-                    return (r, zero)
-                if not self._is_zero(level - 1, u):
-                    r = self._sqrt(level - 1, self._div(level - 1, u, d))
+                    return (r, K.zero)
+                if not K.is_zero(u):
+                    r = self._sqrt(level - 1, K.mul(u, K.inv(self.steps[level][1])))
                     if r is not None:
-                        return (zero, r)
+                        return (K.zero, r)
                 return None
-            m = self._sqrt(level - 1, self._qext_norm(level, u, v))
+            m = self._sqrt(level - 1, self.levels[level].norm(u, v))
             if m is None:
                 return None
             half = self._from_rat(level - 1, Fraction(1, 2))
-            for mm in (m, self._neg(level - 1, m)):
-                s2 = self._mul(level - 1, self._add(level - 1, u, mm), half)
-                s = self._sqrt(level - 1, s2)
-                if s is not None and not self._is_zero(level - 1, s):
-                    t = self._div(
-                        level - 1, v, self._add(level - 1, s, s)
-                    )
-                    return (s, t)
+            for mm in (m, K.neg(m)):
+                s = self._sqrt(level - 1, K.mul(K.add(u, mm), half))
+                if s is not None and not K.is_zero(s):
+                    return (s, K.mul(v, K.inv(K.add(s, s))))
             return None
         k, p, q = x
         if p == ():
@@ -608,39 +617,30 @@ class FieldTower:
         return (k // 2, pr, qr)
 
     def _poly_sqrt(self, level, p):
-        lower = level - 1
+        L, K = self.levels[level], self.levels[level - 1]
         if not p:
             return ()
         if (len(p) - 1) % 2:
             return None
-        r0 = self._sqrt(lower, p[0])
-        if r0 is None or self._is_zero(lower, r0):
+        r0 = self._sqrt(level - 1, p[0])
+        if r0 is None or K.is_zero(r0):
             return None
         half = len(p) // 2
         r = [r0]
-        inv2r0 = self._inv(lower, self._add(lower, r0, r0))
-        zero = self._zeros[lower]
+        inv2r0 = K.inv(K.add(r0, r0))
         for i in range(1, half + 1):
-            acc = p[i] if i < len(p) else zero
+            acc = p[i] if i < len(p) else K.zero
             for j in range(1, i):
                 if j <= half and i - j <= half:
-                    acc = self._sub(lower, acc, self._mul(lower, r[j], r[i - j]))
-            r.append(self._mul(lower, acc, inv2r0))
-        rt = self._p_trim_level(level, tuple(r))
-        if self._p_mul(level, rt, rt) == tuple(p):
+                    acc = K.sub(acc, K.mul(r[j], r[i - j]))
+            r.append(K.mul(acc, inv2r0))
+        rt = L.trim(r)
+        if L.p_mul(rt, rt) == tuple(p):
             return rt
         return None
 
-    def _p_trim_level(self, level, p):
-        """The coefficients of ``p`` as a tuple, trailing zeros dropped."""
-        lower = level - 1
-        n = len(p)
-        while n and self._is_zero(lower, p[n - 1]):
-            n -= 1
-        return tuple(p[:n])
-
     def _is_square(self, level, x) -> bool:
-        if self._is_zero(level, x):
+        if self.levels[level].is_zero(x):
             raise MismatchError("squareness of zero is not defined here")
         if level == 0:
             return _frac_sqrt(x) is not None
@@ -672,22 +672,24 @@ class FieldTower:
             u, v = x
             d = self.steps[level][1]
             root = f"sqrt({self._str(level - 1, d)})"
-            if self._is_zero(level - 1, v):
+            is_zero = self.levels[level - 1].is_zero
+            if is_zero(v):
                 return self._str(level - 1, u)
             coeff = self._str(level - 1, v)
             vs = root if coeff == "1" else f"-{root}" if coeff == "-1" else f"{coeff}*{root}"
-            if self._is_zero(level - 1, u):
+            if is_zero(u):
                 return vs
             return f"({self._str(level - 1, u)} + {vs})"
         k, p, q = x
         if p == ():
             return "0"
         var = self._variable_name(level)
+        is_zero = self.levels[level - 1].is_zero
 
         def poly_str(coeffs, base):
             terms = []
             for i, c in enumerate(coeffs):
-                if self._is_zero(level - 1, c):
+                if is_zero(c):
                     continue
                 e = base + i
                 cs = self._str(level - 1, c)
@@ -757,16 +759,17 @@ class FieldTower:
                 "v": self._value_to_json(level - 1, x[1]),
             }
         k, p, q = x
+        is_zero = self.levels[level - 1].is_zero
         return {
             "num": [
                 [k + i, self._value_to_json(level - 1, c)]
                 for i, c in enumerate(p)
-                if not self._is_zero(level - 1, c)
+                if not is_zero(c)
             ],
             "den": [
                 [i, self._value_to_json(level - 1, c)]
                 for i, c in enumerate(q)
-                if not self._is_zero(level - 1, c)
+                if not is_zero(c)
             ],
         }
 
@@ -787,6 +790,7 @@ class FieldTower:
             )
         if not isinstance(doc, dict) or set(doc) != {"num", "den"}:
             raise TowerError("Laurent level element takes keys 'num', 'den'")
+        L, K = self.levels[level], self.levels[level - 1]
 
         def build(pairs):
             if not isinstance(pairs, list):
@@ -805,23 +809,16 @@ class FieldTower:
                 return 0, ()
             exps = [e for e, _ in pairs]
             base = min(exps)
-            coeffs = [self._zeros[level - 1]] * (max(exps) - base + 1)
+            coeffs = [K.zero] * (max(exps) - base + 1)
             for e, c in pairs:
-                coeffs[e - base] = self._add(
-                    level - 1,
-                    coeffs[e - base],
-                    self._value_from_json(level - 1, c),
-                )
-            return base, tuple(coeffs)
+                coeffs[e - base] = K.add(coeffs[e - base], self._value_from_json(level - 1, c))
+            return base, L.trim(coeffs)
 
         kn, num = build(doc["num"])
         kd, den = build(doc["den"])
-        if not self._p_trim_level(level, den):
+        if not den:
             raise TowerError("Laurent denominator must be nonzero")
-        num = self._p_trim_level(level, num)
-        if not num:
-            return self._zeros[level]
-        return self._make_laurent(level, kn - kd, num, self._p_trim_level(level, den))
+        return L.make_laurent(kn - kd, num, den)
 
     def element_from_json(self, doc) -> FieldElement:
         return FieldElement(self, self._value_from_json(self.depth - 1, doc))
@@ -844,37 +841,30 @@ class FieldElement:
 
     def __add__(self, other):
         o = self._coerced(other)
-        return FieldElement(
-            self.tower, self.tower._add(self._level(), self.value, o.value)
-        )
+        return FieldElement(self.tower, self.tower.levels[-1].add(self.value, o.value))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerced(other)
-        return FieldElement(
-            self.tower, self.tower._sub(self._level(), self.value, o.value)
-        )
+        return FieldElement(self.tower, self.tower.levels[-1].sub(self.value, o.value))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return FieldElement(self.tower, self.tower._neg(self._level(), self.value))
+        return FieldElement(self.tower, self.tower.levels[-1].neg(self.value))
 
     def __mul__(self, other):
         o = self._coerced(other)
-        return FieldElement(
-            self.tower, self.tower._mul(self._level(), self.value, o.value)
-        )
+        return FieldElement(self.tower, self.tower.levels[-1].mul(self.value, o.value))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerced(other)
-        return FieldElement(
-            self.tower, self.tower._div(self._level(), self.value, o.value)
-        )
+        K = self.tower.levels[-1]
+        return FieldElement(self.tower, K.mul(self.value, K.inv(o.value)))
 
     def __rtruediv__(self, other):
         return self._coerced(other) / self
@@ -892,10 +882,10 @@ class FieldElement:
         return out
 
     def inverse(self) -> FieldElement:
-        return FieldElement(self.tower, self.tower._inv(self._level(), self.value))
+        return FieldElement(self.tower, self.tower.levels[-1].inv(self.value))
 
     def is_zero(self) -> bool:
-        return self.tower._is_zero(self._level(), self.value)
+        return self.tower.levels[-1].is_zero(self.value)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -940,7 +930,7 @@ class FieldElement:
             raise MismatchError("target tower does not extend this one")
         val = self.value
         for level in range(self.tower.depth, tower.depth):
-            val = tower._embed(level, val)
+            val = tower.levels[level].embed(val)
         return FieldElement(tower, val)
 
     def restrict_to(self, tower: FieldTower) -> FieldElement:
@@ -952,13 +942,13 @@ class FieldElement:
             step = self.tower.steps[level]
             if step[0] == "qext":
                 u, v = val
-                if not self.tower._is_zero(level - 1, v):
+                if not self.tower.levels[level - 1].is_zero(v):
                     raise MismatchError("element does not come from the subfield")
                 val = u
             else:
                 k, p, q = val
                 if p == ():
-                    val = self.tower._zeros[level - 1]
+                    val = self.tower.levels[level - 1].zero
                 elif k == 0 and len(p) == 1 and len(q) == 1:
                     val = p[0]
                 else:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hermstab import fields
 from hermstab.fields import (
     FieldTower,
     MismatchError,
@@ -27,6 +28,46 @@ LX = Q.adjoin_laurent()
 F2X = F2.adjoin_laurent()
 LXY = LX.adjoin_laurent()
 F2XY = F2X.adjoin_laurent()
+# Q((x))((y))(sqrt x), the split extension of (x, -1) over Q((x))((y))
+LXY_SX = LXY.adjoin_sqrt(LXY.coerce(LX.generator()))
+
+
+def test_towers_share_their_parents_level_objects(monkeypatch):
+    """adjoin_sqrt, adjoin_laurent, prefix and from_json keep one level
+    object per step: a tower reuses its parent's objects, by identity,
+    and builds exactly one new level per step."""
+    built = []
+    for cls in (fields._SqrtLevel, fields._LaurentLevel):
+
+        def init(self, *args, real=cls.__init__):
+            built.append(self)
+            real(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", init)
+
+    def same_levels(a, b):
+        return len(a) == len(b) and all(u is v for u, v in zip(a, b))
+
+    chain = [FieldTower.rationals()]
+    chain.append(chain[-1].adjoin_sqrt(2))
+    chain.append(chain[-1].adjoin_laurent())
+    chain.append(chain[-1].adjoin_laurent())
+    chain.append(chain[-1].adjoin_sqrt(chain[-1].generator(2)))
+    assert built == [t.levels[-1] for t in chain[1:]]
+    for parent, child in zip(chain, chain[1:]):
+        assert len(child.levels) == child.depth == parent.depth + 1
+        assert same_levels(child.levels[:-1], parent.levels)
+        assert child.levels[-1].lower is parent.levels[-1]
+    top = chain[-1]
+    for depth in range(1, top.depth + 1):
+        assert same_levels(top.prefix(depth).levels, chain[depth - 1].levels)
+    del built[:]
+    read = FieldTower.from_json(top.to_json())
+    assert read == top and len(read.levels) == read.depth
+    assert built == list(read.levels[1:])
+    for lower, level in zip(read.levels, read.levels[1:]):
+        assert level.lower is lower
+    assert len(built) == 4 and not set(map(id, built)) & set(map(id, top.levels))
 
 
 def test_ordering_counts():
@@ -213,12 +254,33 @@ def test_ordering_json_rejects_bad_path():
 
 
 def test_lift_and_restrict():
+    """restrict_to undoes lift_to through square-root and Laurent levels,
+    maps zero to zero, and refuses elements that need a dropped generator
+    and towers that are not a prefix."""
     r2 = F2.generator()
     lifted = r2.lift_to(F2X)
     assert lifted.restrict_to(F2) == r2
+    assert F2X.zero().restrict_to(F2) == F2.zero()
+    assert F2X.zero().restrict_to(Q) == Q.zero()
+    half = Q.rational(-1, 2)
+    assert half.lift_to(F2XY).restrict_to(Q) == half
+    assert half.lift_to(LXY_SX).restrict_to(Q) == half
+    assert half.lift_to(LXY_SX).restrict_to(LXY) == half.lift_to(LXY)
     x = F2X.generator()
-    with pytest.raises(MismatchError):
-        x.restrict_to(F2)
+    not_from_subfield = [
+        (x, F2),  # shift 1
+        (1 + x, F2),  # two numerator terms
+        (1 / (1 + x), F2),  # two denominator terms
+        (r2, Q),  # nonzero sqrt part
+        (lifted + x, Q),  # fails at the Laurent level before reaching sqrt 2
+        (LXY_SX.generator(), LXY),
+    ]
+    for e, sub in not_from_subfield:
+        with pytest.raises(MismatchError, match="does not come from the subfield"):
+            e.restrict_to(sub)
+    for e, other in [(r2, LX), (x, LX), (half, F2)]:
+        with pytest.raises(MismatchError, match="is not a prefix of this one"):
+            e.restrict_to(other)
 
 
 def test_level_mismatch_errors():
@@ -323,9 +385,123 @@ def test_products_with_a_zero_sqrt_part_match_slow_tower(field):
     operands = _zero_part_operands(rng, field)
     for a in operands:
         for b in operands:
-            fast = field._mul(top, a, b)
+            fast = field.levels[top].mul(a, b)
             assert fast == slow.mul(top, a, b)
             assert slow.is_canonical(top, fast)
+
+
+def _laurent_levels(field):
+    return [lvl for lvl in range(1, field.depth) if field.steps[lvl][0] == "laurent"]
+
+
+def _shortcut_operands(field):
+    """Elements of ``field`` that reach the Laurent shortcuts, by family:
+    numerators with a single coefficient and with several over the
+    denominator (1,), pairs over one shared denominator other than (1,),
+    and leading coefficients other than one.  ``y`` is the top Laurent
+    variable, ``x`` the one below it and ``s`` the square root."""
+    x, y = (field.generator(lvl) for lvl in _laurent_levels(field))
+    s = field.generator(next(l for l in range(1, field.depth) if l not in _laurent_levels(field)))
+    d = 1 - x * y
+    return {
+        "single": [3 * y * y, x * y, (1 + x) / (2 - x) / y, (2 + s) * x * y**3, s * y],
+        "several": [1 + x * y + y * y, 2 * x - y / x, (3 + s) * y + s * y * y],
+        "shared": [(1 + y) / d, (x - y) / d, (s + x * y) / d],
+        "lead": [3 * x + y, (2 + s) * x + y * y, 1 / (3 + y), (x + y) / (3 * x + s * y)],
+    }
+
+
+@pytest.mark.parametrize("field", [LXY_SX, F2XY], ids=str)
+def test_level_objects_match_slow_tower_on_shortcut_operands(field):
+    """The top level object's +, -, *, inverse and / give the value tuple
+    of the slow oracle, in canonical form, on products of a single
+    coefficient by several, sums over the denominator (1,) and over a
+    shared other one, and leading coefficients other than one."""
+    slow = SlowTower(field)
+    top = field.depth - 1
+    K = field.levels[top]
+    ops = _shortcut_operands(field)
+    single, several = ops["single"], ops["several"]
+    pairs = [(a, b) for a in single for b in several]
+    # each group's members with the next one, wrapping round
+    for group in ops.values():
+        pairs += list(zip(group, group[1:] + group[:1]))
+    pairs += list(zip(ops["lead"], single))
+    for a in sum(ops.values(), []):
+        assert slow.is_canonical(top, a.value)
+        inv = K.inv(a.value)
+        assert inv == slow.inv(top, a.value) and slow.is_canonical(top, inv)
+    for a, b in pairs:
+        x, y = a.value, b.value
+        product = slow.mul(top, x, y)
+        for fast, reference in [
+            (K.add(x, y), slow.add(top, x, y)),
+            (K.sub(x, y), slow.add(top, x, slow.neg(top, y))),
+            (K.mul(x, y), product),
+            (K.mul(y, x), product),
+            ((a / b).value, slow.div(top, x, y)),
+        ]:
+            assert fast == reference
+            assert slow.is_canonical(top, fast)
+
+
+def _lower_values(field, level):
+    """Nonzero values one level below ``level``, one of them the one."""
+    T = field.prefix(level)
+    g = T.generator() if T.depth > 1 else T.rational(5, 7)
+    return [v.value for v in (T.one(), T.rational(-3), 2 + g, (1 - g) / (3 + g), g * g)]
+
+
+@pytest.mark.parametrize("field", [LXY_SX, F2XY], ids=str)
+def test_single_coefficient_polynomial_products_match_slow_tower(field):
+    """A polynomial product with a single-coefficient factor skips sums and
+    trimming: on either side, and for a zero coefficient, which gives the
+    zero polynomial (), it matches the oracle's full product."""
+    slow = SlowTower(field)
+    for level in _laurent_levels(field):
+        L = field.levels[level]
+        c = _lower_values(field, level)
+        polys = [(c[1],), (c[2], c[3]), (c[4], L.lower.zero, c[0], c[3])]
+        for coeff in [L.lower.zero] + c:
+            for p in polys:
+                want = slow.p_mul(level, (coeff,), p)
+                assert L.p_mul((coeff,), p) == want
+                assert L.p_mul(p, (coeff,)) == want
+        assert L.p_mul((L.lower.zero,), polys[2]) == ()
+
+
+@pytest.mark.parametrize("field", [LXY_SX, F2XY], ids=str)
+def test_unit_denominators_are_not_rescaled(field, monkeypatch):
+    """make_laurent returns p/q as it is when the stripped q[0] is already
+    the lower level's one: no coefficient is inverted, at either Laurent
+    level.  A q[0] other than one is inverted once, and every result is
+    the oracle's canonical form."""
+    slow = SlowTower(field)
+    for level in _laurent_levels(field):
+        L = field.levels[level]
+        one, zero = L.lower.one, L.lower.zero
+        _, c1, c2, c3, c4 = _lower_values(field, level)
+        inverted = []
+
+        def counted(c, real=L._inv, inverted=inverted):
+            inverted.append(c)
+            return real(c)
+
+        monkeypatch.setattr(L, "_inv", counted)
+        unit = [
+            (0, (c1, c2), (one,)),
+            (2, (c1,), (one, c3)),
+            (-1, (zero, c4), (zero, one, c2)),
+            (1, (zero, c3, c4), (one,)),
+        ]
+        for shift, p, q in unit:
+            assert L.make_laurent(shift, p, q) == slow.canon(level, shift, p, q)
+        a, b = (0, (c1, c2), (one,)), (1, (c3,), (one,))
+        assert L.add(a, b) == slow.add(level, a, b)
+        assert L.sub(a, a) == L.zero
+        assert inverted == []
+        assert L.make_laurent(0, (c1,), (c3, c2)) == slow.canon(level, 0, (c1,), (c3, c2))
+        assert inverted == [c3]
 
 
 @pytest.mark.parametrize("field", [Q, F2, LX, F2XY], ids=str)
@@ -346,8 +522,9 @@ def test_sub_matches_add_of_negation(field):
         x, y = laurent
         pairs += [(1 + x + y, 1 + x * x), ((1 + x) / (1 - y), (1 + x * x) / (1 - y))]
     for a, b in pairs:
-        want = field._add(top, a.value, field._neg(top, b.value))
-        assert field._sub(top, a.value, b.value) == want
+        K = field.levels[top]
+        want = K.add(a.value, K.neg(b.value))
+        assert K.sub(a.value, b.value) == want
         assert (a - b).value == want
 
 
@@ -395,7 +572,7 @@ def test_rational_kernel_matches_fraction():
         Q.zero().inverse()
     # the tower's level-0 branches run the kernel
     assert [Q._sign(0, x, ()) for x in ops[:4]] == [0, 1, -1, 1]
-    assert Q._is_zero(0, Fraction(0)) and not Q._is_zero(0, Fraction(-1, 2))
+    assert Q.levels[0].is_zero(Fraction(0)) and not Q.levels[0].is_zero(Fraction(-1, 2))
 
 
 def _random_leaf(rng):

@@ -22,6 +22,7 @@ from hermstab.stability import (
     NilAwareSpace,
     Probes,
     _probe_signatures,
+    _value_groups_attained,
     h0_search,
     image_lattice,
     invariance_suite,
@@ -365,6 +366,28 @@ def test_split_algebra_reports_are_lower_bounds():
     assert not rep.exact
     # the four division examples stay certified
     assert stability_report(EX4).exact
+
+
+@pytest.mark.parametrize(
+    "A, c_p", [(FieldAlgebra(F2), 1), (EX4, 2)], ids=["trace-form", "split-certificate"]
+)
+def test_value_groups_attained_needs_each_coordinate_to_reach_c_p(A, c_p):
+    """Exactness needs every non-nil coordinate to attain exactly c_P Z:
+    a coordinate no probe reaches, or one whose gcd is a proper multiple
+    of c_P, leaves the lattice unproven."""
+    space = NilAwareSpace(A)
+    n = space.dim
+    assert n >= 1
+
+    def vec(i, v):
+        return tuple(v if j == i else c_p for j in range(n))
+
+    assert _value_groups_attained(A, space, [vec(0, c_p), vec(0, 3 * c_p)])
+    for i in range(n):
+        # coordinate i is zero on every probe
+        assert not _value_groups_attained(A, space, [vec(i, 0), vec(i, 0)])
+        # coordinate i only reaches 2 c_P Z
+        assert not _value_groups_attained(A, space, [vec(i, 2 * c_p), vec(i, -6 * c_p)])
 
 
 def test_all_nil_report():
