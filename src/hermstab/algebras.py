@@ -111,6 +111,16 @@ class Algebra:
     def inverse(self, x):
         raise NotImplementedError
 
+    def is_invertible(self, x) -> bool:
+        """Whether ``x`` has an inverse; here by computing it."""
+        if self.is_zero(x):
+            return False
+        try:
+            self.inverse(x)
+            return True
+        except ZeroDivisorFound:
+            return False
+
     def is_zero(self, x):
         raise NotImplementedError
 
@@ -184,6 +194,12 @@ class Algebra:
         return {}
 
     @cached_property
+    def local_type_memo(self) -> dict:
+        """``signatures.local_type`` at each ordering, keyed by sign path;
+        it lives and dies with the algebra."""
+        return {}
+
+    @cached_property
     def certificate_memo(self) -> dict:
         """``splitting.find_certificate``'s success at each ordering, keyed
         by sign path, with its witness height; it lives and dies with the
@@ -193,8 +209,9 @@ class Algebra:
     @cached_property
     def split_model_memo(self) -> dict:
         """The ordering-free part of each split certificate found on this
-        algebra (witness, extension, matrices, datum), keyed by the
-        witness's integer triple."""
+        algebra (a ``splitting.SplitModel``: witness, extension, matrices,
+        datum, transport images and det G), keyed by the witness's integer
+        triple."""
         return {}
 
     @cached_property
@@ -566,6 +583,11 @@ class _QuaternionCore(Algebra):
             raise ZeroDivisorFound(self, x)
         ninv = C.inverse(n)
         return tuple(C.mul(c, ninv) for c in self._conj(x))
+
+    def is_invertible(self, x):
+        """x . conj(x) = Nrd(x), and the centre is a field: x is
+        invertible exactly when Nrd(x) is nonzero."""
+        return not self.is_zero(x) and not self.centre.is_zero(self._nrd(x))
 
     def is_zero(self, x):
         is_zero = self.centre.is_zero
@@ -1004,13 +1026,7 @@ class AlgebraElement:
         return self.algebra.is_zero(self.value)
 
     def is_invertible(self) -> bool:
-        if self.is_zero():
-            return False
-        try:
-            self.algebra.inverse(self.value)
-            return True
-        except ZeroDivisorFound:
-            return False
+        return self.algebra.is_invertible(self.value)
 
     def reduced_trace(self) -> FieldElement:
         return self.algebra.reduced_trace(self.value)
@@ -1116,9 +1132,11 @@ class HermitianForm:
 
     Forms are immutable.  ``route_memo`` keeps the route evaluations that
     ``signatures.raw_signature`` has done on this form, so each is done
-    once; it lives and dies with the form."""
+    once, and ``rank_one_memo`` the rank-one data that
+    ``splitting.SplittingCertificate.diagonal_signature`` reads on the
+    split route; both live and die with the form."""
 
-    __slots__ = ("algebra", "epsilon", "gram", "route_memo")
+    __slots__ = ("algebra", "epsilon", "gram", "route_memo", "rank_one_memo")
 
     def __init__(self, algebra: Algebra, gram, epsilon: int = 1):
         if epsilon not in (1, -1):
@@ -1152,6 +1170,7 @@ class HermitianForm:
                 if algebra.involution(lhs) != rhs:
                     raise MismatchError("Gram matrix is not epsilon-hermitian")
         self.route_memo = {}
+        self.rank_one_memo = {}
 
     @staticmethod
     def diagonal(algebra: Algebra, entries, epsilon: int = 1) -> HermitianForm:
@@ -1266,7 +1285,11 @@ class HermitianForm:
         return f"HermitianForm(rank={self.rank})"
 
     def to_json(self) -> dict:
-        out = {"algebra": self.algebra.to_json(), "epsilon": self.epsilon}
+        return {"algebra": self.algebra.to_json(), **self.body_to_json()}
+
+    def body_to_json(self) -> dict:
+        """The document without ``algebra``, as ``body_from_json`` reads it."""
+        out = {"epsilon": self.epsilon}
         if self.is_diagonal():
             out["diag"] = [
                 self.algebra.value_to_json(self.gram[i][i])

@@ -113,10 +113,10 @@ class _Rendered(str):
     ``_write_json`` splices it in at any depth."""
 
 
-# JSON renderings of algebras (by value), and of certificates and searched
-# references (by identity: both are kept, so a warm query gets the same
-# object back); all are immutable, so each is rendered once while it stays
-# in this bound.
+# JSON renderings of algebras and orderings (by value), and of certificates
+# and searched references (by identity: both are kept, so a warm query gets
+# the same object back); all are immutable, so each is rendered once while
+# it stays in this bound.
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _rendered(obj) -> _Rendered:
     return _Rendered(_json_text(obj.to_json()))
@@ -251,6 +251,11 @@ def _parse_form(text: str, A) -> HermitianForm:
     return HermitianForm.from_json(doc)
 
 
+def _form_json(h: HermitianForm) -> dict:
+    """``h.to_json()`` with the algebra's kept rendering spliced in."""
+    return {"algebra": _rendered(h.algebra), **h.body_to_json()}
+
+
 def cmd_signature(args) -> int:
     A = _parse_algebra(args.algebra, args.max_depth)
     h = _parse_form(args.form, A)
@@ -274,7 +279,7 @@ def cmd_signature(args) -> int:
         route = "nil" if lt.nil else lt.route
         rows.append((P.name(), route, v))
         entry = {
-            "ordering": P.to_json(),
+            "ordering": _rendered(P),
             "route": route,
             "value": v,
             "n": lt.n,
@@ -285,8 +290,12 @@ def cmd_signature(args) -> int:
         details.append(entry)
     doc = {
         "algebra": _rendered(A),
-        "form": h.to_json(),
-        "reference": ref.to_json() if args.reference else _rendered(ref),
+        "form": _form_json(h),
+        "reference": (
+            {"form": _form_json(ref.form), "deltas": ref.deltas_to_json()}
+            if args.reference
+            else _rendered(ref)
+        ),
         "signatures": details,
         "values": list(vec.values),
     }

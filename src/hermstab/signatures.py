@@ -72,7 +72,22 @@ def nil_set(A: Algebra) -> frozenset[Ordering]:
 def local_type(A: Algebra, P: Ordering) -> LocalType:
     """The shape of (A tensor F_P, sigma): whether P is nil, n x l, and the
     route that reads signatures there.  This is the only per-kind rule of
-    the signature layer; every other fact here is read off it."""
+    the signature layer; every other fact here is read off it.
+
+    P must be an ordering of A's base field.  The shape depends only on A
+    and P, so it is decided once per ordering and kept in
+    ``A.local_type_memo`` under P's sign path; a matrix wrapper reads its
+    inner algebra's entry."""
+    if P.tower is not A.field and P.tower != A.field:
+        raise MismatchError("ordering does not belong to the algebra's base field")
+    memo = A.local_type_memo
+    lt = memo.get(P.path)
+    if lt is None:
+        lt = memo[P.path] = _local_type(A, P)
+    return lt
+
+
+def _local_type(A: Algebra, P: Ordering) -> LocalType:
     if A.kind == "matrix":
         inner = local_type(A.inner, P)
         return LocalType(P, inner.nil, A.n * inner.n, inner.l, inner.route)
@@ -106,7 +121,7 @@ def raw_signature(A: Algebra, h: HermitianForm, P: Ordering, budget: int = 50) -
     routes each entry lies in the fixed field, and its sign counts.  On
     the split-certificate route each entry d goes through the
     certificate's split model as a 2 x 2 block, whose signature two signs
-    fix (``SplittingCertificate.rank_one_signature``).  Any other Gram
+    fix (``SplittingCertificate.diagonal_signature``).  Any other Gram
     runs hermitian elimination and counts the signs of the diagonal;
     there the split-certificate route first carries h to the split model
     and P to the certificate's chosen ordering.
@@ -146,7 +161,7 @@ def _route_diagonal(A, h, cert):
     diagonal = h.is_diagonal()
     if cert is not None:
         if diagonal:
-            return sum(cert.rank_one_signature(row[i]) for i, row in enumerate(h.gram))
+            return cert.diagonal_signature(h)
         h, _ = transport_form(cert, h)
         return sum(c.sign_at(cert.chosen) for c in _fixed_diagonal(_eliminate(h)))
     return _fixed_diagonal(h if diagonal else _eliminate(h))
@@ -215,12 +230,12 @@ class ReferenceForm:
         return f"ReferenceForm({self.form!r}, deltas={self.deltas})"
 
     def to_json(self) -> dict:
+        return {"form": self.form.to_json(), "deltas": self.deltas_to_json()}
+
+    def deltas_to_json(self) -> dict:
         return {
-            "form": self.form.to_json(),
-            "deltas": {
-                "".join("+" if s > 0 else "-" for s in path): d
-                for path, d in self.deltas.items()
-            },
+            "".join("+" if s > 0 else "-" for s in path): d
+            for path, d in self.deltas.items()
         }
 
 

@@ -10,8 +10,15 @@ and commutative cases carry their own degenerate certificate shapes.
 
 A certificate depends only on the algebra and the ordering, so each one
 found is kept on its algebra (``Algebra.certificate_memo``), next to the
-ordering-free split model of its witness (``Algebra.split_model_memo``);
-the module itself keeps no state.
+ordering-free ``SplitModel`` of its witness (``Algebra.split_model_memo``).
+The certificates of all orderings that take one witness share that split
+model, and with it the transport images G . X_b and det G, built once per
+split model.  A diagonal form's signature on the split route is read
+from its entries' reduced norms, kept once per form, and from the corners
+B00 of their blocks, kept once per form and split model
+(``HermitianForm.rank_one_memo``); only signs are read per ordering.
+Every certificate object is still verified in full, once.  The module
+itself keeps no state.
 """
 
 from __future__ import annotations
@@ -74,6 +81,48 @@ def _centre_of(algebra: Algebra, extension: FieldTower, flavor: str) -> Algebra:
     return FieldAlgebra(extension)
 
 
+class SplitModel:
+    """The ordering-free part of a proper split certificate: the witness,
+    the extension L, the matrix algebra ``model`` = M_2(C) over the centre
+    C over L, the images ``matrices`` of 1, i, j, k in it and the
+    involution datum ``g_datum``.  The certificates of every ordering that
+    takes one witness share one split model, and so its transport images
+    and det G, built once here."""
+
+    def __init__(self, algebra: Algebra, witness, extension, model, matrices, g_datum):
+        self.algebra = algebra
+        self.witness = witness
+        self.extension = extension
+        self.model = model
+        self.matrices = matrices  # nested tuples, as a certificate keeps them
+        self.g_datum = g_datum
+
+    @cached_property
+    def transport_images(self) -> tuple:
+        """G . X for the images X of 1, i, j, k: ``transport_form`` sums
+        them with each Gram entry's coordinates."""
+        M = self.model
+        return tuple(M.mul(self.g_datum, X) for X in self.matrices)
+
+    @cached_property
+    def det(self) -> FieldElement:
+        """det G, an element of L."""
+        C = self.model.inner
+        (g00, g01), (g10, g11) = self.g_datum
+        return _fixed_part(C, C.sub(C.mul(g00, g11), C.mul(g01, g10)))
+
+    def corner(self, value) -> FieldElement:
+        """B00 of the block B = G . Phi(d), d the quaternion value
+        ``value``: the sum over d's nonzero centre coordinates c_b of
+        c_b (G X_b)00, an element of L."""
+        centre, C = self.algebra.centre, self.model.inner
+        b00 = C.zero()
+        for c, GX in zip(value, self.transport_images):
+            if not centre.is_zero(c):
+                b00 = C.add(b00, C.mul(centre.lift_value(c, C), GX[0][0]))
+        return _fixed_part(C, b00)
+
+
 @dataclass(frozen=True, eq=False)
 class SplittingCertificate:
     """Explicit data realizing the split of (A, sigma) at an ordering.
@@ -86,7 +135,10 @@ class SplittingCertificate:
     ``matrices`` and ``g_datum`` are stored as tuples, and assigning to an
     attribute raises.  So ``verify_certificate`` checks each certificate
     object once and memoises the result on it; a changed certificate is
-    a new object and is checked afresh."""
+    a new object and is checked afresh.  The certificates that a search
+    emits share their witness's ``SplitModel``, and with it its transport
+    images; any other certificate builds its own from its fields when
+    first asked."""
 
     FLAVORS = (
         "orthogonal-split",
@@ -134,48 +186,73 @@ class SplittingCertificate:
 
     @cached_property
     def model(self) -> MatrixAlgebra:
-        """The split model M_2(C), built once per certificate."""
+        """The split model M_2(C), built once per certificate or, for an
+        emitted one, once per witness."""
         return MatrixAlgebra(2, self.centre_algebra())
 
     @cached_property
+    def _split(self) -> SplitModel:
+        """The witness's split model for an emitted certificate; for any
+        other, its own, built from its fields."""
+        if self.matrices is None or self.g_datum is None:
+            raise MismatchError(f"a {self.flavor} certificate has no split model")
+        return SplitModel(
+            self.algebra, self.witness, self.extension, self.model, self.matrices, self.g_datum
+        )
+
+    @property
     def transport_images(self) -> tuple:
-        """G . X for the images X of 1, i, j, k, built once per certificate:
-        ``transport_form`` sums them with each Gram entry's coordinates."""
-        M = self.model
-        return tuple(M.mul(self.g_datum, X) for X in self.matrices)
+        """G . X for the images X of 1, i, j, k, built once per split
+        model: ``transport_form`` sums them with each Gram entry's
+        coordinates."""
+        return self._split.transport_images
 
     @cached_property
     def _det_sign(self) -> int:
         """The sign of det G at ``chosen``, read once per certificate."""
-        C = self.model.inner
-        (g00, g01), (g10, g11) = self.g_datum
-        det = C.sub(C.mul(g00, g11), C.mul(g01, g10))
-        return _fixed_part(C, det).sign_at(self.chosen)
+        return self._split.det.sign_at(self.chosen)
 
-    def rank_one_signature(self, value) -> int:
-        """The signature at ``chosen`` of the rank-one form <d> carried
-        through a proper split, d the symmetric quaternion value ``value``,
-        without transport or elimination.
+    def diagonal_signature(self, h: HermitianForm) -> int:
+        """The signature at ``chosen`` of the diagonal form h over the
+        certificate's algebra carried through a proper split, without
+        transport or elimination.
 
-        The block is B = G . Phi(d), and det B = det G . Nrd(d).  So B
-        counts 0 when det B < 0 and 2 sign(B00) when det B > 0, with
-        B00 = sum_b c_b (G X_b)00 over d's centre coordinates c_b; Nrd(d)
-        lies in F, so its sign at ``chosen`` is its sign at ``ordering``.
-        Nrd(d) = 0 (d = 0 included) makes the form singular."""
-        if self.g_datum is None:
-            raise MismatchError(f"a {self.flavor} certificate has no split model")
-        A = self.algebra
-        centre, C = A.centre, self.model.inner
-        s = _fixed_part(centre, A._nrd(value)).sign_at(self.ordering)
-        if s == 0:
-            raise SingularFormError("hermitian Gram matrix is singular")
-        if s != self._det_sign:
-            return 0
-        b00 = C.zero()
-        for c, GX in zip(value, self.transport_images):
-            if not centre.is_zero(c):
-                b00 = C.add(b00, C.mul(centre.lift_value(c, C), GX[0][0]))
-        return 2 * _fixed_part(C, b00).sign_at(self.chosen)
+        Each entry d goes to the block B = G . Phi(d), and det B =
+        det G . Nrd(d).  So B counts 0 when det B < 0 and 2 sign(B00) when
+        det B > 0, with B00 = sum_b c_b (G X_b)00 over d's centre
+        coordinates c_b; Nrd(d) lies in F, so its sign at ``chosen`` is
+        its sign at ``ordering``.  Nrd(d) = 0 (d = 0 included) makes the
+        form singular.
+
+        What does not depend on the ordering is kept in
+        ``h.rank_one_memo``: under None each entry's Nrd(d), computed
+        once, and under each split model each entry's B00, computed when
+        first needed; only the signs are read per ordering."""
+        split = self._split
+        memo = h.rank_one_memo
+        norms = memo.get(None)
+        if norms is None:
+            A = self.algebra
+            centre, nrd = A.centre, A._nrd
+            norms = tuple(
+                _fixed_part(centre, nrd(row[i])) for i, row in enumerate(h.gram)
+            )
+            if any(n.is_zero() for n in norms):
+                raise SingularFormError("hermitian Gram matrix is singular")
+            memo[None] = norms
+        corners = memo.get(split)
+        if corners is None:
+            corners = memo[split] = [None] * len(norms)
+        det, P, chosen = self._det_sign, self.ordering, self.chosen
+        total = 0
+        for i, n in enumerate(norms):
+            if n.sign_at(P) != det:
+                continue
+            b00 = corners[i]
+            if b00 is None:
+                b00 = corners[i] = split.corner(h.gram[i][i])
+            total += 2 * b00.sign_at(chosen)
+        return total
 
     def to_json(self) -> dict:
         out = {
@@ -279,17 +356,20 @@ def _build_split_data(A_L: Algebra, centre: Algebra, witness_value, sqm: FieldEl
         raise InvariantViolation("idempotent construction failed")
     basis = _quat_centre_basis(A_L)
     ideal = [A_L.mul(b, e) for b in basis]
-    # column 4s + t is b_s * ideal[t]; with b_0 = 1 the first four are the ideal
-    cols = [A_L.mul(b, v) for b in basis for v in ideal]
-    rows, pivots = _gauss_jordan(zip(*(_centre_coords(centre, v) for v in cols)))
-    if len(pivots) < 2 or pivots[1] >= 4:
+    _, pivots = _gauss_jordan(zip(*(_centre_coords(centre, v) for v in ideal)))
+    if len(pivots) < 2:
         raise InvariantViolation("ideal is not 2-dimensional over the centre")
+    pivots = pivots[:2]
+    # the ideal, then b_s * ideal[p] for s = 1, 2, 3 and the pivots p; the
+    # ideal is a left ideal over the centre, so b_s * ideal[t] for t not a
+    # pivot adds nothing.  Coordinates in the pivot basis are unique: the
+    # reduced rows at these columns are those of all sixteen b_s * ideal[t]
+    cols = ideal + [A_L.mul(b, ideal[p]) for b in basis[1:] for p in pivots]
+    rows, _ = _gauss_jordan(zip(*(_centre_coords(centre, v) for v in cols)))
     if any(not x.is_zero() for row in rows[2:] for x in row):
         raise InvariantViolation("vector lies outside the ideal")
-    return [
-        tuple(tuple(rows[r][4 * s + t].value for t in pivots[:2]) for r in (0, 1))
-        for s in range(4)
-    ]
+    columns = [pivots] + [[4 + 2 * s, 5 + 2 * s] for s in range(3)]
+    return tuple(tuple(tuple(rows[r][c].value for c in cs) for r in (0, 1)) for cs in columns)
 
 
 def _fixed_part(C: Algebra, value) -> FieldElement:
@@ -330,7 +410,9 @@ def _solve_involution_datum(M: MatrixAlgebra, matrices, A_L: Algebra):
     C = M.inner
     rows = []
     # unknowns: G00, G01, G10, G11; equations G*Phi(sigma b) - ct(Phi b)*G = 0
-    for b in _quat_centre_basis(A_L):
+    # for b = i, j: those for b = 1 are zero, and those for b = k = ij
+    # follow, as sigma(ij) = sigma(j) sigma(i) and ct(XY) = ct(Y) ct(X)
+    for b in _quat_centre_basis(A_L)[1:3]:
         S = _phi(M, matrices, A_L.involution(b))
         T = M.involution(_phi(M, matrices, b))
         for i in range(2):
@@ -477,28 +559,33 @@ def _certificates(A, P, budget):
 
 def _emit_split_certificate(A, P, xyz, m, sqm, unitary):
     flavor = "unitary-quaternion-split" if unitary else "orthogonal-split"
-    witness, L, matrices, g_datum = _split_model(A, xyz, m, sqm, flavor)
+    split = _split_model(A, xyz, m, sqm, flavor)
+    L = split.extension
     Q = P if sqm is not None else Ordering(L, P.path + (1,))
-    return SplittingCertificate(
+    cert = SplittingCertificate(
         A,
         P,
         flavor,
         L,
         Q,
-        witness=witness,
+        witness=split.witness,
         m=m,
-        matrices=matrices,
-        g_datum=g_datum,
+        matrices=split.matrices,
+        g_datum=split.g_datum,
     )
+    # shared with the certificates of the witness's other orderings
+    object.__setattr__(cert, "_split", split)
+    object.__setattr__(cert, "model", split.model)
+    return cert
 
 
 def _split_model(A, xyz, m, sqm, flavor):
-    """The witness of ``xyz``, the extension L, ``matrices`` and ``g_datum``:
-    the part of a split certificate that does not depend on the ordering,
-    built once per witness and kept in ``A.split_model_memo``."""
-    model = A.split_model_memo.get(xyz)
-    if model is not None:
-        return model
+    """The ``SplitModel`` of the witness ``xyz``: the part of a split
+    certificate that does not depend on the ordering, built once per
+    witness and kept in ``A.split_model_memo``."""
+    split = A.split_model_memo.get(xyz)
+    if split is not None:
+        return split
     F = A.field
     x, y, z = (F.rational(t) for t in xyz)
     coords = [F.zero(), x, y, z]
@@ -513,9 +600,9 @@ def _split_model(A, xyz, m, sqm, flavor):
     A_L = A.lift_to(L)
     M = MatrixAlgebra(2, _centre_of(A, L, flavor))
     matrices = _build_split_data(A_L, M.inner, A.lift_value(w_value, A_L), sq_elem)
-    model = (A.elem(w_value), L, matrices, _solve_involution_datum(M, matrices, A_L))
-    A.split_model_memo[xyz] = model
-    return model
+    datum = _solve_involution_datum(M, matrices, A_L)
+    split = A.split_model_memo[xyz] = SplitModel(A, A.elem(w_value), L, M, matrices, datum)
+    return split
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,11 @@ zero-on-nil sublattice and its 2-power exponents against a left kernel
 and a capped floor-division membership search, and the split model of a
 certificate and the transport along it against the dense sum over every
 coordinate and matrix entry, with one product by G per Gram entry, the
-piecewise assembly of references and of h0 against scaling each piece
-first by its one-ordering Pfister form and then by its padding, and the
+split model's matrices and involution datum against all sixteen
+products b_s * (b_t e) and all sixteen datum equations, invertibility
+by the reduced norm against computing the inverse, the piecewise
+assembly of references and of h0 against scaling each piece first by
+its one-ordering Pfister form and then by its padding, and the
 entry-by-entry reading of diagonal forms' route values against transport
 and elimination of every form.
 """
@@ -741,6 +744,80 @@ def dense_datum_holds(cert) -> bool:
         rhs = M.mul(M.involution(dense_phi(M, cert.matrices, b)), G)
         if lhs != rhs:
             return False
+    return True
+
+
+def slow_split_data(A_L, centre, witness_value, sqm):
+    """The images of 1, i, j, k acting on the left ideal (A tensor L) e,
+    e = (1 + w / sqrt(m)) / 2, from all sixteen products b_s * (b_t e):
+    one reduced row echelon form of their 4 x 16 coordinate matrix over
+    the centre, whose first two pivots span the ideal; column 4s + t of
+    it, read at the rows of those pivots, gives b_s on the ideal."""
+    from hermstab.algebras import _gauss_jordan
+
+    L = A_L.field
+    e = A_L.scalar_mul(
+        L.rational(1, 2), A_L.add(A_L.one(), A_L.scalar_mul(sqm.inverse(), witness_value))
+    )
+    assert A_L.mul(e, e) == e
+    z, o = A_L.centre.zero(), A_L.centre.one()
+    basis = [(o, z, z, z), (z, o, z, z), (z, z, o, z), (z, z, z, o)]
+    ideal = [A_L.mul(b, e) for b in basis]
+    cols = [A_L.mul(b, v) for b in basis for v in ideal]
+    rows, pivots = _gauss_jordan(
+        zip(*([centre.elem(c) for c in v] for v in cols))
+    )
+    assert len(pivots) >= 2 and pivots[1] < 4
+    assert all(x.is_zero() for row in rows[2:] for x in row)
+    return [
+        tuple(tuple(rows[r][4 * s + t].value for t in pivots[:2]) for r in (0, 1))
+        for s in range(4)
+    ]
+
+
+def slow_involution_datum(M, matrices, A_L):
+    """G with G . Phi(sigma(b)) = ct(Phi(b)) . G from all sixteen
+    equations, four per basis element 1, i, j, k (``dense_phi``): the
+    first vector of their kernel, made hermitian over a unitary centre by
+    c = 1 + lambda, or sqrt(alpha) when lambda = -1, for ct(G) = lambda G."""
+    from hermstab.algebras import _nullspace
+
+    C = M.inner
+    z, o = A_L.centre.zero(), A_L.centre.one()
+    rows = []
+    for b in ((o, z, z, z), (z, o, z, z), (z, z, o, z), (z, z, z, o)):
+        S = dense_phi(M, matrices, A_L.involution(b))
+        T = M.involution(dense_phi(M, matrices, b))
+        for i in range(2):
+            for j in range(2):
+                row = [C.zero()] * 4
+                for t in range(2):
+                    row[2 * i + t] = C.add(row[2 * i + t], S[t][j])
+                    row[2 * t + j] = C.sub(row[2 * t + j], T[i][t])
+                rows.append([C.elem(v) for v in row])
+    g = [e.value for e in _nullspace(rows, C.elem(C.zero()), C.elem(C.one()))[0]]
+    G = ((g[0], g[1]), (g[2], g[3]))
+    ct = M.involution(G)
+    if ct == G:
+        return G
+    pi, pj = next((i, j) for i in range(2) for j in range(2) if not C.is_zero(G[i][j]))
+    lam = C.mul(ct[pi][pj], C.inverse(G[pi][pj]))
+    c = C.basis_values()[1] if lam == C.neg(C.one()) else C.add(C.one(), lam)
+    H = tuple(tuple(C.mul(c, e) for e in row) for row in G)
+    assert M.involution(H) == H
+    return H
+
+
+def inverts(A, value) -> bool:
+    """Whether A.inverse finds an inverse of ``value``, checked on both
+    sides; a zero or a zero divisor has none."""
+    from hermstab.algebras import ZeroDivisorFound
+
+    try:
+        inv = A.inverse(value)
+    except (ZeroDivisionError, ZeroDivisorFound):
+        return False
+    assert A.mul(value, inv) == A.one() == A.mul(inv, value)
     return True
 
 

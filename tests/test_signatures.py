@@ -113,6 +113,58 @@ def test_local_types():
     assert (ltu.n, ltu.l, ltu.nil, ltu.route) == (2, 2, False, "split-certificate")
 
 
+@pytest.mark.parametrize(
+    "A",
+    [
+        FieldAlgebra(Q),
+        ExchangeAlgebra(Q),
+        UnitaryQuadraticAlgebra(Q, -1),
+        QuaternionAlgebra(Q, -1, -1),
+        QuaternionAlgebra(Q, -1, 3, "orthogonal", [0, 0, 1, 0]),
+        UnitaryQuaternionAlgebra(Q, -1, -1, -1),
+        MatrixAlgebra(2, FieldAlgebra(Q)),
+        MatrixAlgebra(2, QuaternionAlgebra(Q, -1, -1)),
+    ],
+    ids=lambda A: A.kind + ("-" + A.inner.kind if A.kind == "matrix" else ""),
+)
+def test_local_type_rejects_an_ordering_of_another_field(A):
+    """Every kind raises MismatchError for an ordering of Q(sqrt 2) over
+    Q, before its memo is read or filled."""
+    for P in F2.orderings():
+        with pytest.raises(MismatchError):
+            local_type(A, P)
+    assert A.local_type_memo == {}
+    assert local_type(A, P0) is local_type(A, P0)
+    assert list(A.local_type_memo) == [P0.path]
+
+
+def test_local_type_is_decided_once_per_algebra_and_ordering(monkeypatch):
+    """A local type is kept on its algebra under the ordering's sign path;
+    a matrix wrapper reads its inner algebra's entry, and an equal
+    ordering object finds the kept one."""
+    import hermstab.signatures as signatures
+
+    decided = []
+    real = signatures._local_type
+
+    def counted(A, P):
+        decided.append((A.kind, P.path))
+        return real(A, P)
+
+    monkeypatch.setattr(signatures, "_local_type", counted)
+    D = QuaternionAlgebra(LX, LX.generator(), -1, "orthogonal", [0, 0, 1, 0])
+    M = MatrixAlgebra(3, D)
+    for _ in range(3):
+        for P in FieldTower.from_json(LX.to_json()).orderings():
+            inner, outer = local_type(D, P), local_type(M, P)
+            assert (outer.nil, outer.n, outer.l, outer.route) == (
+                inner.nil, 3 * inner.n, inner.l, inner.route
+            )
+    paths = [P.path for P in LX.orderings()]
+    assert decided == [("quaternion", paths[0]), ("matrix", paths[0]),
+                       ("quaternion", paths[1]), ("matrix", paths[1])]
+
+
 def test_reference_search_examples():
     ref = reference_search(HAM)
     assert ref.form.rank == 1
@@ -732,40 +784,95 @@ def test_stability_report_eliminates_each_form_once(monkeypatch, workload, evalu
     assert eliminations == []
 
 
-def test_reference_search_inverts_each_candidate_once(monkeypatch):
-    """Over (-1, -1)_Q the reference search inverts each candidate value
-    once, to see that it is invertible; reading the rank-one candidate's
-    signature inverts nothing."""
-    A = QuaternionAlgebra(Q, -1, -1)
-    inverse = QuaternionAlgebra.inverse
-    calls = []
+def test_cold_deep_orth_report_does_ordering_free_work_once(monkeypatch):
+    """One cold stability report of (x, -1) with Int(j)conj over
+    Q((x))((y)) decides 4 local types, one per ordering; tests its
+    candidates by reduced norms and inverts no quaternion; takes at most
+    36 reduced norms, one per candidate value and one per rank-one form;
+    builds one split model, whose transport images and det G are built
+    once for both certificates; and still verifies both certificates."""
+    from functools import cached_property
 
-    def counted(self, x):
-        calls.append(x)
+    import hermstab.signatures as signatures
+    import hermstab.splitting as splitting
+    from hermstab.stability import stability_report
+
+    decided = _count_calls(monkeypatch, signatures, "_local_type")
+    norms, inverses = _count_norms_and_inverses(monkeypatch)
+    built = {"transport_images": [], "det": []}
+    for name, calls in built.items():
+        real = splitting.SplitModel.__dict__[name].func
+
+        def counted(self, _real=real, _calls=calls):
+            _calls.append(self)
+            return _real(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(splitting.SplitModel, name)
+        monkeypatch.setattr(splitting.SplitModel, name, prop)
+    verified = []
+    verify = splitting._verify_impl
+
+    def counted_verify(cert):
+        verified.append(cert)
+        return verify(cert)
+
+    monkeypatch.setattr(splitting, "_verify_impl", counted_verify)
+    F = LX.adjoin_laurent()
+    A = QuaternionAlgebra(F, F.generator(1), -1, "orthogonal", [0, 0, 1, 0])
+    stability_report(A)
+    assert len(decided) == len(F.orderings()) == 4
+    assert inverses == [] and 0 < len(norms) <= 36
+    (model,) = A.split_model_memo.values()
+    assert built == {"transport_images": [model], "det": [model]}
+    certs = [cert for cert, _ in A.certificate_memo.values()]
+    assert len(certs) == 2 and all(cert._split is model for cert in certs)
+    assert len(verified) == 2 and set(map(id, verified)) == set(map(id, certs))
+
+
+def _count_norms_and_inverses(monkeypatch):
+    """Record the values whose reduced norm, and whose inverse, a
+    quaternion kind computes."""
+    from hermstab.algebras import _QuaternionCore
+
+    norms, inverses = [], []
+    nrd, inverse = _QuaternionCore._nrd, _QuaternionCore.inverse
+
+    def counted_nrd(self, x):
+        norms.append(x)
+        return nrd(self, x)
+
+    def counted_inverse(self, x):
+        inverses.append(x)
         return inverse(self, x)
 
-    monkeypatch.setattr(QuaternionAlgebra, "inverse", counted)
+    monkeypatch.setattr(_QuaternionCore, "_nrd", counted_nrd)
+    monkeypatch.setattr(_QuaternionCore, "inverse", counted_inverse)
+    return norms, inverses
+
+
+def test_reference_search_inverts_each_candidate_once(monkeypatch):
+    """Over (-1, -1)_Q the reference search tests each candidate value
+    once, by its reduced norm, to see that it is invertible, and inverts
+    nothing; reading the rank-one candidate's signature takes no norm."""
+    A = QuaternionAlgebra(Q, -1, -1)
+    norms, inverses = _count_norms_and_inverses(monkeypatch)
     ref = reference_search(A)
-    assert calls == [A.one()] and ref.form.gram == ((A.one(),),)
+    assert norms == [A.one()] and inverses == []
+    assert ref.form.gram == ((A.one(),),)
 
 
 def test_stability_report_tests_each_candidate_once(monkeypatch):
     """Over (-1, -1)_Q a stability report tests the invertibility of each
     candidate value once: the reference search and the probes walk one
-    candidate sequence, so <1> is inverted once and -1 once."""
+    candidate sequence, so the reduced norm of <1> is taken once and that
+    of -1 once, and nothing is inverted."""
     from hermstab.stability import stability_report
 
     A = QuaternionAlgebra(Q, -1, -1)
-    inverse = QuaternionAlgebra.inverse
-    calls = []
-
-    def counted(self, x):
-        calls.append(x)
-        return inverse(self, x)
-
-    monkeypatch.setattr(QuaternionAlgebra, "inverse", counted)
+    norms, inverses = _count_norms_and_inverses(monkeypatch)
     stability_report(A)
-    assert calls == [A.one(), A.neg(A.one())]
+    assert norms == [A.one(), A.neg(A.one())] and inverses == []
     assert A.reference_candidates[0] is reference_search(A).form
 
 

@@ -37,7 +37,15 @@ from corpus import (
     random_sym_element,
     tower_shapes,
 )
-from oracles import dense_datum_holds, dense_phi, dense_transport_gram
+from oracles import (
+    dense_datum_holds,
+    dense_phi,
+    dense_transport_gram,
+    inverts,
+    slow_involution_datum,
+    slow_raw_signature,
+    slow_split_data,
+)
 
 Q = FieldTower.rationals()
 LX = Q.adjoin_laurent()
@@ -535,7 +543,7 @@ def test_unitary_datum_rescaling(monkeypatch, shift):
     def skewed(rows, zero, one):
         rows = list(rows)
         sols = real(rows, zero, one)
-        if len(rows) == 16:  # the datum system: 4 basis elements x 4 entries
+        if len(rows) == 8:  # the datum system: i and j x 4 entries
             sols[0] = [factor * e for e in sols[0]]
         return sols
 
@@ -647,6 +655,109 @@ def test_sparse_split_model_matches_dense_oracle():
         ("matrix", "unitary-quaternion-split"),
     }
     assert {d for _, _, d in seen} == {1, 2, 3}
+
+
+def _witness_certificates(A, per_ordering=4):
+    """The first ``per_ordering`` unverified certificates of the spiral
+    search at each non-nil ordering of A, one per valid witness."""
+    for P in A.field.orderings():
+        if not local_type(A, P).nil:
+            yield from islice(_certificates(A, P, 2), per_ordering)
+
+
+def test_split_model_matches_sixteen_column_oracle():
+    """The split model reads b_s * ideal[p] for the two pivots p only and
+    solves the datum equations for i and j only: on every proper split
+    kind of the corpus (orthogonal and unitary, over Q, Q(sqrt 2), Q((x))
+    and Q((x))((y)), plus random ones) and on several witnesses each, its
+    matrices and datum are those of all sixteen products and all sixteen
+    equations."""
+    rng = random.Random(73)
+    algebras = [A for A in _split_model_algebras() if A.kind != "matrix"]
+    for A in _random_quaternion_instances(rng, 4, orthogonal=True):
+        algebras.append(A)
+    seen, witnesses = set(), 0
+    for A in algebras:
+        F = A.field
+        for cert in _witness_certificates(A):
+            L = cert.extension
+            A_L = A.lift_to(L)
+            sqm = cert.m.sqrt() if L == F else L.generator()
+            w = A.lift_value(cert.witness.value, A_L)
+            matrices = slow_split_data(A_L, cert.model.inner, w, sqm)
+            assert cert.matrices == tuple(map(tuple, matrices))
+            assert cert.g_datum == slow_involution_datum(cert.model, matrices, A_L)
+            seen.add((A.kind, L == F))
+            witnesses += 1
+    assert {kind for kind, _ in seen} == {"quaternion", "unitary_quaternion"}
+    assert {same for _, same in seen} == {True, False}
+    assert witnesses > 2 * len(algebras)
+
+
+def test_invertibility_by_reduced_norm_matches_inverse():
+    """A quaternion kind calls a value invertible when its reduced norm is
+    nonzero: that agrees with computing the inverse on small values of
+    split (1, 1)_Q, whose zero divisors include 1 + i, of (-1, -1)_Q, of
+    (x, -1) over Q((x)), and of the unitary (-1, -1) over Q(sqrt -1),
+    whose zero divisors include 1 + sqrt(-1) i."""
+    rng = random.Random(74)
+    kinds = [
+        QuaternionAlgebra(Q, 1, 1),
+        QuaternionAlgebra(Q, -1, -1),
+        ORTH,
+        UnitaryQuaternionAlgebra(Q, -1, -1, -1),
+        UnitaryQuaternionAlgebra(LX, LX.generator(), -1, -1),
+    ]
+    verdicts = set()
+    for A in kinds:
+        F = A.field
+        values = [A.zero(), A.one()]
+        if A.kind == "quaternion" and A.a == F.one():
+            values.append(A.from_coords([F.one(), F.one(), F.zero(), F.zero()]))
+        if A.kind == "unitary_quaternion" and A.a == -F.one():
+            coords = [1, 0, 0, 1, 0, 0, 0, 0]  # 1 + sqrt(-1) i
+            values.append(A.from_coords([F.rational(c) for c in coords]))
+        for _ in range(60):
+            coords = [F.rational(rng.randint(-1, 1)) for _ in range(A.dim)]
+            values.append(A.from_coords(coords))
+        for v in values:
+            fast = A.is_invertible(v)
+            assert fast == inverts(A, v) == A.elem(v).is_invertible(), (A, v)
+            verdicts.add((A.kind, fast, A.is_zero(v)))
+    for kind in ("quaternion", "unitary_quaternion"):
+        assert {(kind, True, False), (kind, False, False), (kind, False, True)} <= verdicts
+
+
+def test_rank_one_reading_per_split_model_matches_transport():
+    """On deep_orth's algebra both non-nil orderings take one witness, so
+    their certificates share one split model.  Diagonal forms (a singular
+    one included) are read from their entries' reduced norms, kept once
+    per form, and corners B00, kept once per split model; at both
+    orderings, in either order, the reading equals transport plus
+    elimination."""
+    from hermstab.quadratic import SingularFormError
+    from hermstab.signatures import raw_signature
+
+    rng = random.Random(75)
+    for order in (1, -1):
+        A = fresh_deep_orth()
+        targets = [P for P in LXY.orderings() if not local_type(A, P).nil][::order]
+        first, second = (find_certificate(A, P) for P in targets)
+        assert first._split is second._split
+        forms = [random_hermitian_diagonal(rng, A) for _ in range(6)]
+        zero = HermitianForm.diagonal(A, [A.one(), A.zero()])
+        for h in forms + [zero]:
+            for P in targets:
+                if h is zero:
+                    with pytest.raises(SingularFormError):
+                        raw_signature(A, h, P)
+                    with pytest.raises(SingularFormError):
+                        slow_raw_signature(A, h, P)
+                    continue
+                assert raw_signature(A, h, P) == slow_raw_signature(A, h, P)
+            if h is not zero:
+                assert set(h.rank_one_memo) == {None, first._split}
+        assert zero.rank_one_memo == {}
 
 
 def test_verification_matches_dense_oracle():

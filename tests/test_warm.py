@@ -170,8 +170,8 @@ def test_reference_memo_keeps_the_latest_budget():
 def test_second_signature_query_reuses_parse_reference_and_renderings(monkeypatch):
     """A second signature query on the same --algebra text builds no
     algebra, makes no reference_signs call and renders only its own
-    document: the JSON of the algebra, its reference and each certificate
-    is reused."""
+    document: the JSON of the algebra (also inside the form), each
+    ordering path, its reference and each certificate is reused."""
     import hermstab.algebras as algebras
 
     clear_memos()
@@ -211,11 +211,13 @@ def test_second_signature_query_reuses_parse_reference_and_renderings(monkeypatc
         counts.append((len(built), len(signs), len(rendered)))
         outputs.append(out)
     assert outputs[0] == outputs[1]
-    certs = sum("certificate" in e for e in json.loads(outputs[0])["signatures"])
-    assert certs == 1
+    details = json.loads(outputs[0])["signatures"]
+    certs = sum("certificate" in e for e in details)
+    assert certs == 1 and len(details) == 2
     assert counts[0][0] > 0 and counts[0][1] > 0
-    # the document, the algebra, the searched reference and each certificate
-    assert counts[0][2] == 3 + certs
+    # the document, the algebra, the searched reference, each certificate
+    # and each ordering path
+    assert counts[0][2] == 3 + certs + len(details)
     assert counts[1] == (0, 0, 1)
 
 
