@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from .fields import FieldElement, FieldTower, MismatchError
+from .fields import FieldElement, FieldTower, InvariantViolation, MismatchError
 from .quadratic import QuadraticForm, SingularFormError, diagonalize_gram
 
 __all__ = [
@@ -216,45 +216,51 @@ class Algebra:
 
     @cached_property
     def _reference_forms(self) -> dict:
-        """Each reference candidate value seen so far: its rank-one form,
-        or None when the value is not invertible."""
+        """Each reference candidate met so far, keyed by its position (see
+        ``iter_reference_candidates``): its rank-one form, or None when its
+        value is not invertible."""
         return {}
 
     def iter_reference_candidates(self):
         """Rank-one forms on invertible symmetric elements: the identity,
-        the symmetric basis, and pairwise sums and differences, each with
-        its negative, without repeats.  Lazy: the symmetric basis is only
-        computed once the identity's two forms have been consumed.
+        the symmetric basis b_1, ..., b_r, and pairwise sums and
+        differences, each with its negative, without repeats.  Lazy: the
+        symmetric basis is only computed once the identity's two forms
+        have been consumed.
 
-        Each value's form is built, and its invertibility tested, once per
-        algebra: every walk, and ``reference_candidates``, yields the same
-        form objects, so their route evaluations are shared too.
+        Each candidate's form is built, and its invertibility tested, once
+        per algebra: every walk, and ``reference_candidates``, yields the
+        same form objects, so their route evaluations are shared too.
 
-        Repeats are found by value: every kind stores an element as a
-        tuple (nested for matrices) of coordinates in a fixed basis, and
-        each coordinate is a canonical tower value (see fields.py), so two
-        elements are equal exactly when their values are equal tuples."""
-        forms = self._reference_forms
-        seen = set()
-        for s in self._reference_elements():
-            for cand in (s, -s):
-                if cand.value in seen:
-                    continue
-                seen.add(cand.value)
-                if cand.value not in forms:
-                    invertible = cand.is_invertible()
-                    form = HermitianForm.diagonal(self, [cand]) if invertible else None
-                    forms.setdefault(cand.value, form)
-                if forms[cand.value] is not None:
-                    yield forms[cand.value]
-
-    def _reference_elements(self):
-        yield self.elem(self.one())
+        A candidate is keyed by its position, the sparse integer vector
+        ((i, s),) or ((i, s), (j, t)) of s b_i or s b_i + t b_j, with
+        s, t = +-1 and b_0 = 1 standing for the identity.  The b_i with
+        i >= 1 are independent, so only the identity and its negative can
+        repeat another candidate, and the candidates whose vector in b is
+        that of 1 or -1 are skipped.  No candidate value is hashed or
+        compared."""
+        one = self.elem(self.one())
+        yield from self._kept_forms([one], [((0, 1),), ((0, -1),)])
         basis = sym_basis(self)
-        yield from basis
-        for i, b in enumerate(basis):
-            for c in basis[i + 1 :]:
-                yield from (b + c, b - c)
+        yield from self._kept_forms([one, *basis], _basis_keys(basis, one))
+
+    def _kept_forms(self, terms, keys):
+        """The forms of the candidates ``keys`` over ``terms`` (b_0 = 1,
+        b_1, ...) that are invertible, each built once per algebra."""
+        forms = self._reference_forms
+        for key in keys:
+            if key not in forms:
+                x = None
+                for i, s in key:
+                    y = terms[i] if s > 0 else -terms[i]
+                    x = y if x is None else x + y
+                forms[key] = self._rank_one_candidate(x)
+            if forms[key] is not None:
+                yield forms[key]
+
+    def _rank_one_candidate(self, x: AlgebraElement) -> HermitianForm | None:
+        """The rank-one form <x>, or None when x is not invertible."""
+        return HermitianForm.diagonal(self, [x]) if x.is_invertible() else None
 
     def __eq__(self, other):
         return self is other or (
@@ -588,6 +594,17 @@ class _QuaternionCore(Algebra):
         """x . conj(x) = Nrd(x), and the centre is a field: x is
         invertible exactly when Nrd(x) is nonzero."""
         return not self.is_zero(x) and not self.centre.is_zero(self._nrd(x))
+
+    def _rank_one_candidate(self, x):
+        """<x>, or None when Nrd(x) = 0: the norm that decides is kept on
+        the form (``HermitianForm.entry_norms``), where the split route
+        reads it."""
+        form = HermitianForm.diagonal(self, [x])
+        try:
+            form.entry_norms()
+        except SingularFormError:
+            return None
+        return form
 
     def is_zero(self, x):
         is_zero = self.centre.is_zero
@@ -1116,11 +1133,52 @@ def _nullspace(rows, zero, one):
     return basis
 
 
+def _fixed_part(C: Algebra, value) -> FieldElement:
+    """``value`` of a catalogue algebra C as an element of its base field:
+    the coordinate on 1, all others being zero."""
+    head, *rest = C.coords(value)
+    if any(not r.is_zero() for r in rest):
+        raise InvariantViolation("diagonal entry escaped the fixed field")
+    return head
+
+
+def _basis_keys(basis, one):
+    """The keys of the reference candidates over the symmetric basis
+    b_1, ..., b_r, in walk order: b_i and -b_i, then b_i + b_j, its
+    negative, b_i - b_j and its negative.  The keys whose vector is that of
+    1 or -1 in b are left out, as those candidates repeat the identity's."""
+    # 1 is symmetric, and each b_i is 1 at its last nonzero coordinate,
+    # where every other b_j is 0 (see ``sym_basis``): those coordinates
+    # of 1 are its coordinates in b
+    ones = one.coords()
+    unit = []
+    for i, b in enumerate(basis, 1):
+        c = ones[max(p for p, e in enumerate(b.coords()) if not e.is_zero())]
+        if not c.is_zero():
+            unit.append((i, c))
+    repeats = ()
+    if len(unit) <= 2 and all(c == 1 or c == -1 for _, c in unit):
+        key = tuple((i, 1 if c == 1 else -1) for i, c in unit)
+        repeats = (key, tuple((i, -s) for i, s in key))
+    r = len(basis)
+    keys = [((i, s),) for i in range(1, r + 1) for s in (1, -1)]
+    keys += [
+        ((i, s), (j, s * t))
+        for i in range(1, r + 1)
+        for j in range(i + 1, r + 1)
+        for t in (1, -1)
+        for s in (1, -1)
+    ]
+    return [key for key in keys if key not in repeats]
+
+
 def sym_basis(A: Algebra) -> list[AlgebraElement]:
     """A base-field basis of the symmetric elements of (A, sigma).
 
     Computed as the kernel of sigma - id on the algebra, with pivots in
-    basis order, so simple kinds return their canonical bases.
+    basis order, so simple kinds return their canonical bases.  Each
+    basis element is 1 at its last nonzero coordinate (its free column in
+    ``_nullspace``), where every other basis element is 0.
     """
     cols = [A.coords(A.sub(A.involution(v), v)) for v in A.basis_values()]
     kernel = _nullspace(zip(*cols), A.field.zero(), A.field.one())
@@ -1134,9 +1192,10 @@ class HermitianForm:
     ``signatures.raw_signature`` has done on this form, so each is done
     once, and ``rank_one_memo`` the rank-one data that
     ``splitting.SplittingCertificate.diagonal_signature`` reads on the
-    split route; both live and die with the form."""
+    split route; a form over a matrix wrapper keeps its Morita flattening
+    (``morita_flatten``).  All live and die with the form."""
 
-    __slots__ = ("algebra", "epsilon", "gram", "route_memo", "rank_one_memo")
+    __slots__ = ("algebra", "epsilon", "gram", "route_memo", "rank_one_memo", "_flat")
 
     def __init__(self, algebra: Algebra, gram, epsilon: int = 1):
         if epsilon not in (1, -1):
@@ -1171,6 +1230,24 @@ class HermitianForm:
                     raise MismatchError("Gram matrix is not epsilon-hermitian")
         self.route_memo = {}
         self.rank_one_memo = {}
+        self._flat = None
+
+    def entry_norms(self) -> tuple[FieldElement, ...]:
+        """The reduced norm of each diagonal entry as an element of F, for
+        a form over a quaternion kind: computed once and kept in
+        ``rank_one_memo`` under None.  A zero norm (a zero entry included)
+        makes the form singular: SingularFormError, and nothing is kept."""
+        norms = self.rank_one_memo.get(None)
+        if norms is None:
+            A = self.algebra
+            centre, nrd = A.centre, A._nrd
+            norms = tuple(
+                _fixed_part(centre, nrd(row[i])) for i, row in enumerate(self.gram)
+            )
+            if any(n.is_zero() for n in norms):
+                raise SingularFormError("hermitian Gram matrix is singular")
+            self.rank_one_memo[None] = norms
+        return norms
 
     @staticmethod
     def diagonal(algebra: Algebra, entries, epsilon: int = 1) -> HermitianForm:
@@ -1342,10 +1419,13 @@ def _check_form_keys(keys: set):
 
 def morita_flatten(h: HermitianForm) -> HermitianForm:
     """Reduce a form over a matrix wrapper (M_n(D), ad_g) to the inner
-    algebra: the nk x nk Gram over D is the blown-up Gram scaled by g."""
+    algebra: the nk x nk Gram over D is the blown-up Gram scaled by g.
+    Built once per form and kept on it, with the memos of the flat form."""
     A = h.algebra
     if A.kind != "matrix":
         return h
+    if h._flat is not None:
+        return h._flat
     inner = A.inner
     n = A.n
     k = h.rank
@@ -1357,7 +1437,8 @@ def morita_flatten(h: HermitianForm) -> HermitianForm:
                 for j in range(n):
                     if not inner.is_zero(block[i][j]):
                         gram[r * n + i][s * n + j] = inner.mul(A.g[i], block[i][j])
-    return HermitianForm(inner, gram, h.epsilon)
+    h._flat = HermitianForm(inner, gram, h.epsilon)
+    return h._flat
 
 
 def diagonalize_hermitian(h: HermitianForm):

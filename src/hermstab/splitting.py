@@ -17,8 +17,12 @@ split model.  A diagonal form's signature on the split route is read
 from its entries' reduced norms, kept once per form, and from the corners
 B00 of their blocks, kept once per form and split model
 (``HermitianForm.rank_one_memo``); only signs are read per ordering.
-Every certificate object is still verified in full, once.  The module
-itself keeps no state.
+Every certificate object is verified once.  Its checks that involve its
+ordering or ``chosen`` run per certificate; the others do not depend on
+the ordering and run once per split model, which keeps their verdict
+(``SplitModel.verified``).  A certificate read from JSON or made with
+``dataclasses.replace`` builds its own split model from its fields, so
+it meets every check.  The module itself keeps no state.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .algebras import (
     HermitianForm,
     MatrixAlgebra,
     UnitaryQuadraticAlgebra,
+    _fixed_part,
     _gauss_jordan,
     _nullspace,
     morita_flatten,
@@ -44,7 +49,6 @@ from .fields import (
     MismatchError,
     Ordering,
 )
-from .quadratic import SingularFormError
 
 __all__ = [
     "SplittingCertificate",
@@ -82,20 +86,35 @@ def _centre_of(algebra: Algebra, extension: FieldTower, flavor: str) -> Algebra:
 
 
 class SplitModel:
-    """The ordering-free part of a proper split certificate: the witness,
-    the extension L, the matrix algebra ``model`` = M_2(C) over the centre
-    C over L, the images ``matrices`` of 1, i, j, k in it and the
-    involution datum ``g_datum``.  The certificates of every ordering that
-    takes one witness share one split model, and so its transport images
-    and det G, built once here."""
+    """The ordering-free part of a proper split certificate: its flavor,
+    the witness w with w . w = m, the extension L, the matrix algebra
+    ``model`` = M_2(C) over the centre C over L, the images ``matrices`` of
+    1, i, j, k in it and the involution datum ``g_datum``.  The
+    certificates of every ordering that takes one witness share one split
+    model, and so its transport images, det G and the verdict of its
+    checks, each built once here."""
 
-    def __init__(self, algebra: Algebra, witness, extension, model, matrices, g_datum):
+    def __init__(
+        self, algebra: Algebra, flavor, witness, m, extension, model, matrices, g_datum
+    ):
         self.algebra = algebra
+        self.flavor = flavor
         self.witness = witness
+        self.m = m
         self.extension = extension
         self.model = model
         self.matrices = matrices  # nested tuples, as a certificate keeps them
         self.g_datum = g_datum
+        self._verified = None  # set once by verified()
+
+    def verified(self) -> bool:
+        """Whether the split model passes the checks of a proper split
+        certificate that do not involve its ordering
+        (``_check_split_model``): run on the first call, and kept on the
+        model for the certificates of every ordering that share it."""
+        if self._verified is None:
+            self._verified = _check_split_model(self)
+        return self._verified
 
     @cached_property
     def transport_images(self) -> tuple:
@@ -137,8 +156,11 @@ class SplittingCertificate:
     object once and memoises the result on it; a changed certificate is
     a new object and is checked afresh.  The certificates that a search
     emits share their witness's ``SplitModel``, and with it its transport
-    images; any other certificate builds its own from its fields when
-    first asked."""
+    images and the verdict of its ordering-free checks, so such a
+    certificate runs only the checks that involve its ordering or
+    ``chosen``.  Any other certificate, one read from JSON or made with
+    ``dataclasses.replace``, builds its own split model from its fields
+    when first asked, and so meets every check."""
 
     FLAVORS = (
         "orthogonal-split",
@@ -197,7 +219,14 @@ class SplittingCertificate:
         if self.matrices is None or self.g_datum is None:
             raise MismatchError(f"a {self.flavor} certificate has no split model")
         return SplitModel(
-            self.algebra, self.witness, self.extension, self.model, self.matrices, self.g_datum
+            self.algebra,
+            self.flavor,
+            self.witness,
+            self.m,
+            self.extension,
+            self.model,
+            self.matrices,
+            self.g_datum,
         )
 
     @property
@@ -225,21 +254,13 @@ class SplittingCertificate:
         form singular.
 
         What does not depend on the ordering is kept in
-        ``h.rank_one_memo``: under None each entry's Nrd(d), computed
-        once, and under each split model each entry's B00, computed when
-        first needed; only the signs are read per ordering."""
+        ``h.rank_one_memo``: under None each entry's Nrd(d)
+        (``HermitianForm.entry_norms``), and under each split model each
+        entry's B00, computed when first needed; only the signs are read
+        per ordering."""
         split = self._split
         memo = h.rank_one_memo
-        norms = memo.get(None)
-        if norms is None:
-            A = self.algebra
-            centre, nrd = A.centre, A._nrd
-            norms = tuple(
-                _fixed_part(centre, nrd(row[i])) for i, row in enumerate(h.gram)
-            )
-            if any(n.is_zero() for n in norms):
-                raise SingularFormError("hermitian Gram matrix is singular")
-            memo[None] = norms
+        norms = h.entry_norms()
         corners = memo.get(split)
         if corners is None:
             corners = memo[split] = [None] * len(norms)
@@ -370,15 +391,6 @@ def _build_split_data(A_L: Algebra, centre: Algebra, witness_value, sqm: FieldEl
         raise InvariantViolation("vector lies outside the ideal")
     columns = [pivots] + [[4 + 2 * s, 5 + 2 * s] for s in range(3)]
     return tuple(tuple(tuple(rows[r][c].value for c in cs) for r in (0, 1)) for cs in columns)
-
-
-def _fixed_part(C: Algebra, value) -> FieldElement:
-    """``value`` of a catalogue algebra C as an element of its base field:
-    the coordinate on 1, all others being zero."""
-    head, *rest = C.coords(value)
-    if any(not r.is_zero() for r in rest):
-        raise InvariantViolation("diagonal entry escaped the fixed field")
-    return head
 
 
 def _scale(C: Algebra, c, X):
@@ -601,7 +613,9 @@ def _split_model(A, xyz, m, sqm, flavor):
     M = MatrixAlgebra(2, _centre_of(A, L, flavor))
     matrices = _build_split_data(A_L, M.inner, A.lift_value(w_value, A_L), sq_elem)
     datum = _solve_involution_datum(M, matrices, A_L)
-    split = A.split_model_memo[xyz] = SplitModel(A, A.elem(w_value), L, M, matrices, datum)
+    split = A.split_model_memo[xyz] = SplitModel(
+        A, flavor, A.elem(w_value), m, L, M, matrices, datum
+    )
     return split
 
 
@@ -615,7 +629,9 @@ def verify_certificate(cert: SplittingCertificate) -> bool:
 
     Memoised per certificate object: the check runs on the first call and
     its result is stored on the certificate, which is immutable, so later
-    calls return it without recomputation."""
+    calls return it without recomputation.  The checks of a proper split
+    that do not involve the ordering run once per split model
+    (``SplitModel.verified``)."""
     if cert._verified is None:
         try:
             ok = _verify_impl(cert)
@@ -654,50 +670,57 @@ def _verify_impl(cert: SplittingCertificate) -> bool:
         if not (u.coords()[0].is_zero() and v.coords()[0].is_zero()):
             return False
         return True
-    # proper split flavors
+    # proper split flavors: the checks that involve P or ``chosen`` run
+    # here, the others once per split model
     if cert.witness is None or cert.m is None or cert.matrices is None:
         return False
     if cert.g_datum is None:
         return False
-    m = cert.m
-    if m.sign_at(P) != 1:
+    if cert.m.sign_at(P) != 1:
         return False
-    L = cert.extension
+    if not cert.chosen.extends(P) or cert.chosen.tower != cert.extension:
+        return False
+    if not cert._split.verified():
+        return False
+    # a unitary split needs alpha < 0 at P: where alpha > 0, P is nil, and
+    # no signature splits off there
+    return cert.flavor == "orthogonal-split" or A.alpha.sign_at(P) == -1
+
+
+def _check_split_model(split: SplitModel) -> bool:
+    """The checks of a proper split certificate that do not involve its
+    ordering: the witness's kind and shape and w . w = m, the steps of L,
+    X_1 = 1 and the quaternion relations, independence of the four
+    images, and G invertible, hermitian and carrying the involution on
+    1, i, j, k."""
+    A, m, L, w = split.algebra, split.m, split.extension, split.witness
+    F = A.field
     if L == F:
         if m.sqrt() is None:
             return False
     else:
         if L.steps != F.steps + (("qext", m.value),):
             return False
-    if not cert.chosen.extends(P) or cert.chosen.tower != L:
-        return False
-    w = cert.witness
-    if cert.flavor == "orthogonal-split":
+    if split.flavor == "orthogonal-split":
         if A.kind != "quaternion" or A.involution_type != "orthogonal":
             return False
         if not w.coords()[0].is_zero():
             return False
-        if not (w * w == A.from_field(m)):
-            return False
     else:
         if A.kind != "unitary_quaternion":
             return False
-        if A.alpha.sign_at(P) != -1:
-            # alpha > 0 at P: P is nil, and no signature splits off there
-            return False
         if not (w.involution() == w):
             return False
-        if not (w * w == A.from_field(m)):
-            return False
-        coords = w.coords()
-        if any(not c.is_zero() for c in coords[:2]):
+        if any(not c.is_zero() for c in w.coords()[:2]):
             # the scalar centre coordinate must vanish: w is not central
             return False
+    if not (w * w == A.from_field(m)):
+        return False
     A_L = A.lift_to(L)
-    M = cert.model
+    M = split.model
     C = M.inner
     one = M.one()
-    X1, Xi, Xj, Xk = cert.matrices
+    X1, Xi, Xj, Xk = split.matrices
     if X1 != one:
         return False
     if M.mul(Xi, Xi) != M.scalar_mul(A.a.lift_to(L), one):
@@ -709,19 +732,19 @@ def _verify_impl(cert: SplittingCertificate) -> bool:
         return False
     # full 4-dimensional image: the four matrices are independent over C
     cols = [
-        [C.elem(X[i][j]) for X in cert.matrices] for i in range(2) for j in range(2)
+        [C.elem(X[i][j]) for X in split.matrices] for i in range(2) for j in range(2)
     ]
     if _nullspace(cols, C.elem(C.zero()), C.elem(C.one())):
         return False
     # G reproduces the involution on the basis
-    G = cert.g_datum
+    G = split.g_datum
     if not M.elem(G).is_invertible():
         return False
     if M.involution(G) != G:
         return False
     for bval in _quat_centre_basis(A_L):
-        lhs = M.mul(G, _phi(M, cert.matrices, A_L.involution(bval)))
-        rhs = M.mul(M.involution(_phi(M, cert.matrices, bval)), G)
+        lhs = M.mul(G, _phi(M, split.matrices, A_L.involution(bval)))
+        rhs = M.mul(M.involution(_phi(M, split.matrices, bval)), G)
         if lhs != rhs:
             return False
     return True

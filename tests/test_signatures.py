@@ -1029,3 +1029,21 @@ def test_diagonal_reading_matches_slow_route(F, batches):
         ("matrix", diagonal_sum),
         ("matrix", split),
     }
+
+
+def test_wrapper_form_is_flattened_once(monkeypatch):
+    """<1> over M_2(D), D deep_orth's (x, -1) with Int(j)conj over
+    Q((x))((y)), is flattened once: its reduced norms, 2, are taken once
+    for both non-nil orderings, not once per ordering."""
+    from hermstab.algebras import morita_flatten
+
+    F = LX.adjoin_laurent()
+    D = QuaternionAlgebra(F, F.generator(1), -1, "orthogonal", [0, 0, 1, 0])
+    M = MatrixAlgebra(2, D)
+    h = HermitianForm.diagonal(M, [M.elem(M.one())])
+    norms, _ = _count_norms_and_inverses(monkeypatch)
+    targets = [P for P in F.orderings() if not local_type(M, P).nil]
+    values = [raw_signature(M, h, P) for P in targets]
+    assert len(targets) == 2 and len(norms) == 2
+    assert morita_flatten(h) is morita_flatten(h)
+    assert values == [slow_raw_signature(M, h, P) for P in targets]

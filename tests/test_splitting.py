@@ -172,7 +172,7 @@ def test_verification_runs_once_per_certificate(monkeypatch):
 def test_orderings_sharing_a_witness_share_its_split_model(monkeypatch):
     """On deep_orth's algebra both non-nil orderings take one witness: its
     split model is built once and carried by both certificates, each of
-    which is still verified in full, once; each certificate's JSON is a
+    which is still verified once; each certificate's JSON is a
     cold build's, and a new instance of the algebra builds its own model."""
     import hermstab.splitting as splitting
 
@@ -1091,3 +1091,115 @@ def test_dependent_images_fail_verification(monkeypatch):
 
     monkeypatch.setattr(splitting, "_nullspace", dependent)
     assert verify_certificate(cert) is False
+
+
+# ---------------------------------------------------------------------------
+# split models checked once; certificates that the search did not emit
+# ---------------------------------------------------------------------------
+
+
+def _deep_orth_siblings():
+    """A new deep_orth algebra and the certificates of its two non-nil
+    orderings, which take one witness and so share one split model."""
+    A = fresh_deep_orth()
+    targets = [P for P in LXY.orderings() if not local_type(A, P).nil]
+    first, second = (find_certificate(A, P) for P in targets)
+    assert first._split is second._split
+    return A, first, second
+
+
+def test_cold_deep_orth_report_checks_its_split_model_once(monkeypatch):
+    """A cold deep_orth stability report runs the ordering-free checks
+    once, for its one split model, and still verifies both certificates;
+    each candidate's reduced norm is taken once, and no other."""
+    import hermstab.splitting as splitting
+    from hermstab.algebras import _QuaternionCore
+    from hermstab.stability import stability_report
+
+    checked, norms = [], []
+    check, nrd = splitting._check_split_model, _QuaternionCore._nrd
+
+    def counted_check(split):
+        checked.append(split)
+        return check(split)
+
+    def counted_nrd(self, x):
+        norms.append(x)
+        return nrd(self, x)
+
+    monkeypatch.setattr(splitting, "_check_split_model", counted_check)
+    monkeypatch.setattr(_QuaternionCore, "_nrd", counted_nrd)
+    A = fresh_deep_orth()
+    stability_report(A)
+    (model,) = A.split_model_memo.values()
+    certs = [cert for cert, _ in A.certificate_memo.values()]
+    assert len(certs) == 2 and all(cert._split is model for cert in certs)
+    assert all(cert._verified is True and verify_certificate(cert) for cert in certs)
+    assert checked == [model] and model._verified is True
+    assert len(norms) == len(A._reference_forms) == 18
+
+
+def test_certificates_not_emitted_build_their_own_split_model(monkeypatch):
+    """A certificate read from JSON, or made with ``dataclasses.replace``,
+    builds its own split model from its fields, verifies it in full and
+    reads the same diagonal signatures as the emitted certificate."""
+    import hermstab.splitting as splitting
+
+    rng = random.Random(21)
+    A, first, second = _deep_orth_siblings()
+    forms = [random_hermitian_diagonal(rng, A) for _ in range(4)]
+    for cert in (first, second):
+        copies = [SplittingCertificate.from_json(cert.to_json()), replace(cert)]
+        for copy in copies:
+            assert "_split" not in vars(copy)
+            assert copy._split is not cert._split
+            for h in forms:
+                fresh = HermitianForm(A, h.gram)
+                assert copy.diagonal_signature(fresh) == cert.diagonal_signature(h)
+            assert verify_certificate(copy) and copy._split._verified is True
+    checks = []
+    check = splitting._check_split_model
+    monkeypatch.setattr(
+        splitting, "_check_split_model", lambda split: checks.append(split) or check(split)
+    )
+    assert verify_certificate(replace(first))
+    assert len(checks) == 1 and checks[0] is not first._split
+
+
+def test_tampered_sibling_fails_after_its_split_model_is_verified():
+    """Once one certificate has verified the shared split model, a
+    ``replace`` copy of the other certificate with tampered matrices is
+    still rejected: it builds and checks its own split model."""
+    _, first, second = _deep_orth_siblings()
+    assert verify_certificate(first) and first._split._verified is True
+    for scale in ((2, 1, 1, 1), (1, 2, 1, 2), (1, 1, 1, 2)):
+        tampered = _with_matrices(second, scale)
+        assert tampered._split is not first._split
+        assert verify_certificate(tampered) is False
+    assert verify_certificate(second)
+
+
+@pytest.mark.parametrize("case", ["epsilon", "wrapper", "algebra", "definite"])
+def test_transport_form_rejects_mismatched_inputs(case):
+    """``transport_form`` refuses a skew form, a wrapper over another
+    inner algebra, a form over another algebra and a definite symplectic
+    certificate, each with MismatchError."""
+    from hermstab.fields import MismatchError
+
+    cert = _orthogonal_cert()
+    A = cert.algebra
+    other = QuaternionAlgebra(LX, LX.generator(), -2, "orthogonal", [0, 0, 1, 0])
+    if case == "epsilon":
+        skew = next(b for b in A.basis() if b.involution() == -b)
+        h, match = HermitianForm.diagonal(A, [skew], epsilon=-1), "expects a"
+    elif case == "wrapper":
+        M = MatrixAlgebra(2, other)
+        h, match = HermitianForm.diagonal(M, [M.elem(M.one())]), "inner algebra"
+    elif case == "algebra":
+        h, match = HermitianForm.diagonal(other, [other.elem(other.one())]), "algebras differ"
+    else:
+        cert = _definite_cert()
+        h = HermitianForm.diagonal(cert.algebra, [cert.algebra.elem(cert.algebra.one())])
+        match = "definite symplectic"
+    with pytest.raises(MismatchError, match=match):
+        transport_form(cert, h)
