@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 
 from .fields import FieldElement, FieldTower, InvariantViolation, MismatchError
+from .fields import _SqrtLevel
 from .quadratic import QuadraticForm, SingularFormError, diagonalize_gram
 
 __all__ = [
@@ -215,48 +216,48 @@ class Algebra:
         return {}
 
     @cached_property
-    def _reference_forms(self) -> dict:
-        """Each reference candidate met so far, keyed by its position (see
-        ``iter_reference_candidates``): its rank-one form, or None when its
-        value is not invertible."""
-        return {}
+    def _reference_forms(self) -> list:
+        """Each reference candidate met so far, indexed by its position in
+        the walk of ``iter_reference_candidates``: its rank-one form, or
+        None when its value is not invertible or repeats 1 or -1."""
+        return []
 
     def iter_reference_candidates(self):
-        """Rank-one forms on invertible symmetric elements: the identity,
-        the symmetric basis b_1, ..., b_r, and pairwise sums and
-        differences, each with its negative, without repeats.  Lazy: the
-        symmetric basis is only computed once the identity's two forms
+        """Rank-one forms on invertible symmetric elements, in this order:
+        1, -1, then b_i, -b_i for the symmetric basis b_1, ..., b_r, then
+        b_i + b_j, -(b_i + b_j), b_i - b_j, -(b_i - b_j) for i < j.  Lazy:
+        the symmetric basis is only computed once the identity's two forms
         have been consumed.
 
-        Each candidate's form is built, and its invertibility tested, once
-        per algebra: every walk, and ``reference_candidates``, yields the
-        same form objects, so their route evaluations are shared too.
-
-        A candidate is keyed by its position, the sparse integer vector
-        ((i, s),) or ((i, s), (j, t)) of s b_i or s b_i + t b_j, with
-        s, t = +-1 and b_0 = 1 standing for the identity.  The b_i with
-        i >= 1 are independent, so only the identity and its negative can
-        repeat another candidate, and the candidates whose vector in b is
-        that of 1 or -1 are skipped.  No candidate value is hashed or
-        compared."""
-        one = self.elem(self.one())
-        yield from self._kept_forms([one], [((0, 1),), ((0, -1),)])
-        basis = sym_basis(self)
-        yield from self._kept_forms([one, *basis], _basis_keys(basis, one))
-
-    def _kept_forms(self, terms, keys):
-        """The forms of the candidates ``keys`` over ``terms`` (b_0 = 1,
-        b_1, ...) that are invertible, each built once per algebra."""
+        The b_i are independent, so a later candidate can repeat only 1 or
+        -1; those repeats are found by value (values are canonical) and
+        skipped.  Each position's form is built, and its invertibility
+        tested, once per algebra: every walk, and ``reference_candidates``,
+        yields the same form objects, so their route evaluations are shared
+        too."""
         forms = self._reference_forms
-        for key in keys:
-            if key not in forms:
-                x = None
-                for i, s in key:
-                    y = terms[i] if s > 0 else -terms[i]
-                    x = y if x is None else x + y
-                forms[key] = self._rank_one_candidate(x)
-            if forms[key] is not None:
-                yield forms[key]
+        one = self.elem(self.one())
+        units = (one.value, (-one).value)
+        for pos, x in enumerate(self._reference_values(one)):
+            if pos == len(forms):
+                repeat = pos >= 2 and x.value in units
+                forms.append(None if repeat else self._rank_one_candidate(x))
+            if forms[pos] is not None:
+                yield forms[pos]
+
+    def _reference_values(self, one):
+        """The values of ``iter_reference_candidates``, in walk order."""
+        yield one
+        yield -one
+        basis = sym_basis(self)
+        for b in basis:
+            yield b
+            yield -b
+        for i, b in enumerate(basis):
+            for c in basis[i + 1:]:
+                for x in (b + c, b - c):
+                    yield x
+                    yield -x
 
     def _rank_one_candidate(self, x: AlgebraElement) -> HermitianForm | None:
         """The rank-one form <x>, or None when x is not invertible."""
@@ -434,7 +435,8 @@ class ExchangeAlgebra(_PairAlgebra):
 
 class UnitaryQuadraticAlgebra(_PairAlgebra):
     """(F(sqrt(alpha)), conjugation) for a non-square alpha; a value (u, v)
-    is u + v*sqrt(alpha)."""
+    is u + v*sqrt(alpha).  Product, inverse and norm are those of the
+    square-root level F(sqrt(alpha)) over F's top level (``fields``)."""
 
     kind = "unitary_quadratic"
 
@@ -444,17 +446,13 @@ class UnitaryQuadraticAlgebra(_PairAlgebra):
         if alpha.is_zero() or alpha.is_square():
             raise MismatchError("alpha must be a nonzero non-square")
         self.alpha = alpha
+        self._ext = _SqrtLevel(self._k, alpha.value)
 
     def one(self):
-        return (self._k.one, self._k.zero)
+        return self._ext.one
 
     def mul(self, x, y):
-        K = self._k
-        uu = K.mul(x[0], y[0])
-        vv = K.mul(x[1], y[1])
-        uv = K.mul(x[0], y[1])
-        vu = K.mul(x[1], y[0])
-        return (K.add(uu, K.mul(self.alpha.value, vv)), K.add(uv, vu))
+        return self._ext.mul(x, y)
 
     def involution(self, x):
         return (x[0], self._k.neg(x[1]))
@@ -462,19 +460,13 @@ class UnitaryQuadraticAlgebra(_PairAlgebra):
     def inverse(self, x):
         if self.is_zero(x):
             raise ZeroDivisionError("inverse of zero")
-        K = self._k
-        ninv = K.inv(self._norm(x))
-        return (K.mul(x[0], ninv), K.neg(K.mul(x[1], ninv)))
-
-    def _norm(self, x):
-        K = self._k
-        return K.sub(K.mul(x[0], x[0]), K.mul(self.alpha.value, K.mul(x[1], x[1])))
+        return self._ext.inv(x)
 
     def reduced_trace(self, x):
         return FieldElement(self.field, self._k.add(x[0], x[0]))
 
     def reduced_norm(self, x):
-        return FieldElement(self.field, self._norm(x))
+        return FieldElement(self.field, self._ext.norm(*x))
 
     def lift_to(self, tower):
         return UnitaryQuadraticAlgebra(tower, self.alpha.lift_to(tower))
@@ -1142,43 +1134,11 @@ def _fixed_part(C: Algebra, value) -> FieldElement:
     return head
 
 
-def _basis_keys(basis, one):
-    """The keys of the reference candidates over the symmetric basis
-    b_1, ..., b_r, in walk order: b_i and -b_i, then b_i + b_j, its
-    negative, b_i - b_j and its negative.  The keys whose vector is that of
-    1 or -1 in b are left out, as those candidates repeat the identity's."""
-    # 1 is symmetric, and each b_i is 1 at its last nonzero coordinate,
-    # where every other b_j is 0 (see ``sym_basis``): those coordinates
-    # of 1 are its coordinates in b
-    ones = one.coords()
-    unit = []
-    for i, b in enumerate(basis, 1):
-        c = ones[max(p for p, e in enumerate(b.coords()) if not e.is_zero())]
-        if not c.is_zero():
-            unit.append((i, c))
-    repeats = ()
-    if len(unit) <= 2 and all(c == 1 or c == -1 for _, c in unit):
-        key = tuple((i, 1 if c == 1 else -1) for i, c in unit)
-        repeats = (key, tuple((i, -s) for i, s in key))
-    r = len(basis)
-    keys = [((i, s),) for i in range(1, r + 1) for s in (1, -1)]
-    keys += [
-        ((i, s), (j, s * t))
-        for i in range(1, r + 1)
-        for j in range(i + 1, r + 1)
-        for t in (1, -1)
-        for s in (1, -1)
-    ]
-    return [key for key in keys if key not in repeats]
-
-
 def sym_basis(A: Algebra) -> list[AlgebraElement]:
     """A base-field basis of the symmetric elements of (A, sigma).
 
     Computed as the kernel of sigma - id on the algebra, with pivots in
-    basis order, so simple kinds return their canonical bases.  Each
-    basis element is 1 at its last nonzero coordinate (its free column in
-    ``_nullspace``), where every other basis element is 0.
+    basis order, so simple kinds return their canonical bases.
     """
     cols = [A.coords(A.sub(A.involution(v), v)) for v in A.basis_values()]
     kernel = _nullspace(zip(*cols), A.field.zero(), A.field.one())
@@ -1309,14 +1269,7 @@ class HermitianForm:
             raise MismatchError("scaling form lives over a different field")
         out = None
         for c in q.entries:
-            scaled = HermitianForm(
-                self.algebra,
-                [
-                    [self.algebra.scalar_mul(c, v) for v in row]
-                    for row in self.gram
-                ],
-                self.epsilon,
-            )
+            scaled = self.scale_field(c)
             out = scaled if out is None else out.direct_sum(scaled)
         if out is None:
             out = HermitianForm(self.algebra, [], self.epsilon)

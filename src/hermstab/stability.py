@@ -216,7 +216,8 @@ def image_lattice(
     field = A.field
     generators = []
     if space.dim == 0:
-        return ImageLattice(space, [], _field_patterns_complete(field))
+        # every ordering is nil: the image is {0}, whatever the probes
+        return ImageLattice(space, [], True)
     full = _probe_signatures(field, probes.field_elements, space.all_orderings)
     nil = space.nil_indices
     qsigs = [

@@ -398,6 +398,25 @@ def test_twist_examples():
     assert twist(h, o) == h
 
 
+def test_twist_on_other_kinds_needs_a_central_element():
+    """Outside ``quaternion`` a twist keeps the algebra, which holds only
+    for central elements: 2 over (Q, id) doubles the Gram, while j over the
+    unitary quaternions and diag(1, 2) over M_2(Q) are refused."""
+    FQ = FieldAlgebra(Q)
+    h = HermitianForm.diagonal(FQ, [1, 3])
+    t = twist(h, FQ.from_field(2))
+    assert t.algebra is FQ and t.epsilon == 1
+    assert t == HermitianForm.diagonal(FQ, [2, 6])
+    UQ = UnitaryQuaternionAlgebra(Q, -1, -1, -1)
+    j = UQ.basis()[4]
+    with pytest.raises(MismatchError, match="twist by a non-central element"):
+        twist(HermitianForm.diagonal(UQ, [1]), j)
+    M = MatrixAlgebra(2, FQ)
+    u = M.elem(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(2))))
+    with pytest.raises(MismatchError, match="twist by a non-central element"):
+        twist(HermitianForm.diagonal(M, [M.elem(M.one())]), u)
+
+
 def test_twist_round_trip_random():
     rng = random.Random(47)
     done = skipped = 0
@@ -430,6 +449,46 @@ def test_twist_round_trip_random():
         assert back == h
         done += 1
     assert_skip_rate(skipped, done)
+
+
+@pytest.mark.parametrize(
+    "field, alpha", [(Q, -3), (F2, F2.generator()), (LX, LX.generator())],
+    ids=["Q", "Q(sqrt 2)", "Q((x))"],
+)
+def test_unitary_quadratic_arithmetic_matches_closed_formulas(field, alpha):
+    """Product, inverse and reduced norm of u + v sqrt(alpha) on random
+    values, v = 0 among them, against the closed formulas written out
+    here: (u1 u2 + alpha v1 v2, u1 v2 + v1 u2), (u, -v) / n and
+    n = u^2 - alpha v^2."""
+    A = UnitaryQuadraticAlgebra(field, alpha)
+    alpha = A.alpha
+    assert any(alpha.sign_at(P) < 0 for P in field.orderings())
+    rng = random.Random(f"unitary {field.describe()}")
+
+    def draw():
+        u, v = (random_element(rng, field, height=4) for _ in range(2))
+        roll = rng.random()
+        if roll < 0.3:
+            v = field.zero()
+        elif roll < 0.45:
+            u = field.zero()
+        return u, v
+
+    real = 0
+    for _ in range(40):
+        (u1, v1), (u2, v2) = draw(), draw()
+        real += v1.is_zero()
+        x, y = A.from_coords([u1, v1]), A.from_coords([u2, v2])
+        prod = (u1 * u2 + alpha * v1 * v2, u1 * v2 + v1 * u2)
+        assert A.mul(x, y) == A.from_coords(prod)
+        n = u1 * u1 - alpha * v1 * v1
+        assert A.reduced_norm(x) == n
+        if A.is_zero(x):
+            with pytest.raises(ZeroDivisionError):
+                A.inverse(x)
+        else:
+            assert A.inverse(x) == A.from_coords([u1 / n, -v1 / n])
+    assert real >= 5
 
 
 def test_rho_form_examples():

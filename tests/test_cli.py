@@ -123,6 +123,47 @@ def test_stability_json_reparses():
     assert doc["report"]["h0"]["k0"] == 1
 
 
+# Q(sqrt(5/3))(sqrt(1/2)): sqrt(1/2) is positive at two orderings of its
+# base, so the probes' sign patterns are not provably complete
+SAP4_FIELD = (
+    '{"tower":[{"kind":"base"},{"kind":"qext","d":"5/3"},{"kind":"qext","d":"1/2"}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [
+        '{"kind":"exchange","field":' + SAP4_FIELD + "}",
+        '{"kind":"unitary_quadratic","field":' + SAP4_FIELD + ',"alpha":"3"}',
+    ],
+    ids=["exchange", "unitary_quadratic"],
+)
+def test_all_nil_report_is_exact_on_any_tower(algebra):
+    """Every ordering is nil, so image {0}, group 0 and st 0 hold whatever
+    the probes: the report is exact although the tower's sign patterns
+    are not provably complete."""
+    code, out, _ = run_cli("stability", "--algebra", algebra)
+    assert code == 0
+    assert "image: {0} x {0} x {0} x {0}" in out
+    assert "stability index: 0" in out and "exact: True" in out
+    code, out, _ = run_cli("--json", "stability", "--algebra", algebra)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert (report["st"], report["n0"], report["stability_group"]) == (0, 0, "0")
+    assert report["exact"] is True and report["image"]["certified_exact"] is True
+
+
+def test_report_over_incomplete_sign_patterns_is_not_exact():
+    """Over the same tower (F, id) has no nil ordering, and its probes may
+    miss sign patterns: the report stays a bound, not exact."""
+    algebra = '{"kind":"field_id","field":' + SAP4_FIELD + "}"
+    code, out, _ = run_cli("stability", "--algebra", algebra)
+    assert code == 0 and "exact: False" in out
+    code, out, _ = run_cli("--json", "stability", "--algebra", algebra)
+    report = json.loads(out)["report"]
+    assert report["exact"] is False and report["image"]["certified_exact"] is False
+
+
 def test_split_cert_json_reparses():
     code, out, _ = run_cli("--json", "split-cert", "--algebra", ORTH_X, "--ordering", "0")
     assert code == 0

@@ -1116,8 +1116,9 @@ def test_cold_deep_orth_report_checks_its_split_model_once(monkeypatch):
     from hermstab.algebras import _QuaternionCore
     from hermstab.stability import stability_report
 
-    checked, norms = [], []
+    checked, norms, tested = [], [], []
     check, nrd = splitting._check_split_model, _QuaternionCore._nrd
+    candidate = _QuaternionCore._rank_one_candidate
 
     def counted_check(split):
         checked.append(split)
@@ -1127,8 +1128,13 @@ def test_cold_deep_orth_report_checks_its_split_model_once(monkeypatch):
         norms.append(x)
         return nrd(self, x)
 
+    def counted_candidate(self, x):
+        tested.append(x)
+        return candidate(self, x)
+
     monkeypatch.setattr(splitting, "_check_split_model", counted_check)
     monkeypatch.setattr(_QuaternionCore, "_nrd", counted_nrd)
+    monkeypatch.setattr(_QuaternionCore, "_rank_one_candidate", counted_candidate)
     A = fresh_deep_orth()
     stability_report(A)
     (model,) = A.split_model_memo.values()
@@ -1136,7 +1142,7 @@ def test_cold_deep_orth_report_checks_its_split_model_once(monkeypatch):
     assert len(certs) == 2 and all(cert._split is model for cert in certs)
     assert all(cert._verified is True and verify_certificate(cert) for cert in certs)
     assert checked == [model] and model._verified is True
-    assert len(norms) == len(A._reference_forms) == 18
+    assert len(norms) == len(tested) == 18
 
 
 def test_certificates_not_emitted_build_their_own_split_model(monkeypatch):

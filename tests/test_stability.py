@@ -317,8 +317,10 @@ def test_unitary_kind_report():
 
 
 def test_piecewise_h0_assembly():
-    """When no single candidate has constant 2-power signature, h0 is a
-    sum of Pfister-localized pieces padded to a common power."""
+    """No rank-one candidate has nonzero signature at both orderings, so
+    the reference is the piecewise form, of constant signature 4; h0_search
+    takes it from its first loop, and h0 is that rank-4 reference with
+    k0 = 2.  (Its own piecewise fallback is not reached here.)"""
     A = QuaternionAlgebra(F2, 1, F2.generator(), "orthogonal", [0, 1, 0, 0])
     ref = reference_search(A)
     h0, k0 = h0_search(A, ref)
