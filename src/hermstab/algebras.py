@@ -233,7 +233,7 @@ class Algebra:
         -1; those repeats are found by value (values are canonical) and
         skipped.  Each position's form is built, and its invertibility
         tested, once per algebra: every walk, and ``reference_candidates``,
-        yields the same form objects, so their route evaluations are shared
+        yields the same form objects, so their route memos are shared
         too."""
         forms = self._reference_forms
         one = self.elem(self.one())
@@ -1148,9 +1148,9 @@ def sym_basis(A: Algebra) -> list[AlgebraElement]:
 class HermitianForm:
     """An epsilon-hermitian form by its Gram matrix over a catalogue algebra.
 
-    Forms are immutable.  ``route_memo`` keeps the route evaluations that
-    ``signatures.raw_signature`` has done on this form, so each is done
-    once, and ``rank_one_memo`` the rank-one data that
+    Forms are immutable.  ``route_memo`` keeps, under None, the diagonal
+    that ``signatures.raw_signature`` reads at every ordering, so the form
+    is eliminated once, and ``rank_one_memo`` the rank-one data that
     ``splitting.SplittingCertificate.diagonal_signature`` reads on the
     split route; a form over a matrix wrapper keeps its Morita flattening
     (``morita_flatten``).  All live and die with the form."""

@@ -116,24 +116,24 @@ def raw_signature(A: Algebra, h: HermitianForm, P: Ordering, budget: int = 50) -
     """The route value at P: the local signature divided by the local
     division-algebra dimension, before the reference normalization.
 
-    A diagonal Gram (after Morita flattening) is read entry by entry,
-    without elimination.  On the ``trace-form`` and ``diagonal-sum``
-    routes each entry lies in the fixed field, and its sign counts.  On
-    the split-certificate route each entry d goes through the
-    certificate's split model as a 2 x 2 block, whose signature two signs
-    fix (``SplittingCertificate.diagonal_signature``).  Any other Gram
-    runs hermitian elimination and counts the signs of the diagonal;
-    there the split-certificate route first carries h to the split model
-    and P to the certificate's chosen ordering.
+    Every form is read from one diagonal over the inner algebra D (A, or
+    a matrix wrapper's D after Morita flattening): the flattened Gram
+    itself when it is diagonal, else its hermitian elimination over D.
+    Elimination is a congruence, so that diagonal does not depend on P;
+    it is found once per form and kept in ``h.route_memo`` under None.
+    On the ``trace-form`` and ``diagonal-sum`` routes the memo keeps the
+    entries' fixed-field coordinates and their signs at P count.  On the
+    split-certificate route it keeps the diagonal form, and each entry d
+    goes through the certificate's split model as a 2 x 2 block, whose
+    signature two signs fix (``SplittingCertificate.diagonal_signature``).
 
-    Each route evaluation is done once per form and key and kept in
-    ``h.route_memo``: on the split-certificate route the key is ``P.path``
-    and the value is kept; on the other routes the fixed-field diagonal
-    does not depend on P, so the key is None, it is kept, and only the
-    sign count runs per ordering.  Failures are not kept.  The budget
-    matters only on the split-certificate route, and is decided there by
-    ``find_certificate`` before the memo is read: a kept value is
-    returned only at a budget at which a fresh form would get one."""
+    Elimination over D meets a zero-divisor pivot only when D is split
+    over F.  On the split-certificate route the memo then keeps that
+    ``SplitWitness``, and that form alone is carried to the split model
+    (``transport_form``) and eliminated there at each ordering; on the
+    other routes it is an ``InvariantViolation``.  Failures are not kept.
+    The budget matters only on the split-certificate route, where
+    ``find_certificate`` decides it before the memo is read or filled."""
     if h.algebra != A:
         raise MismatchError("form does not live over the algebra")
     if h.epsilon != 1:
@@ -141,30 +141,29 @@ def raw_signature(A: Algebra, h: HermitianForm, P: Ordering, budget: int = 50) -
     lt = local_type(A, P)
     if lt.nil:
         return 0
-    if lt.route == "split-certificate":
-        cert, key = find_certificate(A, P, budget), P.path
-    else:
-        cert = key = None
-    hit = h.route_memo.get(key)
-    if hit is None:
-        hit = h.route_memo[key] = _route_diagonal(A, h, cert)
-    if key is None:
-        return sum(c.sign_at(P) for c in hit)
-    return hit
+    split = lt.route == "split-certificate"
+    cert = find_certificate(A, P, budget) if split else None
+    kept = h.route_memo.get(None)
+    if kept is None:
+        kept = h.route_memo[None] = _diagonal(A, h, split)
+    if not split:
+        return sum(c.sign_at(P) for c in kept)
+    if isinstance(kept, SplitWitness):
+        t, _ = transport_form(cert, h)
+        d = _fixed_diagonal(diagonalize_hermitian(t))
+        return sum(c.sign_at(cert.chosen) for c in d)
+    return cert.diagonal_signature(kept)
 
 
-def _route_diagonal(A, h, cert):
-    """With a split certificate, h's value at its ordering; without, the
-    checked fixed-field diagonal of h."""
+def _diagonal(A, h, split):
+    """h flattened and, unless diagonal, eliminated over the inner
+    algebra: on the split-certificate route that diagonal form or the
+    elimination's SplitWitness, on the others the diagonal's checked
+    fixed-field coordinates."""
     if A.kind == "matrix":
-        A, h = A.inner, morita_flatten(h)
-    diagonal = h.is_diagonal()
-    if cert is not None:
-        if diagonal:
-            return cert.diagonal_signature(h)
-        h, _ = transport_form(cert, h)
-        return sum(c.sign_at(cert.chosen) for c in _fixed_diagonal(_eliminate(h)))
-    return _fixed_diagonal(h if diagonal else _eliminate(h))
+        h = morita_flatten(h)
+    d = h if h.is_diagonal() else diagonalize_hermitian(h)
+    return d if split else _fixed_diagonal(d)
 
 
 _SPLIT_HERE = (
@@ -173,15 +172,12 @@ _SPLIT_HERE = (
 )
 
 
-def _eliminate(h):
-    diag = diagonalize_hermitian(h)
-    if isinstance(diag, SplitWitness):
-        raise InvariantViolation(_SPLIT_HERE)
-    return diag
-
-
 def _fixed_diagonal(h):
-    """The fixed-field coordinates of a diagonal form's entries."""
+    """The fixed-field coordinates of a diagonal form's entries; an
+    elimination's SplitWitness instead means that D is split where it
+    must be division."""
+    if isinstance(h, SplitWitness):
+        raise InvariantViolation(_SPLIT_HERE)
     A = h.algebra
     entries = [row[i] for i, row in enumerate(h.gram)]
     if any(A.is_zero(d) for d in entries):

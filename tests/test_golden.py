@@ -11,6 +11,10 @@ with u != 0.  ``signature`` also runs on the other branches of the form
 reader, over the orthogonal quaternion algebra and the matrix wrapper: a
 form that carries its own ``algebra`` (the same one, or another), a
 ``gram`` document, an explicit ``epsilon`` and ``--reference`` documents.
+``signature``, with and without ``--json``, also runs on two dense Grams
+with non-scalar entries: one over an orthogonal quaternion algebra over
+Q((x)) that is division over the field but split at x > 0, and one over a
+2 x 2 matrix wrapper of an orthogonal quaternion algebra over Q.
 
 Any change to the printed bytes or exit codes of these commands fails
 here.  To re-record after an intended output change, run this file as a
@@ -227,6 +231,58 @@ FORM_DOCS = {
 }
 
 
+# dense Grams with non-scalar entries: name -> (algebra document, form
+# document); ``signature`` runs on these with and without ``--json``
+MINUS_X = {"num": [[1, "-1"]], "den": [[0, "1"]]}
+HALF_X = {"num": [[1, "1/2"]], "den": [[0, "1"]]}
+ORTH_Q = {
+    "kind": "quaternion",
+    "field": Q,
+    "a": "2",
+    "b": "-3",
+    "involution": {"type": "orthogonal", "u": ["0", "0", "1", "0"]},
+}
+DENSE_FORMS = {
+    # (x, -1) with Int(j)conj over Q((x)): [[2 + k, b], [sigma(b), 3 + i + x/2 k]]
+    # with b = 1 - i + x j + k/3
+    "quaternion_orthogonal_laurent_dense": (
+        {
+            "kind": "quaternion",
+            "field": LX,
+            "a": X,
+            "b": "-1",
+            "involution": {"type": "orthogonal", "u": ["0", "0", "1", "0"]},
+        },
+        {
+            "gram": [
+                [["2", "0", "0", "1"], ["1", "-1", X, "1/3"]],
+                [["1", "-1", MINUS_X, "1/3"], ["3", "1", "0", HALF_X]],
+            ]
+        },
+    ),
+    # M_2 of (2, -3) with Int(j)conj over Q, scaled by g = (1, -1)
+    "matrix_orthogonal_dense": (
+        {"kind": "matrix", "n": 2, "inner": ORTH_Q, "g": [["1"] + ZERO3, ["-1"] + ZERO3]},
+        {
+            "gram": [
+                [
+                    [[["2", "2", "0", "0"], ["-2", "0", "1", "-1"]],
+                     [["2", "0", "1", "1"], ["0", "2", "0", "0"]]],
+                    [[["1", "0", "2", "0"], ["0", "1", "0", "0"]],
+                     [["0", "0", "0", "-1"], ["3", "0", "0", "0"]]],
+                ],
+                [
+                    [[["1", "0", "-2", "0"], ["0", "0", "0", "1"]],
+                     [["0", "-1", "0", "0"], ["3", "0", "0", "0"]]],
+                    [[["0", "0", "0", "0"], ["-1", "0", "0", "0"]],
+                     [["1", "0", "0", "0"], ["-2", "-2", "0", "0"]]],
+                ],
+            ]
+        },
+    ),
+}
+
+
 def _dumps(doc) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
@@ -249,13 +305,26 @@ def _commands():
         if ref is not None:
             argv += ["--reference", _dumps(ref)]
         yield name + "/signature", argv
+    for name, (alg, form) in DENSE_FORMS.items():
+        yield name + "/signature", ["--json"] + _dense_signature(alg, form)
     for name, alg in DEPTH2_REPORTS.items():
         yield name + "/stability", ["--json", "stability", "--algebra", _dumps(alg)]
     for name, form in TRANSFERS.items():
         yield name + "/transfer-check", ["--json", "transfer-check", "--form", _dumps(form)]
 
 
+def _dense_signature(alg, form):
+    return ["signature", "--algebra", _dumps(alg), "--form", _dumps(form)]
+
+
+# the ``--json`` commands above
 COMMANDS = dict(_commands())
+# commands printed as text
+TEXT_COMMANDS = {
+    name + "/text/signature": _dense_signature(alg, form)
+    for name, (alg, form) in DENSE_FORMS.items()
+}
+ALL_COMMANDS = {**COMMANDS, **TEXT_COMMANDS}
 
 
 def clear_memos():
@@ -303,6 +372,8 @@ GOLDEN = {
     "matrix/signature": (0, "4661c052f106a9990b75db9a7f339243ca97ffb40cb855bdb12c737e1585363d"),
     "matrix/split-cert": (0, "a5ea08ef4545b1801fb4df214f3a7637d06e24987f25eff7ca3b49bfc2d1ce49"),
     "matrix/stability": (0, "cea8b2b81de8a7ca9540d7c91fa6cfde9d4dd8461044b1c64799c2067293f53e"),
+    "matrix_orthogonal_dense/signature": (0, "4cef74e28a8c05735a118db589b96bc786f5ee3377465b1ade06d941127c4ef0"),
+    "matrix_orthogonal_dense/text/signature": (0, "58f53161d87d5bf216028220ae70a5e8e0ff12f7ff40d767a0a1582337062e3a"),
     "quaternion_conjugation/nil": (0, "2f14f7db3092709a04dbbebce3c4137d5a52dd45201a41586f4fd1c2ea059b98"),
     "quaternion_conjugation/signature": (0, "096332c598f68aeb028cff421d8f151c7b7bf67631500b8742ac5415ae5bd7df"),
     "quaternion_conjugation/split-cert": (0, "d11fa51feefec28786864caea9cd45468ca23e0642b848935b298c6bf9efe67b"),
@@ -321,6 +392,8 @@ GOLDEN = {
     "quaternion_orthogonal_depth2/signature": (0, "b0f0f85195fc9c60b9417d79f7a59091fae1269bb15f6e89e17e811ee6ae60f3"),
     "quaternion_orthogonal_depth2/split-cert": (0, "1580f45304ba23d3662760a3f168e0e82e3a3cf32f0c064c2ca241fef4296298"),
     "quaternion_orthogonal_depth2_report/stability": (0, "3ef6bd21235cde2057ead415340a991152e799734309841503369357a085cb10"),
+    "quaternion_orthogonal_laurent_dense/signature": (0, "1444c2b08bd05bdbc2a887d40b5ec78916939ba7667b513e54a3b2298ed46aa3"),
+    "quaternion_orthogonal_laurent_dense/text/signature": (0, "abc242fe6da7e8199bc09ab927391785c053024cb6b382a5ae084ea16ed1c9e7"),
     "transfer_q_sqrt2/transfer-check": (0, "99b51ecfd13944158226e0c9202a834541b8e79614c62dbeb7e4825872052931"),
     "transfer_q_sqrt2_sqrt3/transfer-check": (0, "8c1312d29fa715759082cc5600e891e9075363f10de55ba70650f316c3b2b3d9"),
     "transfer_q_sqrt3/transfer-check": (0, "d5812d8f37e89530e082782c47079c0f87a2eb1ab6ce90c85555729126cf9284"),
@@ -337,12 +410,12 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
+@pytest.mark.parametrize("name", sorted(ALL_COMMANDS))
 def test_golden_stdout(name):
-    assert _run(COMMANDS[name]) == GOLDEN[name]
+    assert _run(ALL_COMMANDS[name]) == GOLDEN[name]
 
 
 if __name__ == "__main__":
-    for name in sorted(COMMANDS):
-        code, sha = _run(COMMANDS[name])
+    for name in sorted(ALL_COMMANDS):
+        code, sha = _run(ALL_COMMANDS[name])
         print(f'    "{name}": ({code}, "{sha}"),')

@@ -709,8 +709,9 @@ def test_route_memo_matches_fresh_forms():
 
 
 def test_route_memo_keeps_no_failure(monkeypatch):
-    """A search that fails once leaves nothing in the memo: the next call
-    on the same form object returns the true value."""
+    """A certificate search that fails once leaves nothing in the memo:
+    the next call on the same form object returns the true value and
+    keeps the form's diagonal under the one ordering-free key."""
     import hermstab.signatures as signatures
     from hermstab.splitting import find_certificate
 
@@ -731,7 +732,7 @@ def test_route_memo_keeps_no_failure(monkeypatch):
         raw_signature(A, h, P)
     assert h.route_memo == {} and failures
     assert raw_signature(A, h, P) == want
-    assert list(h.route_memo) == [P.path]
+    assert list(h.route_memo) == [None]
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -752,36 +753,124 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-@pytest.mark.parametrize("workload, evaluations", [("deep_orth", 36), ("deep_conj", 2)])
-def test_stability_report_eliminates_each_form_once(monkeypatch, workload, evaluations):
-    """A cold stability report evaluates each form's route once per key:
-    once per form on the diagonal-sum route, once per (form, ordering) on
-    the split-certificate route.  The reference search and the probes
-    share one form per candidate value, so <1> is evaluated once.  Its
-    probe forms are all diagonal, so none is eliminated."""
+def _deep_algebra(workload):
+    """The algebra of a deep perfbench workload: deep_orth's (x, -1) with
+    Int(j)conj over Q((x))((y)), or deep_conj's (-1, x) with conjugation
+    over Q(sqrt 2)((x))((y))."""
+    if workload == "deep_orth":
+        F = LX.adjoin_laurent()
+        return QuaternionAlgebra(F, F.generator(1), -1, "orthogonal", [0, 0, 1, 0])
+    F = F2.adjoin_laurent().adjoin_laurent()
+    return QuaternionAlgebra(F, -1, F.generator(2))
+
+
+@pytest.mark.parametrize("workload, forms", [("deep_orth", 18), ("deep_conj", 2)])
+def test_stability_report_eliminates_each_form_once(monkeypatch, workload, forms):
+    """A cold stability report fills each form's route memo once, whatever
+    the route and however many orderings read it.  The reference search
+    and the probes share one form per candidate value, so <1> is read
+    from one diagonal.  Its probe forms are all diagonal, so none is
+    eliminated: the report makes no ``diagonalize_hermitian`` call."""
     import hermstab.algebras as algebras
     import hermstab.signatures as signatures
     from hermstab.stability import stability_report
 
-    if workload == "deep_orth":
-        F = LX.adjoin_laurent()
-        A = QuaternionAlgebra(F, F.generator(1), -1, "orthogonal", [0, 0, 1, 0])
-    else:
-        F = F2.adjoin_laurent().adjoin_laurent()
-        A = QuaternionAlgebra(F, -1, F.generator(2))
+    A = _deep_algebra(workload)
     eliminations = _count_calls(monkeypatch, algebras, "diagonalize_hermitian")
-    route = signatures._route_diagonal
-    seen = []  # (form, key), holding each form so that ids stay unique
+    diagonal = signatures._diagonal
+    seen = []  # holding each form, so that ids stay unique
 
-    def recorded(A, h, cert):
-        seen.append((h, None if cert is None else cert.ordering.path))
-        return route(A, h, cert)
+    def recorded(A, h, split):
+        seen.append(h)
+        return diagonal(A, h, split)
 
-    monkeypatch.setattr(signatures, "_route_diagonal", recorded)
+    monkeypatch.setattr(signatures, "_diagonal", recorded)
     stability_report(A)
-    keys = [(id(h), key) for h, key in seen]
-    assert len(keys) == len(set(keys)) == evaluations
+    assert len(seen) == len({id(h) for h in seen}) == forms
     assert eliminations == []
+
+
+def test_dense_form_is_eliminated_once_over_the_algebra(monkeypatch):
+    """A dense 2 x 2 Gram over deep_orth's algebra, read at both non-nil
+    orderings (twice each), is eliminated once over the algebra and never
+    carried to a split model."""
+    import hermstab.algebras as algebras
+    import hermstab.splitting as splitting
+
+    A = _deep_algebra("deep_orth")
+    F = A.field
+    x, y = F.generator(1), F.generator(2)
+    o, z = F.one(), F.zero()
+    s = A.from_coords([o, x, z, -o])
+    t = A.from_coords([2 * o, o, z, y])
+    b = A.from_coords([o, -o, x, o])
+    h = HermitianForm(A, [[s, b], [A.involution(b), t]])
+    targets = [P for P in F.orderings() if not local_type(A, P).nil]
+    eliminations = _count_calls(monkeypatch, algebras, "diagonalize_hermitian")
+    transports = _count_calls(monkeypatch, splitting, "transport_form")
+    values = [raw_signature(A, h, P) for P in targets * 2]
+    # 4 at both orderings is also what ``slow_raw_signature`` gives, in
+    # about 2 s per ordering
+    assert len(targets) == 2 and values == [4, 4, 4, 4]
+    assert len(eliminations) == 1 and transports == []
+
+
+def test_found_dense_form_finishes_from_the_cli():
+    """``hermstab signature`` on the 2 x 2 form [[s, b], [sigma(b), t]]
+    over ((y, -x)_Q((x))((y)), Int(j)conj), with s = 1 + i - 2k,
+    t = -1 + i - 2k and b = -2 - i + 4y j - k, exits 0 within 20 s and
+    prints 0 at each of its 4 orderings; carried to the split model at
+    each ordering, it ran past 30 s in the Laurent gcd.  Its first entry
+    <s> alone reads 2, 0 (nil), 0, 0, as the slow route gives."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    F = LX.adjoin_laurent()
+    x, y = F.generator(1), F.generator(2)
+    A = QuaternionAlgebra(F, y, -x, "orthogonal", [0, 0, 1, 0])
+    o, z = F.one(), F.zero()
+    s = A.from_coords([o, o, z, -2 * o])
+    t = A.from_coords([-o, o, z, -2 * o])
+    b = A.from_coords([-2 * o, -o, 4 * y, -o])
+    h = HermitianForm(A, [[s, b], [A.involution(b), t]])
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    argv = [sys.executable, "-m", "hermstab", "--json", "signature"]
+    argv += ["--algebra", json.dumps(A.to_json()), "--form", json.dumps(h.body_to_json())]
+    proc = subprocess.run(
+        argv, capture_output=True, env={**os.environ, "PYTHONPATH": path}, timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout)["values"] == [0, 0, 0, 0]
+    rank_one = HermitianForm.diagonal(A, [h.entry(0, 0)])
+    orderings = A.field.orderings()
+    assert [local_type(A, P).nil for P in orderings] == [False, True, False, False]
+    values = [raw_signature(A, rank_one, P) for P in orderings]
+    assert values == [slow_raw_signature(A, rank_one, P) for P in orderings] == [2, 0, 0, 0]
+
+
+def test_zero_divisor_pivot_falls_back_to_the_split_model(monkeypatch):
+    """Over the split (1, 1)_Q with Int(i)conj, eliminating
+    [[-2 - 2j, 1], [1, 0]] meets the zero divisor -2 - 2j as its first
+    pivot, so elimination over the algebra gives a SplitWitness.  That
+    form alone is carried to the split model: one ``transport_form``
+    call per read, and the slow route's value, 0."""
+    import hermstab.splitting as splitting
+    from hermstab.algebras import SplitWitness, diagonalize_hermitian
+
+    A = QuaternionAlgebra(Q, 1, 1, "orthogonal", [0, 1, 0, 0])
+    one = A.one()
+    d = A.from_coords([Q.rational(-2), Q.zero(), Q.rational(-2), Q.zero()])
+    h = HermitianForm(A, [[d, one], [one, A.zero()]])
+    assert isinstance(diagonalize_hermitian(h), SplitWitness)
+    transports = _count_calls(monkeypatch, splitting, "transport_form")
+    value = raw_signature(A, h, P0)
+    assert len(transports) == 1
+    assert value == 0 == slow_raw_signature(A, HermitianForm(A, h.gram), P0)
 
 
 def test_cold_deep_orth_report_does_ordering_free_work_once(monkeypatch):
@@ -980,24 +1069,51 @@ def _outcome(route, A, h, P):
         return type(exc), str(exc)
 
 
+def _dense_gram(rng, A, zd, k):
+    """A k x k hermitian Gram over A that is not diagonal: entries of
+    ``_oracle_entry`` on the diagonal; above it such an entry, or the
+    product of two, which need not be symmetric."""
+    g = [[A.zero()] * k for _ in range(k)]
+    for i in range(k):
+        g[i][i] = _oracle_entry(rng, A, zd).value
+        for j in range(i + 1, k):
+            b = _oracle_entry(rng, A, zd)
+            if rng.random() < 0.6:
+                b = b * _oracle_entry(rng, A, zd)
+            g[i][j], g[j][i] = b.value, A.involution(b.value)
+    if all(A.is_zero(g[i][j]) for i in range(k) for j in range(k) if i != j):
+        g[0][1] = g[1][0] = A.one()
+    return HermitianForm(A, g)
+
+
 @pytest.mark.parametrize(
-    "F, batches",
-    [(Q, 2), (F2, 2), (LX, 2), (F2.adjoin_laurent(), 2), (LX.adjoin_laurent(), 1)],
+    "F, batches, dense",
+    [
+        (Q, 2, (2, 3)),
+        (F2, 2, (2, 3)),
+        (LX, 2, (2,)),
+        (F2.adjoin_laurent(), 2, ()),
+        (LX.adjoin_laurent(), 1, ()),
+    ],
     ids=["Q", "Q(s2)", "Q((x))", "Q(s2)((x))", "Q((x))((y))"],
 )
-def test_diagonal_reading_matches_slow_route(F, batches):
+def test_diagonal_reading_matches_slow_route(F, batches, dense):
     """On diagonal forms of rank 1-3 over every route's kinds (zero and
     zero divisor entries included), reading the Gram entry by entry gives the
     value or the exception, message included, of transport and
     elimination (``oracles.slow_raw_signature``), at every ordering.  Over
-    towers of depth <= 2 a full hermitian entry over a matrix wrapper,
-    which keeps elimination, is compared too.  Over Q((x))((y)) one batch
-    of algebras is drawn: elimination there can stall in the Laurent gcd
-    (ROADMAP item 2), which the entry-by-entry reading never runs."""
+    towers of depth <= 2 a full hermitian entry over a matrix wrapper is
+    compared too.  Dense k x k Grams, k in ``dense``, read from one
+    elimination over the algebra (a zero-divisor pivot falls back to the
+    split model) are compared the same way; the sizes stop where the slow
+    route still finishes.  Over Q((x))((y)) one batch of algebras is
+    drawn: elimination there can stall in the Laurent gcd (ROADMAP item
+    2), which the entry-by-entry reading never runs."""
     from hermstab.quadratic import SingularFormError
 
     rng = random.Random(f"diagonal-oracle-{F.describe()}")
-    seen = {"nonzero": 0, "singular": 0, "routes": set()}
+    dense_rng = random.Random(f"dense-oracle-{F.describe()}")
+    seen = {"nonzero": 0, "singular": 0, "routes": set(), "dense": set()}
     kinds = [pair for _ in range(batches) for pair in _oracle_kinds(rng, F)]
     for A, zd in kinds:
         forms = [
@@ -1008,6 +1124,7 @@ def test_diagonal_reading_matches_slow_route(F, batches):
         ]
         if A.kind == "matrix" and F.depth <= 2:
             forms.append(HermitianForm.diagonal(A, [random_sym_element(rng, A)]))
+        forms += [_dense_gram(dense_rng, A, zd, k) for k in dense for _ in range(2)]
         for h in forms:
             for P in F.orderings():
                 fast = _outcome(raw_signature, A, h, P)
@@ -1015,10 +1132,14 @@ def test_diagonal_reading_matches_slow_route(F, batches):
                 if isinstance(fast, int):
                     seen["nonzero"] += fast != 0
                     seen["routes"].add((A.kind, local_type(A, P).route))
+                    if fast != 0 and not h.is_diagonal():
+                        seen["dense"].add(local_type(A, P).route)
                 else:
                     assert fast[0] is SingularFormError, fast
                     seen["singular"] += 1
     assert seen["nonzero"] and seen["singular"]
+    if dense:
+        assert seen["dense"] >= {"split-certificate", "diagonal-sum"}, seen["dense"]
     split, diagonal_sum = "split-certificate", "diagonal-sum"
     assert seen["routes"] >= {
         ("field_id", "trace-form"),
