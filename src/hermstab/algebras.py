@@ -1148,14 +1148,14 @@ def sym_basis(A: Algebra) -> list[AlgebraElement]:
 class HermitianForm:
     """An epsilon-hermitian form by its Gram matrix over a catalogue algebra.
 
-    Forms are immutable.  ``route_memo`` keeps, under None, the diagonal
-    that ``signatures.raw_signature`` reads at every ordering, so the form
-    is eliminated once, and ``rank_one_memo`` the rank-one data that
-    ``splitting.SplittingCertificate.diagonal_signature`` reads on the
-    split route; a form over a matrix wrapper keeps its Morita flattening
-    (``morita_flatten``).  All live and die with the form."""
+    Forms are immutable.  ``route_memo`` is the form's one reading memo,
+    filled by ``signatures.raw_signature``: under None the ordering-free
+    diagonal it reads (for a form over a matrix wrapper, that of its
+    Morita flattening), and under each ordering's sign path the value
+    read there.  ``entry_norms`` keeps the diagonal entries' reduced
+    norms.  Both live and die with the form."""
 
-    __slots__ = ("algebra", "epsilon", "gram", "route_memo", "rank_one_memo", "_flat")
+    __slots__ = ("algebra", "epsilon", "gram", "route_memo", "_norms")
 
     def __init__(self, algebra: Algebra, gram, epsilon: int = 1):
         if epsilon not in (1, -1):
@@ -1189,15 +1189,14 @@ class HermitianForm:
                 if algebra.involution(lhs) != rhs:
                     raise MismatchError("Gram matrix is not epsilon-hermitian")
         self.route_memo = {}
-        self.rank_one_memo = {}
-        self._flat = None
+        self._norms = None
 
     def entry_norms(self) -> tuple[FieldElement, ...]:
         """The reduced norm of each diagonal entry as an element of F, for
-        a form over a quaternion kind: computed once and kept in
-        ``rank_one_memo`` under None.  A zero norm (a zero entry included)
-        makes the form singular: SingularFormError, and nothing is kept."""
-        norms = self.rank_one_memo.get(None)
+        a form over a quaternion kind: computed once and kept on the form.
+        A zero norm (a zero entry included) makes the form singular:
+        SingularFormError, and nothing is kept."""
+        norms = self._norms
         if norms is None:
             A = self.algebra
             centre, nrd = A.centre, A._nrd
@@ -1206,7 +1205,7 @@ class HermitianForm:
             )
             if any(n.is_zero() for n in norms):
                 raise SingularFormError("hermitian Gram matrix is singular")
-            self.rank_one_memo[None] = norms
+            self._norms = norms
         return norms
 
     @staticmethod
@@ -1372,13 +1371,10 @@ def _check_form_keys(keys: set):
 
 def morita_flatten(h: HermitianForm) -> HermitianForm:
     """Reduce a form over a matrix wrapper (M_n(D), ad_g) to the inner
-    algebra: the nk x nk Gram over D is the blown-up Gram scaled by g.
-    Built once per form and kept on it, with the memos of the flat form."""
+    algebra: the nk x nk Gram over D is the blown-up Gram scaled by g."""
     A = h.algebra
     if A.kind != "matrix":
         return h
-    if h._flat is not None:
-        return h._flat
     inner = A.inner
     n = A.n
     k = h.rank
@@ -1390,8 +1386,7 @@ def morita_flatten(h: HermitianForm) -> HermitianForm:
                 for j in range(n):
                     if not inner.is_zero(block[i][j]):
                         gram[r * n + i][s * n + j] = inner.mul(A.g[i], block[i][j])
-    h._flat = HermitianForm(inner, gram, h.epsilon)
-    return h._flat
+    return HermitianForm(inner, gram, h.epsilon)
 
 
 def diagonalize_hermitian(h: HermitianForm):

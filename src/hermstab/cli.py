@@ -57,7 +57,7 @@ def _read_text(text: str) -> str:
     try:
         with open(text[1:], "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationFailure(f"cannot read {text[1:]!r}: {exc}") from exc
 
 
@@ -70,27 +70,39 @@ def _parse_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationFailure(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal longer than int() reads
+        raise ValidationFailure(
+            f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
     except RecursionError as exc:
         raise ValidationFailure("invalid JSON: nested too deeply") from exc
 
 
-def _check_depth(field: FieldTower, max_depth: int):
-    if field.depth - 1 > max_depth:
-        raise ValidationFailure(
-            f"tower depth {field.depth - 1} exceeds --max-depth {max_depth}"
-        )
+def _check_depth(doc, max_depth: int):
+    """Refuse a field, algebra or form document whose tower is deeper
+    than ``max_depth``, read from the length of its tower list before the
+    tower is built, as building enumerates its orderings.  The tower lies
+    under ``field``, a matrix algebra's ``inner`` or a form's ``algebra``;
+    a document without one is left to its reader."""
+    while isinstance(doc, dict):
+        if "tower" in doc:
+            steps = doc["tower"]
+            if isinstance(steps, list) and len(steps) - 1 > max_depth:
+                raise ValidationFailure(
+                    f"tower depth {len(steps) - 1} exceeds --max-depth {max_depth}"
+                )
+            return
+        doc = doc.get("field", doc.get("inner", doc.get("algebra")))
 
 
 def _parse_field(text: str, max_depth: int) -> FieldTower:
-    field = FieldTower.from_json(_load_doc(text))
-    _check_depth(field, max_depth)
-    return field
+    doc = _load_doc(text)
+    _check_depth(doc, max_depth)
+    return FieldTower.from_json(doc)
 
 
 def _parse_algebra(text: str, max_depth: int):
-    algebra = _algebra_from_text(_read_text(text))
-    _check_depth(algebra.field, max_depth)
-    return algebra
+    return _algebra_from_text(_read_text(text), max_depth)
 
 
 # Entries kept by each of the two memos below: the bound keeps a long-lived
@@ -99,13 +111,15 @@ _MEMO_SIZE = 1024
 
 
 # Algebras are immutable and their documents are read deterministically, so
-# a long-lived process parses each document text once, and the memos kept
-# on each algebra (references, certificates) serve every later query on
-# that text.  A failing document raises on every call, as lru_cache keeps
-# no exceptions.
+# a long-lived process parses each document text once per depth bound, and
+# the memos kept on each algebra (references, certificates) serve every
+# later query on that text.  A failing document raises on every call, as
+# lru_cache keeps no exceptions.
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _algebra_from_text(text: str):
-    return algebra_from_json(_parse_json(text))
+def _algebra_from_text(text: str, max_depth: int):
+    doc = _parse_json(text)
+    _check_depth(doc, max_depth)
+    return algebra_from_json(doc)
 
 
 class _Rendered(str):
@@ -241,13 +255,14 @@ def cmd_nil(args) -> int:
     return 0
 
 
-def _parse_form(text: str, A) -> HermitianForm:
+def _parse_form(text: str, A, max_depth: int) -> HermitianForm:
     """A ``--form`` or ``--reference`` document over ``A``; a document
     without an ``algebra`` is read over ``A`` with ``epsilon`` 1 unless it
     says otherwise."""
     doc = _load_doc(text)
     if isinstance(doc, dict) and "algebra" not in doc:
         return HermitianForm.body_from_json(A, doc)
+    _check_depth(doc, max_depth)
     return HermitianForm.from_json(doc)
 
 
@@ -258,11 +273,11 @@ def _form_json(h: HermitianForm) -> dict:
 
 def cmd_signature(args) -> int:
     A = _parse_algebra(args.algebra, args.max_depth)
-    h = _parse_form(args.form, A)
+    h = _parse_form(args.form, A, args.max_depth)
     if h.algebra != A:
         raise ValidationFailure("form document does not match --algebra")
     if args.reference:
-        ref_form = _parse_form(args.reference, A)
+        ref_form = _parse_form(args.reference, A, args.max_depth)
         signs = reference_signs(A, ref_form, args.budget)
         if isinstance(signs, Ordering):
             raise ValidationFailure(
@@ -347,7 +362,10 @@ def cmd_split_cert(args) -> int:
     A = _parse_algebra(args.algebra, args.max_depth)
     orderings = A.field.orderings()
     text = args.ordering
-    if text.lstrip("-").isdecimal():
+    digits = text.removeprefix("-")
+    if digits.isdecimal():
+        if len(digits) > 20:  # no tower has 10^20 orderings; int() may not read it
+            raise ValidationFailure(f"ordering index of {len(digits)} digits out of range")
         idx = int(text)
         if not 0 <= idx < len(orderings):
             raise ValidationFailure(f"ordering index {idx} out of range")
@@ -375,9 +393,10 @@ def cmd_split_cert(args) -> int:
 
 
 def cmd_transfer_check(args) -> int:
-    phi = QuadraticForm.from_json(_load_doc(args.form))
+    doc = _load_doc(args.form)
+    _check_depth(doc, args.max_depth)
+    phi = QuadraticForm.from_json(doc)
     L = phi.field
-    _check_depth(L, args.max_depth)
     if L.steps[-1][0] != "qext":
         raise ValidationFailure(
             "transfer needs a form over a field whose top step is a square root"

@@ -119,21 +119,24 @@ def raw_signature(A: Algebra, h: HermitianForm, P: Ordering, budget: int = 50) -
     Every form is read from one diagonal over the inner algebra D (A, or
     a matrix wrapper's D after Morita flattening): the flattened Gram
     itself when it is diagonal, else its hermitian elimination over D.
-    Elimination is a congruence, so that diagonal does not depend on P;
-    it is found once per form and kept in ``h.route_memo`` under None.
-    On the ``trace-form`` and ``diagonal-sum`` routes the memo keeps the
-    entries' fixed-field coordinates and their signs at P count.  On the
-    split-certificate route it keeps the diagonal form, and each entry d
-    goes through the certificate's split model as a 2 x 2 block, whose
-    signature two signs fix (``SplittingCertificate.diagonal_signature``).
+    Elimination is a congruence, so that diagonal does not depend on P.
+    ``h.route_memo`` is the form's one reading memo: it keeps that
+    diagonal under None, found once per form, and the value read at P
+    under P's sign path, so each (form, ordering) pair is read once.  On
+    the ``trace-form`` and ``diagonal-sum`` routes the diagonal is kept as
+    the entries' fixed-field coordinates, and their signs at P count.  On
+    the split-certificate route it is kept as a diagonal form, and each
+    entry d goes through the certificate's split model as a 2 x 2 block,
+    whose signature two signs fix
+    (``SplittingCertificate.diagonal_signature``).
 
     Elimination over D meets a zero-divisor pivot only when D is split
     over F.  On the split-certificate route the memo then keeps that
     ``SplitWitness``, and that form alone is carried to the split model
-    (``transport_form``) and eliminated there at each ordering; on the
-    other routes it is an ``InvariantViolation``.  Failures are not kept.
-    The budget matters only on the split-certificate route, where
-    ``find_certificate`` decides it before the memo is read or filled."""
+    (``transport_form``) and eliminated there; on the other routes it is
+    an ``InvariantViolation``.  Failures are not kept.  The budget matters
+    only on the split-certificate route, where ``find_certificate``
+    decides it before the memo is read or filled."""
     if h.algebra != A:
         raise MismatchError("form does not live over the algebra")
     if h.epsilon != 1:
@@ -143,16 +146,23 @@ def raw_signature(A: Algebra, h: HermitianForm, P: Ordering, budget: int = 50) -
         return 0
     split = lt.route == "split-certificate"
     cert = find_certificate(A, P, budget) if split else None
-    kept = h.route_memo.get(None)
+    memo = h.route_memo
+    value = memo.get(P.path)
+    if value is not None:
+        return value
+    kept = memo.get(None)
     if kept is None:
-        kept = h.route_memo[None] = _diagonal(A, h, split)
+        kept = memo[None] = _diagonal(A, h, split)
     if not split:
-        return sum(c.sign_at(P) for c in kept)
-    if isinstance(kept, SplitWitness):
+        value = sum(c.sign_at(P) for c in kept)
+    elif isinstance(kept, SplitWitness):
         t, _ = transport_form(cert, h)
         d = _fixed_diagonal(diagonalize_hermitian(t))
-        return sum(c.sign_at(cert.chosen) for c in d)
-    return cert.diagonal_signature(kept)
+        value = sum(c.sign_at(cert.chosen) for c in d)
+    else:
+        value = cert.diagonal_signature(kept)
+    memo[P.path] = value
+    return value
 
 
 def _diagonal(A, h, split):

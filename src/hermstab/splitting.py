@@ -14,9 +14,9 @@ ordering-free ``SplitModel`` of its witness (``Algebra.split_model_memo``).
 The certificates of all orderings that take one witness share that split
 model, and with it the transport images G . X_b and det G, built once per
 split model.  A diagonal form's signature on the split route is read
-from its entries' reduced norms, kept once per form, and from the corners
-B00 of their blocks, kept once per form and split model
-(``HermitianForm.rank_one_memo``); only signs are read per ordering.
+from its entries' reduced norms (``HermitianForm.entry_norms``) and the
+corners B00 of their blocks; ``signatures.raw_signature`` keeps the value
+per form and ordering, so each is read once.
 Every certificate object is verified once.  Its checks that involve its
 ordering or ``chosen`` run per certificate; the others do not depend on
 the ordering and run once per split model, which keeps their verdict
@@ -251,29 +251,15 @@ class SplittingCertificate:
         det B > 0, with B00 = sum_b c_b (G X_b)00 over d's centre
         coordinates c_b; Nrd(d) lies in F, so its sign at ``chosen`` is
         its sign at ``ordering``.  Nrd(d) = 0 (d = 0 included) makes the
-        form singular.
-
-        What does not depend on the ordering is kept in
-        ``h.rank_one_memo``: under None each entry's Nrd(d)
-        (``HermitianForm.entry_norms``), and under each split model each
-        entry's B00, computed when first needed; only the signs are read
-        per ordering."""
-        split = self._split
-        memo = h.rank_one_memo
-        norms = h.entry_norms()
-        corners = memo.get(split)
-        if corners is None:
-            corners = memo[split] = [None] * len(norms)
-        det, P, chosen = self._det_sign, self.ordering, self.chosen
-        total = 0
-        for i, n in enumerate(norms):
-            if n.sign_at(P) != det:
-                continue
-            b00 = corners[i]
-            if b00 is None:
-                b00 = corners[i] = split.corner(h.gram[i][i])
-            total += 2 * b00.sign_at(chosen)
-        return total
+        form singular.  The norms are kept on the form
+        (``HermitianForm.entry_norms``); B00 is built only for the entries
+        that count."""
+        split, det, P, chosen = self._split, self._det_sign, self.ordering, self.chosen
+        return sum(
+            2 * split.corner(h.gram[i][i]).sign_at(chosen)
+            for i, n in enumerate(h.entry_norms())
+            if n.sign_at(P) == det
+        )
 
     def to_json(self) -> dict:
         out = {

@@ -439,6 +439,86 @@ def test_max_depth_enforced():
     assert code == 0
 
 
+_LONG_INT = "1" * 5000  # past the 4300 digits int() reads from text
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("orderings", "--field", f"[{_LONG_INT}]"), "invalid JSON: an integer has more"),
+        (("nil", "--algebra", f'{{"kind": "matrix", "n": {_LONG_INT}}}'), "invalid JSON"),
+        (("orderings", "--field", "@latin-1"), "cannot read"),
+        (("split-cert", "--algebra", HAM, "--ordering=--5"), "invalid JSON"),
+        (("split-cert", "--algebra", HAM, "--ordering", _LONG_INT), "index of 5000 digits"),
+    ],
+    ids=["long-int-field", "long-int-algebra", "not-utf-8", "double-minus", "long-index"],
+)
+def test_malformed_input_exits_2_in_one_line(tmp_path, argv, message):
+    path = tmp_path / "field.json"
+    path.write_bytes('{"tower": [{"kind": "bäse"}]}'.encode("latin-1"))
+    argv = [a.replace("@latin-1", "@" + str(path)) for a in argv]
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def _deep_tower_argvs(steps):
+    """One command line per entry point that reads a tower, each naming
+    a square-root tower of ``steps`` steps."""
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53][:steps]
+    field = {"tower": [{"kind": "base"}] + [{"kind": "qext", "d": str(p)} for p in primes]}
+    deep = {"kind": "field_id", "field": field}
+    matrix = {"kind": "matrix", "n": 2, "inner": deep, "g": ["1", "1"]}
+    form = json.dumps({"algebra": deep, "epsilon": 1, "diag": ["1"]})
+    rational = '{"kind": "field_id", "field": ' + Q_FIELD + "}"
+    return {
+        "field": ["orderings", "--field", json.dumps(field)],
+        "algebra": ["nil", "--algebra", json.dumps(deep)],
+        "matrix-algebra": ["nil", "--algebra", json.dumps(matrix)],
+        "form": ["signature", "--algebra", rational, "--form", form],
+        "reference": [
+            "signature", "--algebra", rational, "--form", '{"diag": ["1"]}',
+            "--reference", form,
+        ],
+        "transfer-check": [
+            "transfer-check", "--form", json.dumps({"field": field, "diag": ["1"]}),
+        ],
+    }
+
+
+@pytest.mark.parametrize("entry", list(_deep_tower_argvs(16)))
+def test_max_depth_refuses_a_tower_before_building_it(entry):
+    """A 16-step square-root tower is refused from its document's length
+    at every entry point that reads a tower, inside 5 s: building it
+    first enumerates its 2^16 orderings, which runs for minutes."""
+    import os
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    argv = [sys.executable, "-m", "hermstab", *_deep_tower_argvs(16)[entry]]
+    proc = subprocess.run(
+        argv, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=5
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: tower depth 16 exceeds --max-depth 4\n"
+
+
+def test_max_depth_admits_each_entry_point_at_its_bound():
+    """The same entry points read the tower of --max-depth steps; a form
+    over it then fails only for not living over the rational --algebra."""
+    mismatch = {
+        "form": "error: form document does not match --algebra\n",
+        "reference": "error: form does not live over the algebra\n",
+    }
+    for entry, argv in _deep_tower_argvs(2).items():
+        code, _, err = run_cli("--max-depth", "2", *argv)
+        assert (code, err) == ((2, mismatch[entry]) if entry in mismatch else (0, "")), entry
+        code, _, err = run_cli("--max-depth", "1", *argv)
+        assert (code, err) == (2, "error: tower depth 2 exceeds --max-depth 1\n"), entry
+
+
 def test_unknown_json_key_rejected():
     bad = '{"tower":[{"kind":"base"}],"evil":1}'
     code, _, err = run_cli("orderings", "--field", bad)

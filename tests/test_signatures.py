@@ -711,7 +711,8 @@ def test_route_memo_matches_fresh_forms():
 def test_route_memo_keeps_no_failure(monkeypatch):
     """A certificate search that fails once leaves nothing in the memo:
     the next call on the same form object returns the true value and
-    keeps the form's diagonal under the one ordering-free key."""
+    keeps the form's diagonal under the ordering-free key and the value
+    under the ordering's sign path."""
     import hermstab.signatures as signatures
     from hermstab.splitting import find_certificate
 
@@ -732,7 +733,7 @@ def test_route_memo_keeps_no_failure(monkeypatch):
         raw_signature(A, h, P)
     assert h.route_memo == {} and failures
     assert raw_signature(A, h, P) == want
-    assert list(h.route_memo) == [None]
+    assert list(h.route_memo) == [None, P.path]
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -788,6 +789,27 @@ def test_stability_report_eliminates_each_form_once(monkeypatch, workload, forms
     stability_report(A)
     assert len(seen) == len({id(h) for h in seen}) == forms
     assert eliminations == []
+
+
+def test_cold_deep_orth_report_reads_each_pair_once(monkeypatch):
+    """A cold deep_orth stability report reads each (form, ordering) pair
+    once: the reference search, ``image_lattice`` and ``h0_search`` share
+    the candidate forms, and the route memo keeps each value read, so
+    ``SplittingCertificate.diagonal_signature`` runs 36 times, once per
+    pair."""
+    from hermstab.splitting import SplittingCertificate
+    from hermstab.stability import stability_report
+
+    real = SplittingCertificate.diagonal_signature
+    reads = []  # holding each form, so that ids stay unique
+
+    def recorded(cert, h):
+        reads.append((h, cert.ordering.path))
+        return real(cert, h)
+
+    monkeypatch.setattr(SplittingCertificate, "diagonal_signature", recorded)
+    stability_report(_deep_algebra("deep_orth"))
+    assert len(reads) == len({(id(h), path) for h, path in reads}) == 36
 
 
 def test_dense_form_is_eliminated_once_over_the_algebra(monkeypatch):
@@ -1156,8 +1178,6 @@ def test_wrapper_form_is_flattened_once(monkeypatch):
     """<1> over M_2(D), D deep_orth's (x, -1) with Int(j)conj over
     Q((x))((y)), is flattened once: its reduced norms, 2, are taken once
     for both non-nil orderings, not once per ordering."""
-    from hermstab.algebras import morita_flatten
-
     F = LX.adjoin_laurent()
     D = QuaternionAlgebra(F, F.generator(1), -1, "orthogonal", [0, 0, 1, 0])
     M = MatrixAlgebra(2, D)
@@ -1166,5 +1186,4 @@ def test_wrapper_form_is_flattened_once(monkeypatch):
     targets = [P for P in F.orderings() if not local_type(M, P).nil]
     values = [raw_signature(M, h, P) for P in targets]
     assert len(targets) == 2 and len(norms) == 2
-    assert morita_flatten(h) is morita_flatten(h)
     assert values == [slow_raw_signature(M, h, P) for P in targets]

@@ -732,9 +732,9 @@ def test_rank_one_reading_per_split_model_matches_transport():
     """On deep_orth's algebra both non-nil orderings take one witness, so
     their certificates share one split model.  Diagonal forms (a singular
     one included) are read from their entries' reduced norms, kept once
-    per form, and corners B00, kept once per split model; at both
-    orderings, in either order, the reading equals transport plus
-    elimination."""
+    per form, and corners B00; at both orderings, in either order, the
+    reading equals transport plus elimination, and the form's route memo
+    keeps its diagonal and the value at each ordering."""
     from hermstab.quadratic import SingularFormError
     from hermstab.signatures import raw_signature
 
@@ -756,8 +756,9 @@ def test_rank_one_reading_per_split_model_matches_transport():
                     continue
                 assert raw_signature(A, h, P) == slow_raw_signature(A, h, P)
             if h is not zero:
-                assert set(h.rank_one_memo) == {None, first._split}
-        assert zero.rank_one_memo == {}
+                assert len(h._norms) == h.rank
+                assert list(h.route_memo) == [None] + [P.path for P in targets]
+        assert zero._norms is None
 
 
 def test_verification_matches_dense_oracle():

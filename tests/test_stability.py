@@ -329,19 +329,13 @@ def test_piecewise_h0_assembly():
     assert k0 == 2 and h0.rank == 4
 
 
-def test_piecewise_h0_matches_stepwise_assembly(monkeypatch):
-    """h0's fallback pads its pieces with <1, ..., 1> inside the one
-    piecewise assembly and gives the form that scaling each piece by its
-    Pfister form and then by its padding gives.  The reference is the
-    searched one plus its first piece again, so its signature is 8 at one
-    ordering and 4 at the other, and no candidate is constant."""
+def _recorded_h0(monkeypatch, A, ref):
+    """h0_search(A, ref) with its one piecewise assembly recorded: the
+    form and k0, and the pieces' pads, after checking that the assembly
+    is the form that scaling each piece by its Pfister form and then by
+    its padding gives."""
     import hermstab.stability as stability
 
-    A = QuaternionAlgebra(LX, LX.generator(), 1, "orthogonal", [0, 0, 1, 0])
-    entries = reference_search(A).form.diagonal_entries()
-    form = HermitianForm.diagonal(A, list(entries) + list(entries[:2]))
-    ref = ReferenceForm(A, form, reference_signs(A, form))
-    assert total_signature(A, form, ref).values == (8, 4)
     calls = []
     real = stability.piecewise_form
 
@@ -350,14 +344,53 @@ def test_piecewise_h0_matches_stepwise_assembly(monkeypatch):
         calls.append((field, list(pieces), out))
         return out
 
-    monkeypatch.setattr(stability, "piecewise_form", recording)
-    h0, k0 = h0_search(A, ref)
+    with monkeypatch.context() as patch:
+        patch.setattr(stability, "piecewise_form", recording)
+        h0, k0 = h0_search(A, ref)
     [(field, pieces, out)] = calls
-    assert h0 is out and [pad for _, _, pad in pieces] == [0, 1]
-    assert k0 == 4 and set(total_signature(A, h0, ref).values) == {16}
+    assert h0 is out
     expected = stepwise_piecewise_form(field, pieces)
     assert (out.gram, out.epsilon) == (expected.gram, expected.epsilon)
     assert out.to_json() == expected.to_json()
+    return h0, k0, [pad for _, _, pad in pieces]
+
+
+def test_piecewise_h0_matches_stepwise_assembly(monkeypatch):
+    """h0's fallback pads its pieces with <1, ..., 1> inside the one
+    piecewise assembly and gives the form that scaling each piece by its
+    Pfister form and then by its padding gives.  It is reached from a
+    hand-built reference over (x, 1)_Q((x)) with Int(j)conj, the searched
+    one plus its first piece again, so its signature is 8 at one ordering
+    and 4 at the other, and from the searched reference <1> over
+    (M_4(Q(sqrt 2)), ad_g), g = (1, 1, 1, sqrt 2), whose signature is
+    (4, 2): in both, no candidate is constant."""
+    A = QuaternionAlgebra(LX, LX.generator(), 1, "orthogonal", [0, 0, 1, 0])
+    entries = reference_search(A).form.diagonal_entries()
+    form = HermitianForm.diagonal(A, list(entries) + list(entries[:2]))
+    ref = ReferenceForm(A, form, reference_signs(A, form))
+    assert total_signature(A, form, ref).values == (8, 4)
+    h0, k0, pads = _recorded_h0(monkeypatch, A, ref)
+    assert pads == [0, 1]
+    assert k0 == 4 and set(total_signature(A, h0, ref).values) == {16}
+
+    D = FieldAlgebra(F2)
+    one = D.elem(D.one())
+    A = MatrixAlgebra(4, D, [one, one, one, D.from_field(F2.generator())])
+    ref = reference_search(A)
+    assert ref.form is A.reference_candidates[0]
+    assert total_signature(A, ref.form, ref).values == (4, 2)
+    space = NilAwareSpace(A)
+    vectors = {
+        space.restrict(total_signature(A, cand, ref))
+        for cand in A.reference_candidates
+    }
+    assert vectors == {(4, 2), (-4, -2), (0, 0)}
+    h0, k0, pads = _recorded_h0(monkeypatch, A, ref)
+    assert pads == [0, 1]
+    assert k0 == 3 and h0.rank == 6
+    assert set(total_signature(A, h0, ref).values) == {8}
+    report = stability_report(A)
+    assert (report.group_description(), report.st, report.exact) == ("Z/2Z", 1, True)
 
 
 def test_split_algebra_reports_are_lower_bounds():
