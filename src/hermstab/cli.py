@@ -127,10 +127,11 @@ class _Rendered(str):
     ``_write_json`` splices it in at any depth."""
 
 
-# JSON renderings of algebras and orderings (by value), and of certificates
-# and searched references (by identity: both are kept, so a warm query gets
-# the same object back); all are immutable, so each is rendered once while
-# it stays in this bound.
+# JSON renderings of fields, algebras and orderings (by value), and of
+# certificates and searched references (by identity: both are kept, so a
+# warm query gets the same object back); all are immutable, so each is
+# rendered once per process while it stays in this bound, and every
+# ``--json`` document splices the kept text in.
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _rendered(obj) -> _Rendered:
     return _Rendered(_json_text(obj.to_json()))
@@ -148,6 +149,8 @@ def _json_text(doc) -> str:
 
 
 def _write_json(value, newline, write):
+    # str and int items are written inside the list and dict loops, without
+    # a call per leaf; everything else recurses
     if isinstance(value, str):
         if type(value) is _Rendered:
             # exact: a newline inside a JSON string is escaped, so every
@@ -168,10 +171,18 @@ def _write_json(value, newline, write):
             write("[]")
             return
         inner = newline + "  "
+        sep = "," + inner
         write("[")
         for i, item in enumerate(value):
-            write("," + inner if i else inner)
-            _write_json(item, inner, write)
+            head = sep if i else inner
+            kind = type(item)
+            if kind is str:
+                write(head + encode_basestring_ascii(item))
+            elif kind is int:
+                write(head + int.__repr__(item))
+            else:
+                write(head)
+                _write_json(item, inner, write)
         write(newline + "]")
     elif isinstance(value, dict):
         if not value:
@@ -180,22 +191,32 @@ def _write_json(value, newline, write):
         if not all(isinstance(key, str) for key in value):
             raise TypeError("JSON object keys must be strings")
         inner = newline + "  "
+        sep = "," + inner
         write("{")
         for i, key in enumerate(sorted(value)):
-            write("," + inner if i else inner)
-            write(encode_basestring_ascii(key))
-            write(": ")
-            _write_json(value[key], inner, write)
+            item = value[key]
+            head = (sep if i else inner) + encode_basestring_ascii(key) + ": "
+            kind = type(item)
+            if kind is str:
+                write(head + encode_basestring_ascii(item))
+            elif kind is int:
+                write(head + int.__repr__(item))
+            else:
+                write(head)
+                _write_json(item, inner, write)
         write(newline + "}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(doc, as_json: bool, text_lines):
+def _emit(as_json: bool, document, text_lines):
+    """Print the JSON document or the text lines.  Both are functions,
+    and only the one printed is called: ``--json`` builds no table and no
+    ``describe()`` string, and text output builds no document."""
     if as_json:
-        print(_json_text(doc))
+        print(_json_text(document()))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -215,20 +236,18 @@ def _table(rows, headers):
 def cmd_orderings(args) -> int:
     field = _parse_field(args.field, args.max_depth)
     orderings = field.orderings()
-    doc = {
-        "field": field.to_json(),
-        "count": len(orderings),
-        "orderings": [
-            {"index": i, "name": P.name(), "path": P.to_json()}
-            for i, P in enumerate(orderings)
-        ],
-    }
-    rows = [(i, P.name()) for i, P in enumerate(orderings)]
     _emit(
-        doc,
         args.json,
-        [f"field: {field.describe()}", f"orderings: {len(orderings)}"]
-        + _table(rows, ["index", "ordering"]),
+        lambda: {
+            "field": _rendered(field),
+            "count": len(orderings),
+            "orderings": [
+                {"index": i, "name": P.name(), "path": _rendered(P)}
+                for i, P in enumerate(orderings)
+            ],
+        },
+        lambda: [f"field: {field.describe()}", f"orderings: {len(orderings)}"]
+        + _table([(i, P.name()) for i, P in enumerate(orderings)], ["index", "ordering"]),
     )
     return 0
 
@@ -237,19 +256,17 @@ def cmd_nil(args) -> int:
     A = _parse_algebra(args.algebra, args.max_depth)
     nil = nil_set(A)
     orderings = A.field.orderings()
-    doc = {
-        "algebra": _rendered(A),
-        "nil": [P.to_json() for P in orderings if P in nil],
-        "non_nil": [P.to_json() for P in orderings if P not in nil],
-    }
-    names = [P.name() for P in orderings if P in nil]
     _emit(
-        doc,
         args.json,
-        [
+        lambda: {
+            "algebra": _rendered(A),
+            "nil": [_rendered(P) for P in orderings if P in nil],
+            "non_nil": [_rendered(P) for P in orderings if P not in nil],
+        },
+        lambda: [
             f"algebra: {A.describe()}",
-            "nil: {" + ", ".join(names) + "}",
-            f"non-nil count: {len(orderings) - len(names)}",
+            "nil: {" + ", ".join(P.name() for P in orderings if P in nil) + "}",
+            f"non-nil count: {sum(P not in nil for P in orderings)}",
         ],
     )
     return 0
@@ -287,38 +304,38 @@ def cmd_signature(args) -> int:
     else:
         ref = reference_search(A, args.budget)
     vec = total_signature(A, h, ref, args.budget)
-    rows = []
-    details = []
+    readings = []  # (ordering, route, value, local type)
     for P, v in zip(A.field.orderings(), vec.values):
         lt = local_type(A, P)
-        route = "nil" if lt.nil else lt.route
-        rows.append((P.name(), route, v))
-        entry = {
-            "ordering": _rendered(P),
-            "route": route,
-            "value": v,
-            "n": lt.n,
-            "l": lt.l,
+        readings.append((P, "nil" if lt.nil else lt.route, v, lt))
+
+    def document():
+        details = []
+        for P, route, v, lt in readings:
+            entry = {"ordering": _rendered(P), "route": route, "value": v, "n": lt.n, "l": lt.l}
+            if route == "split-certificate":
+                entry["certificate"] = _rendered(find_certificate(A, P, args.budget))
+            details.append(entry)
+        return {
+            "algebra": _rendered(A),
+            "form": _form_json(h),
+            "reference": (
+                {"form": _form_json(ref.form), "deltas": ref.deltas_to_json()}
+                if args.reference
+                else _rendered(ref)
+            ),
+            "signatures": details,
+            "values": list(vec.values),
         }
-        if not lt.nil and lt.route == "split-certificate":
-            entry["certificate"] = _rendered(find_certificate(A, P, args.budget))
-        details.append(entry)
-    doc = {
-        "algebra": _rendered(A),
-        "form": _form_json(h),
-        "reference": (
-            {"form": _form_json(ref.form), "deltas": ref.deltas_to_json()}
-            if args.reference
-            else _rendered(ref)
-        ),
-        "signatures": details,
-        "values": list(vec.values),
-    }
+
     _emit(
-        doc,
         args.json,
-        [f"algebra: {A.describe()}"]
-        + _table(rows, ["ordering", "route", "signature"]),
+        document,
+        lambda: [f"algebra: {A.describe()}"]
+        + _table(
+            [(P.name(), route, v) for P, route, v, _ in readings],
+            ["ordering", "route", "signature"],
+        ),
     )
     return 0
 
@@ -343,18 +360,19 @@ def cmd_stability(args) -> int:
             fields.append(A.field.element_from_json(e))
         probes = Probes(sym, fields)
     report = stability_report(A, probes=probes, budget=args.budget)
-    doc = {"algebra": _rendered(A), "report": report.to_json()}
-    st = "inf" if report.st == math.inf else report.st
-    lines = [
-        f"algebra: {A.describe()}",
-        f"image: {report.image_description()}",
-        f"stability group: {report.group_description()}",
-        f"stability index: {st}",
-        f"exact: {report.exact}",
-        f"k0: {report.k0} (constant-signature witness of rank {report.h0.rank})",
-        f"n0: {report.n0}",
-    ]
-    _emit(doc, args.json, lines)
+    _emit(
+        args.json,
+        lambda: {"algebra": _rendered(A), "report": report.to_json()},
+        lambda: [
+            f"algebra: {A.describe()}",
+            f"image: {report.image_description()}",
+            f"stability group: {report.group_description()}",
+            f"stability index: {'inf' if report.st == math.inf else report.st}",
+            f"exact: {report.exact}",
+            f"k0: {report.k0} (constant-signature witness of rank {report.h0.rank})",
+            f"n0: {report.n0}",
+        ],
+    )
     return 0
 
 
@@ -374,21 +392,24 @@ def cmd_split_cert(args) -> int:
         P = Ordering.from_json(A.field, _load_doc(text))
     cert = find_certificate(A, P, args.budget)
     ok = verify_certificate(cert)
-    doc = {"certificate": _rendered(cert), "verified": ok}
-    lines = [
-        f"algebra: {A.describe()}",
-        f"ordering: {P.name()}",
-        f"flavor: {cert.flavor}",
-        f"extension: {cert.extension.describe()}",
-        f"verified: {ok}",
-    ]
-    if cert.m is not None:
-        lines.append(f"m: {cert.m}")
-    if cert.definite_pair is not None:
-        d, c, _, _ = cert.definite_pair
-        lines.append(f"d: {d}")
-        lines.append(f"c: {c}")
-    _emit(doc, args.json, lines)
+
+    def text_lines():
+        lines = [
+            f"algebra: {A.describe()}",
+            f"ordering: {P.name()}",
+            f"flavor: {cert.flavor}",
+            f"extension: {cert.extension.describe()}",
+            f"verified: {ok}",
+        ]
+        if cert.m is not None:
+            lines.append(f"m: {cert.m}")
+        if cert.definite_pair is not None:
+            d, c, _, _ = cert.definite_pair
+            lines.append(f"d: {d}")
+            lines.append(f"c: {c}")
+        return lines
+
+    _emit(args.json, lambda: {"certificate": _rendered(cert), "verified": ok}, text_lines)
     return 0
 
 
@@ -404,19 +425,18 @@ def cmd_transfer_check(args) -> int:
     tr, table = transfer_table(L, phi)
     ok = all(a == b for _, a, b in table)
     rows = [(P.name(), a, b) for P, a, b in table]
-    doc = {
-        "form": phi.to_json(),
-        "transfer": tr.to_json(),
-        "identity_holds": ok,
-        "per_ordering": [
-            {"ordering": name, "transfer": a, "sum_above": b}
-            for name, a, b in rows
-        ],
-    }
     _emit(
-        doc,
         args.json,
-        [f"transfer: {tr!r}", f"identity holds: {ok}"]
+        lambda: {
+            "form": phi.to_json(),
+            "transfer": tr.to_json(),
+            "identity_holds": ok,
+            "per_ordering": [
+                {"ordering": name, "transfer": a, "sum_above": b}
+                for name, a, b in rows
+            ],
+        },
+        lambda: [f"transfer: {tr!r}", f"identity holds: {ok}"]
         + _table(rows, ["ordering", "sign(transfer)", "sum over extensions"]),
     )
     return 0 if ok else 4
@@ -454,34 +474,34 @@ def _example_algebras():
 
 
 def cmd_examples(args) -> int:
-    rows = []
-    docs = []
+    results = []  # (name, report, st(F) or "")
     for name, A, field_algebra in _example_algebras():
         report = stability_report(A, budget=args.budget)
-        st = "inf" if report.st == math.inf else str(report.st)
         st_f = ""
         if field_algebra is not None:
             st_f = str(stability_report(field_algebra).st)
-        rows.append(
-            (
-                name,
-                report.image_description(),
-                report.group_description(),
-                st,
-                st_f,
-            )
-        )
-        docs.append(
-            {
-                "name": name,
-                "report": report.to_json(),
-                "st_of_field": st_f or None,
-            }
-        )
+        results.append((name, report, st_f))
     _emit(
-        {"examples": docs},
         args.json,
-        _table(rows, ["algebra", "image", "S", "st", "st(F)"]),
+        lambda: {
+            "examples": [
+                {"name": name, "report": report.to_json(), "st_of_field": st_f or None}
+                for name, report, st_f in results
+            ]
+        },
+        lambda: _table(
+            [
+                (
+                    name,
+                    report.image_description(),
+                    report.group_description(),
+                    "inf" if report.st == math.inf else str(report.st),
+                    st_f,
+                )
+                for name, report, st_f in results
+            ],
+            ["algebra", "image", "S", "st", "st(F)"],
+        ),
     )
     return 0
 

@@ -6,8 +6,11 @@ embedding, rational Hilbert symbols against a bounded Hensel-valid
 solution search on the associated ternary form, tower arithmetic
 against a slow re-implementation that canonicalises every Laurent value
 by the full strip, gcd and normalize, quaternion arithmetic against
-the basis multiplication table applied bilinearly, symmetric Gram
-matrices against plain congruence diagonalization over the field,
+the basis multiplication table applied bilinearly (and the product of
+library values against all sixteen coordinate products, central factors
+included), rational JSON leaves against reading them with Fraction,
+symmetric Gram matrices against plain congruence diagonalization over
+the field,
 integer invariant factors against the determinantal divisors, the
 zero-on-nil sublattice and its 2-power exponents against a left kernel
 and a capped floor-division membership search, and the split model of a
@@ -452,6 +455,48 @@ _QUAT_TABLE = {
     (3, 2): (1, lambda a, b: b),
     (3, 3): (0, lambda a, b: -a * b),
 }
+
+
+def dense_quaternion_mul(A, x, y):
+    """The product of two values of a quaternion kind (tuples of four
+    centre values) as the sum of all sixteen terms x_r * y_s * (e_r e_s)
+    over the table above, in the library's centre arithmetic, with no
+    shortcut for a central factor."""
+    C = A.centre
+    pad = [A.field.zero()] * (C.dim - 1)
+    out = [C.zero()] * 4
+    for r in range(4):
+        for s in range(4):
+            if r == 0 or s == 0:
+                t, c = r + s, C.one()
+            else:
+                t, coef = _QUAT_TABLE[(r, s)]
+                c = C.from_coords([A.field.coerce(coef(A.a, A.b)), *pad])
+            out[t] = C.add(out[t], C.mul(c, C.mul(x[r], y[s])))
+    return tuple(out)
+
+
+def fraction_rational_leaf(doc):
+    """A rational JSON leaf read by ``Fraction(text)`` after the grammar
+    and digit checks of ``fields._rational_from_json``, with the same
+    TowerError messages; a zero denominator reports Fraction's own
+    ZeroDivisionError text."""
+    from hermstab.fields import MAX_RATIONAL_DIGITS, TowerError
+
+    text = doc if isinstance(doc, str) else str(doc)
+    parts = text.removeprefix("-").split("/")
+    if len(parts) > 2 or not all(p.isascii() and p.isdigit() for p in parts):
+        raise TowerError(
+            f"rational must be 'p' or 'p/q' in decimal digits, got {text[:40]!r}"
+        )
+    if any(len(p) > MAX_RATIONAL_DIGITS for p in parts):
+        raise TowerError(
+            f"rational {text[:40]!r}... has more than {MAX_RATIONAL_DIGITS} digits"
+        )
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise TowerError(f"invalid rational {text[:40]!r}: {exc}") from exc
 
 
 class QuaternionOracle:

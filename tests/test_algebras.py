@@ -24,7 +24,7 @@ from hermstab.algebras import (
 )
 from hermstab.fields import FieldTower, MismatchError
 from hermstab.quadratic import QuadraticForm
-from oracles import QuaternionOracle
+from oracles import QuaternionOracle, dense_quaternion_mul
 
 from corpus import (
     SamplingError,
@@ -132,6 +132,43 @@ def test_quaternion_kinds_match_table_oracle(kind):
 
 
 _EQUALITY_TOWERS = [Q, F2, LX, F2.adjoin_laurent().adjoin_laurent()]
+# (a, generator) over each tower of _EQUALITY_TOWERS, and two unitary
+# quaternion algebras, whose centre is F(sqrt(alpha))
+_PRODUCT_ALGEBRAS = [
+    QuaternionAlgebra(T, -1, T.generator() if T.depth > 1 else 3) for T in _EQUALITY_TOWERS
+] + [
+    UnitaryQuaternionAlgebra(Q, -1, -1, -1),
+    UnitaryQuaternionAlgebra(F2, 3, F2.generator(), -1),
+]
+
+
+@pytest.mark.parametrize(
+    "A", _PRODUCT_ALGEBRAS, ids=[A.describe() for A in _PRODUCT_ALGEBRAS]
+)
+def test_quaternion_product_matches_dense_product(A):
+    """A central factor (coordinates 1-3 zero) scales the other one
+    coordinate by coordinate; on seeded pairs with a central factor on
+    the left, on the right, on both sides and on neither, the product
+    equals the dense sixteen-term one in value and in JSON."""
+    rng = random.Random(25)
+    pad = [A.field.zero()] * (3 * A.centre.dim)
+
+    def central():
+        return A.from_coords(
+            [random_element(rng, A.field, height=4, simple=True) for _ in range(A.centre.dim)]
+            + pad
+        )
+
+    def general():
+        return _rand_full_elem(rng, A).value
+
+    sides = ((central, general), (general, central), (central, central), (general, general))
+    for left, right in sides:
+        for _ in range(6):
+            x, y = left(), right()
+            got, want = A.mul(x, y), dense_quaternion_mul(A, x, y)
+            assert got == want
+            assert A.value_to_json(got) == A.value_to_json(want)
 
 
 @pytest.mark.parametrize(

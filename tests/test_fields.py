@@ -20,7 +20,7 @@ from hermstab.fields import (
 )
 
 from corpus import random_element, random_tower, tower_shapes
-from oracles import SlowTower, interval_sign
+from oracles import SlowTower, fraction_rational_leaf, interval_sign
 
 Q = FieldTower.rationals()
 F2 = Q.adjoin_sqrt(2)
@@ -612,6 +612,37 @@ def test_rational_leaves_read_as_fraction():
     assert zero_divisions > 50
     for n in (0, -5, 10**30):  # JSON integers
         assert _rational_from_json(n) == Fraction(n)
+
+
+def test_rational_leaves_match_the_fraction_reader():
+    """The leaf reader, which reduces by one gcd and skips Fraction's
+    constructor, against ``oracles.fraction_rational_leaf`` on a seeded
+    corpus and on the edges of the grammar: the same value slots, or a
+    TowerError with the same message."""
+    rng = random.Random(25)
+    longest = "9" * MAX_RATIONAL_DIGITS
+    leaves = [_random_leaf(rng) for _ in range(1000)]
+    leaves += ["-0", "0/7", "007/010", "-0/5", "1/0", "-1/0", "1.5", "+1", " 1", "1 ",
+               "", "-", "/", "1/", "/2", "--1", "1/2/3", "1e5", "\u0661", "\u00b2"]
+    leaves += [longest, "-" + longest, "1/" + longest, longest + "/" + longest[:-1] + "8",
+               "6" * MAX_RATIONAL_DIGITS + "/" + "4" * MAX_RATIONAL_DIGITS,
+               longest + "9", "1/" + longest + "9", "-" + longest + "9/1"]
+    leaves += [0, -7, 10**300, True, False]
+    refused = 0
+    for doc in leaves:
+        try:
+            want = fraction_rational_leaf(doc)
+        except TowerError as exc:
+            refused += 1
+            with pytest.raises(TowerError) as info:
+                _rational_from_json(doc)
+            assert str(info.value) == str(exc), doc
+            continue
+        got = _rational_from_json(doc)
+        assert type(got) is Fraction, doc
+        assert (got._numerator, got._denominator) == (want._numerator, want._denominator), doc
+        assert type(got._numerator) is int and type(got._denominator) is int
+    assert refused > 100
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,11 @@ form that carries its own ``algebra`` (the same one, or another), a
 with non-scalar entries: one over an orthogonal quaternion algebra over
 Q((x)) that is division over the field but split at x > 0, and one over a
 2 x 2 matrix wrapper of an orthogonal quaternion algebra over Q.
+``orderings`` runs on Q(sqrt 2)(sqrt 3), and ``examples`` runs as well.
+One row of each command (of ``signature`` with and without
+``--reference``, of ``split-cert`` on a split and on a definite
+certificate) and ``examples`` also run without ``--json``, so their text
+tables are pinned byte for byte too.
 
 Any change to the printed bytes or exit codes of these commands fails
 here.  To re-record after an intended output change, run this file as a
@@ -311,6 +316,8 @@ def _commands():
         yield name + "/stability", ["--json", "stability", "--algebra", _dumps(alg)]
     for name, form in TRANSFERS.items():
         yield name + "/transfer-check", ["--json", "transfer-check", "--form", _dumps(form)]
+    yield "q_sqrt2_sqrt3/orderings", ["--json", "orderings", "--field", _dumps(F23)]
+    yield "examples", ["--json", "examples"]
 
 
 def _dense_signature(alg, form):
@@ -319,10 +326,30 @@ def _dense_signature(alg, form):
 
 # the ``--json`` commands above
 COMMANDS = dict(_commands())
-# commands printed as text
+# the ``--json`` rows also printed as text: one of each command, with and
+# without ``--reference``, and a split and a definite certificate
+TEXT_ROWS = (
+    "q_sqrt2_sqrt3/orderings",
+    "quaternion_conjugation/nil",
+    "quaternion_orthogonal/signature",
+    "quaternion_orthogonal/reference_with_algebra/signature",
+    "quaternion_orthogonal/stability",
+    "quaternion_orthogonal_depth2/split-cert",
+    "quaternion_conjugation/split-cert",
+    "transfer_q_sqrt2_sqrt3/transfer-check",
+)
+# commands printed as text: ``<row>/text/<command>`` drops ``--json`` from
+# the golden row ``<row>/<command>``
 TEXT_COMMANDS = {
-    name + "/text/signature": _dense_signature(alg, form)
-    for name, (alg, form) in DENSE_FORMS.items()
+    **{
+        name + "/text/signature": _dense_signature(alg, form)
+        for name, (alg, form) in DENSE_FORMS.items()
+    },
+    **{
+        "{0}/text/{1}".format(*name.rsplit("/", 1)): COMMANDS[name][1:]
+        for name in TEXT_ROWS
+    },
+    "text/examples": ["examples"],
 }
 ALL_COMMANDS = {**COMMANDS, **TEXT_COMMANDS}
 
@@ -356,6 +383,7 @@ def _run(argv):
 
 # name -> (exit code, sha256 of stdout)
 GOLDEN = {
+    "examples": (0, "dfe24da735fba88d7fa31809b6add90f0564b932c0c108097b0963635d9e9e75"),
     "exchange/nil": (0, "dd43ed49e4721c287138a416722af303fee24562e827b3367d21c5a2198dfa25"),
     "exchange/signature": (0, "9466d79e9c8bb2e3bac999ce3912a7c9301558124d5926930178677e1d135912"),
     "exchange/split-cert": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -374,10 +402,14 @@ GOLDEN = {
     "matrix/stability": (0, "cea8b2b81de8a7ca9540d7c91fa6cfde9d4dd8461044b1c64799c2067293f53e"),
     "matrix_orthogonal_dense/signature": (0, "4cef74e28a8c05735a118db589b96bc786f5ee3377465b1ade06d941127c4ef0"),
     "matrix_orthogonal_dense/text/signature": (0, "58f53161d87d5bf216028220ae70a5e8e0ff12f7ff40d767a0a1582337062e3a"),
+    "q_sqrt2_sqrt3/orderings": (0, "f9868a28ea91051017f195d6daa80c2a96dd9ea72fa8997d43d92e2ce0230cd8"),
+    "q_sqrt2_sqrt3/text/orderings": (0, "24337fa2dffd896bc6fabae99bc136b348ae5774fdab4b5712faa3bd783b387e"),
     "quaternion_conjugation/nil": (0, "2f14f7db3092709a04dbbebce3c4137d5a52dd45201a41586f4fd1c2ea059b98"),
     "quaternion_conjugation/signature": (0, "096332c598f68aeb028cff421d8f151c7b7bf67631500b8742ac5415ae5bd7df"),
     "quaternion_conjugation/split-cert": (0, "d11fa51feefec28786864caea9cd45468ca23e0642b848935b298c6bf9efe67b"),
     "quaternion_conjugation/stability": (0, "588e49a42091e65d9e0391b0cd140d02c13ba97f6b2db3a27c742d2450ffa64f"),
+    "quaternion_conjugation/text/nil": (0, "ba60d7062fbe9fb06aa5ce373574045ad9ac2ab8ff401ef4b607e32e6372eeda"),
+    "quaternion_conjugation/text/split-cert": (0, "21bdfce414cac7edba34648d5b74a160d0c6dd89cb43c7e2f4e89f0ef245da89"),
     "quaternion_conjugation_depth2_report/stability": (0, "73a62ea5e20afa6647a12bfb3015829b6865ee99577f429d1ebdd8ab57c64622"),
     "quaternion_orthogonal/epsilon/signature": (0, "7bc26b6fa89fb15621adffbb22dabd3b0f35fe4a01600505e4f94c75c5766ace"),
     "quaternion_orthogonal/form_other_algebra/signature": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -386,15 +418,21 @@ GOLDEN = {
     "quaternion_orthogonal/nil": (0, "9991308039841d348d7eadc88b910bb21a77bfa23f338ceb31a8fae3482b9ed7"),
     "quaternion_orthogonal/reference/signature": (0, "40ade9bfbbf049e0dbecb63ff3462284c31ea48843576d3f3f7fa3af85db965a"),
     "quaternion_orthogonal/reference_with_algebra/signature": (0, "ca430036b170734fc3c21478f4ba7d83d324239fc08abb663d6f303e0515bb17"),
+    "quaternion_orthogonal/reference_with_algebra/text/signature": (0, "af88eef07e61bdbc8199c5db143af84062f2f0b95550bdf0b184a1d02f6cdc61"),
     "quaternion_orthogonal/signature": (0, "6e94ae812bb5e5b1cced119714b4a91a7a06bdf09d49c929277fa3d7fc354c9c"),
     "quaternion_orthogonal/split-cert": (0, "f13405a4ddc8dc57d7b8d73f22eaa9e35695b92194a3db5c862a5defd4b459ca"),
     "quaternion_orthogonal/stability": (0, "0d9ebb565e1f6f703e919925ab029f32dc45da932acf2c4ff90ec5246ca6544a"),
+    "quaternion_orthogonal/text/signature": (0, "db8c6a8dc098851995e06865d2eb49a79b26f03a55114b8059c9cafcb5cf4c7d"),
+    "quaternion_orthogonal/text/stability": (0, "18be3a4096151167082e4ab0aee006d437b8b397604ae70baf2db692801c4359"),
     "quaternion_orthogonal_depth2/signature": (0, "b0f0f85195fc9c60b9417d79f7a59091fae1269bb15f6e89e17e811ee6ae60f3"),
     "quaternion_orthogonal_depth2/split-cert": (0, "1580f45304ba23d3662760a3f168e0e82e3a3cf32f0c064c2ca241fef4296298"),
+    "quaternion_orthogonal_depth2/text/split-cert": (0, "6e14530da40a0d7d235dc547557210026d4172df1a6199e3002ba1fef7c03f3d"),
     "quaternion_orthogonal_depth2_report/stability": (0, "3ef6bd21235cde2057ead415340a991152e799734309841503369357a085cb10"),
     "quaternion_orthogonal_laurent_dense/signature": (0, "1444c2b08bd05bdbc2a887d40b5ec78916939ba7667b513e54a3b2298ed46aa3"),
     "quaternion_orthogonal_laurent_dense/text/signature": (0, "abc242fe6da7e8199bc09ab927391785c053024cb6b382a5ae084ea16ed1c9e7"),
+    "text/examples": (0, "028a673c9e91037f751eaed7c66464d0ad82ff2f1f8b6df2e3822f94b811e27f"),
     "transfer_q_sqrt2/transfer-check": (0, "99b51ecfd13944158226e0c9202a834541b8e79614c62dbeb7e4825872052931"),
+    "transfer_q_sqrt2_sqrt3/text/transfer-check": (0, "8da7eac30d18ca2047446af3e75822cd341f871485f6b6b93e6657ac51534469"),
     "transfer_q_sqrt2_sqrt3/transfer-check": (0, "8c1312d29fa715759082cc5600e891e9075363f10de55ba70650f316c3b2b3d9"),
     "transfer_q_sqrt3/transfer-check": (0, "d5812d8f37e89530e082782c47079c0f87a2eb1ab6ce90c85555729126cf9284"),
     "unitary_quadratic/nil": (0, "25f06364e01a0febce79a41558083d5e98cda87c631ff9fd7480e41248ff7177"),
@@ -413,6 +451,25 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(ALL_COMMANDS))
 def test_golden_stdout(name):
     assert _run(ALL_COMMANDS[name]) == GOLDEN[name]
+
+
+def test_json_commands_build_no_text(monkeypatch):
+    """``--json`` builds only the document it prints: with ``_table`` and
+    every algebra and tower ``describe`` raising, each ``--json`` command
+    of the table that exits 0 prints the same bytes."""
+    from hermstab import algebras, fields
+
+    def refuse(*args):
+        raise AssertionError("text built for a --json command")
+
+    monkeypatch.setattr(cli, "_table", refuse)
+    monkeypatch.setattr(fields.FieldTower, "describe", refuse)
+    for kind in vars(algebras).values():
+        if isinstance(kind, type) and "describe" in vars(kind):
+            monkeypatch.setattr(kind, "describe", refuse)
+    for name, argv in COMMANDS.items():
+        if GOLDEN[name][0] == 0:
+            assert _run(argv) == GOLDEN[name], name
 
 
 if __name__ == "__main__":

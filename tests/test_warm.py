@@ -3,11 +3,14 @@
 The CLI keeps what a long-lived process already knows: each ``--algebra``
 document text is parsed once (``cli._algebra_from_text``), each algebra's
 reference search succeeds once per budget (``Algebra.reference_memo``),
-each algebra, searched reference and certificate is rendered to JSON
-once (``cli._rendered``), and the worked examples are built once
-(``cli._example_algebras``).  These tests check that every such memo behaves as
-if it were absent: same exit code, stdout and stderr, whatever ran
-before, and that a memo hit skips the work it is there to skip.
+each field, algebra, ordering, searched reference and certificate is
+rendered to JSON once per process (``cli._rendered``), and the worked
+examples are built once (``cli._example_algebras``).  A ``--json`` query
+builds only its document, no text table.  These tests check that every
+such memo behaves as if it were absent: same exit code, stdout and
+stderr, whatever ran before, and that a memo hit skips the work it is
+there to skip.  The first round of the benchmark's ``queries`` workload
+is pinned here by the digest the benchmark records.
 """
 
 import json
@@ -16,6 +19,7 @@ import random
 import pytest
 
 from hermstab import cli, signatures
+from test_argv import _perfbench_workloads
 from test_cli import ORTH_X
 from test_golden import COMMANDS, F2, GOLDEN, LX, Q, S2, X, call, clear_memos, digest
 
@@ -52,6 +56,19 @@ NO_REFERENCE = json.dumps(
         "involution": {"type": "orthogonal", "u": ["0", "-1", "2", "2"]},
     }
 )
+
+def test_first_query_round_matches_the_benchmark_digest():
+    """The first round of the benchmark's ``queries`` workload at its
+    default seed, answered in one process from a cold start as its worker
+    answers it, prints the bytes whose digest the benchmark records."""
+    workloads = _perfbench_workloads()
+    batch = next(workloads.query_rounds(workloads.DEFAULT_SEED))
+    clear_memos()
+    results = [call(q.argv) for q in batch]
+    assert [code for code, _, _ in results] == [0] * len(batch)
+    text = "".join(out for _, out, _ in results)
+    assert workloads.digest(text) == workloads.DIGESTS["queries"]
+
 
 def test_warm_replay_matches_golden():
     """Every golden command and --json examples, twice each in a seeded
