@@ -534,18 +534,11 @@ class _QuaternionCore(Algebra):
         return tuple(neg(p) for p in x)
 
     def mul(self, x, y):
-        """The product on the basis table; a central factor (coordinates
-        1-3 zero) scales the other one coordinate by coordinate, as the
-        centre is commutative: 4 products instead of 16."""
         C = self.centre
-        add, sub, mul, is_zero = C.add, C.sub, C.mul, C.is_zero
+        add, sub, mul = C.add, C.sub, C.mul
+        a, b = self._a, self._b
         x0, x1, x2, x3 = x
         y0, y1, y2, y3 = y
-        if is_zero(x1) and is_zero(x2) and is_zero(x3):
-            return (mul(x0, y0), mul(x0, y1), mul(x0, y2), mul(x0, y3))
-        if is_zero(y1) and is_zero(y2) and is_zero(y3):
-            return (mul(x0, y0), mul(x1, y0), mul(x2, y0), mul(x3, y0))
-        a, b = self._a, self._b
         return (
             add(
                 add(mul(x0, y0), mul(a, mul(x1, y1))),

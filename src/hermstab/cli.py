@@ -149,8 +149,6 @@ def _json_text(doc) -> str:
 
 
 def _write_json(value, newline, write):
-    # str and int items are written inside the list and dict loops, without
-    # a call per leaf; everything else recurses
     if isinstance(value, str):
         if type(value) is _Rendered:
             # exact: a newline inside a JSON string is escaped, so every
@@ -171,18 +169,10 @@ def _write_json(value, newline, write):
             write("[]")
             return
         inner = newline + "  "
-        sep = "," + inner
         write("[")
         for i, item in enumerate(value):
-            head = sep if i else inner
-            kind = type(item)
-            if kind is str:
-                write(head + encode_basestring_ascii(item))
-            elif kind is int:
-                write(head + int.__repr__(item))
-            else:
-                write(head)
-                _write_json(item, inner, write)
+            write("," + inner if i else inner)
+            _write_json(item, inner, write)
         write(newline + "]")
     elif isinstance(value, dict):
         if not value:
@@ -191,19 +181,12 @@ def _write_json(value, newline, write):
         if not all(isinstance(key, str) for key in value):
             raise TypeError("JSON object keys must be strings")
         inner = newline + "  "
-        sep = "," + inner
         write("{")
         for i, key in enumerate(sorted(value)):
-            item = value[key]
-            head = (sep if i else inner) + encode_basestring_ascii(key) + ": "
-            kind = type(item)
-            if kind is str:
-                write(head + encode_basestring_ascii(item))
-            elif kind is int:
-                write(head + int.__repr__(item))
-            else:
-                write(head)
-                _write_json(item, inner, write)
+            write("," + inner if i else inner)
+            write(encode_basestring_ascii(key))
+            write(": ")
+            _write_json(value[key], inner, write)
         write(newline + "}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -91,13 +91,12 @@ class InvariantViolation(RuntimeError):
 #           when the reduced q[0] is already the lower level's one, p/q is
 #           returned as it is, without inverting and scaling by 1.
 # Every level-0 value is a Fraction in lowest terms: coprime numerator,
-# positive denominator (_from_rat builds them through Fraction, the JSON
-# reader divides its digits by their one gcd, and the kernel below keeps
-# them so).  _Rationals runs the kernel _q_* on the _numerator and
-# _denominator slots, which splits gcds the classical way (Knuth, TAOCP
-# vol. 2, 4.5.1) and so produces a coprime pair by construction; _q_make
-# wraps that pair without normalising it again, and is the only code that
-# builds a Fraction from its slots.
+# positive denominator (_from_rat and the JSON reader build them through
+# Fraction, and the kernel below keeps them so).  _Rationals runs the
+# kernel _q_* on the _numerator and _denominator slots, which splits gcds
+# the classical way (Knuth, TAOCP vol. 2, 4.5.1) and so produces a coprime
+# pair by construction; _q_make wraps that pair without normalising it
+# again, and is the only code that builds a Fraction from its slots.
 # ---------------------------------------------------------------------------
 
 
@@ -404,30 +403,24 @@ def _frac_sqrt(f: Fraction):
 
 
 def _rational_from_json(doc) -> Fraction:
-    """The Fraction of a rational leaf, reduced by one gcd and built by
-    ``_q_make``; a zero denominator reports Fraction's own message."""
     text = doc if isinstance(doc, str) else str(doc)
     m = _RATIONAL_LEAF.fullmatch(text)
     if m is None:
         raise TowerError(
             f"rational must be 'p' or 'p/q' in decimal digits, got {text[:40]!r}"
         )
-    # a group can only be too long when the whole text is
-    if len(text) > MAX_RATIONAL_DIGITS and any(
-        g is not None and len(g) > MAX_RATIONAL_DIGITS for g in m.groups()
-    ):
+    if any(g is not None and len(g) > MAX_RATIONAL_DIGITS for g in m.groups()):
         raise TowerError(
             f"rational {text[:40]!r}... has more than {MAX_RATIONAL_DIGITS} digits"
         )
     p, q = m.groups()
     p = -int(p) if text[0] == "-" else int(p)
     if q is None:
-        return _q_make(p, 1)
-    q = int(q)
-    if not q:
-        raise TowerError(f"invalid rational {text[:40]!r}: Fraction({p}, 0)")
-    g = math.gcd(p, q)
-    return _q_make(p // g, q // g)
+        return Fraction(p)
+    try:
+        return Fraction(p, int(q))
+    except ZeroDivisionError as exc:
+        raise TowerError(f"invalid rational {text[:40]!r}: {exc}") from exc
 
 
 class FieldTower:

@@ -8,9 +8,8 @@ against a slow re-implementation that canonicalises every Laurent value
 by the full strip, gcd and normalize, quaternion arithmetic against
 the basis multiplication table applied bilinearly (and the product of
 library values against all sixteen coordinate products, central factors
-included), rational JSON leaves against reading them with Fraction,
-symmetric Gram matrices against plain congruence diagonalization over
-the field,
+included), symmetric Gram matrices against plain congruence
+diagonalization over the field,
 integer invariant factors against the determinantal divisors, the
 zero-on-nil sublattice and its 2-power exponents against a left kernel
 and a capped floor-division membership search, and the split model of a
@@ -474,29 +473,6 @@ def dense_quaternion_mul(A, x, y):
                 c = C.from_coords([A.field.coerce(coef(A.a, A.b)), *pad])
             out[t] = C.add(out[t], C.mul(c, C.mul(x[r], y[s])))
     return tuple(out)
-
-
-def fraction_rational_leaf(doc):
-    """A rational JSON leaf read by ``Fraction(text)`` after the grammar
-    and digit checks of ``fields._rational_from_json``, with the same
-    TowerError messages; a zero denominator reports Fraction's own
-    ZeroDivisionError text."""
-    from hermstab.fields import MAX_RATIONAL_DIGITS, TowerError
-
-    text = doc if isinstance(doc, str) else str(doc)
-    parts = text.removeprefix("-").split("/")
-    if len(parts) > 2 or not all(p.isascii() and p.isdigit() for p in parts):
-        raise TowerError(
-            f"rational must be 'p' or 'p/q' in decimal digits, got {text[:40]!r}"
-        )
-    if any(len(p) > MAX_RATIONAL_DIGITS for p in parts):
-        raise TowerError(
-            f"rational {text[:40]!r}... has more than {MAX_RATIONAL_DIGITS} digits"
-        )
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise TowerError(f"invalid rational {text[:40]!r}: {exc}") from exc
 
 
 class QuaternionOracle:

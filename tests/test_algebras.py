@@ -146,8 +146,7 @@ _PRODUCT_ALGEBRAS = [
     "A", _PRODUCT_ALGEBRAS, ids=[A.describe() for A in _PRODUCT_ALGEBRAS]
 )
 def test_quaternion_product_matches_dense_product(A):
-    """A central factor (coordinates 1-3 zero) scales the other one
-    coordinate by coordinate; on seeded pairs with a central factor on
+    """On seeded pairs with a central factor (coordinates 1-3 zero) on
     the left, on the right, on both sides and on neither, the product
     equals the dense sixteen-term one in value and in JSON."""
     rng = random.Random(25)
