@@ -843,6 +843,12 @@ class MatrixAlgebra(Algebra):
             raise ZeroDivisorFound(self, x)
         return tuple(tuple(e.value for e in row[n:]) for row in rows)
 
+    def is_invertible(self, x) -> bool:
+        """A matrix with a zero row is singular without a Gauss-Jordan."""
+        if any(all(self.inner.is_zero(v) for v in row) for row in x):
+            return False
+        return super().is_invertible(x)
+
     def is_zero(self, x):
         return all(self.inner.is_zero(v) for row in x for v in row)
 

@@ -27,7 +27,6 @@ from .lattices import (
     cokernel_invariants,
     hnf,
     hnf_with_transform,
-    lattice_coefficients,
     lattice_member,
     lattice_solve,
 )
@@ -117,16 +116,22 @@ def _field_probes(field: FieldTower):
     return [field.rational(-1)] + field.generators()
 
 
+def _sign_table(field: FieldTower, field_elements, orderings):
+    """The probe elements over ``field`` and their signs at ``orderings``."""
+    elements = [field.coerce(a) for a in field_elements]
+    if any(a.is_zero() for a in elements):
+        raise SingularFormError("Pfister slots must be nonzero")
+    return elements, [[a.sign_at(P) for P in orderings] for a in elements]
+
+
 def _probe_signatures(field: FieldTower, field_elements, orderings):
     """(signature vector over ``orderings``, slots) for <1> and for every
     Pfister form <1, +-a1> x ... x <1, +-ar> over nonempty subsets of the
     probe elements: masks in order, then sign flips.  Such a form has
     signature prod(1 + sgn_P(ai)) at P (Lam, Introduction to Quadratic
-    Forms over Fields), so no form is built."""
-    elements = [field.coerce(a) for a in field_elements]
-    if any(a.is_zero() for a in elements):
-        raise SingularFormError("Pfister slots must be nonzero")
-    signs = [[a.sign_at(P) for P in orderings] for a in elements]
+    Forms over Fields), so no form is built.  There are 3^r of them; a
+    report reads ``_quadratic_basis`` instead."""
+    elements, signs = _sign_table(field, field_elements, orderings)
     negated = [-a for a in elements]
     out = [((1,) * len(orderings), [])]
     n = len(elements)
@@ -141,6 +146,51 @@ def _probe_signatures(field: FieldTower, field_elements, orderings):
                 vector = [v * (1 + s * t) for v, t in zip(vector, signs[i])]
             out.append((tuple(vector), slots))
     return out
+
+
+def _quadratic_basis(field: FieldTower, field_elements, orderings, recipes=False):
+    """Hermite basis over ``orderings`` of the span of the signatures of
+    ``_probe_signatures``, one probe at a time: L_0 = Z.(1, ..., 1) and
+    L_k = hnf(B, (1 + s_k).B) for the basis B of L_(k-1) and the signs
+    s_k of the k-th probe (b.(1 - s) = 2b - b.(1 + s) makes (1 - s_k).B
+    redundant), so a step has at most 2|X| rows.  With ``recipes``, also
+    each row as {slot indices: coefficient} over the forms <1, ai> x ...
+    on those slots, from each step's transform."""
+    elements, signs = _sign_table(field, field_elements, orderings)
+    basis, books = [(1,) * len(orderings)], [{(): 1}]
+    for k, s in enumerate(signs):
+        rows = basis + [tuple(b * (1 + t) for b, t in zip(row, s)) for row in basis]
+        if not recipes:
+            basis = hnf(rows)
+            continue
+        books += [{(*S, k): c for S, c in book.items()} for book in books]
+        basis, transform = hnf_with_transform(rows)
+        books = [_combine(books, t) for t in transform]
+    return (basis, books) if recipes else basis
+
+
+def _combine(books, coefficients):
+    """The sum of the recipes times their coefficients, zero terms dropped."""
+    out = {}
+    for c, book in zip(coefficients, books):
+        for S, d in book.items():
+            out[S] = out.get(S, 0) + c * d
+    return {S: d for S, d in out.items() if d}
+
+
+def _pfister_witness(field: FieldTower, field_elements, orderings, target):
+    """A sum of +-Pfister forms over ``field_elements`` with signature
+    ``target`` at ``orderings``, or None outside their span: the target's
+    coordinates on the quadratic basis times each row's recipe."""
+    rows, books = _quadratic_basis(field, field_elements, orderings, recipes=True)
+    coords = lattice_solve(rows, target)
+    if coords is None or any(c.denominator != 1 for c in coords):
+        return None
+    entries = []
+    for S, c in _combine(books, [int(c) for c in coords]).items():
+        q = pfister(field, [field_elements[i] for i in S])
+        entries += (q if c > 0 else -q).entries * abs(c)
+    return QuadraticForm(field, entries)
 
 
 def _field_patterns_complete(field: FieldTower) -> bool:
@@ -159,14 +209,19 @@ def _field_patterns_complete(field: FieldTower) -> bool:
 
 
 class ImageLattice:
-    """The subgroup of Z^m generated by total signatures of probe forms."""
+    """The subgroup of Z^m spanned by the total signatures of the probe
+    forms times ``quadratic_basis``, the Hermite basis over every ordering
+    of the quadratic image of ``field_elements``: W(A, sigma) is a
+    W(F)-module.  A generator's provenance names its probe form, that
+    form's reference and the basis row."""
 
-    def __init__(self, space, generators, certified_exact, field_signatures=None):
+    def __init__(
+        self, space, generators, certified_exact, field_elements=(), quadratic_basis=()
+    ):
         self.space = space
         self.generators = list(generators)  # (vector, provenance)
-        # _probe_signatures of the default field probes over every
-        # ordering, when those were the probes: relative_stability reuses it
-        self.field_signatures = field_signatures
+        self.field_elements = list(field_elements)
+        self.quadratic_basis = quadratic_basis
         # the Hermite loop is cubic in the row count, so kill duplicate
         # and zero vectors first
         rows = [v for v in dict.fromkeys(tuple(v) for v, _ in self.generators) if any(v)]
@@ -181,9 +236,13 @@ class ImageLattice:
         return lattice_member(self.basis, vector)
 
     def recheck_generator(self, index: int, ref: ReferenceForm, budget: int = 50):
-        """Recompute one generator from its recorded provenance form."""
+        """Recompute one generator from its recorded provenance: the probe
+        form times Pfister forms with the signature of its quadratic row."""
         vector, prov = self.generators[index]
-        form = prov["base"].module_scale(pfister(self.space.field, prov["multiplier"]))
+        space = self.space
+        row = self.quadratic_basis[prov["row"]]
+        q = _pfister_witness(space.field, self.field_elements, space.all_orderings, row)
+        form = prov["base"].module_scale(q)
         vec = total_signature(form.algebra, form, prov.get("reference", ref), budget)
         return self.space.restrict(vec) == tuple(vector)
 
@@ -201,7 +260,9 @@ def image_lattice(
     probes: Probes | None = None,
     budget: int = 50,
 ) -> ImageLattice:
-    """Generate the image of the total signature map over probe forms.
+    """Generate the image of the total signature map over probe forms:
+    each hermitian probe's restricted signature vector times each row of
+    the quadratic image's Hermite basis, so |probes| x |X| rows at most.
 
     Matrix wrappers also pull in the probes of their inner algebra: Gram
     matrices over M_n(D) only realize module ranks divisible by n, while
@@ -214,39 +275,34 @@ def image_lattice(
         probes = Probes.default(A)
     space = NilAwareSpace(A)
     field = A.field
-    generators = []
     if space.dim == 0:
         # every ordering is nil: the image is {0}, whatever the probes
         return ImageLattice(space, [], True)
-    full = _probe_signatures(field, probes.field_elements, space.all_orderings)
+    quadratic = _quadratic_basis(field, probes.field_elements, space.all_orderings)
     nil = space.nil_indices
-    qsigs = [
-        (tuple(v for i, v in enumerate(vec) if i not in nil), slots)
-        for vec, slots in full
-    ]
+    rows = [tuple(v for i, v in enumerate(row) if i not in nil) for row in quadratic]
     # (restricted signature vector, probe form, its reference form)
-    base_vectors = []
-    for cand in probes.sym_forms:
-        vec = total_signature(A, cand, ref, budget)
-        base_vectors.append((space.restrict(vec), cand, ref))
+    base_vectors = [
+        (space.restrict(total_signature(A, cand, ref, budget)), cand, ref)
+        for cand in probes.sym_forms
+    ]
     if A.kind == "matrix":
-        inner = A.inner
-        inner_ref = reference_search(inner, budget)
-        for cand in Probes.default(inner).sym_forms:
-            vec = total_signature(inner, cand, inner_ref, budget)
-            base_vectors.append((space.restrict(vec), cand, inner_ref))
-    for vs, cand, cand_ref in base_vectors:
-        for qs, slots in qsigs:
-            vector = tuple(a * b for a, b in zip(qs, vs))
-            prov = {"multiplier": slots, "base": cand, "reference": cand_ref}
-            generators.append((vector, prov))
+        inner_ref = reference_search(A.inner, budget)
+        base_vectors += [
+            (space.restrict(total_signature(A.inner, cand, inner_ref, budget)), cand, inner_ref)
+            for cand in Probes.default(A.inner).sym_forms
+        ]
+    generators = [
+        (tuple(a * b for a, b in zip(row, vs)), {"row": j, "base": cand, "reference": cand_ref})
+        for vs, cand, cand_ref in base_vectors
+        for j, row in enumerate(rows)
+    ]
     exact = (
         _field_patterns_complete(field)
         and _division_certain(A)
         and _value_groups_attained(A, space, [v for v, _ in generators])
     )
-    defaults = probes.field_elements == _field_probes(field)
-    return ImageLattice(space, generators, exact, full if defaults else None)
+    return ImageLattice(space, generators, exact, probes.field_elements, quadratic)
 
 
 def _value_groups_attained(A: Algebra, space: NilAwareSpace, vectors) -> bool:
@@ -490,33 +546,22 @@ def relative_stability(
         lattice = image_lattice(A, ref, budget=budget)
     nil = lattice.space.nil_indices
     field = A.field
-    gens = lattice.field_signatures
-    if gens is None:
-        gens = _probe_signatures(field, _field_probes(field), field.orderings())
-    vectors = [v for v, _ in gens]
-    q0_basis = _zero_on_nil_basis(vectors, nil)
-    n0 = _two_power_exponent(q0_basis, lattice.basis)
+    defaults = _field_probes(field)
+    quadratic = lattice.quadratic_basis
+    if lattice.field_elements != defaults:
+        quadratic = _quadratic_basis(field, defaults, field.orderings())
+    n0 = _two_power_exponent(_zero_on_nil_basis(quadratic, nil), lattice.basis)
 
     def to_quadratic(h: HermitianForm) -> QuadraticForm:
         if n0 == math.inf:
             raise SearchExhausted("no uniform quadratic comparison exists")
         vec = total_signature(A, h, ref, budget)
         target = [v * (1 << n0) for v in vec.values]
-        basis, transform = hnf_with_transform(_nil_first(vectors, nil))
-        coeffs = lattice_coefficients(basis, transform, _nil_first([target], nil)[0])
-        if coeffs is None:
+        q_h = _pfister_witness(field, defaults, field.orderings(), target)
+        if q_h is None:
             raise InvariantViolation(
                 "a hermitian signature escaped the certified quadratic image"
             )
-        entries = []
-        for c, (_, slots) in zip(coeffs, gens):
-            if c == 0:
-                continue
-            q = pfister(field, slots)
-            block = q if c > 0 else -q
-            for _ in range(abs(c)):
-                entries.extend(block.entries)
-        q_h = QuadraticForm(field, entries)
         got = tuple(q_h.signature(P) for P in field.orderings())
         if got != tuple(target):
             raise InvariantViolation("reconstructed quadratic form missed its target")
@@ -525,18 +570,13 @@ def relative_stability(
     return n0, to_quadratic
 
 
-def _nil_first(vectors, nil_indices):
-    """The vectors with the columns at ``nil_indices`` moved to the front."""
-    order = [*nil_indices, *(i for i in range(len(vectors[0])) if i not in nil_indices)]
-    return [[v[i] for i in order] for v in vectors]
-
-
 def _zero_on_nil_basis(rows, nil_indices):
     """Hermite basis, over the other columns in order, of the vectors of
     the row lattice that vanish on ``nil_indices``: with those columns
     first, the Hermite rows that vanish on them."""
     t = len(nil_indices)
-    return [row[t:] for row in hnf(_nil_first(rows, nil_indices)) if not any(row[:t])]
+    order = [*nil_indices, *(i for i in range(len(rows[0])) if i not in nil_indices)]
+    return [row[t:] for row in hnf([[v[i] for i in order] for v in rows]) if not any(row[:t])]
 
 
 def invariance_suite(A: Algebra, ref: ReferenceForm | None = None, budget: int = 50):

@@ -19,9 +19,10 @@ split model's matrices and involution datum against all sixteen
 products b_s * (b_t e) and all sixteen datum equations, invertibility
 by the reduced norm against computing the inverse, the piecewise
 assembly of references and of h0 against scaling each piece first by
-its one-ordering Pfister form and then by its padding, and the
+its one-ordering Pfister form and then by its padding, the
 entry-by-entry reading of diagonal forms' route values against transport
-and elimination of every form.
+and elimination of every form, and the signature image built one field
+probe at a time against every Pfister form times every hermitian probe.
 """
 
 from __future__ import annotations
@@ -35,6 +36,16 @@ from hermstab.algebras import morita_flatten
 from hermstab.fields import FieldElement, FieldTower, MismatchError, Ordering
 from hermstab.lattices import hnf
 from hermstab.quadratic import QuadraticForm, SingularFormError, pfister
+from hermstab.signatures import reference_search, total_signature
+from hermstab.stability import (
+    NilAwareSpace,
+    Probes,
+    _division_certain,
+    _field_patterns_complete,
+    _field_probes,
+    _probe_signatures,
+    _value_groups_attained,
+)
 
 
 class Interval:
@@ -895,3 +906,51 @@ def stepwise_piecewise_form(field: FieldTower, pieces):
             local = local.module_scale(QuadraticForm(field, [field.one()] * (1 << pad)))
         total = local if total is None else total.direct_sum(local)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the signature image from every Pfister form
+# ---------------------------------------------------------------------------
+
+
+def enumerated_image(A, ref, probes=None, budget=50):
+    """(Hermite basis, st, n0, exact) of the signature image spanned by
+    every hermitian probe vector (with the inner algebra's probes for a
+    matrix wrapper) times the signature of every one of the 3^m Pfister
+    forms <1, +-a1> x ... over the field probes, in one Hermite form.  st
+    and n0 come from the capped search, n0 against the zero-on-nil
+    vectors of the default probes' 3^m forms, found by a left kernel."""
+    if probes is None:
+        probes = Probes.default(A)
+    space = NilAwareSpace(A)
+    field = A.field
+    if not space.dim:
+        return [], 0, 0, True
+    keep = [i for i in range(len(space.all_orderings)) if i not in space.nil_indices]
+    hermitian = [
+        space.restrict(total_signature(A, h, ref, budget)) for h in probes.sym_forms
+    ]
+    if A.kind == "matrix":
+        inner_ref = reference_search(A.inner, budget)
+        hermitian += [
+            space.restrict(total_signature(A.inner, h, inner_ref, budget))
+            for h in Probes.default(A.inner).sym_forms
+        ]
+    signatures = _probe_signatures(field, probes.field_elements, space.all_orderings)
+    vectors = [
+        tuple(v[i] * h[j] for j, i in enumerate(keep))
+        for h in hermitian
+        for v, _ in signatures
+    ]
+    basis = hnf(vectors)
+    m = space.dim
+    st = capped_two_power_exponent(basis, [[int(i == j) for j in range(m)] for i in range(m)])
+    quadratic = [v for v, _ in _probe_signatures(field, _field_probes(field), space.all_orderings)]
+    zero_on_nil = zero_on_nil_vectors(quadratic, list(space.nil_indices))
+    n0 = capped_two_power_exponent(hnf([[v[i] for i in keep] for v in zero_on_nil]), basis)
+    exact = (
+        _field_patterns_complete(field)
+        and _division_certain(A)
+        and _value_groups_attained(A, space, vectors)
+    )
+    return basis, st, n0, exact

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hermstab.algebras import (
+    Algebra,
     ExchangeAlgebra,
     FieldAlgebra,
     HermitianForm,
@@ -226,6 +227,46 @@ def test_value_equality_agrees_with_subtraction(field):
                 assert (p == q) == same
                 if same:
                     assert hash(p) == hash(q)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["field_id", "unitary_quadratic", "quaternion-conj", "quaternion-orth", "unitary_quaternion"],
+)
+def test_matrix_zero_rows_are_singular(kind):
+    """The zero-row shortcut of MatrixAlgebra.is_invertible agrees with the
+    Gauss-Jordan verdict, on matrices with and without a zero row.  The
+    towers have no Laurent step and the entries rational coordinates,
+    which keeps the elimination cheap."""
+    rng = random.Random(f"zero-row-{kind}")
+    skipped = done = 0
+    verdicts = set()
+    while done < 24:
+        try:
+            D = random_algebra(rng, rng.choice([Q, F2, Q.adjoin_sqrt(3)]), kinds=(kind,))
+        except SamplingError:
+            skipped += 1
+            continue
+        n = rng.randint(2, 3)
+        M = MatrixAlgebra(n, D)
+        x = [
+            [D.from_coords([D.field.rational(random_rational(rng, 5)) for _ in range(D.dim)])
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        zero_row = done % 2 == 1
+        if zero_row:
+            x[rng.randrange(n)] = [D.zero()] * n
+        elif done % 4 == 2:
+            x[1] = x[0]
+        x = tuple(tuple(row) for row in x)
+        verdict = M.is_invertible(x)
+        assert verdict == Algebra.is_invertible(M, x)
+        assert not (zero_row and verdict)
+        verdicts.add(verdict)
+        done += 1
+    assert verdicts == {True, False}
+    assert_skip_rate(skipped, done)
 
 
 def test_matrix_involution_properties():

@@ -604,6 +604,21 @@ def test_probes_file(tmp_path):
     assert "stability group: Z/2Z" in out
 
 
+def test_many_field_probes_stay_cheap(tmp_path):
+    """The lattice grows one field probe at a time, so ten extra field
+    elements over Q(sqrt 2) add rows linearly; the certified-exact report
+    is the one without them."""
+    algebra = _HAM_F2
+    p = tmp_path / "probes.json"
+    extra = [{"u": str(k), "v": str((-1) ** k)} for k in range(1, 11)]
+    p.write_text(json.dumps({"field": extra}), encoding="utf-8")
+    t0 = time.perf_counter()
+    code, out, err = run_cli("--json", "stability", "--algebra", algebra, "--probes", str(p))
+    elapsed = time.perf_counter() - t0
+    assert code == 0, err
+    assert elapsed < 2, elapsed
+    assert out == run_cli("--json", "stability", "--algebra", algebra)[1]
+
 
 @pytest.mark.parametrize("case", ["superscript-ordering", "probes-sym", "probes-field", "deep-nesting"])
 def test_malformed_inputs_exit_2_in_one_line(tmp_path, case):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -11,9 +12,11 @@ from hermstab.algebras import (
     UnitaryQuadraticAlgebra,
 )
 from hermstab.fields import FieldTower
+from hermstab.lattices import hnf
 from hermstab.quadratic import SingularFormError, pfister
 from hermstab.signatures import (
     ReferenceForm,
+    SearchExhausted,
     reference_search,
     reference_signs,
     total_signature,
@@ -22,6 +25,8 @@ from hermstab.stability import (
     NilAwareSpace,
     Probes,
     _probe_signatures,
+    _pfister_witness,
+    _quadratic_basis,
     _value_groups_attained,
     h0_search,
     image_lattice,
@@ -31,8 +36,14 @@ from hermstab.stability import (
     stability_report,
 )
 
-from corpus import random_hermitian_diagonal
-from oracles import stepwise_piecewise_form
+from corpus import (
+    SamplingError,
+    assert_skip_rate,
+    random_algebra,
+    random_hermitian_diagonal,
+    random_tower,
+)
+from oracles import enumerated_image, stepwise_piecewise_form
 
 Q = FieldTower.rationals()
 F2 = Q.adjoin_sqrt(2)
@@ -442,36 +453,159 @@ def test_space_restrict_rejects_nonvanishing():
         space.restrict(bad)
 
 
-def test_report_computes_probe_signatures_once(monkeypatch):
-    """With the default probes a report computes the Pfister probe
-    signatures once, over every ordering; the lattice reads the non-nil
-    coordinates off them and relative_stability reuses them.  With other
-    field probes relative_stability computes the default ones itself,
-    and n0 does not change."""
+def test_m12_wrapper_candidates_finish():
+    """A symmetric basis element of M_12(Q) has zero rows, so the candidate
+    walk of (M_12(Q), ad_g) rejects it without a Gauss-Jordan inverse: the
+    reference, the lattice and the whole walk that h0_search reads finish
+    in seconds."""
+    t0 = time.perf_counter()
+    D = FieldAlgebra(Q)
+    M = MatrixAlgebra(12, D, [D.elem(D.one())] * 11 + [D.from_field(Q.rational(-1))])
+    ref = reference_search(M)
+    assert image_lattice(M, ref).basis == [(1,)]
+    assert M.reference_candidates
+    assert time.perf_counter() - t0 < 5
+
+
+def test_report_builds_quadratic_basis_once(monkeypatch):
+    """A report builds the Hermite basis of the default probes' quadratic
+    image once, over every ordering, and never enumerates the Pfister
+    forms; the lattice has one generator per hermitian probe and basis
+    row, read off its non-nil coordinates, and relative_stability reuses
+    the basis.  With other field probes relative_stability builds the
+    default basis itself, and n0 does not change."""
     import hermstab.stability as stability
 
     calls = []
-    real = stability._probe_signatures
+    real = stability._quadratic_basis
+    enumeration = stability._probe_signatures
 
-    def counting(field, elements, orderings):
-        calls.append(orderings)
-        return real(field, elements, orderings)
+    def counting(field, elements, orderings, recipes=False):
+        calls.append((orderings, recipes))
+        return real(field, elements, orderings, recipes)
 
-    monkeypatch.setattr(stability, "_probe_signatures", counting)
+    def refused(*args):
+        raise AssertionError("the Pfister forms were enumerated")
+
+    monkeypatch.setattr(stability, "_quadratic_basis", counting)
+    monkeypatch.setattr(stability, "_probe_signatures", refused)
     A = EX4
     ref = reference_search(A)
     report = stability_report(A, ref)
-    assert calls == [A.field.orderings()]
-    space = report.lattice.space
+    assert calls == [(A.field.orderings(), False)]
+    lattice = report.lattice
+    space = lattice.space
     assert space.nil_indices
-    # the first generators are the probe signatures times that of the
-    # first probe form, which is the first of them (times <1>)
-    direct = real(A.field, [A.field.rational(-1), *A.field.generators()], space.coords)
-    gens = [v for v, _ in report.lattice.generators[: len(direct)]]
-    assert [tuple(a * b for a, b in zip(v, gens[0])) for v, _ in direct] == gens
+    defaults = [A.field.rational(-1), *A.field.generators()]
+    full = enumeration(A.field, defaults, A.field.orderings())
+    assert lattice.quadratic_basis == hnf([v for v, _ in full])
+    nil = space.nil_indices
+    rows = [tuple(v for i, v in enumerate(r) if i not in nil) for r in lattice.quadratic_basis]
+    probe = space.restrict(total_signature(A, Probes.default(A).sym_forms[0], ref))
+    gens = [v for v, _ in lattice.generators[: len(rows)]]
+    assert gens == [tuple(a * b for a, b in zip(r, probe)) for r in rows]
+    assert len(lattice.generators) <= len(Probes.default(A).sym_forms) * len(A.field.orderings())
     calls.clear()
+    assert relative_stability(A, ref, lattice)[0] == report.n0
+    assert calls == []
     probes = Probes(Probes.default(A).sym_forms, [A.field.rational(-1)])
     lattice = image_lattice(A, ref, probes)
     n0, _ = relative_stability(A, ref, lattice)
-    assert calls == [A.field.orderings(), A.field.orderings()]
-    assert lattice.field_signatures is None and n0 == report.n0
+    assert calls == [(A.field.orderings(), False), (A.field.orderings(), False)]
+    assert n0 == report.n0
+
+
+@pytest.mark.parametrize(
+    "field",
+    [Q, F2, LX, F2.adjoin_laurent()],
+    ids=["Q", "Q(s2)", "Q((x))", "Q(s2)((x))"],
+)
+def test_quadratic_basis_matches_enumeration(field):
+    """The basis built one probe at a time is the Hermite form of every
+    Pfister signature, and the recipes replayed with it give each row and
+    each sum of rows as the signature of a form; a vector outside the
+    span has none."""
+    elements = [field.rational(-1)] + field.generators() + [field.rational(3)]
+    if field.depth > 1:
+        elements.append(1 + field.generator())
+    orderings = field.orderings()
+    basis = _quadratic_basis(field, elements, orderings)
+    assert basis == hnf([v for v, _ in _probe_signatures(field, elements, orderings)])
+    assert _quadratic_basis(field, elements, orderings, recipes=True)[0] == basis
+    targets = [*basis, tuple(sum(col) for col in zip(*basis))]
+    for target in targets:
+        q = _pfister_witness(field, elements, orderings, target)
+        assert tuple(q.signature(P) for P in orderings) == target
+    odd = (1,) + (0,) * (len(orderings) - 1)
+    if odd not in set(targets):
+        assert _pfister_witness(field, elements, orderings, odd) is None
+
+
+def _extra_probes(A, count):
+    field = A.field
+    g = field.generator()
+    pairs = [(1, 1), (-3, 1), (1, -1), (0, 3), (2, -5), (5, 0)]
+    default = Probes.default(A)
+    extra = [field.rational(c) + field.rational(d) * g for c, d in pairs[:count]]
+    return Probes(default.sym_forms, default.field_elements + extra)
+
+
+def _oracle_cases():
+    conj_field = F2.adjoin_laurent().adjoin_laurent()
+    orth_field = LX.adjoin_laurent()
+    deep4 = LX.adjoin_laurent().adjoin_laurent().adjoin_laurent()
+    cases = [
+        pytest.param(A, None, id=f"ex{i}") for i, A in enumerate((EX1, EX2, EX3, EX4), 1)
+    ]
+    cases += [
+        pytest.param(
+            QuaternionAlgebra(conj_field, -1, conj_field.generator(2)), None, id="deep_conj"
+        ),
+        pytest.param(
+            QuaternionAlgebra(orth_field, orth_field.generator(1), -1, "orthogonal", [0, 0, 1, 0]),
+            None,
+            id="deep_orth",
+        ),
+        pytest.param(
+            QuaternionAlgebra(deep4, deep4.generator(1), -1, "orthogonal", [0, 0, 1, 0]),
+            None,
+            id="depth4",
+        ),
+    ]
+    for A, name in ((EX3, "Q(s2)"), (EX4, "Q((x))")):
+        for count in (4, 6):
+            cases.append(pytest.param(A, _extra_probes(A, count), id=f"{name}+{count}"))
+    return cases
+
+
+@pytest.mark.parametrize("A, probes", _oracle_cases())
+def test_report_lattice_matches_enumeration(A, probes):
+    """The report's lattice, st, n0 and exact equal those of the 3^m
+    enumeration of Pfister forms, and every generator rechecks."""
+    ref = reference_search(A)
+    report = stability_report(A, ref, probes)
+    basis, st, n0, exact = enumerated_image(A, ref, probes)
+    assert report.lattice.basis == basis
+    assert (report.st, report.n0, report.exact) == (st, n0, exact)
+    if probes is None and A.field.depth <= 2:
+        for idx in range(len(report.lattice.generators)):
+            assert report.lattice.recheck_generator(idx, ref)
+
+
+def test_corpus_lattices_match_enumeration():
+    done = skipped = 0
+    for i in range(42):
+        rng = random.Random(f"lattice-{i}")
+        try:
+            A = random_algebra(rng, random_tower(rng, max_depth=2))
+            ref = reference_search(A)
+        except (SamplingError, SearchExhausted):
+            skipped += 1
+            continue
+        report = stability_report(A, ref)
+        basis, st, n0, exact = enumerated_image(A, ref)
+        assert report.lattice.basis == basis, A
+        assert (report.st, report.n0, report.exact) == (st, n0, exact), A
+        done += 1
+    assert done >= 40
+    assert_skip_rate(skipped, done)
