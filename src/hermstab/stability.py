@@ -21,6 +21,7 @@ from .algebras import (
     Algebra,
     HermitianForm,
     MatrixAlgebra,
+    morita_flatten,
 )
 from .fields import FieldElement, FieldTower, InvariantViolation, MismatchError
 from .lattices import (
@@ -99,17 +100,10 @@ class Probes:
 
     @staticmethod
     def default(A: Algebra) -> Probes:
-        field = A.field
-        if A.kind == "matrix":
-            sym = [HermitianForm.diagonal(A, [A.elem(A.one())])]
-            from .algebras import sym_basis
-
-            for s in sym_basis(A):
-                if s.is_invertible():
-                    sym.append(HermitianForm.diagonal(A, [s]))
-        else:
-            sym = A.reference_candidates
-        return Probes(sym, _field_probes(field))
+        """The reference candidates of D (A, or a matrix wrapper's inner
+        algebra, on which ``image_lattice`` reads it), -1 and the generators."""
+        D = A.inner if A.kind == "matrix" else A
+        return Probes(D.reference_candidates, _field_probes(A.field))
 
 
 def _field_probes(field: FieldTower):
@@ -212,13 +206,15 @@ class ImageLattice:
     """The subgroup of Z^m spanned by the total signatures of the probe
     forms times ``quadratic_basis``, the Hermite basis over every ordering
     of the quadratic image of ``field_elements``: W(A, sigma) is a
-    W(F)-module.  A generator's provenance names its probe form, that
-    form's reference and the basis row."""
+    W(F)-module.  Every probe is read against the one ``reference`` (for
+    a matrix wrapper, the flattened reference over D), and a generator's
+    provenance names its probe form and the basis row."""
 
     def __init__(
-        self, space, generators, certified_exact, field_elements=(), quadratic_basis=()
+        self, space, reference, generators, certified_exact, field_elements=(), quadratic_basis=()
     ):
         self.space = space
+        self.reference = reference
         self.generators = list(generators)  # (vector, provenance)
         self.field_elements = list(field_elements)
         self.quadratic_basis = quadratic_basis
@@ -235,15 +231,16 @@ class ImageLattice:
     def member(self, vector) -> bool:
         return lattice_member(self.basis, vector)
 
-    def recheck_generator(self, index: int, ref: ReferenceForm, budget: int = 50):
+    def recheck_generator(self, index: int, budget: int = 50):
         """Recompute one generator from its recorded provenance: the probe
-        form times Pfister forms with the signature of its quadratic row."""
+        form times Pfister forms with the signature of its quadratic row,
+        read against the lattice's reference."""
         vector, prov = self.generators[index]
         space = self.space
         row = self.quadratic_basis[prov["row"]]
         q = _pfister_witness(space.field, self.field_elements, space.all_orderings, row)
         form = prov["base"].module_scale(q)
-        vec = total_signature(form.algebra, form, prov.get("reference", ref), budget)
+        vec = total_signature(form.algebra, form, self.reference, budget)
         return self.space.restrict(vec) == tuple(vector)
 
     def to_json(self):
@@ -264,45 +261,40 @@ def image_lattice(
     each hermitian probe's restricted signature vector times each row of
     the quadratic image's Hermite basis, so |probes| x |X| rows at most.
 
-    Matrix wrappers also pull in the probes of their inner algebra: Gram
-    matrices over M_n(D) only realize module ranks divisible by n, while
-    the Witt group (and hence the true image) is that of the inner
-    algebra by Morita invariance.
+    A matrix wrapper (M_n(D), ad_g) is read on D (Morita invariance):
+    its reference, with its signs, and its probe forms are flattened
+    (``morita_flatten`` keeps every raw signature), and its default
+    probes are D's, as Grams over M_n(D) only reach ranks divisible by n.
     """
     if ref is None:
         ref = reference_search(A, budget)
     if probes is None:
         probes = Probes.default(A)
+    if A.kind == "matrix":
+        ref = ReferenceForm(A.inner, morita_flatten(ref.form), ref.deltas)
+        probes = Probes(map(morita_flatten, probes.sym_forms), probes.field_elements)
+        A = A.inner
     space = NilAwareSpace(A)
     field = A.field
     if space.dim == 0:
         # every ordering is nil: the image is {0}, whatever the probes
-        return ImageLattice(space, [], True)
+        return ImageLattice(space, ref, [], True)
     quadratic = _quadratic_basis(field, probes.field_elements, space.all_orderings)
     nil = space.nil_indices
     rows = [tuple(v for i, v in enumerate(row) if i not in nil) for row in quadratic]
-    # (restricted signature vector, probe form, its reference form)
-    base_vectors = [
-        (space.restrict(total_signature(A, cand, ref, budget)), cand, ref)
-        for cand in probes.sym_forms
-    ]
-    if A.kind == "matrix":
-        inner_ref = reference_search(A.inner, budget)
-        base_vectors += [
-            (space.restrict(total_signature(A.inner, cand, inner_ref, budget)), cand, inner_ref)
-            for cand in Probes.default(A.inner).sym_forms
+    generators = []
+    for cand in probes.sym_forms:
+        vs = space.restrict(total_signature(A, cand, ref, budget))
+        generators += [
+            (tuple(a * b for a, b in zip(row, vs)), {"row": j, "base": cand})
+            for j, row in enumerate(rows)
         ]
-    generators = [
-        (tuple(a * b for a, b in zip(row, vs)), {"row": j, "base": cand, "reference": cand_ref})
-        for vs, cand, cand_ref in base_vectors
-        for j, row in enumerate(rows)
-    ]
     exact = (
         _field_patterns_complete(field)
         and _division_certain(A)
         and _value_groups_attained(A, space, [v for v, _ in generators])
     )
-    return ImageLattice(space, generators, exact, probes.field_elements, quadratic)
+    return ImageLattice(space, ref, generators, exact, probes.field_elements, quadratic)
 
 
 def _value_groups_attained(A: Algebra, space: NilAwareSpace, vectors) -> bool:
@@ -338,10 +330,6 @@ def _division_certain(A: Algebra) -> bool:
         return True  # no non-nil coordinates exist anyway
     if A.kind == "quaternion":
         return is_division_quaternion(A.a, A.b, A.field) == "yes"
-    if A.kind == "unitary_quaternion":
-        return False
-    if A.kind == "matrix":
-        return _division_certain(A.inner)
     return False
 
 
@@ -584,7 +572,7 @@ def invariance_suite(A: Algebra, ref: ReferenceForm | None = None, budget: int =
 
     (a) a second reference form yields the same cokernel invariants;
     (b) matrix wrappers (n = 2, 3, with a scaled form) yield the same
-        report as the algebra itself;
+        group, stability index and exactness as the algebra itself;
     (c) rational forms with zero signature are 2-primary torsion, by the
         hyperbolicity oracle;
     (d) multiplication by h0 and the quadratic comparison map are
@@ -617,7 +605,8 @@ def invariance_suite(A: Algebra, ref: ReferenceForm | None = None, budget: int =
             out[f"morita_m{n}"] = {
                 "ok": wreport.invariant_factors == report.invariant_factors
                 and wreport.st == report.st
-                and wreport.free_rank == report.free_rank,
+                and wreport.free_rank == report.free_rank
+                and wreport.exact == report.exact,
                 "factors": wreport.invariant_factors,
             }
 
@@ -658,7 +647,7 @@ def invariance_suite(A: Algebra, ref: ReferenceForm | None = None, budget: int =
             if any(restricted) and not any(hv):
                 inj_ok = False
         n0, to_quadratic = relative_stability(A, ref, report.lattice, budget)
-        for cand in Probes.default(A).sym_forms[:4]:
+        for cand in A.reference_candidates[:4]:
             q_h = to_quadratic(cand)
             target = total_signature(A, cand, ref, budget)
             got = [q_h.signature(P) for P in field.orderings()]

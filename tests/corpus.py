@@ -8,6 +8,7 @@ from hermstab.algebras import (
     ExchangeAlgebra,
     FieldAlgebra,
     HermitianForm,
+    MatrixAlgebra,
     QuaternionAlgebra,
     UnitaryQuadraticAlgebra,
     UnitaryQuaternionAlgebra,
@@ -176,6 +177,21 @@ def random_algebra(rng, field, kinds=None):
         alpha = random_nonsquare(rng, field)
         return UnitaryQuaternionAlgebra(field, a, b, alpha)
     raise ValueError(kind)
+
+
+def random_wrapper(rng, D) -> MatrixAlgebra:
+    """(M_n(D), ad_g) with 2 <= n <= 4 and each g_i a signed monomial in
+    the tower generators, so that the signs of the wrapper's reference
+    and of D's can differ at some orderings only."""
+    field = D.field
+    g = []
+    for _ in range(rng.randint(2, 4)):
+        c = field.rational(rng.choice((1, -1)))
+        for x in field.generators():
+            if rng.random() < 0.5:
+                c = c * x
+        g.append(D.from_field(c))
+    return MatrixAlgebra(len(g), D, g)
 
 
 def random_sym_element(rng, A, invertible=True):

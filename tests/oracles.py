@@ -36,7 +36,7 @@ from hermstab.algebras import morita_flatten
 from hermstab.fields import FieldElement, FieldTower, MismatchError, Ordering
 from hermstab.lattices import hnf
 from hermstab.quadratic import QuadraticForm, SingularFormError, pfister
-from hermstab.signatures import reference_search, total_signature
+from hermstab.signatures import ReferenceForm, total_signature
 from hermstab.stability import (
     NilAwareSpace,
     Probes,
@@ -915,13 +915,19 @@ def stepwise_piecewise_form(field: FieldTower, pieces):
 
 def enumerated_image(A, ref, probes=None, budget=50):
     """(Hermite basis, st, n0, exact) of the signature image spanned by
-    every hermitian probe vector (with the inner algebra's probes for a
-    matrix wrapper) times the signature of every one of the 3^m Pfister
-    forms <1, +-a1> x ... over the field probes, in one Hermite form.  st
-    and n0 come from the capped search, n0 against the zero-on-nil
-    vectors of the default probes' 3^m forms, found by a left kernel."""
+    every hermitian probe vector times the signature of every one of the
+    3^m Pfister forms <1, +-a1> x ... over the field probes, in one
+    Hermite form.  A matrix wrapper is read on its inner algebra, with the
+    flattened reference and probe forms (the documented Morita
+    reduction).  st and n0 come from the capped search, n0 against the
+    zero-on-nil vectors of the default probes' 3^m forms, found by a left
+    kernel."""
     if probes is None:
         probes = Probes.default(A)
+    if A.kind == "matrix":
+        ref = ReferenceForm(A.inner, morita_flatten(ref.form), ref.deltas)
+        probes = Probes(map(morita_flatten, probes.sym_forms), probes.field_elements)
+        A = A.inner
     space = NilAwareSpace(A)
     field = A.field
     if not space.dim:
@@ -930,12 +936,6 @@ def enumerated_image(A, ref, probes=None, budget=50):
     hermitian = [
         space.restrict(total_signature(A, h, ref, budget)) for h in probes.sym_forms
     ]
-    if A.kind == "matrix":
-        inner_ref = reference_search(A.inner, budget)
-        hermitian += [
-            space.restrict(total_signature(A.inner, h, inner_ref, budget))
-            for h in Probes.default(A.inner).sym_forms
-        ]
     signatures = _probe_signatures(field, probes.field_elements, space.all_orderings)
     vectors = [
         tuple(v[i] * h[j] for j, i in enumerate(keep))

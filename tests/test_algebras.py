@@ -795,3 +795,30 @@ def test_matrix_scaling_must_be_invertible(entry):
     assert e.involution() == e
     with pytest.raises(MismatchError, match="^scaling entries must be invertible$"):
         MatrixAlgebra(2, D, [D.elem(D.one()), e])
+
+
+@pytest.mark.parametrize(
+    "inner, n",
+    [(FieldAlgebra(Q), 5), (FieldAlgebra(Q), 6), (FieldAlgebra(Q), 7), (HAM, 5)],
+    ids=["Q-id-5", "Q-id-6", "Q-id-7", "H-conj-5"],
+)
+def test_large_wrappers_skip_pairwise_candidates(inner, n, monkeypatch):
+    """For n >= 5 the walk stops after +-1 and +-b_i, since each b_i +- b_j
+    has a zero row: it keeps what the full walk of ``Algebra`` keeps once
+    filtered by invertibility (and by the repeats of 1 and -1), and it
+    computes the symmetric basis only after +-1 are consumed."""
+    g = [inner.elem(inner.one())] * (n - 1) + [inner.from_field(-2)]
+    M = MatrixAlgebra(n, inner, g)
+    one = M.elem(M.one())
+    units = (one.value, (-one).value)
+    full = [
+        x.value
+        for pos, x in enumerate(Algebra._reference_values(M, one))
+        if not (pos >= 2 and x.value in units) and x.is_invertible()
+    ]
+    assert [h.gram[0][0] for h in M.reference_candidates] == full
+    fresh = MatrixAlgebra(n, inner, g)
+    walk = fresh.iter_reference_candidates()
+    with monkeypatch.context() as m:
+        m.setattr("hermstab.algebras.sym_basis", None)
+        assert [next(walk).gram[0][0] for _ in range(2)] == list(units)

@@ -5,7 +5,8 @@ on one algebra of each catalogue kind (towers of depth <= 1) and on one
 over towers of depth 2, whose split certificates extend a Laurent tower,
 and of ``stability`` on an orthogonal and a conjugation quaternion algebra
 over towers of depth 2, whose reports evaluate the same forms at several
-orderings, and of ``transfer-check`` on forms over Q(sqrt 2), Q(sqrt 3)
+orderings, and on a 3 x 3 matrix wrapper over such a tower, whose image is
+read on its inner algebra, and of ``transfer-check`` on forms over Q(sqrt 2), Q(sqrt 3)
 and Q(sqrt 2)(sqrt 3), with entries u + v*sqrt(e) both with u = 0 and
 with u != 0.  ``signature`` also runs on the other branches of the form
 reader, over the orthogonal quaternion algebra and the matrix wrapper: a
@@ -153,6 +154,14 @@ DEPTH2_REPORTS = {
         "a": "-1",
         "b": X,
         "involution": {"type": "conjugation"},
+    },
+    # M_3 of (Q((x))((y)), id) scaled by g = (1, x, y): the wrapper's
+    # reference and the inner algebra's differ in sign at one ordering
+    "matrix_field_depth2_report": {
+        "kind": "matrix",
+        "n": 3,
+        "inner": {"kind": "field_id", "field": LXY},
+        "g": ["1", INNER_X, X],
     },
 }
 
@@ -400,6 +409,7 @@ GOLDEN = {
     "matrix/signature": (0, "4661c052f106a9990b75db9a7f339243ca97ffb40cb855bdb12c737e1585363d"),
     "matrix/split-cert": (0, "a5ea08ef4545b1801fb4df214f3a7637d06e24987f25eff7ca3b49bfc2d1ce49"),
     "matrix/stability": (0, "cea8b2b81de8a7ca9540d7c91fa6cfde9d4dd8461044b1c64799c2067293f53e"),
+    "matrix_field_depth2_report/stability": (0, "6078b3c25ff3c2bb77548f672e9dbf33d19a93ad786fadd6a08f9adf01854261"),
     "matrix_orthogonal_dense/signature": (0, "4cef74e28a8c05735a118db589b96bc786f5ee3377465b1ade06d941127c4ef0"),
     "matrix_orthogonal_dense/text/signature": (0, "58f53161d87d5bf216028220ae70a5e8e0ff12f7ff40d767a0a1582337062e3a"),
     "q_sqrt2_sqrt3/orderings": (0, "f9868a28ea91051017f195d6daa80c2a96dd9ea72fa8997d43d92e2ce0230cd8"),

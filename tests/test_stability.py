@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -11,8 +12,8 @@ from hermstab.algebras import (
     QuaternionAlgebra,
     UnitaryQuadraticAlgebra,
 )
-from hermstab.fields import FieldTower
-from hermstab.lattices import hnf
+from hermstab.fields import FieldTower, Ordering
+from hermstab.lattices import cokernel_invariants, hnf
 from hermstab.quadratic import SingularFormError, pfister
 from hermstab.signatures import (
     ReferenceForm,
@@ -27,6 +28,7 @@ from hermstab.stability import (
     _probe_signatures,
     _pfister_witness,
     _quadratic_basis,
+    _stability_index,
     _value_groups_attained,
     h0_search,
     image_lattice,
@@ -42,6 +44,7 @@ from corpus import (
     random_algebra,
     random_hermitian_diagonal,
     random_tower,
+    random_wrapper,
 )
 from oracles import enumerated_image, stepwise_piecewise_form
 
@@ -279,7 +282,7 @@ def test_lattice_generators_recheck():
     ref = reference_search(EX3)
     lat = image_lattice(EX3, ref)
     for idx in range(0, len(lat.generators), 7):
-        assert lat.recheck_generator(idx, ref)
+        assert lat.recheck_generator(idx)
 
 
 def test_quadratic_lattice_matches_brute_force_over_q():
@@ -589,7 +592,7 @@ def test_report_lattice_matches_enumeration(A, probes):
     assert (report.st, report.n0, report.exact) == (st, n0, exact)
     if probes is None and A.field.depth <= 2:
         for idx in range(len(report.lattice.generators)):
-            assert report.lattice.recheck_generator(idx, ref)
+            assert report.lattice.recheck_generator(idx)
 
 
 def test_corpus_lattices_match_enumeration():
@@ -608,4 +611,99 @@ def test_corpus_lattices_match_enumeration():
         assert (report.st, report.n0, report.exact) == (st, n0, exact), A
         done += 1
     assert done >= 40
+    assert_skip_rate(skipped, done)
+
+
+def _image_invariants(A, ref):
+    """((invariant factors, free rank, st, exact), lattice) of the
+    signature image against ``ref``, as ``stability_report`` reads them."""
+    lattice = image_lattice(A, ref)
+    factors, free = cokernel_invariants(list(lattice.basis), lattice.space.dim)
+    return (factors, free, _stability_index(lattice), lattice.certified_exact), lattice
+
+
+def _assert_read_on_inner(W, ref_W):
+    """The wrapper's image has D's invariants, its basis is hnf(eps . D's
+    basis) for eps(P) = delta_W(P) delta_D(P), and every generator
+    rechecks; returns eps.  The basis check reads D's lattice and the two
+    references' signs only, not the wrapper's reduction."""
+    ref_D = reference_search(W.inner)
+    got, lattice = _image_invariants(W, ref_W)
+    expected, inner = _image_invariants(W.inner, ref_D)
+    assert got == expected, W.describe()
+    eps = [ref_W.delta(P) * ref_D.delta(P) for P in inner.space.coords]
+    signed = [tuple(e * v for e, v in zip(eps, row)) for row in inner.basis]
+    assert lattice.basis == hnf(signed), W.describe()
+    for idx in range(len(lattice.generators)):
+        assert lattice.recheck_generator(idx), (W.describe(), idx)
+    return eps
+
+
+def test_wrapper_images_are_read_on_the_inner_algebra():
+    """M_3 wrappers over Q((x1))((x2)) whose reference signs differ from
+    D's at some orderings only: their image is D's up to those signs, so
+    the group, st and exact are D's ((x, -1) orthogonal and the scaling
+    (1, 1, x1 x2) are controls)."""
+    F = LX.adjoin_laurent()
+    x1, x2 = F.generators()
+    inners = [
+        FieldAlgebra(F),
+        QuaternionAlgebra(F, -1, -1),
+        UnitaryQuadraticAlgebra(F, -1),
+        QuaternionAlgebra(F, x1, -1, "orthogonal", [0, 0, 1, 0]),
+    ]
+    scalings = [(1, x1, x2), (1, -x1, -x2), (x1, x2, x1 * x2), (1, 1, x1 * x2)]
+    mixed = 0
+    for D, g in product(inners, scalings):
+        W = MatrixAlgebra(3, D, [D.from_field(c) for c in g])
+        mixed += len(set(_assert_read_on_inner(W, reference_search(W)))) > 1
+    assert mixed == 11
+
+
+def _scaled_reference(W, ref_D):
+    """A reference of W = (M_n(D), ad_g): over each entry d of D's
+    diagonal reference, diag(e_1 d, ..., e_n d), for the first signs e
+    with a nonzero signature at every non-nil ordering.  It flattens to
+    the sum of the e_i g_i times D's reference, so its signs differ from
+    D's where those of sum e_i g_i are negative."""
+    D, n = W.inner, W.n
+    entries = [row[i] for i, row in enumerate(ref_D.form.gram)]
+    for signs in product((1, -1), repeat=n):
+        diagonals = [
+            tuple(
+                tuple((d if signs[i] > 0 else D.neg(d)) if i == j else D.zero() for j in range(n))
+                for i in range(n)
+            )
+            for d in entries
+        ]
+        form = HermitianForm.diagonal(W, [W.elem(x) for x in diagonals])
+        deltas = reference_signs(W, form)
+        if not isinstance(deltas, Ordering):
+            return ReferenceForm(W, form, deltas)
+    raise SamplingError("no sign choice keeps a nonzero signature")
+
+
+def test_corpus_wrappers_are_read_on_the_inner_algebra():
+    """The same checks on a seeded corpus of ``random_wrapper`` draws over
+    random non-exchange algebras on towers of depth <= 2.  For n = 4 the
+    wrapper's own candidate walk finds no reference when the g_i cancel
+    at an ordering (every candidate but <1> is singular or hyperbolic
+    there), and takes up to half a minute to say so; those wrappers are
+    read against ``_scaled_reference``."""
+    kinds = (
+        "field_id", "unitary_quadratic", "quaternion-conj", "quaternion-orth", "unitary_quaternion"
+    )
+    done = skipped = mixed = 0
+    for i in range(20):
+        rng = random.Random(f"morita-{i}")
+        try:
+            D = random_algebra(rng, random_tower(rng, max_depth=2), kinds)
+            W = random_wrapper(rng, D)
+            ref_W = reference_search(W) if W.n < 4 else _scaled_reference(W, reference_search(D))
+        except (SamplingError, SearchExhausted):
+            skipped += 1
+            continue
+        mixed += len(set(_assert_read_on_inner(W, ref_W))) > 1
+        done += 1
+    assert mixed >= 3
     assert_skip_rate(skipped, done)
