@@ -40,6 +40,7 @@ from .algebras import (
     _fixed_part,
     _gauss_jordan,
     _nullspace,
+    algebra_from_json,
     morita_flatten,
 )
 from .fields import (
@@ -289,8 +290,6 @@ class SplittingCertificate:
 
     @staticmethod
     def from_json(doc: dict) -> SplittingCertificate:
-        from .algebras import algebra_from_json
-
         required = {"algebra", "ordering", "flavor", "extension", "chosen"}
         if not isinstance(doc, dict) or not required <= set(doc):
             raise MismatchError("certificate document is missing required keys")

@@ -23,7 +23,7 @@ from .algebras import (
     MatrixAlgebra,
     morita_flatten,
 )
-from .fields import FieldElement, FieldTower, InvariantViolation, MismatchError
+from .fields import FieldTower, InvariantViolation, MismatchError
 from .lattices import (
     cokernel_invariants,
     hnf,
@@ -35,6 +35,7 @@ from .quadratic import (
     QuadraticForm,
     SignatureVector,
     SingularFormError,
+    is_division_quaternion,
     is_witt_trivial_q,
     pfister,
 )
@@ -190,16 +191,13 @@ def _pfister_witness(field: FieldTower, field_elements, orderings, target):
 def _field_patterns_complete(field: FieldTower) -> bool:
     """Whether {-1} and the tower generators provably span every quadratic
     sign pattern: each square-root step may be positive at no more than
-    one ordering of its base (Laurent steps are always fine)."""
-    for level, step in enumerate(field.steps):
-        if step[0] != "qext":
-            continue
-        base = field.prefix(level)
-        d = FieldElement(base, step[1])
-        positive = sum(1 for P in base.orderings() if d.sign_at(P) > 0)
-        if positive > 1:
-            return False
-    return True
+    one ordering of its base (Laurent steps are always fine).  Each such
+    ordering extends in two ways, so the prefix tower ending at the step
+    has twice as many orderings."""
+    return all(
+        step[0] != "qext" or len(field.prefix(level + 1).orderings()) <= 2
+        for level, step in enumerate(field.steps)
+    )
 
 
 class ImageLattice:
@@ -320,17 +318,20 @@ def _value_groups_attained(A: Algebra, space: NilAwareSpace, vectors) -> bool:
 def _division_certain(A: Algebra) -> bool:
     """Whether every finitely generated module is provably free, i.e. the
     underlying algebra is certified division (Gram-matrix forms then
-    exhaust the Witt group).  Conservative for the unitary quaternion
-    kind, whose centre is complex at every relevant ordering."""
-    from .quadratic import is_division_quaternion
-
+    exhaust the Witt group).  A quaternion algebra is division when it is
+    division at some ordering, as ``local_type`` records (l == 4); over Q
+    the Hilbert symbols at the finite places decide the rest.
+    Conservative for the unitary quaternion kind, whose centre is complex
+    at every relevant ordering."""
     if A.kind in ("field_id", "unitary_quadratic"):
         return True
     if A.kind == "exchange":
         return True  # no non-nil coordinates exist anyway
-    if A.kind == "quaternion":
-        return is_division_quaternion(A.a, A.b, A.field) == "yes"
-    return False
+    if A.kind != "quaternion":
+        return False
+    if any(local_type(A, P).l == 4 for P in A.field.orderings()):
+        return True
+    return A.field.depth == 1 and is_division_quaternion(A.a, A.b, A.field) == "yes"
 
 
 def quadratic_image_lattice(field: FieldTower):

@@ -21,8 +21,12 @@ by the reduced norm against computing the inverse, the piecewise
 assembly of references and of h0 against scaling each piece first by
 its one-ordering Pfister form and then by its padding, the
 entry-by-entry reading of diagonal forms' route values against transport
-and elimination of every form, and the signature image built one field
-probe at a time against every Pfister form times every hermitian probe.
+and elimination of every form, the signature image built one field
+probe at a time against every Pfister form times every hermitian probe,
+and a report's two exactness rules, read off the ordering count of a
+prefix tower and off the local types, against re-signing each radicand
+at every ordering of its base and against the signs of the quaternion
+parameters and, over Q, their Hilbert symbols.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from itertools import combinations
 from hermstab.algebras import morita_flatten
 from hermstab.fields import FieldElement, FieldTower, MismatchError, Ordering
 from hermstab.lattices import hnf
-from hermstab.quadratic import QuadraticForm, SingularFormError, pfister
+from hermstab.quadratic import QuadraticForm, SingularFormError, hilbert_symbol, pfister
 from hermstab.signatures import ReferenceForm, total_signature
 from hermstab.stability import (
     NilAwareSpace,
@@ -954,3 +958,51 @@ def enumerated_image(A, ref, probes=None, budget=50):
         and _value_groups_attained(A, space, vectors)
     )
     return basis, st, n0, exact
+
+
+# ---------------------------------------------------------------------------
+# the two exactness rules of a report, from explicit signs
+# ---------------------------------------------------------------------------
+
+
+def patterns_complete_by_signs(field: FieldTower) -> bool:
+    """Whether each square-root step's radicand, rebuilt over its base and
+    signed at every ordering there, is positive at one ordering at most."""
+    for level, step in enumerate(field.steps):
+        if step[0] == "qext":
+            base = field.prefix(level)
+            d = FieldElement(base, step[1])
+            if sum(d.sign_at(P) > 0 for P in base.orderings()) > 1:
+                return False
+    return True
+
+
+def _prime_divisors(n: int) -> set[int]:
+    n, p, out = abs(n), 2, set()
+    while p * p <= n:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    return out | ({n} if n > 1 else set())
+
+
+def division_by_signs(A) -> bool:
+    """Whether A is certified division: by its kind, or, for a quaternion
+    algebra (a, b), when a and b are both negative at some ordering or,
+    over Q, when (a, b) is -1 at 2 or at a prime dividing a numerator or
+    a denominator."""
+    if A.kind in ("field_id", "unitary_quadratic", "exchange"):
+        return True
+    if A.kind != "quaternion":
+        return False
+    field = A.field
+    if any(A.a.sign_at(P) < 0 and A.b.sign_at(P) < 0 for P in field.orderings()):
+        return True
+    if field.depth != 1:
+        return False
+    a, b = A.a.value, A.b.value
+    primes = {2}.union(
+        *(_prime_divisors(n) for n in (a.numerator, a.denominator, b.numerator, b.denominator))
+    )
+    return any(hilbert_symbol(a, b, p) == -1 for p in primes)

@@ -229,6 +229,77 @@ def test_search_exhausted_exit_code(monkeypatch):
     assert "no reference found" in err
 
 
+def test_wrapper_walk_builds_no_symmetric_basis(monkeypatch):
+    """For n >= 5 every symmetric basis element of M_n(D), and every sum or
+    difference of two, has a zero row, so the wrapper's candidate walk is
+    <1>, <-1> and never builds its symmetric basis: (M_16(Q), ad_g) with
+    one -1 entry still exits 3 with the h0 search's message."""
+    import hermstab.algebras as algebras
+    from test_golden import clear_memos
+
+    real = algebras.sym_basis
+
+    def refuse(A):
+        if A.kind == "matrix":
+            raise AssertionError("the wrapper's symmetric basis was built")
+        return real(A)
+
+    monkeypatch.setattr(algebras, "sym_basis", refuse)
+    clear_memos()
+    g = ", ".join(['"1"'] * 15 + ['"-1"'])
+    algebra = (
+        '{"kind":"matrix","n":16,"inner":{"kind":"field_id","field":'
+        + Q_FIELD + '},"g":[' + g + "]}"
+    )
+    code, _, err = run_cli("stability", "--algebra", algebra)
+    assert code == 3
+    assert err == "error: no candidate with 2-power signature at Q\n"
+
+
+def _rational_quaternion(a, involution):
+    return (
+        '{"kind":"quaternion","field":' + Q_FIELD + ',"a":"' + a + '","b":"-1",'
+        '"involution":' + involution + "}"
+    )
+
+
+ORTH_J = '{"type":"orthogonal","u":["0","0","1","0"]}'
+CONJ = '{"type":"conjugation"}'
+
+
+@pytest.mark.parametrize(
+    "a, twin, involution",
+    [
+        ("100000000000000000039", "7", ORTH_J),
+        ("1000000000100000000002379", None, ORTH_J),
+        ("-100000000000000000039", "-7", CONJ),
+    ],
+    ids=["prime", "semiprime", "conjugation"],
+)
+def test_large_rational_parameters_finish(a, twin, involution):
+    """Hilbert-symbol places come from bounded trial division and a proven
+    primality test.  10^20 + 39 is prime and 3 mod 4, so its report is
+    that of a = 7.  (10^12 + 39)(10^12 + 61) cannot be factored that way,
+    so its division stays unknown and the report is not exact.  The
+    conjugation twin is definite at the ordering of Q, which decides it
+    before any place is looked for."""
+    keys = ("image", "stability_group", "st", "exact")
+    t0 = time.perf_counter()
+    code, out, _ = run_cli("--json", "stability", "--algebra", _rational_quaternion(a, involution))
+    assert time.perf_counter() - t0 < 1
+    assert code == 0
+    report = json.loads(out)["report"]
+    if twin is None:
+        assert report["exact"] is False
+        return
+    code, out, _ = run_cli(
+        "--json", "stability", "--algebra", _rational_quaternion(twin, involution)
+    )
+    expected = json.loads(out)["report"]
+    assert [report[k] for k in keys] == [expected[k] for k in keys]
+    assert report["exact"] is True
+
+
 def test_failed_emitted_certificate_exit_code(monkeypatch):
     import hermstab.splitting as splitting
     from test_golden import clear_memos

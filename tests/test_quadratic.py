@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hermstab.fields import FieldTower
+from hermstab.fields import FieldTower, MismatchError
 from hermstab.quadratic import (
     QuadraticForm,
     SingularFormError,
@@ -306,6 +306,37 @@ def test_division_quaternion():
     assert is_division_quaternion(F2.one(), r2, F2) == "no"
     x = LX.generator()
     assert is_division_quaternion(x, LX.rational(-1), LX) == "yes"
+
+
+def test_primality_is_proven_or_left_open():
+    """``_is_prime`` agrees with trial division below 5000 and on strong
+    pseudoprimes to the first bases, and leaves a prime above 3.3e24
+    (2^89 - 1) undecided."""
+    from hermstab.quadratic import _is_prime
+
+    for n in range(5000):
+        assert _is_prime(n) == (n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))), n
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert _is_prime(n) is False, n
+    assert _is_prime(10**20 + 39) is True
+    assert _is_prime(2**89 - 1) is None
+
+
+def test_large_rational_parameters_get_proven_places():
+    """Places come from trial division below 2^16 plus a proven prime
+    cofactor; a cofactor that is not proven prime leaves the places, and
+    so the verdicts that need them, open."""
+    p, semiprime = 10**20 + 39, (10**12 + 39) * (10**12 + 61)
+    assert relevant_places([Fraction(3 * p, 5)]) == [math.inf, 2, 3, 5, p]
+    assert hilbert_symbol(p, -1, p) == -1
+    assert is_division_quaternion(Q.rational(p), Q.rational(-1), Q) == "yes"
+    assert relevant_places([semiprime]) is None
+    assert is_division_quaternion(Q.rational(semiprime), Q.rational(-1), Q) == "unknown"
+    with pytest.raises(MismatchError):
+        is_witt_trivial_q(QuadraticForm(Q, [semiprime, semiprime, -1, -1]))
+    for place in (semiprime, 2**89 - 1):
+        with pytest.raises(MismatchError):
+            hilbert_symbol(3, -1, place)
 
 
 def test_division_quaternion_rational_matches_norm_form():

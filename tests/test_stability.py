@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import time
@@ -25,6 +27,8 @@ from hermstab.signatures import (
 from hermstab.stability import (
     NilAwareSpace,
     Probes,
+    _division_certain,
+    _field_patterns_complete,
     _probe_signatures,
     _pfister_witness,
     _quadratic_basis,
@@ -45,8 +49,14 @@ from corpus import (
     random_hermitian_diagonal,
     random_tower,
     random_wrapper,
+    tower_shapes,
 )
-from oracles import enumerated_image, stepwise_piecewise_form
+from oracles import (
+    division_by_signs,
+    enumerated_image,
+    patterns_complete_by_signs,
+    stepwise_piecewise_form,
+)
 
 Q = FieldTower.rationals()
 F2 = Q.adjoin_sqrt(2)
@@ -707,3 +717,73 @@ def test_corpus_wrappers_are_read_on_the_inner_algebra():
         done += 1
     assert mixed >= 3
     assert_skip_rate(skipped, done)
+
+
+def _sweep_31_algebras():
+    """The algebras of the seeded depth-3 corpus sweep: one
+    ``random_algebra`` on ``random_tower(max_depth=3)`` per seed 31-i."""
+    for i in range(60):
+        rng = random.Random(f"31-{i}")
+        yield random_algebra(rng, random_tower(rng, max_depth=3))
+
+
+def test_exactness_rules_match_their_oracles():
+    """Pattern completeness, read off the ordering count of each prefix
+    tower, agrees with re-signing every radicand at every base ordering;
+    division, read off the local types and over Q the Hilbert symbols,
+    agrees with the signs of a and b and the Hilbert symbols at every
+    prime of the parameters.  Both verdicts of both rules occur."""
+    rng = random.Random(2828)
+    towers = tower_shapes() + [random_tower(rng, max_depth=3) for _ in range(40)]
+    algebras = list(_sweep_31_algebras())
+    skipped = 0
+    for field in towers:
+        for kind in ("quaternion-conj", "quaternion-orth", "unitary_quaternion"):
+            try:
+                algebras.append(random_algebra(rng, field, kinds=(kind,)))
+            except SamplingError:
+                skipped += 1
+    assert_skip_rate(skipped, len(algebras))
+    patterns, division = set(), set()
+    for field in towers + [A.field for A in algebras]:
+        verdict = _field_patterns_complete(field)
+        assert verdict == patterns_complete_by_signs(field), field
+        patterns.add(verdict)
+    for A in algebras:
+        verdict = _division_certain(A)
+        assert verdict == division_by_signs(A), A
+        division.add((A.field.depth == 1, verdict))
+    assert patterns == {True, False}
+    assert division == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_deep_report_runs_no_isotropy_search(monkeypatch):
+    """The orthogonal (3 + x2, 5 - x2^2) report over Q(sqrt 2)((x1))((x2))
+    is definite at no ordering, so its division is left unknown at once:
+    Hilbert symbols are consulted only over Q, and no bounded isotropy
+    search runs.  The report is the one from before (sha256 of its sorted,
+    indented JSON) and finishes in well under a second."""
+    import hermstab.stability as stability
+
+    depths = []
+    real = stability.is_division_quaternion
+
+    def spy(a, b, field):
+        depths.append(field.depth)
+        return real(a, b, field)
+
+    monkeypatch.setattr(stability, "is_division_quaternion", spy)
+    F = F2.adjoin_laurent().adjoin_laurent()
+    x2 = F.generator()
+    A = QuaternionAlgebra(F, 3 + x2, 5 - x2 * x2, "orthogonal", [0, 0, 1, 0])
+    t0 = time.perf_counter()
+    report = stability_report(A)
+    assert time.perf_counter() - t0 < 1
+    text = json.dumps(report.to_json(), sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "dda0e9a572e7717d9669be3c03d67ca254cf599e0dffda6d991375509bdaee73"
+    )
+    assert not report.exact
+    for A in (EX1, EX3, EX4, QuaternionAlgebra(Q, 3, -1, "orthogonal", [0, 0, 1, 0])):
+        stability_report(A)
+    assert depths == [1]
