@@ -189,6 +189,11 @@ class Algebra:
         return tuple(self.iter_reference_candidates())
 
     @cached_property
+    def reference_pairs(self) -> tuple[HermitianForm, ...]:
+        """All of ``iter_reference_pairs()``, computed once per instance."""
+        return tuple(self.iter_reference_pairs())
+
+    @cached_property
     def reference_memo(self) -> dict:
         """``signatures.reference_search``'s latest success on this
         algebra, keyed by its budget; it lives and dies with the algebra."""
@@ -217,36 +222,49 @@ class Algebra:
 
     @cached_property
     def _reference_forms(self) -> list:
-        """Each reference candidate met so far, indexed by its position in
-        the walk of ``iter_reference_candidates``: its rank-one form, or
-        None when its value is not invertible or repeats 1 or -1."""
+        """The first member of each +- pair of reference candidates met so
+        far, indexed by the pair's position in ``_reference_values``: its
+        rank-one form, or None when its value is not invertible or repeats
+        1 or -1."""
         return []
 
     def iter_reference_candidates(self):
         """Rank-one forms on invertible symmetric elements, in this order:
         1, -1, then b_i, -b_i for the symmetric basis b_1, ..., b_r, then
-        b_i + b_j, -(b_i + b_j), b_i - b_j, -(b_i - b_j) for i < j.  Lazy:
-        the symmetric basis is only computed once the identity's two forms
-        have been consumed.
+        b_i + b_j, -(b_i + b_j), b_i - b_j, -(b_i - b_j) for i < j: each
+        form of ``iter_reference_pairs`` followed by its negative.
 
         The b_i are independent, so a later candidate can repeat only 1 or
         -1; those repeats are found by value (values are canonical) and
-        skipped.  Each position's form is built, and its invertibility
-        tested, once per algebra: every walk, and ``reference_candidates``,
-        yields the same form objects, so their route memos are shared
-        too."""
+        skipped.  Every walk, and ``reference_candidates``, yields the same
+        form objects, so their route memos are shared too."""
+        for form in self.iter_reference_pairs():
+            yield form
+            yield -form
+
+    def iter_reference_pairs(self):
+        """The first member h of each +- pair of ``iter_reference_candidates``;
+        its partner is -h, which ``HermitianForm.__neg__`` builds when asked
+        and keeps.  Lazy: the symmetric basis is only computed once <1> has
+        been consumed.  x is invertible exactly when -x is, and repeats 1 or
+        -1 exactly when -x does, so a pair is kept or skipped whole; each
+        first member's form is built, and its invertibility tested, once
+        per algebra."""
         forms = self._reference_forms
         one = self.elem(self.one())
         units = (one.value, (-one).value)
-        for pos, x in enumerate(self._reference_values(one)):
+        values = self._reference_values(one)
+        # each value is followed by its negative: zip reads one pair a step
+        for pos, (x, _) in enumerate(zip(values, values)):
             if pos == len(forms):
-                repeat = pos >= 2 and x.value in units
+                repeat = pos >= 1 and x.value in units
                 forms.append(None if repeat else self._rank_one_candidate(x))
             if forms[pos] is not None:
                 yield forms[pos]
 
     def _reference_values(self, one):
-        """The values of ``iter_reference_candidates``, in walk order."""
+        """The values of ``iter_reference_candidates``, in walk order: each
+        first member of a +- pair followed by its negative."""
         yield one
         yield -one
         basis = sym_basis(self)
@@ -1167,9 +1185,10 @@ class HermitianForm:
     diagonal it reads (for a form over a matrix wrapper, that of its
     Morita flattening), and under each ordering's sign path the value
     read there.  ``entry_norms`` keeps the diagonal entries' reduced
-    norms.  Both live and die with the form."""
+    norms, and ``-h`` is built once and kept.  All live and die with the
+    form."""
 
-    __slots__ = ("algebra", "epsilon", "gram", "route_memo", "_norms")
+    __slots__ = ("algebra", "epsilon", "gram", "route_memo", "_norms", "_negative")
 
     def __init__(self, algebra: Algebra, gram, epsilon: int = 1):
         if epsilon not in (1, -1):
@@ -1204,6 +1223,7 @@ class HermitianForm:
                     raise MismatchError("Gram matrix is not epsilon-hermitian")
         self.route_memo = {}
         self._norms = None
+        self._negative = None
 
     def entry_norms(self) -> tuple[FieldElement, ...]:
         """The reduced norm of each diagonal entry as an element of F, for
@@ -1297,11 +1317,17 @@ class HermitianForm:
         )
 
     def __neg__(self) -> HermitianForm:
-        return HermitianForm(
-            self.algebra,
-            [[self.algebra.neg(v) for v in row] for row in self.gram],
-            self.epsilon,
-        )
+        """-h, built on the first call and kept: -(-h) is h.  The reduced
+        norm is quadratic, so -h keeps h's entry norms."""
+        neg = self._negative
+        if neg is None:
+            neg = self._negative = HermitianForm(
+                self.algebra,
+                [[self.algebra.neg(v) for v in row] for row in self.gram],
+                self.epsilon,
+            )
+            neg._negative, neg._norms = self, self._norms
+        return neg
 
     def lift_to(self, target: Algebra) -> HermitianForm:
         return HermitianForm(

@@ -274,10 +274,10 @@ def _is_prime(n: int) -> bool | None:
     return True if n < 3317044064679887385961981 else None
 
 
-def _odd_prime_factors(n: int) -> set[int] | None:
-    """The odd primes dividing n, by trial division below 2^16 and a
-    primality proof of the cofactor; None when the cofactor is not
-    proven prime."""
+def _odd_prime_factors(n: int) -> tuple[set[int], bool]:
+    """The proven odd primes dividing the nonzero n, by trial division
+    below 2^16 and a primality proof of the cofactor, and whether they are
+    all of them (False when the cofactor is not proven prime)."""
     n = abs(n)
     out = set()
     while n % 2 == 0:
@@ -290,19 +290,32 @@ def _odd_prime_factors(n: int) -> set[int] | None:
         f += 2
     if n > 1:
         if f * f <= n and not _is_prime(n):
-            return None
+            return out, False
         out.add(n)
-    return out
+    return out, True
+
+
+def _known_places(fractions) -> tuple[list, bool]:
+    """Infinity, 2 and the proven odd primes meeting any nonzero
+    numerator/denominator, and whether those primes are all of them."""
+    fractions = [_as_fraction(f) for f in fractions]
+    if any(f == 0 for f in fractions):
+        raise MismatchError("places are defined for nonzero rationals only")
+    primes, complete = set(), True
+    for f in fractions:
+        for n in (f.numerator, f.denominator):
+            found, whole = _odd_prime_factors(n)
+            primes |= found
+            complete = complete and whole
+    return [INF, 2] + sorted(primes), complete
 
 
 def relevant_places(fractions) -> list | None:
     """Infinity, 2, and the odd primes meeting any numerator/denominator;
-    None when one of those cannot be factored into proven primes."""
-    fractions = [_as_fraction(f) for f in fractions]
-    factors = [_odd_prime_factors(n) for f in fractions for n in (f.numerator, f.denominator)]
-    if None in factors:
-        return None
-    return [INF, 2] + sorted(set().union(*factors))
+    None when one of those cannot be factored into proven primes.  A zero
+    has no places: MismatchError."""
+    places, complete = _known_places(fractions)
+    return places if complete else None
 
 
 def hasse_invariant(entries, place) -> int:
@@ -351,23 +364,22 @@ def is_witt_trivial_q(q: QuadraticForm) -> bool:
 def is_division_quaternion(a: FieldElement, b: FieldElement, field: FieldTower) -> str:
     """Decide whether (a, b) over ``field`` is a division algebra.
 
-    Exact over Q via Hilbert symbols, or 'unknown' when a parameter
-    cannot be factored into proven primes.  Over proper towers: 'yes'
-    when the norm form is definite at some ordering, 'no' when a bounded
-    search finds an isotropic vector, 'unknown' otherwise.
+    Exact over Q via Hilbert symbols: 'yes' on a -1 at infinity, 2 or a
+    proven prime factor of a parameter, and 'unknown' instead of 'no'
+    when a parameter cannot be factored into proven primes.  Over proper
+    towers: 'yes' when the norm form is definite at some ordering, 'no'
+    when a bounded search finds an isotropic vector, 'unknown' otherwise.
     """
     a = field.coerce(a)
     b = field.coerce(b)
     if a.is_zero() or b.is_zero():
         raise MismatchError("quaternion parameters must be nonzero")
     if field.depth == 1:
-        places = relevant_places([a.value, b.value])
-        if places is None:
-            return "unknown"
-        for place in places:
-            if hilbert_symbol(a.value, b.value, place) == -1:
-                return "yes"
-        return "no"
+        # a -1 at any place that is known proves division
+        places, complete = _known_places([a.value, b.value])
+        if any(hilbert_symbol(a.value, b.value, p) == -1 for p in places):
+            return "yes"
+        return "no" if complete else "unknown"
     for P in field.orderings():
         if a.sign_at(P) < 0 and b.sign_at(P) < 0:
             return "yes"

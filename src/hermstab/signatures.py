@@ -250,7 +250,9 @@ def reference_search(A: Algebra, budget: int = 50) -> ReferenceForm:
     ``Algebra.iter_reference_candidates``, whose raw signature is nonzero
     at every non-nil ordering (built lazily, so later candidates cost
     nothing); failing that, a sum of pieces cut out by one-ordering
-    Pfister multipliers.
+    Pfister multipliers.  Both read only the first member h of each +-
+    pair (``Algebra.iter_reference_pairs``): -h has the negated signature
+    at every ordering, so the same zero set, and never fits before h.
 
     The search depends only on A and the budget, so a success is kept in
     ``A.reference_memo`` under its budget; failures are not kept.  Only the
@@ -271,14 +273,14 @@ def _search_reference(A: Algebra, budget: int) -> ReferenceForm:
     if not targets:
         empty = HermitianForm(A, [], 1)
         return ReferenceForm(A, empty, {})
-    for cand in A.iter_reference_candidates():
+    for cand in A.iter_reference_pairs():
         signs = reference_signs(A, cand, budget)
         if not isinstance(signs, Ordering):
             return ReferenceForm(A, cand, signs)
     pieces = []
     for P in targets:
         piece = None
-        for cand in A.reference_candidates:
+        for cand in A.reference_pairs:
             if raw_signature(A, cand, P, budget) != 0:
                 piece = cand
                 break

@@ -93,10 +93,13 @@ class SplitModel:
     1, i, j, k in it and the involution datum ``g_datum``.  The
     certificates of every ordering that takes one witness share one split
     model, and so its transport images, det G and the verdict of its
-    checks, each built once here."""
+    checks, each built once here.  ``lifted`` is A tensor L when the
+    builder has it (a search does) until the checks have read it, else
+    None, and the checks lift their own."""
 
     def __init__(
-        self, algebra: Algebra, flavor, witness, m, extension, model, matrices, g_datum
+        self, algebra: Algebra, flavor, witness, m, extension, model, matrices, g_datum,
+        lifted=None,
     ):
         self.algebra = algebra
         self.flavor = flavor
@@ -106,6 +109,7 @@ class SplitModel:
         self.model = model
         self.matrices = matrices  # nested tuples, as a certificate keeps them
         self.g_datum = g_datum
+        self.lifted = lifted
         self._verified = None  # set once by verified()
 
     def verified(self) -> bool:
@@ -115,6 +119,7 @@ class SplitModel:
         model for the certificates of every ordering that share it."""
         if self._verified is None:
             self._verified = _check_split_model(self)
+            self.lifted = None  # only the checks read it; a warm process keeps the model
         return self._verified
 
     @cached_property
@@ -350,6 +355,23 @@ def _centre_coords(centre: Algebra, value):
     return [centre.elem(c) for c in value]
 
 
+def _left_products(A: Algebra, x) -> tuple:
+    """The products 1 . x, i . x, j . x, k . x of a quaternion value x, in
+    closed form over the centre: with x = (x0, x1, x2, x3),
+    i . x = (a x1, x0, a x3, x2), j . x = (b x2, -b x3, x0, -x1) and
+    k . x = (-ab x3, b x2, -a x1, x0)."""
+    C = A.centre
+    mul, neg = C.mul, C.neg
+    a, b, ab = A._a, A._b, A._ab
+    x0, x1, x2, x3 = x
+    return (
+        x,
+        (mul(a, x1), x0, mul(a, x3), x2),
+        (mul(b, x2), neg(mul(b, x3)), x0, neg(x1)),
+        (neg(mul(ab, x3)), mul(b, x2), neg(mul(a, x1)), x0),
+    )
+
+
 def _build_split_data(A_L: Algebra, centre: Algebra, witness_value, sqm: FieldElement):
     """Idempotent splitting: matrices of 1, i, j, k acting on (A tensor L) e,
     in the basis v1, v2 of the first two independent columns of the ideal."""
@@ -360,8 +382,7 @@ def _build_split_data(A_L: Algebra, centre: Algebra, witness_value, sqm: FieldEl
     e = A_L.scalar_mul(half, A_L.add(A_L.one(), w_scaled))
     if A_L.mul(e, e) != e:
         raise InvariantViolation("idempotent construction failed")
-    basis = _quat_centre_basis(A_L)
-    ideal = [A_L.mul(b, e) for b in basis]
+    ideal = _left_products(A_L, e)
     _, pivots = _gauss_jordan(zip(*(_centre_coords(centre, v) for v in ideal)))
     if len(pivots) < 2:
         raise InvariantViolation("ideal is not 2-dimensional over the centre")
@@ -370,7 +391,8 @@ def _build_split_data(A_L: Algebra, centre: Algebra, witness_value, sqm: FieldEl
     # ideal is a left ideal over the centre, so b_s * ideal[t] for t not a
     # pivot adds nothing.  Coordinates in the pivot basis are unique: the
     # reduced rows at these columns are those of all sixteen b_s * ideal[t]
-    cols = ideal + [A_L.mul(b, ideal[p]) for b in basis[1:] for p in pivots]
+    products = [_left_products(A_L, ideal[p])[1:] for p in pivots]
+    cols = list(ideal) + [by_p[s] for s in range(3) for by_p in products]
     rows, _ = _gauss_jordan(zip(*(_centre_coords(centre, v) for v in cols)))
     if any(not x.is_zero() for row in rows[2:] for x in row):
         raise InvariantViolation("vector lies outside the ideal")
@@ -599,7 +621,7 @@ def _split_model(A, xyz, m, sqm, flavor):
     matrices = _build_split_data(A_L, M.inner, A.lift_value(w_value, A_L), sq_elem)
     datum = _solve_involution_datum(M, matrices, A_L)
     split = A.split_model_memo[xyz] = SplitModel(
-        A, flavor, A.elem(w_value), m, L, M, matrices, datum
+        A, flavor, A.elem(w_value), m, L, M, matrices, datum, A_L
     )
     return split
 
@@ -701,7 +723,7 @@ def _check_split_model(split: SplitModel) -> bool:
             return False
     if not (w * w == A.from_field(m)):
         return False
-    A_L = A.lift_to(L)
+    A_L = A.lift_to(L) if split.lifted is None else split.lifted
     M = split.model
     C = M.inner
     one = M.one()

@@ -101,10 +101,12 @@ class Probes:
 
     @staticmethod
     def default(A: Algebra) -> Probes:
-        """The reference candidates of D (A, or a matrix wrapper's inner
-        algebra, on which ``image_lattice`` reads it), -1 and the generators."""
+        """The first member h of each +- pair of reference candidates of D
+        (A, or a matrix wrapper's inner algebra, on which ``image_lattice``
+        reads it), -1 and the generators.  -h would only add the negated
+        vector of h, which leaves the lattice and every |v| as they are."""
         D = A.inner if A.kind == "matrix" else A
-        return Probes(D.reference_candidates, _field_probes(A.field))
+        return Probes(D.reference_pairs, _field_probes(A.field))
 
 
 def _field_probes(field: FieldTower):
@@ -474,23 +476,30 @@ def _stability_index(lattice: ImageLattice):
 def h0_search(A: Algebra, ref: ReferenceForm, budget: int = 50):
     """A form with constant total signature 2^k0 on the non-nil set.
 
-    Simple candidates first; otherwise per-ordering pieces cut out by
-    one-ordering Pfister multipliers, equalized to a common 2-power."""
+    Simple candidates first: the reference, then the reference candidates
+    in walk order, the first with the least k0.  Each +- pair is read on
+    its first member h (``Algebra.iter_reference_pairs``): a constant
+    -2^k on h picks -h, which is built only then.  A constant 1 (k0 = 0)
+    cannot be beaten, so the walk stops there.  Otherwise per-ordering
+    pieces cut out by one-ordering Pfister multipliers, equalized to a
+    common 2-power."""
     space = NilAwareSpace(A)
     field = A.field
     if space.dim == 0:
         return HermitianForm(A, [], 1), 0
-    candidates = [ref.form, *A.reference_candidates]
+    candidates = [ref.form, *A.reference_pairs]
     best = None
     for cand in candidates:
         vec = space.restrict(total_signature(A, cand, ref, budget))
         vals = set(vec)
         if len(vals) == 1:
-            v = vals.pop()
-            if v > 0 and (v & (v - 1)) == 0:
+            v = abs(vals.pop())
+            if v and (v & (v - 1)) == 0:
                 k = v.bit_length() - 1
                 if best is None or k < best[1]:
-                    best = (cand, k)
+                    best = (cand if vec[0] > 0 else -cand, k)
+                    if k == 0:
+                        break
     if best is not None:
         return best
     pieces = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from hermstab.algebras import (
@@ -21,6 +22,16 @@ from hermstab.fields import FieldTower
 # reference_search reports SearchExhausted; any other exception fails the
 # test.  At most this share of the attempted cases may be skipped.
 MAX_SKIP_RATE = 0.1
+
+# the algebra kinds that ``random_algebra`` draws from by default
+KINDS = (
+    "field_id",
+    "exchange",
+    "unitary_quadratic",
+    "quaternion-conj",
+    "quaternion-orth",
+    "unitary_quaternion",
+)
 
 
 class SamplingError(RuntimeError):
@@ -138,14 +149,7 @@ def orthogonal_quaternion(field, a, b, coords) -> QuaternionAlgebra:
 
 def random_algebra(rng, field, kinds=None):
     if kinds is None:
-        kinds = (
-            "field_id",
-            "exchange",
-            "unitary_quadratic",
-            "quaternion-conj",
-            "quaternion-orth",
-            "unitary_quaternion",
-        )
+        kinds = KINDS
     kind = rng.choice(kinds)
     if kind == "field_id":
         return FieldAlgebra(field)
@@ -192,6 +196,28 @@ def random_wrapper(rng, D) -> MatrixAlgebra:
                 c = c * x
         g.append(D.from_field(c))
     return MatrixAlgebra(len(g), D, g)
+
+
+def catalogue_corpus(prefix: str, count: int):
+    """(algebras, skipped): seeded draws random.Random(f"{prefix}-{i}")
+    for i < count of each catalogue kind in turn on a random tower of
+    depth <= 2 and, for odd i, a ``random_wrapper`` over a non-exchange
+    draw.  Only wrappers of size 2 are kept: over a quaternion kind, the
+    candidate walk of a larger one runs to hundreds of forms."""
+    out, skipped = [], 0
+    for i in range(count):
+        rng = random.Random(f"{prefix}-{i}")
+        try:
+            A = random_algebra(rng, random_tower(rng, max_depth=2), (KINDS[i % len(KINDS)],))
+        except SamplingError:
+            skipped += 1
+            continue
+        out.append(A)
+        if i % 2 and A.kind != "exchange":
+            W = random_wrapper(rng, A)
+            if W.n == 2:
+                out.append(W)
+    return out, skipped
 
 
 def random_sym_element(rng, A, invertible=True):

@@ -452,6 +452,27 @@ def eager_reference_scan(A, candidates, budget=50):
     return None
 
 
+def full_walk_h0(A, ref, budget=50):
+    """(form, k) of the first form of the reference and every candidate
+    of the full walk, negatives included, with constant total signature
+    2^k on the non-nil orderings and the least such k, reading every one;
+    None when no form is constant."""
+    from hermstab.signatures import nil_set
+
+    nil = nil_set(A)
+    best = None
+    for cand in [ref.form, *A.reference_candidates]:
+        vec = total_signature(A, cand, ref, budget)
+        values = {v for P, v in zip(A.field.orderings(), vec.values) if P not in nil}
+        if len(values) == 1:
+            (v,) = values
+            if v > 0 and v & (v - 1) == 0:
+                k = v.bit_length() - 1
+                if best is None or k < best[1]:
+                    best = (cand, k)
+    return best
+
+
 # ---------------------------------------------------------------------------
 # quaternion arithmetic from the basis multiplication table
 # ---------------------------------------------------------------------------

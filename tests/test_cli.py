@@ -271,16 +271,20 @@ CONJ = '{"type":"conjugation"}'
     "a, twin, involution",
     [
         ("100000000000000000039", "7", ORTH_J),
-        ("1000000000100000000002379", None, ORTH_J),
+        ("1000000000100000000002379", "3", ORTH_J),
+        ("1000000000182000000007381", None, ORTH_J),
         ("-100000000000000000039", "-7", CONJ),
     ],
-    ids=["prime", "semiprime", "conjugation"],
+    ids=["prime", "semiprime", "semiprime-open", "conjugation"],
 )
 def test_large_rational_parameters_finish(a, twin, involution):
     """Hilbert-symbol places come from bounded trial division and a proven
     primality test.  10^20 + 39 is prime and 3 mod 4, so its report is
     that of a = 7.  (10^12 + 39)(10^12 + 61) cannot be factored that way,
-    so its division stays unknown and the report is not exact.  The
+    but it is 3 mod 8, so its symbol with -1 at 2 is -1, as that of 3 is:
+    it is division, and its report is that of a = 3.  (10^12 + 61)(10^12
+    + 121) is 5 mod 8 and positive, so its symbols at infinity and 2 are
+    +1: its division stays unknown and the report is not exact.  The
     conjugation twin is definite at the ordering of Q, which decides it
     before any place is looked for."""
     keys = ("image", "stability_group", "st", "exact")

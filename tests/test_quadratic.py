@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -325,18 +326,49 @@ def test_primality_is_proven_or_left_open():
 def test_large_rational_parameters_get_proven_places():
     """Places come from trial division below 2^16 plus a proven prime
     cofactor; a cofactor that is not proven prime leaves the places, and
-    so the verdicts that need them, open."""
+    so the verdicts that need them, open, unless a place that is known
+    already gives -1: (10^12 + 39)(10^12 + 61) is 3 mod 8, so its symbol
+    with -1 at 2 is -1, while (10^12 + 61)(10^12 + 121) is 5 mod 8."""
     p, semiprime = 10**20 + 39, (10**12 + 39) * (10**12 + 61)
+    open_semiprime = (10**12 + 61) * (10**12 + 121)
     assert relevant_places([Fraction(3 * p, 5)]) == [math.inf, 2, 3, 5, p]
     assert hilbert_symbol(p, -1, p) == -1
     assert is_division_quaternion(Q.rational(p), Q.rational(-1), Q) == "yes"
     assert relevant_places([semiprime]) is None
-    assert is_division_quaternion(Q.rational(semiprime), Q.rational(-1), Q) == "unknown"
+    assert hilbert_symbol(semiprime, -1, 2) == -1
+    assert is_division_quaternion(Q.rational(semiprime), Q.rational(-1), Q) == "yes"
+    assert relevant_places([open_semiprime]) is None
+    assert [hilbert_symbol(open_semiprime, -1, v) for v in (math.inf, 2)] == [1, 1]
+    assert is_division_quaternion(Q.rational(open_semiprime), Q.rational(-1), Q) == "unknown"
+    # a proven small factor still counts: 21 . open_semiprime is 1 mod 8,
+    # so its symbols at infinity and 2 are +1, but 3 is 3 mod 4
+    small = 21 * open_semiprime
+    assert [hilbert_symbol(small, -1, v) for v in (math.inf, 2, 3)] == [1, 1, -1]
+    assert is_division_quaternion(Q.rational(small), Q.rational(-1), Q) == "yes"
     with pytest.raises(MismatchError):
         is_witt_trivial_q(QuadraticForm(Q, [semiprime, semiprime, -1, -1]))
     for place in (semiprime, 2**89 - 1):
         with pytest.raises(MismatchError):
             hilbert_symbol(3, -1, place)
+
+
+def test_places_of_zero_are_rejected_at_once():
+    """0 has no places: ``relevant_places`` raises MismatchError before it
+    factors anything (halving 0 never ends).  An alarm turns a hang into
+    a failure."""
+
+    def hung(signum, frame):
+        raise AssertionError("relevant_places did not return on a zero")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        for fractions in ([0], [3, Fraction(0, 7)], [Fraction(5, 3), 0]):
+            with pytest.raises(MismatchError):
+                relevant_places(fractions)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_division_quaternion_rational_matches_norm_form():

@@ -31,6 +31,7 @@ from corpus import (
     SamplingError,
     orthogonal_quaternion,
     assert_skip_rate,
+    catalogue_corpus,
     random_algebra,
     random_element,
     random_hermitian_diagonal,
@@ -591,6 +592,42 @@ def test_reference_search_stops_at_the_identity(monkeypatch):
         A.reference_candidates
 
 
+def test_negative_candidates_have_negated_signatures():
+    """The full walk is each first member h of a +- pair followed by its
+    one kept negative -h, as the eager enumeration builds them.  -h is
+    the form on the negated value, keeps the entry norms that a fresh
+    form computes, and its total signature, read on that fresh form with
+    empty memos and on the kept one, is minus h's.  On seeded draws of
+    every catalogue kind and of ``random_wrapper``."""
+    algebras, skipped = catalogue_corpus("pairs", 30)
+    kinds = set()
+    for A in algebras:
+        try:
+            ref = reference_search(A)
+        except SearchExhausted:
+            skipped += 1
+            continue
+        pairs, walk = A.reference_pairs, A.reference_candidates
+        assert walk == tuple(eager_reference_candidates(A)), A.describe()
+        assert len(walk) == 2 * len(pairs)
+        for t, h in enumerate(pairs):
+            neg = -h
+            assert walk[2 * t] is h and walk[2 * t + 1] is neg and -neg is h
+            (x,) = h.diagonal_entries()
+            fresh = HermitianForm.diagonal(A, [-x])
+            assert neg.gram == fresh.gram
+            if A.kind in ("quaternion", "unitary_quaternion"):
+                assert neg.entry_norms() == fresh.entry_norms()
+            minus = [-v for v in total_signature(A, h, ref).values]
+            assert list(total_signature(A, fresh, ref).values) == minus, A.describe()
+            assert list(total_signature(A, neg, ref).values) == minus
+        kinds.add(A.kind)
+    assert kinds == {
+        "field_id", "exchange", "unitary_quadratic", "quaternion", "unitary_quaternion", "matrix"
+    }
+    assert_skip_rate(skipped, len(algebras))
+
+
 def test_epsilon_minus_one_rejected():
     one, i, j, k = HAM.basis()
     skew = HermitianForm.diagonal(HAM, [i], epsilon=-1)
@@ -765,13 +802,15 @@ def _deep_algebra(workload):
     return QuaternionAlgebra(F, -1, F.generator(2))
 
 
-@pytest.mark.parametrize("workload, forms", [("deep_orth", 18), ("deep_conj", 2)])
+@pytest.mark.parametrize("workload, forms", [("deep_orth", 9), ("deep_conj", 1)])
 def test_stability_report_eliminates_each_form_once(monkeypatch, workload, forms):
     """A cold stability report fills each form's route memo once, whatever
     the route and however many orderings read it.  The reference search
     and the probes share one form per candidate value, so <1> is read
-    from one diagonal.  Its probe forms are all diagonal, so none is
-    eliminated: the report makes no ``diagonalize_hermitian`` call."""
+    from one diagonal, and they read only the first member of each +-
+    pair, so no negative is read.  Its probe forms are all diagonal, so
+    none is eliminated: the report makes no ``diagonalize_hermitian``
+    call."""
     import hermstab.algebras as algebras
     import hermstab.signatures as signatures
     from hermstab.stability import stability_report
@@ -795,8 +834,8 @@ def test_cold_deep_orth_report_reads_each_pair_once(monkeypatch):
     """A cold deep_orth stability report reads each (form, ordering) pair
     once: the reference search, ``image_lattice`` and ``h0_search`` share
     the candidate forms, and the route memo keeps each value read, so
-    ``SplittingCertificate.diagonal_signature`` runs 36 times, once per
-    pair."""
+    ``SplittingCertificate.diagonal_signature`` runs 18 times, once per
+    pair: nine first members of +- pairs at two orderings."""
     from hermstab.splitting import SplittingCertificate
     from hermstab.stability import stability_report
 
@@ -809,7 +848,7 @@ def test_cold_deep_orth_report_reads_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(SplittingCertificate, "diagonal_signature", recorded)
     stability_report(_deep_algebra("deep_orth"))
-    assert len(reads) == len({(id(h), path) for h, path in reads}) == 36
+    assert len(reads) == len({(id(h), path) for h, path in reads}) == 18
 
 
 def test_dense_form_is_eliminated_once_over_the_algebra(monkeypatch):
@@ -976,14 +1015,15 @@ def test_reference_search_inverts_each_candidate_once(monkeypatch):
 def test_stability_report_tests_each_candidate_once(monkeypatch):
     """Over (-1, -1)_Q a stability report tests the invertibility of each
     candidate value once: the reference search and the probes walk one
-    candidate sequence, so the reduced norm of <1> is taken once and that
-    of -1 once, and nothing is inverted."""
+    candidate sequence, so the reduced norm of <1> is taken once, and
+    they read only the first member of each +- pair, so that of -1 is not
+    taken; nothing is inverted."""
     from hermstab.stability import stability_report
 
     A = QuaternionAlgebra(Q, -1, -1)
     norms, inverses = _count_norms_and_inverses(monkeypatch)
     stability_report(A)
-    assert norms == [A.one(), A.neg(A.one())] and inverses == []
+    assert norms == [A.one()] and inverses == []
     assert A.reference_candidates[0] is reference_search(A).form
 
 

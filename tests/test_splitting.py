@@ -39,6 +39,7 @@ from corpus import (
 )
 from oracles import (
     dense_datum_holds,
+    dense_quaternion_mul,
     dense_phi,
     dense_transport_gram,
     inverts,
@@ -694,6 +695,67 @@ def test_split_model_matches_sixteen_column_oracle():
     assert witnesses > 2 * len(algebras)
 
 
+def test_left_products_match_the_quaternion_product():
+    """The closed-form products 1 . x, i . x, j . x, k . x that build a
+    split model equal ``_QuaternionCore.mul`` by 1, i, j, k and the
+    sixteen-term table product, over a field centre and a unitary centre,
+    on random values and on the basis itself."""
+    from hermstab.algebras import _QuaternionCore
+    from hermstab.splitting import _left_products, _quat_centre_basis
+
+    rng = random.Random(2929)
+    x, r2 = LX.generator(), F2.generator()
+    algebras = [
+        QuaternionAlgebra(LX, x, -1, "orthogonal", [0, 0, 1, 0]),
+        QuaternionAlgebra(F2, -3, r2),
+        UnitaryQuaternionAlgebra(F2, 2, -r2, -1),
+        UnitaryQuaternionAlgebra(LX, x, 3, -x),
+    ]
+    for A in algebras:
+        basis = _quat_centre_basis(A)
+        values = basis + [
+            A.from_coords([random_element(rng, A.field, height=4) for _ in range(A.dim)])
+            for _ in range(6)
+        ]
+        for v in values:
+            expected = [_QuaternionCore.mul(A, b, v) for b in basis]
+            assert list(_left_products(A, v)) == expected, A.describe()
+            assert expected == [dense_quaternion_mul(A, b, v) for b in basis]
+    assert {A.centre.kind for A in algebras} == {"field_id", "unitary_quadratic"}
+
+
+def test_search_reuses_its_lift_and_json_lifts_its_own(monkeypatch):
+    """A searched split model keeps the A tensor L that built it until its
+    checks have read it, so a cold search and its verification lift A
+    once, and a warm process keeps no lift; a certificate read from JSON
+    builds its split model without one, so its checks lift A themselves,
+    and both pass."""
+    import hermstab.splitting as splitting
+
+    lifts, read = [], []
+    lift_to, check = QuaternionAlgebra.lift_to, splitting._check_split_model
+
+    def counted_lift(self, tower):
+        lifts.append(tower)
+        return lift_to(self, tower)
+
+    def recorded_check(split):
+        read.append(split.lifted)
+        return check(split)
+
+    monkeypatch.setattr(QuaternionAlgebra, "lift_to", counted_lift)
+    monkeypatch.setattr(splitting, "_check_split_model", recorded_check)
+    A = fresh_deep_orth()
+    P = next(P for P in LXY.orderings() if not local_type(A, P).nil)
+    cert = find_certificate(A, P)
+    assert cert._verified is True and lifts == [cert.extension]
+    (lifted,) = read
+    assert lifted == lift_to(A, cert.extension) and cert._split.lifted is None
+    lifts.clear(), read.clear()
+    copy = SplittingCertificate.from_json(cert.to_json())
+    assert verify_certificate(copy) and read == [None] and lifts == [copy.extension]
+
+
 def test_invertibility_by_reduced_norm_matches_inverse():
     """A quaternion kind calls a value invertible when its reduced norm is
     nonzero: that agrees with computing the inverse on small values of
@@ -1112,7 +1174,8 @@ def _deep_orth_siblings():
 def test_cold_deep_orth_report_checks_its_split_model_once(monkeypatch):
     """A cold deep_orth stability report runs the ordering-free checks
     once, for its one split model, and still verifies both certificates;
-    each candidate's reduced norm is taken once, and no other."""
+    the reduced norm of the first member of each +- pair of candidates is
+    taken once, and no other."""
     import hermstab.splitting as splitting
     from hermstab.algebras import _QuaternionCore
     from hermstab.stability import stability_report
@@ -1143,7 +1206,7 @@ def test_cold_deep_orth_report_checks_its_split_model_once(monkeypatch):
     assert len(certs) == 2 and all(cert._split is model for cert in certs)
     assert all(cert._verified is True and verify_certificate(cert) for cert in certs)
     assert checked == [model] and model._verified is True
-    assert len(norms) == len(tested) == 18
+    assert len(norms) == len(tested) == 9
 
 
 def test_certificates_not_emitted_build_their_own_split_model(monkeypatch):

@@ -45,6 +45,7 @@ from hermstab.stability import (
 from corpus import (
     SamplingError,
     assert_skip_rate,
+    catalogue_corpus,
     random_algebra,
     random_hermitian_diagonal,
     random_tower,
@@ -54,6 +55,7 @@ from corpus import (
 from oracles import (
     division_by_signs,
     enumerated_image,
+    full_walk_h0,
     patterns_complete_by_signs,
     stepwise_piecewise_form,
 )
@@ -182,6 +184,128 @@ def test_h0_on_multi_ordering_division_kind():
     h0, k0 = h0_search(A, ref)
     vec = total_signature(A, h0, ref)
     assert set(vec.values) == {1 << k0}
+
+
+def _h0_corpus():
+    """Fresh algebras: the four examples, the deep workloads' two, and
+    seeded draws of every catalogue kind and of ``random_wrapper``."""
+    L2 = LX.adjoin_laurent()
+    F2XY = F2.adjoin_laurent().adjoin_laurent()
+    algebras, _ = catalogue_corpus("h0", 24)
+    return [
+        QuaternionAlgebra(Q, -1, -1),
+        QuaternionAlgebra(Q, -1, -1, "orthogonal", [0, 1, 0, 0]),
+        QuaternionAlgebra(F2, -1, -F2.generator()),
+        QuaternionAlgebra(LX, LX.generator(), -1, "orthogonal", [0, 0, 1, 0]),
+        QuaternionAlgebra(L2, L2.generator(1), -1, "orthogonal", [0, 0, 1, 0]),
+        QuaternionAlgebra(F2XY, -1, F2XY.generator(2)),
+        *algebras,
+    ]
+
+
+def _negated_reference():
+    """(-1, -1)_Q read against <-1, -1>, whose sign is -1: the reference
+    has total signature 2, and <1> has -1, so h0 is -<1>, the negative of
+    the first candidate pair."""
+    A = QuaternionAlgebra(Q, -1, -1)
+    form = HermitianForm.diagonal(A, [-1, -1])
+    ref = ReferenceForm(A, form, reference_signs(A, form))
+    assert ref.deltas == {Q.orderings()[0].path: -1}
+    return A, ref
+
+
+def test_h0_search_matches_the_full_walk_and_stops_at_one(monkeypatch):
+    """h0_search reads the reference and the first member of each +- pair
+    of candidates in walk order, up to and including the first with
+    constant signature 1, and picks what a scan of the reference and the
+    full walk, negatives included, picks: the same form object and k0.
+    A negative is picked once, from a hand-built reference."""
+    import hermstab.stability as stability
+
+    cases = []
+    for A in _h0_corpus():
+        try:
+            cases.append((A, reference_search(A)))
+        except SearchExhausted:
+            continue
+    cases.append(_negated_reference())
+    real = stability.total_signature
+    simple = stopped = negatives = 0
+    for A, ref in cases:
+        space = NilAwareSpace(A)
+        if not space.dim:
+            continue
+        reads = []
+
+        def counted(B, h, reference, budget=50):
+            reads.append(h)
+            return real(B, h, reference, budget)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(stability, "total_signature", counted)
+            h0, k0 = h0_search(A, ref)
+        candidates = [ref.form, *A.reference_pairs]
+        ones = [
+            t for t, h in enumerate(candidates)
+            if set(space.restrict(real(A, h, ref))) == {1}
+        ]
+        stop = ones[0] + 1 if ones else len(candidates)
+        assert all(r is h for r, h in zip(reads[:stop], candidates[:stop], strict=True))
+        expected = full_walk_h0(A, ref)
+        if expected is None:
+            continue
+        assert len(reads) == stop and h0 is expected[0] and k0 == expected[1]
+        simple += 1
+        stopped += stop < len(candidates)
+        negatives += any(h0 is -h for h in A.reference_pairs)
+    assert simple >= 15 and stopped >= 8 and negatives == 1
+
+
+def test_cold_report_builds_only_the_negatives_it_picks(monkeypatch):
+    """A cold stability report builds the negative of a candidate only to
+    return it as h0 or to assemble it into a piecewise form; the report
+    against the hand-built reference builds exactly one, its h0."""
+    import hermstab.signatures as signatures
+    import hermstab.stability as stability
+
+    built, pieces = [], []
+    neg = HermitianForm.__neg__
+
+    def counted_neg(h):
+        fresh = h._negative is None
+        out = neg(h)
+        if fresh:
+            built.append(out)
+        return out
+
+    def recorded(module):
+        real = module.piecewise_form
+
+        def assemble(field, parts):
+            parts = list(parts)
+            pieces.extend(h for _, h, _ in parts)
+            return real(field, parts)
+
+        return assemble
+
+    monkeypatch.setattr(HermitianForm, "__neg__", counted_neg)
+    for module in (signatures, stability):
+        monkeypatch.setattr(module, "piecewise_form", recorded(module))
+    reports = 0
+    for A in _h0_corpus():
+        built.clear(), pieces.clear()
+        try:
+            report = stability_report(A)
+        except SearchExhausted:
+            continue
+        picked = [report.h0, *pieces]
+        assert all(any(b is p for p in picked) for b in built), A.describe()
+        reports += 1
+    assert reports >= 25
+    built.clear(), pieces.clear()
+    A, ref = _negated_reference()
+    report = stability_report(A, ref)
+    assert built == [report.h0] and report.k0 == 0
 
 
 def test_st_bounded_by_field_index_plus_k0():
