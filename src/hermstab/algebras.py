@@ -189,6 +189,12 @@ class Algebra:
         return tuple(self.iter_reference_candidates())
 
     @cached_property
+    def symmetric_basis(self) -> tuple[AlgebraElement, ...]:
+        """``sym_basis(self)``, computed once per instance: every candidate
+        walk past <1> and <-1> reads it."""
+        return tuple(sym_basis(self))
+
+    @cached_property
     def reference_pairs(self) -> tuple[HermitianForm, ...]:
         """All of ``iter_reference_pairs()``, computed once per instance."""
         return tuple(self.iter_reference_pairs())
@@ -267,7 +273,7 @@ class Algebra:
         first member of a +- pair followed by its negative."""
         yield one
         yield -one
-        basis = sym_basis(self)
+        basis = self.symmetric_basis
         for b in basis:
             yield b
             yield -b

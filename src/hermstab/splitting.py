@@ -8,6 +8,12 @@ model over L (or over L(sqrt(alpha)) for the unitary quaternion kind),
 and the matrix datum of the transported involution.  Definite symplectic
 and commutative cases carry their own degenerate certificate shapes.
 
+The split model is built and checked in closed form, with no elimination
+over L: the coordinates of the ideal's vectors by Cramer's rule on two
+rows with one inverse, the orthogonal datum as J^-1 adj Phi(u), the
+independence of the four images and the invertibility of G as nonzero
+determinants.  Only the unitary datum is still solved from its equations.
+
 A certificate depends only on the algebra and the ordering, so each one
 found is kept on its algebra (``Algebra.certificate_memo``), next to the
 ordering-free ``SplitModel`` of its witness (``Algebra.split_model_memo``).
@@ -38,7 +44,6 @@ from .algebras import (
     MatrixAlgebra,
     UnitaryQuadraticAlgebra,
     _fixed_part,
-    _gauss_jordan,
     _nullspace,
     algebra_from_json,
     morita_flatten,
@@ -350,11 +355,6 @@ def _quat_centre_basis(A):
     return [(o, z, z, z), (z, o, z, z), (z, z, o, z), (z, z, z, o)]
 
 
-def _centre_coords(centre: Algebra, value):
-    """Quaternion value -> list of its 4 coordinates as centre elements."""
-    return [centre.elem(c) for c in value]
-
-
 def _left_products(A: Algebra, x) -> tuple:
     """The products 1 . x, i . x, j . x, k . x of a quaternion value x, in
     closed form over the centre: with x = (x0, x1, x2, x3),
@@ -374,7 +374,11 @@ def _left_products(A: Algebra, x) -> tuple:
 
 def _build_split_data(A_L: Algebra, centre: Algebra, witness_value, sqm: FieldElement):
     """Idempotent splitting: matrices of 1, i, j, k acting on (A tensor L) e,
-    in the basis v1, v2 of the first two independent columns of the ideal."""
+    in the basis v1 = e, v2 = the first of i e, j e, k e that is no centre
+    multiple of e (the first two pivot columns of the ideal).  Coordinates
+    come from Cramer's rule on two rows where the minor D of (v1, v2) is
+    nonzero, with one inverse of D; the other two rows of each vector are
+    checked."""
     L = A_L.field
     half = L.rational(1, 2)
     sq_inv = sqm.inverse()
@@ -383,21 +387,65 @@ def _build_split_data(A_L: Algebra, centre: Algebra, witness_value, sqm: FieldEl
     if A_L.mul(e, e) != e:
         raise InvariantViolation("idempotent construction failed")
     ideal = _left_products(A_L, e)
-    _, pivots = _gauss_jordan(zip(*(_centre_coords(centre, v) for v in ideal)))
-    if len(pivots) < 2:
+    pivot = _second_pivot(centre, ideal)
+    if pivot is None:
         raise InvariantViolation("ideal is not 2-dimensional over the centre")
-    pivots = pivots[:2]
-    # the ideal, then b_s * ideal[p] for s = 1, 2, 3 and the pivots p; the
-    # ideal is a left ideal over the centre, so b_s * ideal[t] for t not a
-    # pivot adds nothing.  Coordinates in the pivot basis are unique: the
-    # reduced rows at these columns are those of all sixteen b_s * ideal[t]
-    products = [_left_products(A_L, ideal[p])[1:] for p in pivots]
-    cols = list(ideal) + [by_p[s] for s in range(3) for by_p in products]
-    rows, _ = _gauss_jordan(zip(*(_centre_coords(centre, v) for v in cols)))
-    if any(not x.is_zero() for row in rows[2:] for x in row):
-        raise InvariantViolation("vector lies outside the ideal")
-    columns = [pivots] + [[4 + 2 * s, 5 + 2 * s] for s in range(3)]
-    return tuple(tuple(tuple(rows[r][c].value for c in cs) for r in (0, 1)) for cs in columns)
+    p, r0, r1, D = pivot
+    v1, v2 = e, ideal[p]
+    d_inv = centre.inverse(D)
+    add, mul = centre.add, centre.mul
+    others = [r for r in range(4) if r not in (r0, r1)]
+
+    def coordinates(u):
+        alpha, beta = _span_coordinates(centre, v1, v2, r0, r1, d_inv, u)
+        for r in others:
+            if u[r] != add(mul(alpha, v1[r]), mul(beta, v2[r])):
+                raise InvariantViolation("vector lies outside the ideal")
+        return alpha, beta
+
+    # b_t e for t < p is a multiple of e; the later ones must lie in the
+    # span too.  The ideal is a left ideal over the centre, so b_s * b_t e
+    # for t not a pivot adds nothing: only the products of v1 and v2 count
+    for u in ideal[p + 1:]:
+        coordinates(u)
+    by_v1, by_v2 = (_left_products(A_L, v)[1:] for v in (v1, v2))
+    one, zero = centre.one(), centre.zero()
+    out = [((one, zero), (zero, one))]
+    for s in range(3):
+        (a1, b1), (a2, b2) = coordinates(by_v1[s]), coordinates(by_v2[s])
+        out.append(((a1, a2), (b1, b2)))
+    return tuple(out)
+
+
+def _second_pivot(C: Algebra, ideal):
+    """(p, r0, r1, D) for the ideal b_t e, t = 0..3, as centre coordinates:
+    p is the first of 1, 2, 3 whose b_p e is no centre multiple of e, r0 is
+    e's first nonzero coordinate, and r1 the first row on which the 2 x 2
+    minor D of (e, b_p e) at rows r0, r1 is nonzero.  These minors are
+    zero on every row exactly when b_p e is a multiple of e.  None when
+    every b_p e is (or e is zero)."""
+    e = ideal[0]
+    is_zero, mul, sub = C.is_zero, C.mul, C.sub
+    r0 = next((r for r in range(4) if not is_zero(e[r])), None)
+    if r0 is None:
+        return None
+    for p in (1, 2, 3):
+        v = ideal[p]
+        for r1 in range(4):
+            if r1 != r0:
+                D = sub(mul(e[r0], v[r1]), mul(v[r0], e[r1]))
+                if not is_zero(D):
+                    return p, r0, r1, D
+    return None
+
+
+def _span_coordinates(C: Algebra, v1, v2, r0, r1, d_inv, u):
+    """(alpha, beta) with u = alpha v1 + beta v2 on rows r0 and r1, by
+    Cramer's rule: d_inv is the inverse of the minor D of (v1, v2) there."""
+    mul, sub = C.mul, C.sub
+    alpha = mul(sub(mul(u[r0], v2[r1]), mul(v2[r0], u[r1])), d_inv)
+    beta = mul(sub(mul(v1[r0], u[r1]), mul(u[r0], v1[r1])), d_inv)
+    return alpha, beta
 
 
 def _scale(C: Algebra, c, X):
@@ -425,8 +473,19 @@ def _phi(M: MatrixAlgebra, matrices, value):
 
 
 def _solve_involution_datum(M: MatrixAlgebra, matrices, A_L: Algebra):
-    """G with Phi(sigma(beta)) = G^-1 * conj-transpose(Phi(beta)) * G."""
+    """G with Phi(sigma(beta)) = G^-1 * conj-transpose(Phi(beta)) * G: in
+    closed form for the orthogonal flavor (``_orthogonal_datum``), from
+    the datum equations for the unitary one."""
     C = M.inner
+    if C.kind != "unitary_quadratic":
+        G = _orthogonal_datum(C, _phi(M, matrices, A_L.u))
+        if G is None:
+            raise InvariantViolation("no involution datum exists")
+        if M.involution(G) != G:
+            raise InvariantViolation(
+                "involution datum came out skew for an orthogonal type"
+            )
+        return G
     rows = []
     # unknowns: G00, G01, G10, G11; equations G*Phi(sigma b) - ct(Phi b)*G = 0
     # for b = i, j: those for b = 1 are zero, and those for b = k = ij
@@ -452,10 +511,6 @@ def _solve_involution_datum(M: MatrixAlgebra, matrices, A_L: Algebra):
     ct = M.involution(G)
     if ct == G:
         return G
-    if C.kind != "unitary_quadratic":
-        raise InvariantViolation(
-            "involution datum came out skew for an orthogonal type"
-        )
     # ct(G) = lambda * G with lambda of norm 1; rescale hermitian via
     # c/conj(c) = lambda, taking c = 1 + lambda (or sqrt(alpha) if lambda = -1)
     pi, pj = next((i, j) for i in range(2) for j in range(2) if not C.is_zero(G[i][j]))
@@ -466,6 +521,24 @@ def _solve_involution_datum(M: MatrixAlgebra, matrices, A_L: Algebra):
         if M.involution(H) == H:
             return H
     raise InvariantViolation("involution datum cannot be normalized")
+
+
+def _orthogonal_datum(C: Algebra, U):
+    """The datum of sigma = Int(u) o gamma on M_2(L) from U = Phi(u), or
+    None when U is zero.  Phi(gamma x) = J Phi(x)^T J^-1 with
+    J = [[0, 1], [-1, 0]], so G is proportional to J^-1 adj U =
+    [[U10, -U00], [U11, -U01]]; it is scaled so that its last nonzero
+    entry, in the order G00, G01, G10, G11, is 1, as ``_nullspace``
+    normalises a 1-dimensional kernel (Knus, Merkurjev, Rost and Tignol,
+    The Book of Involutions, section 4)."""
+    (u00, u01), (u10, u11) = U
+    g = [u10, C.neg(u00), u11, C.neg(u01)]
+    last = next((c for c in reversed(g) if not C.is_zero(c)), None)
+    if last is None:
+        return None
+    inv = C.inverse(last)
+    g = [C.mul(c, inv) for c in g]
+    return ((g[0], g[1]), (g[2], g[3]))
 
 
 # ---------------------------------------------------------------------------
@@ -738,14 +811,14 @@ def _check_split_model(split: SplitModel) -> bool:
     if ij != M.neg(M.mul(Xj, Xi)) or ij != Xk:
         return False
     # full 4-dimensional image: the four matrices are independent over C
-    cols = [
-        [C.elem(X[i][j]) for X in split.matrices] for i in range(2) for j in range(2)
-    ]
-    if _nullspace(cols, C.elem(C.zero()), C.elem(C.one())):
+    entries = [[X[i][j] for X in split.matrices] for i in range(2) for j in range(2)]
+    if C.is_zero(_det4(C, entries)):
         return False
-    # G reproduces the involution on the basis
+    # G reproduces the involution on the basis; C is commutative, so G is
+    # invertible exactly when its determinant is nonzero
     G = split.g_datum
-    if not M.elem(G).is_invertible():
+    (g00, g01), (g10, g11) = G
+    if C.is_zero(C.sub(C.mul(g00, g11), C.mul(g01, g10))):
         return False
     if M.involution(G) != G:
         return False
@@ -755,6 +828,33 @@ def _check_split_model(split: SplitModel) -> bool:
         if lhs != rhs:
             return False
     return True
+
+
+# (columns of the top minor, complementary columns, sign) for ``_det4``
+_LAPLACE_PAIRS = (
+    ((0, 1), (2, 3), 1),
+    ((0, 2), (1, 3), -1),
+    ((0, 3), (1, 2), 1),
+    ((1, 2), (0, 3), 1),
+    ((1, 3), (0, 2), -1),
+    ((2, 3), (0, 1), 1),
+)
+
+
+def _det4(C: Algebra, rows):
+    """The determinant of a 4 x 4 matrix over the commutative C, by Laplace
+    expansion along its first two rows: no inverses."""
+    mul, sub = C.mul, C.sub
+    top, bottom = rows[:2], rows[2:]
+
+    def minor(two, a, b):
+        return sub(mul(two[0][a], two[1][b]), mul(two[0][b], two[1][a]))
+
+    det = C.zero()
+    for (a, b), (c, d), sign in _LAPLACE_PAIRS:
+        term = mul(minor(top, a, b), minor(bottom, c, d))
+        det = C.add(det, term) if sign > 0 else sub(det, term)
+    return det
 
 
 def transport_form(cert: SplittingCertificate, h: HermitianForm):

@@ -822,3 +822,28 @@ def test_large_wrappers_skip_pairwise_candidates(inner, n, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr("hermstab.algebras.sym_basis", None)
         assert [next(walk).gram[0][0] for _ in range(2)] == list(units)
+
+
+def test_cold_report_builds_the_symmetric_basis_once(monkeypatch):
+    """Every candidate walk past <1> and <-1> reads the algebra's one
+    symmetric basis, ``Algebra.symmetric_basis``: a cold stability report
+    on ((1, sqrt 2)_Q(sqrt 2), Int(i)conj), whose reference is not <1>,
+    walks the candidates in the reference search and again for the
+    probes, and computes the basis once."""
+    import hermstab.algebras as algebras
+    from hermstab.signatures import reference_search
+    from hermstab.stability import stability_report
+
+    calls = []
+    real = algebras.sym_basis
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(algebras, "sym_basis", counted)
+    A = QuaternionAlgebra(F2, 1, F2.generator(), "orthogonal", [0, 1, 0, 0])
+    stability_report(A)
+    assert calls == [A]
+    assert reference_search(A).form.gram != ((A.one(),),)
+    assert A.symmetric_basis == tuple(real(A))

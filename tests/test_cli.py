@@ -347,12 +347,15 @@ def _doubled_root_split_data():
     return lambda A_L, centre, w, sqm: _build_split_data(A_L, centre, w, sqm + sqm)
 
 
-def _echelon_with(tamper):
-    """``splitting._gauss_jordan``, which only the split data use, with its
-    (rows, pivots) edited by ``tamper``."""
-    from hermstab.algebras import _gauss_jordan
+def _coordinates_of_e():
+    """``splitting._span_coordinates`` reading every vector as the first
+    basis vector e of the ideal, so that its coordinates do not reproduce
+    the vector on the two rows that Cramer's rule leaves out."""
+    from hermstab.splitting import _span_coordinates
 
-    return lambda rows: tamper(*_gauss_jordan(rows))
+    return lambda C, v1, v2, r0, r1, d_inv, u: _span_coordinates(
+        C, v1, v2, r0, r1, d_inv, v1
+    )
 
 
 STABILITY_HAM = ("stability", "--algebra", HAM)
@@ -371,8 +374,9 @@ SPLIT_CERT_X = ("split-cert", "--algebra", ORTH_X, "--ordering", "0")
         ),
         (
             "splitting",
-            "_nullspace",
-            lambda rows, zero, one: [],
+            "_phi",
+            # Phi(u) = 0: the closed-form datum J^-1 adj Phi(u) is zero
+            lambda M, matrices, value: M.zero(),
             SPLIT_CERT_X,
             "no involution datum exists",
         ),
@@ -406,16 +410,16 @@ SPLIT_CERT_X = ("split-cert", "--algebra", ORTH_X, "--ordering", "0")
         ),
         (
             "splitting",
-            "_gauss_jordan",
-            _echelon_with(lambda rows, pivots: (rows, pivots[:1])),
+            "_second_pivot",
+            # every b_p e read as a multiple of e
+            lambda C, ideal: None,
             SPLIT_CERT_X,
             "ideal is not 2-dimensional over the centre",
         ),
         (
             "splitting",
-            "_gauss_jordan",
-            # the first row again in place of the third, which is zero
-            _echelon_with(lambda rows, pivots: (rows[:2] + rows[:1] + rows[3:], pivots)),
+            "_span_coordinates",
+            _coordinates_of_e(),
             SPLIT_CERT_X,
             "vector lies outside the ideal",
         ),

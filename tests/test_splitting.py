@@ -34,6 +34,7 @@ from corpus import (
     orthogonal_quaternion,
     random_element,
     random_hermitian_diagonal,
+    random_nonsquare,
     random_sym_element,
     tower_shapes,
 )
@@ -666,19 +667,62 @@ def _witness_certificates(A, per_ordering=4):
             yield from islice(_certificates(A, P, 2), per_ordering)
 
 
+def _random_split_kinds(rng, count):
+    """Orthogonal and unitary quaternion algebras, alternately, over Q,
+    Q(sqrt 2), Q((x)), Q(sqrt 2)((x)) and Q((x))((y)) in turn (so ten
+    draws take each flavor over each tower once), each with a non-nil
+    ordering.  About half take b a square, times alpha for the unitary
+    kind: the witness j then has m a square, and L = F."""
+    fields = [Q, F2, LX, F2.adjoin_laurent(), LXY]
+    out, skipped = [], 0
+    while len(out) < count:
+        unitary = len(out) % 2 == 1
+        field = fields[len(out) % len(fields)]
+        a = random_element(rng, field, height=4, nonzero=True, simple=True)
+        b = random_element(rng, field, height=4, nonzero=True, simple=True)
+        square = rng.random() < 0.5
+        try:
+            if unitary:
+                alpha = random_nonsquare(rng, field)
+                if square:
+                    b = alpha * b * b
+                A = UnitaryQuaternionAlgebra(field, a, b, alpha)
+            else:
+                if square:
+                    b = b * b
+                coords = [field.zero()] + [
+                    field.rational(rng.randint(-2, 2)) for _ in range(3)
+                ]
+                if all(c.is_zero() for c in coords[1:]):
+                    coords[2] = field.one()
+                A = orthogonal_quaternion(field, a, b, coords)
+        except SamplingError:
+            skipped += 1
+            continue
+        if all(local_type(A, P).nil for P in field.orderings()):
+            skipped += 1
+            continue
+        out.append(A)
+    assert_skip_rate(skipped, len(out))
+    return out
+
+
 def test_split_model_matches_sixteen_column_oracle():
-    """The split model reads b_s * ideal[p] for the two pivots p only and
-    solves the datum equations for i and j only: on every proper split
-    kind of the corpus (orthogonal and unitary, over Q, Q(sqrt 2), Q((x))
-    and Q((x))((y)), plus random ones) and on several witnesses each, its
-    matrices and datum are those of all sixteen products and all sixteen
-    equations."""
+    """The split model reads its coordinates by Cramer's rule on two rows
+    of the ideal and takes the orthogonal datum in closed form: on every
+    proper split kind of the corpus (orthogonal and unitary, over Q,
+    Q(sqrt 2), Q((x)) and Q((x))((y)), plus random ones), on a seeded
+    draw of both flavors over towers up to Q(sqrt 2)((x)) and
+    Q((x))((y)), and on several witnesses each, its matrices and datum are
+    those of one elimination of all sixteen products and of the kernel of
+    all sixteen equations."""
     rng = random.Random(73)
     algebras = [A for A in _split_model_algebras() if A.kind != "matrix"]
     for A in _random_quaternion_instances(rng, 4, orthogonal=True):
         algebras.append(A)
+    drawn = _random_split_kinds(random.Random(79), 10)
     seen, witnesses = set(), 0
-    for A in algebras:
+    for A in algebras + drawn:
         F = A.field
         for cert in _witness_certificates(A):
             L = cert.extension
@@ -688,11 +732,19 @@ def test_split_model_matches_sixteen_column_oracle():
             matrices = slow_split_data(A_L, cert.model.inner, w, sqm)
             assert cert.matrices == tuple(map(tuple, matrices))
             assert cert.g_datum == slow_involution_datum(cert.model, matrices, A_L)
-            seen.add((A.kind, L == F))
+            seen.add((A.kind, L == F, A in drawn, F.describe()))
             witnesses += 1
-    assert {kind for kind, _ in seen} == {"quaternion", "unitary_quaternion"}
-    assert {same for _, same in seen} == {True, False}
-    assert witnesses > 2 * len(algebras)
+    assert {kind for kind, *_ in seen} == {"quaternion", "unitary_quaternion"}
+    assert {same for _, same, *_ in seen} == {True, False}
+    in_draw = {(kind, same) for kind, same, d, _ in seen if d}
+    assert in_draw == {
+        (kind, same) for kind in ("quaternion", "unitary_quaternion") for same in (True, False)
+    }
+    towers = {(kind, field) for kind, _, d, field in seen if d}
+    for field in (F2.adjoin_laurent(), LXY):
+        for kind in ("quaternion", "unitary_quaternion"):
+            assert (kind, field.describe()) in towers
+    assert witnesses > 2 * len(algebras + drawn)
 
 
 def test_left_products_match_the_quaternion_product():
@@ -1097,6 +1149,22 @@ def _tamper_datum_singular():
     return replace(cert, g_datum=cert.model.zero())
 
 
+def _tamper_datum_singular_nonzero():
+    """G = [[1, 1], [1, 1]]: hermitian and nonzero, but not invertible."""
+    cert = _orthogonal_cert()
+    o = cert.model.inner.one()
+    return replace(cert, g_datum=((o, o), (o, o)))
+
+
+def _tamper_datum_root_determinant():
+    """G = diag(1, sqrt(alpha)) over the unitary centre: invertible but not
+    hermitian.  det G = sqrt(alpha) lies outside L, so reading it in L
+    (``SplitModel.det``) would raise where the check must answer False."""
+    cert = _unitary_cert()
+    C = cert.model.inner
+    return replace(cert, g_datum=((C.one(), C.zero()), (C.zero(), C.basis_values()[1])))
+
+
 def _tamper_datum_not_hermitian():
     cert = _unitary_cert()
     C = cert.model.inner
@@ -1144,15 +1212,11 @@ def test_dependent_images_fail_verification(monkeypatch):
     """The four images must be independent.  No edit of a certificate that
     keeps X1 = 1 and the quaternion relations reaches this check, since
     those relations already force independence, so the test reports a
-    kernel vector from the independence system instead."""
+    zero determinant of the four images' coordinates instead."""
     import hermstab.splitting as splitting
 
     cert = replace(_orthogonal_cert())
-
-    def dependent(rows, zero, one):
-        return [[one, zero, zero, zero]]
-
-    monkeypatch.setattr(splitting, "_nullspace", dependent)
+    monkeypatch.setattr(splitting, "_det4", lambda C, rows: C.zero())
     assert verify_certificate(cert) is False
 
 
@@ -1169,6 +1233,55 @@ def _deep_orth_siblings():
     first, second = (find_certificate(A, P) for P in targets)
     assert first._split is second._split
     return A, first, second
+
+
+def test_cold_deep_orth_split_model_runs_no_elimination(monkeypatch):
+    """A cold deep_orth report builds and checks its one orthogonal split
+    model in closed form: no ``_gauss_jordan`` or ``_nullspace`` call
+    happens inside ``_split_model`` or ``_check_split_model``, while the
+    unitary flavor still solves its datum equations by ``_nullspace``."""
+    import hermstab.algebras as algebras
+    import hermstab.splitting as splitting
+    from hermstab.stability import stability_report
+
+    calls, inside = [], []
+
+    def spied(module, name):
+        real = getattr(module, name)
+
+        def spy(*args):
+            calls.append((name, tuple(inside)))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+
+    def within(name):
+        real = getattr(splitting, name)
+
+        def scoped(*args):
+            inside.append(name)
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(splitting, name, scoped)
+
+    spied(algebras, "_gauss_jordan")
+    spied(algebras, "_nullspace")
+    spied(splitting, "_nullspace")
+    within("_split_model")
+    within("_check_split_model")
+    A = fresh_deep_orth()
+    stability_report(A)
+    assert len(A.split_model_memo) == 1
+    (split,) = A.split_model_memo.values()
+    assert split.flavor == "orthogonal-split" and split._verified is True
+    assert [c for c in calls if c[1]] == []
+    calls.clear()
+    U = UnitaryQuaternionAlgebra(F2, -1, -1, -F2.generator())
+    assert verify_certificate(find_certificate(U, U.field.orderings()[0]))
+    assert ("_nullspace", ("_split_model",)) in calls
 
 
 def test_cold_deep_orth_report_checks_its_split_model_once(monkeypatch):
