@@ -184,14 +184,9 @@ class Algebra:
         return _frozen(self.to_json())
 
     @cached_property
-    def reference_candidates(self) -> tuple[HermitianForm, ...]:
-        """All of ``iter_reference_candidates()``, computed once per instance."""
-        return tuple(self.iter_reference_candidates())
-
-    @cached_property
     def symmetric_basis(self) -> tuple[AlgebraElement, ...]:
         """``sym_basis(self)``, computed once per instance: every candidate
-        walk past <1> and <-1> reads it."""
+        walk past <1> reads it."""
         return tuple(sym_basis(self))
 
     @cached_property
@@ -234,34 +229,24 @@ class Algebra:
         1 or -1."""
         return []
 
-    def iter_reference_candidates(self):
-        """Rank-one forms on invertible symmetric elements, in this order:
-        1, -1, then b_i, -b_i for the symmetric basis b_1, ..., b_r, then
-        b_i + b_j, -(b_i + b_j), b_i - b_j, -(b_i - b_j) for i < j: each
-        form of ``iter_reference_pairs`` followed by its negative.
-
-        The b_i are independent, so a later candidate can repeat only 1 or
-        -1; those repeats are found by value (values are canonical) and
-        skipped.  Every walk, and ``reference_candidates``, yields the same
-        form objects, so their route memos are shared too."""
-        for form in self.iter_reference_pairs():
-            yield form
-            yield -form
-
     def iter_reference_pairs(self):
-        """The first member h of each +- pair of ``iter_reference_candidates``;
-        its partner is -h, which ``HermitianForm.__neg__`` builds when asked
-        and keeps.  Lazy: the symmetric basis is only computed once <1> has
-        been consumed.  x is invertible exactly when -x is, and repeats 1 or
-        -1 exactly when -x does, so a pair is kept or skipped whole; each
-        first member's form is built, and its invertibility tested, once
-        per algebra."""
+        """Rank-one forms on invertible symmetric elements, one for each +-
+        pair of candidates, in this order: 1, then b_i for the symmetric
+        basis b_1, ..., b_r, then b_i + b_j and b_i - b_j for i < j.  The
+        partner of a pair's form h is -h: x is invertible exactly when -x
+        is, and repeats 1 or -1 exactly when -x does, so a pair is kept or
+        skipped whole.
+
+        The b_i are independent, so a later value can repeat only 1 or -1;
+        those repeats are found by value (values are canonical) and
+        skipped.  Lazy: the symmetric basis is only computed once <1> has
+        been consumed.  Each form is built, and its invertibility tested,
+        once per algebra, and every walk, and ``reference_pairs``, yields
+        the same form objects, so their route memos are shared too."""
         forms = self._reference_forms
         one = self.elem(self.one())
         units = (one.value, (-one).value)
-        values = self._reference_values(one)
-        # each value is followed by its negative: zip reads one pair a step
-        for pos, (x, _) in enumerate(zip(values, values)):
+        for pos, x in enumerate(self._reference_values(one)):
             if pos == len(forms):
                 repeat = pos >= 1 and x.value in units
                 forms.append(None if repeat else self._rank_one_candidate(x))
@@ -269,19 +254,15 @@ class Algebra:
                 yield forms[pos]
 
     def _reference_values(self, one):
-        """The values of ``iter_reference_candidates``, in walk order: each
-        first member of a +- pair followed by its negative."""
+        """The values of ``iter_reference_pairs``, in walk order, one for
+        each +- pair."""
         yield one
-        yield -one
         basis = self.symmetric_basis
-        for b in basis:
-            yield b
-            yield -b
+        yield from basis
         for i, b in enumerate(basis):
             for c in basis[i + 1:]:
-                for x in (b + c, b - c):
-                    yield x
-                    yield -x
+                yield b + c
+                yield b - c
 
     def _rank_one_candidate(self, x: AlgebraElement) -> HermitianForm | None:
         """The rank-one form <x>, or None when x is not invertible."""
@@ -869,11 +850,11 @@ class MatrixAlgebra(Algebra):
 
     def _reference_values(self, one):
         # a symmetric basis element touches the rows of one entry pair, so
-        # for n >= 5 each b_i and b_i +- b_j has a zero row: stop after +-1
+        # for n >= 5 each b_i and b_i +- b_j has a zero row: stop after 1
         if self.n < 5:
             yield from super()._reference_values(one)
             return
-        yield from (one, -one)
+        yield one
 
     def is_invertible(self, x) -> bool:
         """A matrix with a zero row is singular without a Gauss-Jordan."""
@@ -1090,7 +1071,7 @@ class AlgebraElement:
                 other = self._coerced(other)
             except (TypeError, MismatchError):
                 return NotImplemented
-        # values are canonical (see ``iter_reference_candidates``)
+        # values are canonical (see ``iter_reference_pairs``)
         return self.algebra == other.algebra and self.value == other.value
 
     def __hash__(self):
@@ -1191,10 +1172,9 @@ class HermitianForm:
     diagonal it reads (for a form over a matrix wrapper, that of its
     Morita flattening), and under each ordering's sign path the value
     read there.  ``entry_norms`` keeps the diagonal entries' reduced
-    norms, and ``-h`` is built once and kept.  All live and die with the
-    form."""
+    norms.  Both live and die with the form."""
 
-    __slots__ = ("algebra", "epsilon", "gram", "route_memo", "_norms", "_negative")
+    __slots__ = ("algebra", "epsilon", "gram", "route_memo", "_norms")
 
     def __init__(self, algebra: Algebra, gram, epsilon: int = 1):
         if epsilon not in (1, -1):
@@ -1229,7 +1209,6 @@ class HermitianForm:
                     raise MismatchError("Gram matrix is not epsilon-hermitian")
         self.route_memo = {}
         self._norms = None
-        self._negative = None
 
     def entry_norms(self) -> tuple[FieldElement, ...]:
         """The reduced norm of each diagonal entry as an element of F, for
@@ -1323,16 +1302,13 @@ class HermitianForm:
         )
 
     def __neg__(self) -> HermitianForm:
-        """-h, built on the first call and kept: -(-h) is h.  The reduced
-        norm is quadratic, so -h keeps h's entry norms."""
-        neg = self._negative
-        if neg is None:
-            neg = self._negative = HermitianForm(
-                self.algebra,
-                [[self.algebra.neg(v) for v in row] for row in self.gram],
-                self.epsilon,
-            )
-            neg._negative, neg._norms = self, self._norms
+        """-h.  The reduced norm is quadratic, so -h keeps h's entry norms."""
+        neg = HermitianForm(
+            self.algebra,
+            [[self.algebra.neg(v) for v in row] for row in self.gram],
+            self.epsilon,
+        )
+        neg._norms = self._norms
         return neg
 
     def lift_to(self, target: Algebra) -> HermitianForm:

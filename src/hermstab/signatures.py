@@ -247,12 +247,12 @@ class ReferenceForm:
 
 def reference_search(A: Algebra, budget: int = 50) -> ReferenceForm:
     """The first reference candidate, in the order of
-    ``Algebra.iter_reference_candidates``, whose raw signature is nonzero
-    at every non-nil ordering (built lazily, so later candidates cost
+    ``Algebra.iter_reference_pairs``, whose raw signature is nonzero at
+    every non-nil ordering (built lazily, so later candidates cost
     nothing); failing that, a sum of pieces cut out by one-ordering
     Pfister multipliers.  Both read only the first member h of each +-
-    pair (``Algebra.iter_reference_pairs``): -h has the negated signature
-    at every ordering, so the same zero set, and never fits before h.
+    pair: -h has the negated signature at every ordering, so the same
+    zero set, and never fits before h.
 
     The search depends only on A and the budget, so a success is kept in
     ``A.reference_memo`` under its budget; failures are not kept.  Only the

@@ -11,8 +11,9 @@ and commutative cases carry their own degenerate certificate shapes.
 The split model is built and checked in closed form, with no elimination
 over L: the coordinates of the ideal's vectors by Cramer's rule on two
 rows with one inverse, the orthogonal datum as J^-1 adj Phi(u), the
+unitary datum as the Gram matrix of sigma(x) y on the ideal, the
 independence of the four images and the invertibility of G as nonzero
-determinants.  Only the unitary datum is still solved from its equations.
+determinants.
 
 A certificate depends only on the algebra and the ordering, so each one
 found is kept on its algebra (``Algebra.certificate_memo``), next to the
@@ -44,7 +45,6 @@ from .algebras import (
     MatrixAlgebra,
     UnitaryQuadraticAlgebra,
     _fixed_part,
-    _nullspace,
     algebra_from_json,
     morita_flatten,
 )
@@ -374,11 +374,11 @@ def _left_products(A: Algebra, x) -> tuple:
 
 def _build_split_data(A_L: Algebra, centre: Algebra, witness_value, sqm: FieldElement):
     """Idempotent splitting: matrices of 1, i, j, k acting on (A tensor L) e,
-    in the basis v1 = e, v2 = the first of i e, j e, k e that is no centre
-    multiple of e (the first two pivot columns of the ideal).  Coordinates
-    come from Cramer's rule on two rows where the minor D of (v1, v2) is
-    nonzero, with one inverse of D; the other two rows of each vector are
-    checked."""
+    in the basis v1 = e, v2 = b_p e, the first of i e, j e, k e that is no
+    centre multiple of e (the first two pivot columns of the ideal).
+    Coordinates come from Cramer's rule on two rows where the minor D of
+    (v1, v2) is nonzero, with one inverse of D; the other two rows of each
+    vector are checked.  Returns (matrices, p, v2)."""
     L = A_L.field
     half = L.rational(1, 2)
     sq_inv = sqm.inverse()
@@ -414,7 +414,7 @@ def _build_split_data(A_L: Algebra, centre: Algebra, witness_value, sqm: FieldEl
     for s in range(3):
         (a1, b1), (a2, b2) = coordinates(by_v1[s]), coordinates(by_v2[s])
         out.append(((a1, a2), (b1, b2)))
-    return tuple(out)
+    return tuple(out), p, v2
 
 
 def _second_pivot(C: Algebra, ideal):
@@ -448,11 +448,6 @@ def _span_coordinates(C: Algebra, v1, v2, r0, r1, d_inv, u):
     return alpha, beta
 
 
-def _scale(C: Algebra, c, X):
-    """The 2 x 2 value X times the centre value c."""
-    return tuple(tuple(C.mul(c, e) for e in row) for row in X)
-
-
 def _phi(M: MatrixAlgebra, matrices, value):
     """Image in the split model M of a quaternion value: the sum of its
     centre coordinates times the images of 1, i, j, k.  Zero coordinates
@@ -472,10 +467,10 @@ def _phi(M: MatrixAlgebra, matrices, value):
     return tuple(tuple(z if e is None else e for e in acc) for acc in out)
 
 
-def _solve_involution_datum(M: MatrixAlgebra, matrices, A_L: Algebra):
-    """G with Phi(sigma(beta)) = G^-1 * conj-transpose(Phi(beta)) * G: in
-    closed form for the orthogonal flavor (``_orthogonal_datum``), from
-    the datum equations for the unitary one."""
+def _involution_datum(M: MatrixAlgebra, matrices, A_L: Algebra, p: int, v2):
+    """G with Phi(sigma(beta)) = G^-1 * conj-transpose(Phi(beta)) * G, in
+    closed form: ``_orthogonal_datum`` from Phi(u), ``_unitary_datum``
+    from the second basis vector v2 = b_p e of the ideal."""
     C = M.inner
     if C.kind != "unitary_quadratic":
         G = _orthogonal_datum(C, _phi(M, matrices, A_L.u))
@@ -486,41 +481,24 @@ def _solve_involution_datum(M: MatrixAlgebra, matrices, A_L: Algebra):
                 "involution datum came out skew for an orthogonal type"
             )
         return G
-    rows = []
-    # unknowns: G00, G01, G10, G11; equations G*Phi(sigma b) - ct(Phi b)*G = 0
-    # for b = i, j: those for b = 1 are zero, and those for b = k = ij
-    # follow, as sigma(ij) = sigma(j) sigma(i) and ct(XY) = ct(Y) ct(X)
-    for b in _quat_centre_basis(A_L)[1:3]:
-        S = _phi(M, matrices, A_L.involution(b))
-        T = M.involution(_phi(M, matrices, b))
-        for i in range(2):
-            for j in range(2):
-                row = [C.zero()] * 4
-                # (G S)_{ij} = sum_t G_{it} S_{tj}
-                for t in range(2):
-                    row[2 * i + t] = C.add(row[2 * i + t], S[t][j])
-                # (T G)_{ij} = sum_t T_{it} G_{tj}
-                for t in range(2):
-                    row[2 * t + j] = C.sub(row[2 * t + j], T[i][t])
-                rows.append([C.elem(v) for v in row])
-    sols = _nullspace(rows, C.elem(C.zero()), C.elem(C.one()))
-    if not sols:
-        raise InvariantViolation("no involution datum exists")
-    g = [e.value for e in sols[0]]
-    G = ((g[0], g[1]), (g[2], g[3]))
-    ct = M.involution(G)
-    if ct == G:
-        return G
-    # ct(G) = lambda * G with lambda of norm 1; rescale hermitian via
-    # c/conj(c) = lambda, taking c = 1 + lambda (or sqrt(alpha) if lambda = -1)
-    pi, pj = next((i, j) for i in range(2) for j in range(2) if not C.is_zero(G[i][j]))
-    lam = C.mul(ct[pi][pj], C.inverse(G[pi][pj]))
-    if ct == _scale(C, lam, G):
-        c = C.basis_values()[1] if lam == C.neg(C.one()) else C.add(C.one(), lam)
-        H = _scale(C, c, G)
-        if M.involution(H) == H:
-            return H
-    raise InvariantViolation("involution datum cannot be normalized")
+    # p is 1 or 2: were i e and j e multiples of e, the ideal would be
+    # 1-dimensional
+    return _unitary_datum(C, (A_L._a, A_L._b)[p - 1], v2[0])
+
+
+def _unitary_datum(C: Algebra, square, head):
+    """The datum of the unitary involution on M_2(L(sqrt alpha)) in the
+    basis v1 = e, v2 = b_p e, with b_p^2 = ``square`` and ``head`` the
+    coordinate of v2 on 1: the Gram matrix of h(x, y) = sigma(x) y on the
+    ideal (Knus, Merkurjev, Rost and Tignol, The Book of Involutions,
+    section 4).  sigma(e) = e, as the witness is symmetric and sqrt(m)
+    lies in L; sigma(b_p) = -b_p; and e b_p e = t e with t = Trd(b_p e) =
+    2 head by cyclicity of the trace.  So G is proportional to
+    [[1, t], [-t, -b_p^2]], and is scaled so that its last entry is 1:
+    [[-1/b_p^2, -t/b_p^2], [t/b_p^2, 1]]."""
+    inv = C.inverse(C.neg(square))
+    s = C.mul(C.add(head, head), inv)
+    return ((inv, s), (C.neg(s), C.one()))
 
 
 def _orthogonal_datum(C: Algebra, U):
@@ -528,9 +506,8 @@ def _orthogonal_datum(C: Algebra, U):
     None when U is zero.  Phi(gamma x) = J Phi(x)^T J^-1 with
     J = [[0, 1], [-1, 0]], so G is proportional to J^-1 adj U =
     [[U10, -U00], [U11, -U01]]; it is scaled so that its last nonzero
-    entry, in the order G00, G01, G10, G11, is 1, as ``_nullspace``
-    normalises a 1-dimensional kernel (Knus, Merkurjev, Rost and Tignol,
-    The Book of Involutions, section 4)."""
+    entry, in the order G00, G01, G10, G11, is 1 (Knus, Merkurjev, Rost
+    and Tignol, The Book of Involutions, section 4)."""
     (u00, u01), (u10, u11) = U
     g = [u10, C.neg(u00), u11, C.neg(u01)]
     last = next((c for c in reversed(g) if not C.is_zero(c)), None)
@@ -691,8 +668,9 @@ def _split_model(A, xyz, m, sqm, flavor):
         sq_elem = L.generator()
     A_L = A.lift_to(L)
     M = MatrixAlgebra(2, _centre_of(A, L, flavor))
-    matrices = _build_split_data(A_L, M.inner, A.lift_value(w_value, A_L), sq_elem)
-    datum = _solve_involution_datum(M, matrices, A_L)
+    w = A.lift_value(w_value, A_L)
+    matrices, p, v2 = _build_split_data(A_L, M.inner, w, sq_elem)
+    datum = _involution_datum(M, matrices, A_L, p, v2)
     split = A.split_model_memo[xyz] = SplitModel(
         A, flavor, A.elem(w_value), m, L, M, matrices, datum, A_L
     )

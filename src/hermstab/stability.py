@@ -657,12 +657,13 @@ def invariance_suite(A: Algebra, ref: ReferenceForm | None = None, budget: int =
             if any(restricted) and not any(hv):
                 inj_ok = False
         n0, to_quadratic = relative_stability(A, ref, report.lattice, budget)
-        for cand in A.reference_candidates[:4]:
-            q_h = to_quadratic(cand)
-            target = total_signature(A, cand, ref, budget)
-            got = [q_h.signature(P) for P in field.orderings()]
-            if got != [v * (1 << n0) for v in target.values]:
-                inj_ok = False
+        for h in A.reference_pairs[:2]:
+            for cand in (h, -h):
+                q_h = to_quadratic(cand)
+                target = total_signature(A, cand, ref, budget)
+                got = [q_h.signature(P) for P in field.orderings()]
+                if got != [v * (1 << n0) for v in target.values]:
+                    inj_ok = False
     out["module_maps_injective"] = {"ok": inj_ok}
 
     out["ok"] = all(v["ok"] for v in out.values() if isinstance(v, dict))

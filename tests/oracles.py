@@ -454,14 +454,14 @@ def eager_reference_scan(A, candidates, budget=50):
 
 def full_walk_h0(A, ref, budget=50):
     """(form, k) of the first form of the reference and every candidate
-    of the full walk, negatives included, with constant total signature
-    2^k on the non-nil orderings and the least such k, reading every one;
-    None when no form is constant."""
+    of ``eager_reference_candidates``, negatives included, with constant
+    total signature 2^k on the non-nil orderings and the least such k,
+    reading every one; None when no form is constant."""
     from hermstab.signatures import nil_set
 
     nil = nil_set(A)
     best = None
-    for cand in [ref.form, *A.reference_candidates]:
+    for cand in [ref.form, *eager_reference_candidates(A)]:
         vec = total_signature(A, cand, ref, budget)
         values = {v for P, v in zip(A.field.orderings(), vec.values) if P not in nil}
         if len(values) == 1:

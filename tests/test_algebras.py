@@ -803,10 +803,10 @@ def test_matrix_scaling_must_be_invertible(entry):
     ids=["Q-id-5", "Q-id-6", "Q-id-7", "H-conj-5"],
 )
 def test_large_wrappers_skip_pairwise_candidates(inner, n, monkeypatch):
-    """For n >= 5 the walk stops after +-1 and +-b_i, since each b_i +- b_j
+    """For n >= 5 the walk stops after 1, since each b_i and b_i +- b_j
     has a zero row: it keeps what the full walk of ``Algebra`` keeps once
     filtered by invertibility (and by the repeats of 1 and -1), and it
-    computes the symmetric basis only after +-1 are consumed."""
+    never computes the symmetric basis."""
     g = [inner.elem(inner.one())] * (n - 1) + [inner.from_field(-2)]
     M = MatrixAlgebra(n, inner, g)
     one = M.elem(M.one())
@@ -814,18 +814,17 @@ def test_large_wrappers_skip_pairwise_candidates(inner, n, monkeypatch):
     full = [
         x.value
         for pos, x in enumerate(Algebra._reference_values(M, one))
-        if not (pos >= 2 and x.value in units) and x.is_invertible()
+        if not (pos >= 1 and x.value in units) and x.is_invertible()
     ]
-    assert [h.gram[0][0] for h in M.reference_candidates] == full
+    assert [h.gram[0][0] for h in M.reference_pairs] == full == [one.value]
     fresh = MatrixAlgebra(n, inner, g)
-    walk = fresh.iter_reference_candidates()
     with monkeypatch.context() as m:
         m.setattr("hermstab.algebras.sym_basis", None)
-        assert [next(walk).gram[0][0] for _ in range(2)] == list(units)
+        assert [h.gram[0][0] for h in fresh.iter_reference_pairs()] == [one.value]
 
 
 def test_cold_report_builds_the_symmetric_basis_once(monkeypatch):
-    """Every candidate walk past <1> and <-1> reads the algebra's one
+    """Every candidate walk past <1> reads the algebra's one
     symmetric basis, ``Algebra.symmetric_basis``: a cold stability report
     on ((1, sqrt 2)_Q(sqrt 2), Int(i)conj), whose reference is not <1>,
     walks the candidates in the reference search and again for the

@@ -4,7 +4,10 @@ here, as no linter runs on the package.  And no function imports from a
 module that its own module already imports from at top level; such an
 import breaks no cycle, so it belongs at the top.  The two imports
 inside functions that do break a cycle are ``quadratic.diagonalize_gram``
--> ``algebras`` and ``splitting.find_certificate`` -> ``signatures``."""
+-> ``algebras`` and ``splitting.find_certificate`` -> ``signatures``.
+And every private module-level function or class is read somewhere in
+the package outside its own definition: a change that leaves a helper
+without callers fails here."""
 
 import ast
 import pathlib
@@ -89,3 +92,45 @@ def test_guard_finds_an_unused_import():
 def test_module_has_no_unused_import(module):
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert unused_imports(source) == []
+
+
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """The module-level functions and classes named ``_name`` (dunders
+    aside) that no expression of ``sources``, a map from module name to
+    source, reads as a name or an attribute outside their own
+    definition."""
+    defined, read = [], set()
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            own = top.name if isinstance(top, defs) else None
+            if own and own.startswith("_") and not own.endswith("__"):
+                defined.append((module, own, top.lineno))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
+    return [
+        f"{module}: {name} (line {line})"
+        for module, name, line in defined
+        if name not in read
+    ]
+
+
+def test_guard_finds_a_dead_helper():
+    sources = {
+        "a.py": "def _dead(n):\n    return _dead(n - 1)\ndef _used():\n    pass\n"
+        "class _Kept:\n    pass\ndef __getattr__(name):\n    pass\n",
+        "b.py": "from . import a\nx = a._used()\ny = [_Kept]\n",
+    }
+    assert dead_helpers(sources) == ["a.py: _dead (line 1)"]
+
+
+def test_package_has_no_dead_helper():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_helpers(sources) == []

@@ -446,7 +446,8 @@ def test_going_up_on_a_matrix_wrapper():
     assert lifted.inner == ORTH_X.lift_to(L)
     assert lifted.g == tuple(ORTH_X.lift_value(v, lifted.inner) for v in M.g)
     ref = reference_search(M)
-    forms = [ref.form, *M.reference_candidates[:3]]
+    first, second = M.reference_pairs[:2]
+    forms = [ref.form, first, -first, second]
     for h in forms:
         for Qo in L.orderings():
             assert going_up_check(M, h, ref, L, Qo)
@@ -490,8 +491,9 @@ def test_piecewise_reference_assembly():
     A = QuaternionAlgebra(F2, 1, F2.generator(), "orthogonal", [0, 1, 0, 0])
     targets = [P for P in F2.orderings() if P not in nil_set(A)]
     assert len(targets) == 2
-    for cand in A.reference_candidates:
-        assert any(raw_signature(A, cand, P) == 0 for P in targets)
+    for h in A.reference_pairs:
+        for cand in (h, -h):
+            assert any(raw_signature(A, cand, P) == 0 for P in targets)
     ref = reference_search(A)
     assert ref.form.rank == 4
     for P in targets:
@@ -558,11 +560,12 @@ def _reference_oracle_algebras():
 
 def test_reference_search_matches_eager_scan():
     """The lazy candidate walk picks the same form and deltas as a scan
-    over all candidates built eagerly by an independent enumeration."""
+    over all candidates built eagerly by an independent enumeration, which
+    keeps each +- pair whole: the walk is its first members."""
     past_identity = piecewise = 0
     for A in _reference_oracle_algebras():
         candidates = eager_reference_candidates(A)
-        assert A.reference_candidates == tuple(candidates), A.describe()
+        assert A.reference_pairs == tuple(candidates[::2]), A.describe()
         ref = reference_search(A)
         if nil_set(A) == frozenset(A.field.orderings()):
             assert (ref.form.rank, ref.deltas) == (0, {})
@@ -589,16 +592,15 @@ def test_reference_search_stops_at_the_identity(monkeypatch):
     ref = reference_search(A)
     assert ref.form == HermitianForm.diagonal(A, [A.elem(A.one())])
     with pytest.raises(AssertionError, match="sym_basis called"):
-        A.reference_candidates
+        A.reference_pairs
 
 
 def test_negative_candidates_have_negated_signatures():
-    """The full walk is each first member h of a +- pair followed by its
-    one kept negative -h, as the eager enumeration builds them.  -h is
-    the form on the negated value, keeps the entry norms that a fresh
-    form computes, and its total signature, read on that fresh form with
-    empty memos and on the kept one, is minus h's.  On seeded draws of
-    every catalogue kind and of ``random_wrapper``."""
+    """For each first member h of a +- pair, -h is the form on the
+    negated value, keeps the entry norms that a fresh form computes, and
+    its total signature, read on that fresh form with empty memos and on
+    -h, is minus h's.  On seeded draws of every catalogue kind and of
+    ``random_wrapper``."""
     algebras, skipped = catalogue_corpus("pairs", 30)
     kinds = set()
     for A in algebras:
@@ -607,12 +609,8 @@ def test_negative_candidates_have_negated_signatures():
         except SearchExhausted:
             skipped += 1
             continue
-        pairs, walk = A.reference_pairs, A.reference_candidates
-        assert walk == tuple(eager_reference_candidates(A)), A.describe()
-        assert len(walk) == 2 * len(pairs)
-        for t, h in enumerate(pairs):
+        for h in A.reference_pairs:
             neg = -h
-            assert walk[2 * t] is h and walk[2 * t + 1] is neg and -neg is h
             (x,) = h.diagonal_entries()
             fresh = HermitianForm.diagonal(A, [-x])
             assert neg.gram == fresh.gram
@@ -713,7 +711,7 @@ def _memo_cases():
     ]
     rng = random.Random(83)
     for A in algebras:
-        forms = list(A.reference_candidates[:4])
+        forms = [c for h in A.reference_pairs[:2] for c in (h, -h)]
         for rank in (1, 2):
             forms.append(random_hermitian_diagonal(rng, A, rank))
         # a full 2 x 2 Gram [[s, b], [sigma(b), t]], b not symmetric when
@@ -1024,7 +1022,7 @@ def test_stability_report_tests_each_candidate_once(monkeypatch):
     norms, inverses = _count_norms_and_inverses(monkeypatch)
     stability_report(A)
     assert norms == [A.one()] and inverses == []
-    assert A.reference_candidates[0] is reference_search(A).form
+    assert A.reference_pairs[0] is reference_search(A).form
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

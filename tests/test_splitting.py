@@ -517,48 +517,6 @@ def test_certificate_memo_under_threads():
     assert list(A.certificate_memo) == [P.path]
 
 
-@pytest.mark.parametrize("shift", [0, 1])
-def test_unitary_datum_rescaling(monkeypatch, shift):
-    """A datum solution G with ct(G) = lambda * G, lambda != 1, is rescaled
-    to a hermitian one: scaling the first solution of the datum system by
-    sqrt(alpha) gives lambda = -1 and the result alpha * G; scaling it by
-    1 + sqrt(alpha) gives the 1 + lambda path and the result 2 * G.  Each
-    search runs on a new instance of the algebra, whose memos are empty."""
-    import hermstab.splitting as splitting
-
-    def algebra():
-        return UnitaryQuaternionAlgebra(F2, -1, -1, -F2.generator())
-
-    P = F2.orderings()[0]
-
-    def g_datum(cert):
-        C = cert.centre_algebra()
-        rows = cert.to_json()["g_datum"]
-        return C, [[C.value_from_json(e) for e in row] for row in rows]
-
-    C, plain = g_datum(find_certificate(algebra(), P))
-    root = C.basis()[1]
-    factor = root + 1 if shift else root
-    expected = C.from_field(2) if shift else C.elem(C.mul(root.value, root.value))
-    real = splitting._nullspace
-
-    def skewed(rows, zero, one):
-        rows = list(rows)
-        sols = real(rows, zero, one)
-        if len(rows) == 8:  # the datum system: i and j x 4 entries
-            sols[0] = [factor * e for e in sols[0]]
-        return sols
-
-    monkeypatch.setattr(splitting, "_nullspace", skewed)
-    cert = find_certificate(algebra(), P)
-    assert verify_certificate(cert)
-    C, G = g_datum(cert)
-    for i in range(2):
-        for j in range(2):
-            assert C.involution(G[j][i]) == G[i][j]
-            assert G[i][j] == C.mul(expected.value, plain[i][j])
-
-
 def _split_model_algebras():
     """An orthogonal and a unitary quaternion algebra over each of Q,
     Q(sqrt 2), Q((x)) and Q((x))((y)), each with a non-nil ordering, and
@@ -715,13 +673,17 @@ def test_split_model_matches_sixteen_column_oracle():
     draw of both flavors over towers up to Q(sqrt 2)((x)) and
     Q((x))((y)), and on several witnesses each, its matrices and datum are
     those of one elimination of all sixteen products and of the kernel of
-    all sixteen equations."""
+    all sixteen equations.  The unitary witnesses take both second pivots
+    of the ideal, i e and j e, on which the closed-form unitary datum
+    reads i^2 or j^2."""
+    from hermstab.splitting import _left_products, _second_pivot
+
     rng = random.Random(73)
     algebras = [A for A in _split_model_algebras() if A.kind != "matrix"]
     for A in _random_quaternion_instances(rng, 4, orthogonal=True):
         algebras.append(A)
     drawn = _random_split_kinds(random.Random(79), 10)
-    seen, witnesses = set(), 0
+    seen, pivots, witnesses = set(), set(), 0
     for A in algebras + drawn:
         F = A.field
         for cert in _witness_certificates(A):
@@ -734,6 +696,12 @@ def test_split_model_matches_sixteen_column_oracle():
             assert cert.g_datum == slow_involution_datum(cert.model, matrices, A_L)
             seen.add((A.kind, L == F, A in drawn, F.describe()))
             witnesses += 1
+            if A.kind == "unitary_quaternion":
+                half = L.rational(1, 2)
+                root = A_L.scalar_mul(sqm.inverse(), w)
+                e = A_L.scalar_mul(half, A_L.add(A_L.one(), root))
+                pivots.add(_second_pivot(cert.model.inner, _left_products(A_L, e))[0])
+    assert pivots == {1, 2}
     assert {kind for kind, *_ in seen} == {"quaternion", "unitary_quaternion"}
     assert {same for _, same, *_ in seen} == {True, False}
     in_draw = {(kind, same) for kind, same, d, _ in seen if d}
@@ -1237,9 +1205,9 @@ def _deep_orth_siblings():
 
 def test_cold_deep_orth_split_model_runs_no_elimination(monkeypatch):
     """A cold deep_orth report builds and checks its one orthogonal split
-    model in closed form: no ``_gauss_jordan`` or ``_nullspace`` call
-    happens inside ``_split_model`` or ``_check_split_model``, while the
-    unitary flavor still solves its datum equations by ``_nullspace``."""
+    model in closed form, and so does a cold unitary search and its
+    verification: no ``_gauss_jordan`` or ``_nullspace`` call happens
+    inside ``_split_model`` or ``_check_split_model``."""
     import hermstab.algebras as algebras
     import hermstab.splitting as splitting
     from hermstab.stability import stability_report
@@ -1269,7 +1237,6 @@ def test_cold_deep_orth_split_model_runs_no_elimination(monkeypatch):
 
     spied(algebras, "_gauss_jordan")
     spied(algebras, "_nullspace")
-    spied(splitting, "_nullspace")
     within("_split_model")
     within("_check_split_model")
     A = fresh_deep_orth()
@@ -1278,10 +1245,11 @@ def test_cold_deep_orth_split_model_runs_no_elimination(monkeypatch):
     (split,) = A.split_model_memo.values()
     assert split.flavor == "orthogonal-split" and split._verified is True
     assert [c for c in calls if c[1]] == []
-    calls.clear()
     U = UnitaryQuaternionAlgebra(F2, -1, -1, -F2.generator())
     assert verify_certificate(find_certificate(U, U.field.orderings()[0]))
-    assert ("_nullspace", ("_split_model",)) in calls
+    (split,) = U.split_model_memo.values()
+    assert split.flavor == "unitary-quaternion-split" and split._verified is True
+    assert [c for c in calls if c[1]] == []
 
 
 def test_cold_deep_orth_report_checks_its_split_model_once(monkeypatch):

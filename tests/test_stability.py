@@ -218,8 +218,9 @@ def test_h0_search_matches_the_full_walk_and_stops_at_one(monkeypatch):
     """h0_search reads the reference and the first member of each +- pair
     of candidates in walk order, up to and including the first with
     constant signature 1, and picks what a scan of the reference and the
-    full walk, negatives included, picks: the same form object and k0.
-    A negative is picked once, from a hand-built reference."""
+    independently built candidates, negatives included, picks: an equal
+    form and the same k0.  A negative is picked once, from a hand-built
+    reference."""
     import hermstab.stability as stability
 
     cases = []
@@ -254,17 +255,18 @@ def test_h0_search_matches_the_full_walk_and_stops_at_one(monkeypatch):
         expected = full_walk_h0(A, ref)
         if expected is None:
             continue
-        assert len(reads) == stop and h0 is expected[0] and k0 == expected[1]
+        assert len(reads) == stop and h0 == expected[0] and k0 == expected[1]
         simple += 1
         stopped += stop < len(candidates)
-        negatives += any(h0 is -h for h in A.reference_pairs)
+        negatives += any(h0 == -h for h in A.reference_pairs)
     assert simple >= 15 and stopped >= 8 and negatives == 1
 
 
 def test_cold_report_builds_only_the_negatives_it_picks(monkeypatch):
-    """A cold stability report builds the negative of a candidate only to
-    return it as h0 or to assemble it into a piecewise form; the report
-    against the hand-built reference builds exactly one, its h0."""
+    """A cold stability report negates a form (a counted call of
+    ``HermitianForm.__neg__``) only to return the negative as h0 or to
+    assemble it into a piecewise form; the report against the hand-built
+    reference negates exactly once, for its h0."""
     import hermstab.signatures as signatures
     import hermstab.stability as stability
 
@@ -272,10 +274,8 @@ def test_cold_report_builds_only_the_negatives_it_picks(monkeypatch):
     neg = HermitianForm.__neg__
 
     def counted_neg(h):
-        fresh = h._negative is None
         out = neg(h)
-        if fresh:
-            built.append(out)
+        built.append(out)
         return out
 
     def recorded(module):
@@ -525,12 +525,13 @@ def test_piecewise_h0_matches_stepwise_assembly(monkeypatch):
     one = D.elem(D.one())
     A = MatrixAlgebra(4, D, [one, one, one, D.from_field(F2.generator())])
     ref = reference_search(A)
-    assert ref.form is A.reference_candidates[0]
+    assert ref.form is A.reference_pairs[0]
     assert total_signature(A, ref.form, ref).values == (4, 2)
     space = NilAwareSpace(A)
     vectors = {
         space.restrict(total_signature(A, cand, ref))
-        for cand in A.reference_candidates
+        for h in A.reference_pairs
+        for cand in (h, -h)
     }
     assert vectors == {(4, 2), (-4, -2), (0, 0)}
     h0, k0, pads = _recorded_h0(monkeypatch, A, ref)
@@ -600,7 +601,7 @@ def test_m12_wrapper_candidates_finish():
     M = MatrixAlgebra(12, D, [D.elem(D.one())] * 11 + [D.from_field(Q.rational(-1))])
     ref = reference_search(M)
     assert image_lattice(M, ref).basis == [(1,)]
-    assert M.reference_candidates
+    assert M.reference_pairs
     assert time.perf_counter() - t0 < 5
 
 
