@@ -679,16 +679,22 @@ class QuaternionAlgebra(_QuaternionCore):
         self._int_u = tuple(rows)
 
     def lift_to(self, tower):
-        u = None
-        if self.u is not None:
-            u = [FieldElement(self.field, c).lift_to(tower) for c in self.u]
-        return QuaternionAlgebra(
-            tower,
-            self.a.lift_to(tower),
-            self.b.lift_to(tower),
-            self.involution_type,
-            u,
-        )
+        lifted = QuaternionAlgebra(tower, self.a.lift_to(tower), self.b.lift_to(tower))
+        if self.u is None:
+            return lifted
+        # u and Int(u) lift entry by entry: F -> L is an injective ring map,
+        # so the table over L is this one's, with the same nonzero entries
+        levels = tower.levels[self.field.depth :]
+
+        def lift(c):
+            for K in levels:
+                c = K.embed(c)
+            return c
+
+        lifted.involution_type = self.involution_type
+        lifted.u = tuple(map(lift, self.u))
+        lifted._int_u = tuple(tuple((r, lift(t)) for r, t in row) for row in self._int_u)
+        return lifted
 
     def to_json(self):
         inv: dict = {"type": self.involution_type}
@@ -812,14 +818,13 @@ class MatrixAlgebra(Algebra):
         return tuple(out)
 
     def involution(self, x):
-        # (sigma X)_{ij} = g_i^-1 theta(X_{ji}) g_j
-        n = self.n
+        # (sigma X)_{ij} = g_i^-1 theta(X_{ji}) g_j, which is 0 where X_{ji} is
+        D = self.inner
+        mul, theta, is_zero, zero = D.mul, D.involution, D.is_zero, D.zero()
+        g, g_inv, n = self.g, self._g_inv, self.n
         return tuple(
             tuple(
-                self.inner.mul(
-                    self._g_inv[i],
-                    self.inner.mul(self.inner.involution(x[j][i]), self.g[j]),
-                )
+                zero if is_zero(x[j][i]) else mul(g_inv[i], mul(theta(x[j][i]), g[j]))
                 for j in range(n)
             )
             for i in range(n)

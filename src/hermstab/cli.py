@@ -96,25 +96,31 @@ def _check_depth(doc, max_depth: int):
 
 
 def _parse_field(text: str, max_depth: int) -> FieldTower:
-    doc = _load_doc(text)
-    _check_depth(doc, max_depth)
-    return FieldTower.from_json(doc)
+    return _field_from_text(_read_text(text), max_depth)
 
 
 def _parse_algebra(text: str, max_depth: int):
     return _algebra_from_text(_read_text(text), max_depth)
 
 
-# Entries kept by each of the two memos below: the bound keeps a long-lived
-# process that answers distinct queries from growing without limit.
+# Entries kept by each of the three memos below: the bound keeps a
+# long-lived process that answers distinct queries from growing without
+# limit.
 _MEMO_SIZE = 1024
 
 
-# Algebras are immutable and their documents are read deterministically, so
-# a long-lived process parses each document text once per depth bound, and
-# the memos kept on each algebra (references, certificates) serve every
-# later query on that text.  A failing document raises on every call, as
-# lru_cache keeps no exceptions.
+# Fields and algebras are immutable and their documents are read
+# deterministically, so a long-lived process parses each document text once
+# per depth bound, and what is kept on each field (its orderings) and
+# algebra (references, certificates) serves every later query on that text.
+# A failing document raises on every call, as lru_cache keeps no exceptions.
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _field_from_text(text: str, max_depth: int) -> FieldTower:
+    doc = _parse_json(text)
+    _check_depth(doc, max_depth)
+    return FieldTower.from_json(doc)
+
+
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _algebra_from_text(text: str, max_depth: int):
     doc = _parse_json(text)
@@ -124,7 +130,14 @@ def _algebra_from_text(text: str, max_depth: int):
 
 class _Rendered(str):
     """A value's JSON text as ``_json_text`` writes it at top level;
-    ``_write_json`` splices it in at any depth."""
+    ``_write_json`` splices it in at any depth.  ``at`` keeps the text
+    once per newline-and-indent it was spliced after, so a kept rendering
+    is re-indented once per depth, not once per document."""
+
+    def __new__(cls, text: str):
+        self = super().__new__(cls, text)
+        self.at = {}
+        return self
 
 
 # JSON renderings of fields, algebras and orderings (by value), and of
@@ -151,9 +164,12 @@ def _json_text(doc) -> str:
 def _write_json(value, newline, write):
     if isinstance(value, str):
         if type(value) is _Rendered:
-            # exact: a newline inside a JSON string is escaped, so every
-            # newline in the text starts an indented line
-            write(value.replace("\n", newline))
+            text = value.at.get(newline)
+            if text is None:
+                # exact: a newline inside a JSON string is escaped, so
+                # every newline in the text starts an indented line
+                text = value.at[newline] = value.replace("\n", newline)
+            write(text)
         else:
             write(encode_basestring_ascii(value))
     elif value is None:
@@ -396,6 +412,11 @@ def cmd_split_cert(args) -> int:
     return 0
 
 
+def _quadratic_json(q: QuadraticForm) -> dict:
+    """``q.to_json()`` with the field's kept rendering spliced in."""
+    return {"field": _rendered(q.field), **q.body_to_json()}
+
+
 def cmd_transfer_check(args) -> int:
     doc = _load_doc(args.form)
     _check_depth(doc, args.max_depth)
@@ -411,8 +432,8 @@ def cmd_transfer_check(args) -> int:
     _emit(
         args.json,
         lambda: {
-            "form": phi.to_json(),
-            "transfer": tr.to_json(),
+            "form": _quadratic_json(phi),
+            "transfer": _quadratic_json(tr),
             "identity_holds": ok,
             "per_ordering": [
                 {"ordering": name, "transfer": a, "sum_above": b}

@@ -91,12 +91,13 @@ class InvariantViolation(RuntimeError):
 #           when the reduced q[0] is already the lower level's one, p/q is
 #           returned as it is, without inverting and scaling by 1.
 # Every level-0 value is a Fraction in lowest terms: coprime numerator,
-# positive denominator (_from_rat and the JSON reader build them through
-# Fraction, and the kernel below keeps them so).  _Rationals runs the
-# kernel _q_* on the _numerator and _denominator slots, which splits gcds
-# the classical way (Knuth, TAOCP vol. 2, 4.5.1) and so produces a coprime
-# pair by construction; _q_make wraps that pair without normalising it
-# again, and is the only code that builds a Fraction from its slots.
+# positive denominator (_from_rat builds them through Fraction, the JSON
+# reader divides by the gcd, and the kernel below keeps them so).
+# _Rationals runs the kernel _q_* on the _numerator and _denominator slots,
+# which splits gcds the classical way (Knuth, TAOCP vol. 2, 4.5.1) and so
+# produces a coprime pair by construction; _q_make wraps that pair (or the
+# JSON reader's) without normalising it again, and is the only code that
+# builds a Fraction from its slots.
 # ---------------------------------------------------------------------------
 
 
@@ -416,11 +417,16 @@ def _rational_from_json(doc) -> Fraction:
     p, q = m.groups()
     p = -int(p) if text[0] == "-" else int(p)
     if q is None:
-        return Fraction(p)
-    try:
-        return Fraction(p, int(q))
-    except ZeroDivisionError as exc:
-        raise TowerError(f"invalid rational {text[:40]!r}: {exc}") from exc
+        return _q_make(p, 1)
+    q = int(q)
+    if q == 0:
+        # Fraction's own message for a zero denominator
+        raise TowerError(f"invalid rational {text[:40]!r}: Fraction({p}, 0)")
+    g = math.gcd(p, q)
+    if g != 1:
+        p //= g
+        q //= g
+    return _q_make(p, q)
 
 
 class FieldTower:
@@ -777,7 +783,10 @@ class FieldTower:
         if isinstance(doc, str) or (
             isinstance(doc, int) and not isinstance(doc, bool)
         ):
-            # rationals are accepted at any level and embedded
+            # rationals are accepted at any level and embedded; "0" is the
+            # most common leaf by far
+            if doc == "0":
+                return self.levels[level].zero
             return self._from_rat(level, _rational_from_json(doc))
         if level == 0:
             raise TowerError(f"rational must be a 'p/q' string, got {doc!r}")

@@ -92,10 +92,11 @@ class QuadraticForm:
         return "<" + ", ".join(str(e) for e in self.entries) + ">"
 
     def to_json(self) -> dict:
-        return {
-            "field": self.field.to_json(),
-            "diag": [e.to_json() for e in self.entries],
-        }
+        return {"field": self.field.to_json(), **self.body_to_json()}
+
+    def body_to_json(self) -> dict:
+        """The document without its field."""
+        return {"diag": [e.to_json() for e in self.entries]}
 
     @staticmethod
     def from_json(doc: dict) -> QuadraticForm:

@@ -1,4 +1,6 @@
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -619,45 +621,138 @@ def test_rational_leaves_read_as_fraction():
         assert got == Fraction(n) and type(got._numerator) is int
 
 
-@pytest.mark.parametrize(
-    "doc, message",
-    [
-        ("3/0", "invalid rational '3/0': Fraction(3, 0)"),
-        ("-0/00", "invalid rational '-0/00': Fraction(0, 0)"),
-        ("-012/0", "invalid rational '-012/0': Fraction(-12, 0)"),
-        ("1.5", "rational must be 'p' or 'p/q' in decimal digits, got '1.5'"),
-        ("+1", "rational must be 'p' or 'p/q' in decimal digits, got '+1'"),
-        (" 1", "rational must be 'p' or 'p/q' in decimal digits, got ' 1'"),
-        (True, "rational must be 'p' or 'p/q' in decimal digits, got 'True'"),
-        ("1/0", "invalid rational '1/0': Fraction(1, 0)"),
-        ("-1/0", "invalid rational '-1/0': Fraction(-1, 0)"),
-        *(
-            (doc, f"rational must be 'p' or 'p/q' in decimal digits, got {str(doc)!r}")
-            for doc in (False, "1 ", "", "-", "/", "1/", "/2", "--1", "1/2/3", "1e5",
-                        "\u0661", "\u00b2")
-        ),
-        (
-            "1/" + "7" * (MAX_RATIONAL_DIGITS + 1),
-            f"rational '1/{'7' * 38}'... has more than {MAX_RATIONAL_DIGITS} digits",
-        ),
-        (
-            "-" + "7" * (MAX_RATIONAL_DIGITS + 1),
-            f"rational '-{'7' * 39}'... has more than {MAX_RATIONAL_DIGITS} digits",
-        ),
-        (
-            "9" * (MAX_RATIONAL_DIGITS + 1),
-            f"rational '{'9' * 40}'... has more than {MAX_RATIONAL_DIGITS} digits",
-        ),
-        (
-            "-" + "9" * (MAX_RATIONAL_DIGITS + 1) + "/1",
-            f"rational '-{'9' * 39}'... has more than {MAX_RATIONAL_DIGITS} digits",
-        ),
-    ],
-)
+def _leaf_by_fraction(doc):
+    """The rational leaf reader as it was when it built every value with
+    ``Fraction``: the same grammar, digit bound, check order and messages."""
+    text = doc if isinstance(doc, str) else str(doc)
+    m = re.fullmatch(r"-?([0-9]+)(?:/([0-9]+))?", text)
+    if m is None:
+        raise TowerError(
+            f"rational must be 'p' or 'p/q' in decimal digits, got {text[:40]!r}"
+        )
+    if any(g is not None and len(g) > MAX_RATIONAL_DIGITS for g in m.groups()):
+        raise TowerError(
+            f"rational {text[:40]!r}... has more than {MAX_RATIONAL_DIGITS} digits"
+        )
+    p, q = m.groups()
+    p = -int(p) if text[0] == "-" else int(p)
+    if q is None:
+        return Fraction(p)
+    try:
+        return Fraction(p, int(q))
+    except ZeroDivisionError as exc:
+        raise TowerError(f"invalid rational {text[:40]!r}: {exc}") from exc
+
+
+def _read_or_message(reader, doc):
+    try:
+        return reader(doc)
+    except TowerError as exc:
+        return str(exc)
+
+
+def test_leaf_reader_matches_the_fraction_reader():
+    """The gcd-and-slots reader returns the value and raises the message
+    that the Fraction-built reader does, on random leaves up to the digit
+    bound and past it, JSON integers, and leaves with a sign, a space, a
+    dot, an exponent or other digits, booleans and floats."""
+    rng = random.Random(3232)
+    leaves = [_random_leaf(rng) for _ in range(1500)]
+    for _ in range(200):
+        size = rng.choice((1, 2, MAX_RATIONAL_DIGITS - 1, MAX_RATIONAL_DIGITS,
+                           MAX_RATIONAL_DIGITS + 1))
+        p = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(size - 1))
+        q = "".join(rng.choice("0123456789") for _ in range(rng.choice((1, 3, size))))
+        leaves.append(rng.choice(("", "-")) + p + rng.choice(("", "/" + q)))
+    leaves += ["0", "-0", "00", "0/5", "-0/5", "0/0", "1/0", "-1/0", "1e5", "+1", " 1",
+               "1 ", "1.5", "-", "", "1/2/3", "\u0661", "7" * (MAX_RATIONAL_DIGITS + 1)]
+    leaves += [rng.randint(-10**40, 10**40) for _ in range(100)] + [0, -0, 10**999]
+    leaves += [True, False, 1.5, 1e5, -0.0, 2.0]
+    values = errors = 0
+    for doc in leaves:
+        want = _read_or_message(_leaf_by_fraction, doc)
+        got = _read_or_message(_rational_from_json, doc)
+        assert got == want, doc
+        if isinstance(want, str):
+            errors += 1
+        else:
+            values += 1
+            assert type(got) is Fraction and type(got._numerator) is int
+            assert (got._numerator, got._denominator) == (want.numerator, want.denominator)
+    assert values > 1000 and errors > 300
+
+
+def test_zero_leaf_is_the_canonical_zero_at_every_level():
+    """The leaf "0" reads to the level's zero, which is the value the
+    general path builds from "0", "-0", "0/5" and the JSON integer 0, at
+    every level of Q(sqrt 2)((x))((y))."""
+    for level in range(F2XY.depth):
+        zero = F2XY._value_from_json(level, "0")
+        assert zero is F2XY.levels[level].zero
+        assert zero == F2XY._from_rat(level, Fraction(0))
+        for doc in ("-0", "0/5", "000", 0):
+            assert F2XY._value_from_json(level, doc) == zero
+    assert F2XY.element_from_json("0") == F2XY.zero()
+
+
+_REJECTED_LEAVES = [
+    ("3/0", "invalid rational '3/0': Fraction(3, 0)"),
+    ("-0/00", "invalid rational '-0/00': Fraction(0, 0)"),
+    ("-012/0", "invalid rational '-012/0': Fraction(-12, 0)"),
+    ("1.5", "rational must be 'p' or 'p/q' in decimal digits, got '1.5'"),
+    ("+1", "rational must be 'p' or 'p/q' in decimal digits, got '+1'"),
+    (" 1", "rational must be 'p' or 'p/q' in decimal digits, got ' 1'"),
+    (True, "rational must be 'p' or 'p/q' in decimal digits, got 'True'"),
+    ("1/0", "invalid rational '1/0': Fraction(1, 0)"),
+    ("-1/0", "invalid rational '-1/0': Fraction(-1, 0)"),
+    *(
+        (doc, f"rational must be 'p' or 'p/q' in decimal digits, got {str(doc)!r}")
+        for doc in (False, "1 ", "", "-", "/", "1/", "/2", "--1", "1/2/3", "1e5",
+                    "\u0661", "\u00b2")
+    ),
+    (
+        "1/" + "7" * (MAX_RATIONAL_DIGITS + 1),
+        f"rational '1/{'7' * 38}'... has more than {MAX_RATIONAL_DIGITS} digits",
+    ),
+    (
+        "-" + "7" * (MAX_RATIONAL_DIGITS + 1),
+        f"rational '-{'7' * 39}'... has more than {MAX_RATIONAL_DIGITS} digits",
+    ),
+    (
+        "9" * (MAX_RATIONAL_DIGITS + 1),
+        f"rational '{'9' * 40}'... has more than {MAX_RATIONAL_DIGITS} digits",
+    ),
+    (
+        "-" + "9" * (MAX_RATIONAL_DIGITS + 1) + "/1",
+        f"rational '-{'9' * 39}'... has more than {MAX_RATIONAL_DIGITS} digits",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, message", _REJECTED_LEAVES)
 def test_rational_leaf_errors(doc, message):
     with pytest.raises(TowerError) as info:
         _rational_from_json(doc)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("doc, message", _REJECTED_LEAVES)
+def test_rejected_leaf_exits_2_through_the_cli(doc, message):
+    """A rejected leaf as a tower's radicand and as a form entry exits 2;
+    a string leaf with the reader's message (a boolean is refused before
+    the reader, as no rational)."""
+    from test_golden import call
+
+    field = {"tower": [{"kind": "base"}, {"kind": "qext", "d": doc}]}
+    form = {"field": {"tower": [{"kind": "base"}, {"kind": "qext", "d": "2"}]}, "diag": [doc]}
+    for argv in (
+        ["orderings", "--field", json.dumps(field)],
+        ["--json", "transfer-check", "--form", json.dumps(form)],
+    ):
+        code, out, err = call(argv)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        if isinstance(doc, str):
+            assert err == f"error: {message}\n"
 
 
 def test_json_tower_checks_each_square_root_step_once(monkeypatch):

@@ -364,9 +364,10 @@ ALL_COMMANDS = {**COMMANDS, **TEXT_COMMANDS}
 
 
 def clear_memos():
-    """Forget every parsed algebra, example algebra and rendering, and with
-    each algebra its references and certificates, so that the next CLI
-    call in this process starts as a fresh process does."""
+    """Forget every parsed field, algebra, example algebra and rendering,
+    and with each algebra its references and certificates, so that the
+    next CLI call in this process starts as a fresh process does."""
+    cli._field_from_text.cache_clear()
     cli._algebra_from_text.cache_clear()
     cli._example_algebras.cache_clear()
     cli._rendered.cache_clear()

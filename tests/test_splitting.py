@@ -11,11 +11,12 @@ from hermstab.algebras import (
     QuaternionAlgebra,
     SplitWitness,
     UnitaryQuaternionAlgebra,
+    algebra_from_json,
     diagonalize_hermitian,
     morita_flatten,
     trace_form,
 )
-from hermstab.fields import FieldTower, Ordering
+from hermstab.fields import FieldElement, FieldTower, Ordering
 from hermstab.signatures import local_type, nil_set
 from hermstab.splitting import (
     BudgetExhausted,
@@ -31,6 +32,7 @@ from hermstab.splitting import (
 from corpus import (
     SamplingError,
     assert_skip_rate,
+    catalogue_corpus,
     orthogonal_quaternion,
     random_element,
     random_hermitian_diagonal,
@@ -774,6 +776,47 @@ def test_search_reuses_its_lift_and_json_lifts_its_own(monkeypatch):
     lifts.clear(), read.clear()
     copy = SplittingCertificate.from_json(cert.to_json())
     assert verify_certificate(copy) and read == [None] and lifts == [copy.extension]
+
+
+def _lift_through_init(A, L):
+    """A over L as ``QuaternionAlgebra.__init__`` builds it, computing u^2,
+    its inverse and the table of Int(u) over L."""
+    u = None if A.u is None else [FieldElement(A.field, c).lift_to(L) for c in A.u]
+    return QuaternionAlgebra(L, A.a.lift_to(L), A.b.lift_to(L), A.involution_type, u)
+
+
+def test_orthogonal_lift_takes_int_u_from_the_base_field(monkeypatch):
+    """``QuaternionAlgebra.lift_to`` lifts u and the entries of Int(u) from
+    F: on the orthogonal corpus algebras and the extension of each of
+    their certificates, the lifted algebra has the u, table and JSON that
+    ``__init__`` computes over L, and every certificate has the JSON it
+    has when the lift goes through ``__init__``."""
+    drawn, _ = catalogue_corpus("lift", 30)
+    algebras = [A for A in drawn if A.kind == "quaternion" and A.u is not None]
+    algebras += [A for A in _split_model_algebras() if A.kind == "quaternion"]
+    algebras.append(fresh_deep_orth())
+    same_field = set()
+    for A in algebras:
+        for cert in _witness_certificates(A, per_ordering=2):
+            L = cert.extension
+            lifted, built = A.lift_to(L), _lift_through_init(A, L)
+            assert (lifted.u, lifted._int_u) == (built.u, built._int_u)
+            assert lifted.to_json() == built.to_json() and lifted == built
+            same_field.add(L == A.field)
+    assert same_field == {True, False}
+
+    def certificate_docs():
+        docs = []
+        for A in algebras:
+            fresh = algebra_from_json(A.to_json())
+            for P in fresh.field.orderings():
+                if not local_type(fresh, P).nil:
+                    docs.append(find_certificate(fresh, P).to_json())
+        return docs
+
+    lifted_docs = certificate_docs()
+    monkeypatch.setattr(QuaternionAlgebra, "lift_to", _lift_through_init)
+    assert certificate_docs() == lifted_docs and len(lifted_docs) > len(algebras)
 
 
 def test_invertibility_by_reduced_norm_matches_inverse():

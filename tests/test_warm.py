@@ -1,12 +1,13 @@
 """A warm process answers as a cold one.
 
-The CLI keeps what a long-lived process already knows: each ``--algebra``
-document text is parsed once (``cli._algebra_from_text``), each algebra's
-reference search succeeds once per budget (``Algebra.reference_memo``),
-each field, algebra, ordering, searched reference and certificate is
-rendered to JSON once per process (``cli._rendered``), and the worked
-examples are built once (``cli._example_algebras``).  A ``--json`` query
-builds only its document, no text table.  These tests check that every
+The CLI keeps what a long-lived process already knows: each ``--field``
+and ``--algebra`` document text is parsed once (``cli._field_from_text``,
+``cli._algebra_from_text``), each algebra's reference search succeeds
+once per budget (``Algebra.reference_memo``), each field, algebra,
+ordering, searched reference and certificate is rendered to JSON once per
+process (``cli._rendered``) and re-indented once per depth it is spliced
+at, and the worked examples are built once (``cli._example_algebras``).
+A ``--json`` query builds only its document, no text table.  These tests check that every
 such memo behaves as if it were absent: same exit code, stdout and
 stderr, whatever ran before, and that a memo hit skips the work it is
 there to skip.  The first round of the benchmark's ``queries`` workload
@@ -21,7 +22,7 @@ import pytest
 from hermstab import cli, signatures
 from test_argv import _perfbench_workloads
 from test_cli import ORTH_X
-from test_golden import COMMANDS, F2, GOLDEN, LX, Q, S2, X, call, clear_memos, digest
+from test_golden import COMMANDS, F2, F2X, GOLDEN, LX, Q, S2, X, call, clear_memos, digest
 
 EXAMPLES = ["--json", "examples"]
 ONE = ["1", "0", "0", "0"]
@@ -160,6 +161,95 @@ def test_rewritten_file_is_read_again(tmp_path):
     assert answers[0]["nil"] == [] and answers[1]["non_nil"] == []
 
 
+def test_repeated_field_text_is_parsed_once(monkeypatch, tmp_path):
+    """A repeated ``orderings --field`` text builds its tower once and
+    prints the same bytes; a failing field document fails alike every
+    time, and an ``@file`` is read again on every call."""
+    from hermstab.fields import FieldTower
+
+    clear_memos()
+    parsed = []
+    real = FieldTower.from_json
+
+    def counted(doc):
+        parsed.append(doc)
+        return real(doc)
+
+    monkeypatch.setattr(FieldTower, "from_json", staticmethod(counted))
+    argv = ["orderings", "--field", json.dumps(F2X)]
+    runs = [call(json_flag + argv) for json_flag in ([], ["--json"], [], ["--json"])]
+    assert runs[:2] == runs[2:] and {code for code, _, _ in runs} == {0}
+    assert len(parsed) == 1
+    bad = json.dumps({"tower": [{"kind": "base"}, {"kind": "qext", "d": "4"}]})
+    first = call(["orderings", "--field", bad])
+    assert first[0] == 2 and call(["orderings", "--field", bad]) == first
+    path = tmp_path / "field.json"
+    read = []
+    for d in ("2", "3"):
+        path.write_text(json.dumps({"tower": [{"kind": "base"}, {"kind": "qext", "d": d}]}))
+        code, out, _ = call(["--json", "orderings", "--field", f"@{path}"])
+        assert code == 0
+        read.append(json.loads(out)["field"]["tower"][1]["d"])
+    assert read == ["2", "3"]
+
+
+def test_kept_rendering_is_reindented_once_per_depth():
+    """A kept rendering spliced at depths 1-4 writes what json.dumps writes
+    for its document there, and keeps one re-indented text per depth: a
+    second splice at a depth adds none."""
+    from test_cli import _nest
+
+    clear_memos()
+    A = cli._algebra_from_text(ORTH_X, 4)
+    rendered = cli._rendered(A)
+    assert rendered.at == {}
+    doc = A.to_json()
+    for depth in range(1, 5):
+        expected = json.dumps(_nest(doc, depth), sort_keys=True, indent=2)
+        for _ in range(2):
+            assert cli._json_text(_nest(rendered, depth)) == expected
+        assert len(rendered.at) == depth
+    assert cli._rendered(A) is rendered
+
+
+def test_diagonal_matrix_value_pays_one_inner_involution_per_diagonal_entry(monkeypatch):
+    """The adjoint involution of M_3(D) skips zero entries: a diagonal value
+    pays 3 involutions of D, not 9, and a dense one 9; both equal the
+    entry-by-entry formula g_i^-1 theta(X_ji) g_j."""
+    from hermstab.algebras import MatrixAlgebra, QuaternionAlgebra
+    from hermstab.fields import FieldTower
+
+    Qf = FieldTower.rationals()
+    D = QuaternionAlgebra(Qf, -1, -3, "orthogonal", [0, 1, 1, 0])
+    M = MatrixAlgebra(3, D, [D.one(), D.from_field(2).value, D.from_field(-5).value])
+    theta = D.involution
+
+    def formula(x):
+        return tuple(
+            tuple(D.mul(M._g_inv[i], D.mul(theta(x[j][i]), M.g[j])) for j in range(3))
+            for i in range(3)
+        )
+
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return theta(x)
+
+    rng = random.Random(32)
+    values = [D.from_coords([Qf.rational(rng.randint(-4, 4)) for _ in range(4)]) for _ in range(9)]
+    diagonal = tuple(
+        tuple(values[i] if i == j else D.zero() for j in range(3)) for i in range(3)
+    )
+    dense = tuple(tuple(values[3 * i + j] for j in range(3)) for i in range(3))
+    monkeypatch.setattr(D, "involution", counted)
+    for x, paid in ((diagonal, 3), (dense, 9)):
+        calls.clear()
+        got = M.involution(x)
+        assert len(calls) == paid
+        assert got == formula(x)
+
+
 def test_parse_memo_is_bounded():
     clear_memos()
     for k in range(1, 1101):
@@ -288,6 +378,6 @@ def test_no_global_state_outside_the_cli_memos():
     assert after["hermstab.cli._algebra_from_text"] == (
         before["hermstab.cli._algebra_from_text"] + 1
     )
-    for memo in (cli._algebra_from_text, cli._rendered):
+    for memo in (cli._field_from_text, cli._algebra_from_text, cli._rendered):
         info = memo.cache_info()
         assert info.currsize <= info.maxsize == 1024
